@@ -2,7 +2,7 @@
 
 Simulation library and CLI: moving-boundary plant, backstepping observer,
 zero-order-hold feedback with a dynamic event trigger, the full constant
-derivation chain behind the trigger, and Lyapunov/validity diagnostics.
+derivation chain behind the trigger, and Lyapunov diagnostics.
 """
 
 from .config import (ScenarioConfig, default_config, default_config_text,

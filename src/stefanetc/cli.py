@@ -7,7 +7,8 @@ Verbs:
     compare   run event_triggered vs a baseline on the same physics
     sweep     re-run a scenario over a list of values for one config key
 
-Exit codes: 0 success, 1 configuration error, 2 validity breach during a run.
+Exit codes: 0 success, 1 configuration or file error, 2 validity breach
+during a run.
 """
 
 from __future__ import annotations
@@ -18,40 +19,23 @@ import sys
 from pathlib import Path
 
 from . import harness, params
-from .config import default_config_text, parse_config, parse_config_text
+from .config import (SCENARIO_KINDS, default_config_text, override,
+                     parse_config, parse_config_text)
 from .errors import ConfigurationError, NumericalFailure, ValidityBreach
-
-KINDS = ("event_triggered", "continuous", "sampled_data")
 
 
 def _load(args) -> "ScenarioConfig":
     if args.config is None:
-        text = default_config_text()
-    else:
-        return parse_config(args.config)
-    return parse_config_text(text)
+        return parse_config_text(default_config_text())
+    return parse_config(args.config)
 
 
-def _output_dir(cfg, override: str | None) -> Path:
+def _output_dir(cfg, output: str | None) -> Path:
     root = os.environ.get("STEFANETC_OUTPUT_ROOT", "")
-    directory = Path(override) if override else Path(cfg.scenario.output_dir)
+    directory = Path(output) if output else Path(cfg.scenario.output_dir)
     if root and not directory.is_absolute():
         directory = Path(root) / directory
     return directory
-
-
-def _with_kind(cfg, kind: str):
-    text = harness.serialize_config(cfg)
-    lines = []
-    in_scenario = False
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("["):
-            in_scenario = stripped == "[scenario]"
-        if in_scenario and stripped.split("=")[0].strip() == "kind":
-            line = f"kind = {kind}"
-        lines.append(line)
-    return parse_config_text("\n".join(lines) + "\n")
 
 
 def cmd_derive(args) -> int:
@@ -78,7 +62,7 @@ def _print_summary(summary: dict) -> None:
 def cmd_run(args) -> int:
     cfg = _load(args)
     if args.kind is not None:
-        cfg = _with_kind(cfg, args.kind)
+        cfg = override(cfg, "scenario.kind", args.kind)
     result = harness.run_scenario(cfg)
     directory = _output_dir(cfg, args.output)
     written = harness.emit_outputs(result, directory)
@@ -95,10 +79,7 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load(args)
     kinds = args.kinds.split(",") if args.kinds else ["event_triggered", args.baseline]
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ConfigurationError(f"unknown scenario kind {kind!r}")
-    configs = [_with_kind(cfg, kind) for kind in kinds]
+    configs = [override(cfg, "scenario.kind", kind) for kind in kinds]
     rows = harness.compare_scenarios(configs)
     keys = ["scenario", "control_updates", "events_threshold",
             "events_max_dwell", "dwell_min", "dwell_mean", "dwell_max",
@@ -111,35 +92,13 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    if "." not in args.param:
-        raise ConfigurationError("--param must be section.key")
-    section, key = args.param.split(".", 1)
-    base_text = harness.serialize_config(cfg)
-    header_printed = False
-    for value in args.values:
-        lines, in_section = [], False
-        replaced = False
-        for line in base_text.splitlines():
-            stripped = line.strip()
-            if stripped.startswith("["):
-                in_section = stripped == f"[{section}]"
-            if in_section and "=" in stripped \
-                    and stripped.split("=")[0].strip() == key:
-                line = f"{key} = {value}"
-                replaced = True
-            lines.append(line)
-        if not replaced:
-            raise ConfigurationError(
-                f"config has no key {key!r} in section [{section}]")
-        swept = parse_config_text("\n".join(lines) + "\n")
-        result = harness.run_scenario(swept)
-        row = dict(result.summary)
+    swept = [override(cfg, args.param, value) for value in args.values]
+    keys = [args.param, "control_updates", "dwell_min", "dwell_mean",
+            "t_converged", "final_interface_gap"]
+    print("\t".join(keys))
+    for value, member in zip(args.values, swept):
+        row = dict(harness.run_scenario(member).summary)
         row[args.param] = value
-        keys = [args.param, "control_updates", "dwell_min", "dwell_mean",
-                "t_converged", "final_interface_gap"]
-        if not header_printed:
-            print("\t".join(keys))
-            header_printed = True
         print("\t".join(str(row.get(k, "")) for k in keys))
     return 0
 
@@ -164,14 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a scenario and write output files")
     add_common(p)
-    p.add_argument("--kind", choices=KINDS, default=None,
+    p.add_argument("--kind", choices=SCENARIO_KINDS, default=None,
                    help="override scenario.kind")
     p.add_argument("--output", default=None, help="output directory override")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="compare scenario kinds on one config")
     add_common(p)
-    p.add_argument("--baseline", choices=KINDS, default="sampled_data")
+    p.add_argument("--baseline", choices=SCENARIO_KINDS, default="sampled_data")
     p.add_argument("--kinds", default=None,
                    help="comma-separated kinds (overrides --baseline)")
     p.set_defaults(func=cmd_compare)
@@ -195,6 +154,9 @@ def main(argv=None) -> int:
     except (ValidityBreach, NumericalFailure) as exc:
         print(f"validity breach: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

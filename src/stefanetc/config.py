@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .params import (ControllerConfig, InitialData, PhysicalParams,
-                     TriggerConfig, derive_physical, linear_initial_data)
+                     TriggerConfig, derive_physical)
 
 _SCHEMA = {
     "physical": {"k", "rho", "cp", "latent_heat", "L", "Tm"},
@@ -28,11 +28,10 @@ _SCHEMA = {
                 "H", "H_hat_lower", "H_hat_upper"},
     "trigger": {"eta", "gamma", "delta", "m0", "A", "b_star"},
     "scheme": {"n", "dt", "horizon", "max_horizon"},
-    "scenario": {"kind", "period", "output_dir", "seed", "unsafe",
-                 "allow_coarse_dt"},
+    "scenario": {"kind", "period", "output_dir", "unsafe", "allow_coarse_dt"},
 }
 
-_SCENARIO_KINDS = ("event_triggered", "continuous", "sampled_data")
+SCENARIO_KINDS = ("event_triggered", "continuous", "sampled_data")
 
 
 @dataclass
@@ -48,7 +47,6 @@ class ScenarioSection:
     kind: str = "event_triggered"
     period: float = 3000.0          # sampled-data period [s]
     output_dir: str = "out"
-    seed: int = 0
     unsafe: bool = False
     allow_coarse_dt: bool = False
 
@@ -130,23 +128,24 @@ def _auto_bound(profile: np.ndarray, x: np.ndarray, s0: float, Tm: float,
     return float(np.max(ratios) if upper else np.min(ratios))
 
 
-def parse_config_text(text: str) -> ScenarioConfig:
+def _read(text: str) -> dict[str, dict[str, str]]:
     cp = _parser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error: {exc}") from exc
+    return {section: dict(cp.items(section)) for section in cp.sections()}
 
-    raw: dict[str, dict[str, str]] = {}
-    for section in cp.sections():
+
+def _build(raw: dict[str, dict[str, str]]) -> ScenarioConfig:
+    """Check raw section -> {key: string value} against the schema and type it."""
+    for section, keys in raw.items():
         if section not in _SCHEMA:
             raise ConfigurationError(f"unknown config section [{section}]")
-        keys = dict(cp.items(section))
         unknown = set(keys) - _SCHEMA[section]
         if unknown:
             raise ConfigurationError(
                 f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
-        raw[section] = keys
     for required in ("physical", "controller", "initial", "trigger"):
         if required not in raw:
             raise ConfigurationError(f"missing required section [{required}]")
@@ -201,19 +200,32 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
     scsec = raw.get("scenario", {})
     kind = _get(scsec, "kind", "event_triggered").strip().lower()
-    if kind not in _SCENARIO_KINDS:
+    if kind not in SCENARIO_KINDS:
         raise ConfigurationError(
-            f"scenario.kind={kind!r} not in {_SCENARIO_KINDS}")
+            f"scenario.kind={kind!r} not in {SCENARIO_KINDS}")
     scenario = ScenarioSection(
         kind=kind,
         period=_float(scsec, "scenario", "period", 3000.0),
         output_dir=_get(scsec, "output_dir", "out"),
-        seed=int(_float(scsec, "scenario", "seed", 0.0)),
         unsafe=_bool(scsec, "scenario", "unsafe", False),
         allow_coarse_dt=_bool(scsec, "scenario", "allow_coarse_dt", False))
 
     return ScenarioConfig(phys=phys, ctrl=ctrl, init=init, trig=trig,
                           scheme=scheme, scenario=scenario, raw=raw)
+
+
+def parse_config_text(text: str) -> ScenarioConfig:
+    return _build(_read(text))
+
+
+def override(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
+    """A copy of cfg with the key `name` ("section.key") set to `value`."""
+    section, dot, key = name.partition(".")
+    if not dot:
+        raise ConfigurationError(f"{name!r} is not of the form section.key")
+    raw = {sec: dict(keys) for sec, keys in cfg.raw.items()}
+    raw.setdefault(section, {})[key] = str(value)
+    return _build(raw)
 
 
 def parse_config(path: str | Path) -> ScenarioConfig:
@@ -234,14 +246,12 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return buf.getvalue()
 
 
-def default_config_text(kind: str = "event_triggered") -> str:
-    """The shipped paraffin experiment, optionally switched to another mode."""
-    text = resources.files("stefanetc.configs").joinpath(
+def default_config_text() -> str:
+    """The shipped paraffin experiment."""
+    return resources.files("stefanetc.configs").joinpath(
         "paraffin_event_triggered.cfg").read_text()
-    if kind != "event_triggered":
-        text = text.replace("kind = event_triggered", f"kind = {kind}")
-    return text
 
 
 def default_config(kind: str = "event_triggered") -> ScenarioConfig:
-    return parse_config_text(default_config_text(kind))
+    """The shipped paraffin experiment, run as scenario `kind`."""
+    return override(parse_config_text(default_config_text()), "scenario.kind", kind)

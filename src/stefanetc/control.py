@@ -39,13 +39,6 @@ def zoh_update(u_hat: np.ndarray, s: float, s_r: float, phys, c: float,
     """
     q_j = continuous_q(u_hat, s, s_r, phys, c)
     if q_j <= 0.0:
-        raise ValidityBreach("q_positive", f"held input q_j={q_j:g} <= 0", t=t_event)
+        raise ValidityBreach("q_positive", f"held input q_j={q_j:g} <= 0",
+                             t=t_event, value=q_j)
     return q_j
-
-
-def sampled_data_schedule(period: float, horizon: float) -> np.ndarray:
-    """Deterministic periodic update times 0, period, 2*period, ... <= horizon."""
-    if period <= 0.0:
-        raise ValueError("sampling period must be positive")
-    n = int(np.floor(horizon / period)) + 1
-    return np.arange(n, dtype=float) * period

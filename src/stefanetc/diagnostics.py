@@ -1,4 +1,4 @@
-"""Backstepping transforms, Lyapunov monitors, and validity reporting.
+"""Backstepping transforms and Lyapunov monitors.
 
 Everything here is diagnostics-only: the closed loop never depends on these
 quantities.  The transforms map simulated states into the target-system
@@ -8,6 +8,7 @@ and boundedness claims can be checked at runtime.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -63,15 +64,21 @@ def psi_kernel(x, tc: TransformConstants):
     return float(out) if out.ndim == 0 else out
 
 
+@functools.lru_cache(maxsize=8)
+def _volterra_pattern(n: int) -> np.ndarray:
+    # Trapezoid weights in units of h: 1/2 at both ends of [x_i, s], 1 inside;
+    # the last row (x_i = s) is empty.  Read-only, since the cache shares it.
+    w = np.triu(np.ones((n, n)))
+    np.fill_diagonal(w, 0.5)
+    w[:, -1] = 0.5
+    w[-1, :] = 0.0
+    w.flags.writeable = False
+    return w
+
+
 def _volterra_weights(n: int, s: float) -> np.ndarray:
     """Trapezoid weights for int_{x_i}^{s} . dy on the xi-grid, row per x_i."""
-    h = s / (n - 1)
-    w = np.zeros((n, n))
-    for i in range(n - 1):
-        w[i, i:] = h
-        w[i, i] = 0.5 * h
-        w[i, -1] = 0.5 * h
-    return w
+    return _volterra_pattern(n) * (s / (n - 1))
 
 
 def transform_error_direct(w_tilde: np.ndarray, s: float, lam: float,
@@ -182,16 +189,15 @@ def lyapunov_config(A: float, b_star: float, f_max_value: float, L: float,
     return LyapunovConfig(A=A, B=B, xi=xi, b_star=b_star)
 
 
-def lyapunov_values(plant, obs, m: float, s_r: float, tc: TransformConstants,
-                    lam: float, phys, c: float, lyap: LyapunovConfig):
-    """(V1, V, W) evaluated on a (plant, observer, m) snapshot."""
-    s = plant.s
+def lyapunov_values(w_tilde: np.ndarray, u_hat: np.ndarray, s: float,
+                    m: float, s_r: float, tc: TransformConstants, phys,
+                    c: float, lyap: LyapunovConfig):
+    """(V1, V, W) at one instant, from the transformed observer error w_tilde
+    (see `transform_error_inverse`), the observer profile u_hat and m."""
     X = s - s_r
-    u_tilde = plant.u - obs.u_hat
-    w_tilde = transform_error_inverse(u_tilde, s, lam, phys.alpha)
-    w_hat = transform_controller_direct(obs.u_hat, X, s, tc, phys.alpha,
+    w_hat = transform_controller_direct(u_hat, X, s, tc, phys.alpha,
                                         phys.beta, c)
-    h = 1.0 / (plant.n - 1)
+    h = 1.0 / (w_tilde.size - 1)
     w_tilde_x = np.gradient(w_tilde, h) / s
     V1 = 0.5 * trapezoid(w_hat * w_hat, s) \
         + tc.epsilon * phys.alpha / (2.0 * phys.beta) * X * X \
@@ -200,50 +206,6 @@ def lyapunov_values(plant, obs, m: float, s_r: float, tc: TransformConstants,
     V = lyap.A * V1 + m
     W = V * math.exp(-lyap.xi * s)
     return V1, V, W
-
-
-@dataclass
-class ValidityReport:
-    """Worst-case margins of the model-validity conditions over a run.
-
-    All margins are signed so that nonnegative (within the discretization
-    tolerance) means the condition held.
-    """
-    min_temp_above_melt: float      # min over run/grid of T - Tm
-    min_interface: float            # min s
-    interface_headroom: float       # L - max s
-    min_interface_velocity: float   # min sdot
-    min_held_input: float           # min q_j
-    samples: int
-
-    def as_lines(self) -> list[str]:
-        if self.samples == 0:
-            return ["validity report: no data"]
-        return [
-            f"min (T - Tm) over run        : {self.min_temp_above_melt:.6g}",
-            f"min interface position s     : {self.min_interface:.6g}",
-            f"headroom L - max(s)          : {self.interface_headroom:.6g}",
-            f"min interface velocity sdot  : {self.min_interface_velocity:.6g}",
-            f"min held input q_j           : {self.min_held_input:.6g}",
-        ]
-
-
-def validity_report(min_u: float | None = None, s_series=None,
-                    sdot_series=None, q_series=None, L: float = 0.0) -> ValidityReport:
-    """Aggregate per-condition worst-case margins from logged series."""
-    s_series = np.asarray(s_series if s_series is not None else [], dtype=float)
-    sdot_series = np.asarray(sdot_series if sdot_series is not None else [], dtype=float)
-    q_series = np.asarray(q_series if q_series is not None else [], dtype=float)
-    if s_series.size == 0:
-        return ValidityReport(*(float("nan"),) * 5, samples=0)
-    return ValidityReport(
-        min_temp_above_melt=float(min_u) if min_u is not None else float("nan"),
-        min_interface=float(s_series.min()),
-        interface_headroom=float(L - s_series.max()),
-        min_interface_velocity=float(sdot_series.min()) if sdot_series.size else float("nan"),
-        min_held_input=float(q_series.min()) if q_series.size else float("nan"),
-        samples=int(s_series.size),
-    )
 
 
 def psi_bound_holds(tc: TransformConstants, L: float, R: float,

@@ -12,10 +12,12 @@ class ValidityBreach(RuntimeError):
     harness can emit a structured breach record instead of a bare traceback.
     """
 
-    def __init__(self, condition: str, message: str, t: float | None = None):
+    def __init__(self, condition: str, message: str, t: float | None = None,
+                 value: float | None = None):
         super().__init__(f"[{condition}] {message}" + (f" (t={t:g} s)" if t is not None else ""))
         self.condition = condition
         self.t = t
+        self.value = value
 
 
 class InvariantViolation(ValidityBreach):

@@ -1,9 +1,10 @@
 """Scenario orchestration: closed-loop runs, comparisons, file outputs.
 
 A run is deterministic: per step it measures the plant, supervises the
-trigger (or the periodic schedule), updates the held input on events, steps
-plant / observer / dynamic variable, and logs everything.  Validity breaches
-end the run with a structured record instead of an exception escaping.
+trigger (or the periodic schedule) and updates the held input on events,
+makes one monitor pass that logs the step, and advances plant, observer and
+dynamic variable.  Validity breaches end the run with a structured record
+instead of an exception escaping.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ class ScenarioResult:
     events: list[trigger.EventRecord]
     summary: dict
     breach: BreachRecord | None = None
-    min_u_over_run: float = float("nan")
-    validation: params.ValidationReport | None = None
 
 
 @dataclass
@@ -91,11 +90,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         u_hat=plant.immobilize(cfg.init.T0_hat, cfg.init.s0, phys, n).u)
 
     rec = _Recorder()
-    is_et = scenario.kind == "event_triggered"
-    is_continuous = scenario.kind == "continuous"
-    is_sampled = scenario.kind == "sampled_data"
-    period = dt if is_continuous else scenario.period
-    next_sample = 0.0
+    # The baselines share one periodic schedule; continuous has period dt.
+    periodic = scenario.kind != "event_triggered"
+    period = dt if scenario.kind == "continuous" else scenario.period
+    next_sample = period   # the initial event takes the sample at t = 0
 
     horizon_end = scheme.horizon if scheme.horizon is not None else scheme.max_horizon
     auto_horizon = scheme.horizon is None
@@ -103,59 +101,59 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     breach: BreachRecord | None = None
     min_u = float(np.min(pstate.u))
 
-    # Initial event at t = 0.
+    # The snapshot starts at the t = 0 values, so d = 0 at the initial event.
     t = 0.0
-    I0 = control.integral_u_hat(ostate.u_hat, pstate.s)
     ts = trigger.TriggerState(
-        m=trig.m0, q_j=0.0, t_j=0.0,
-        snapshot=trigger.Snapshot(integral_u_hat=I0, X=pstate.s - s_r))
+        m=trig.m0, q_j=math.nan, t_j=0.0,
+        snapshot=trigger.Snapshot(
+            integral_u_hat=control.integral_u_hat(ostate.u_hat, pstate.s),
+            X=pstate.s - s_r))
     try:
-        ts.q_j = control.zoh_update(ostate.u_hat, pstate.s, s_r, phys, c, t)
-        ts.events.append(trigger.EventRecord(
-            time=0.0, reason="initial", q_j=ts.q_j, dwell=0.0,
-            d_squared=0.0, gamma_m=trig.gamma * ts.m))
-        if is_sampled or is_continuous:
-            next_sample = period
-
         while True:
+            # Feedback at t: measure, deviation, event decision, held input.
             s, sdot = plant.measure(pstate)
             X = s - s_r
             integral = control.integral_u_hat(ostate.u_hat, s)
             d = trigger.deviation(integral, X, ts.snapshot, c, phys.alpha, phys.beta)
 
             reason = None
-            if t > ts.t_j:
-                if is_et:
+            if not ts.events:
+                reason = "initial"
+            elif t > ts.t_j:
+                if not periodic:
                     reason = trigger.check_event(t, ts.t_j, d, ts.m, c,
                                                  trig.gamma, dt)
                 elif t >= next_sample - 1e-9 * max(t, 1.0):
                     reason = "scheduled"
                     next_sample += period
             if reason is not None:
-                dwell = t - ts.t_j
-                ts.events.append(trigger.EventRecord(
-                    time=t, reason=reason, q_j=0.0, dwell=dwell,
-                    d_squared=d * d, gamma_m=trig.gamma * ts.m))
-                ts.q_j = control.zoh_update(ostate.u_hat, s, s_r, phys, c, t)
-                ts.events[-1].q_j = ts.q_j
+                event = trigger.EventRecord(
+                    time=t, reason=reason, q_j=math.nan, dwell=t - ts.t_j,
+                    d_squared=d * d, gamma_m=trig.gamma * ts.m)
+                ts.events.append(event)
+                try:
+                    ts.q_j = event.q_j = control.zoh_update(
+                        ostate.u_hat, s, s_r, phys, c, t)
+                except ValidityBreach as exc:
+                    event.q_j = exc.value
+                    raise
                 ts.snapshot = trigger.Snapshot(integral_u_hat=integral, X=X)
                 ts.t_j = t
                 d = 0.0
-            ts.d = d
 
-            err_norm, _, err_slope = observer.error_norms(pstate, ostate)
-            norm_u = math.sqrt(max(control.trapezoid(pstate.u * pstate.u, s), 0.0))
-            w_tilde = diagnostics.transform_error_inverse(
-                pstate.u - ostate.u_hat, s, lam, phys.alpha)
-            norm_wt = math.sqrt(max(control.trapezoid(w_tilde * w_tilde, s), 0.0))
-            energy = control.trapezoid(pstate.u, s) / phys.alpha + s / phys.beta
+            # Monitor pass: u - u_hat and its transform w_tilde, each formed
+            # once.  The error's interface slope also feeds the m step.
+            err = pstate.u - ostate.u_hat
+            err_norm, err_slope = observer.error_norms(err, s)
+            w_tilde = diagnostics.transform_error_inverse(err, s, lam, phys.alpha)
             V1, V, W = diagnostics.lyapunov_values(
-                pstate, ostate, ts.m, s_r, tc, lam, phys, c, lyap)
+                w_tilde, ostate.u_hat, s, ts.m, s_r, tc, phys, c, lyap)
             rec.log(t=t, s=s, sdot=sdot, T0_boundary=phys.Tm + pstate.u[0],
-                    norm_T_Tm=norm_u, norm_T_That=err_norm, norm_w_tilde=norm_wt,
-                    energy=energy, q=ts.q_j, d=d,
-                    d_squared=d * d, gamma_m=trig.gamma * ts.m, m=ts.m,
-                    err_slope=err_slope, integral_u_hat=integral,
+                    norm_T_Tm=_l2_norm(pstate.u, s), norm_T_That=err_norm,
+                    norm_w_tilde=_l2_norm(w_tilde, s),
+                    energy=control.trapezoid(pstate.u, s) / phys.alpha + s / phys.beta,
+                    q=ts.q_j, d=d, d_squared=d * d, gamma_m=trig.gamma * ts.m,
+                    m=ts.m, err_slope=err_slope, integral_u_hat=integral,
                     V1=V1, V=V, W=W)
             min_u = min(min_u, float(np.min(pstate.u)))
 
@@ -165,12 +163,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             if t >= horizon_end - 1e-9 * max(horizon_end, 1.0):
                 break
 
+            # Advance plant, observer and m to t + dt under the held input.
             pstate_new = plant.step_plant(pstate, phys, ts.q_j, dt)
             ostate = observer.step_observer(
                 ostate, (s, sdot), phys, lam, ts.q_j, dt,
                 measured_slope=-pstate_new.sdot / phys.beta)
-            if is_et:
-                ts.m = trigger.step_m(ts.m, d, norm_u_hat_sq(ostate, s), X * X,
+            if not periodic:
+                u_hat_sq = max(control.trapezoid(ostate.u_hat * ostate.u_hat, s), 0.0)
+                ts.m = trigger.step_m(ts.m, d, u_hat_sq, X * X,
                                       err_slope * err_slope, trig.eta,
                                       derived.sigma, derived.mu1, derived.mu2,
                                       derived.mu3, dt)
@@ -187,12 +187,11 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     summary = _summarize(cfg, derived, series, ts.events, t_converged,
                          horizon_end, breach, min_u)
     return ScenarioResult(config=cfg, derived=derived, series=series,
-                          events=ts.events, summary=summary, breach=breach,
-                          min_u_over_run=min_u, validation=validation)
+                          events=ts.events, summary=summary, breach=breach)
 
 
-def norm_u_hat_sq(ostate: observer.ObserverState, s: float) -> float:
-    return max(control.trapezoid(ostate.u_hat * ostate.u_hat, s), 0.0)
+def _l2_norm(values: np.ndarray, s: float) -> float:
+    return math.sqrt(max(control.trapezoid(values * values, s), 0.0))
 
 
 def _summarize(cfg, derived, series, events, t_converged, horizon_end,
@@ -233,12 +232,7 @@ def compare_scenarios(configs: list[ScenarioConfig]) -> list[dict]:
                 or other.raw.get("initial") != ref.raw.get("initial"):
             raise ConfigurationError(
                 "compare requires identical [physical] and [initial] sections")
-    rows = []
-    for cfg in configs:
-        result = run_scenario(cfg)
-        row = dict(result.summary)
-        rows.append(row)
-    return rows
+    return [dict(run_scenario(cfg).summary) for cfg in configs]
 
 
 def _fmt(value) -> str:

@@ -8,8 +8,6 @@ physical integral over [0, s] is s times the unit-interval integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
@@ -23,51 +21,6 @@ BESSEL_Z_MAX = 700.0
 _RATIO_SERIES_CUT = 1e-3
 
 
-@dataclass
-class Profile:
-    """Samples of a field on the uniform unit grid xi in [0, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or self.values.size < 3:
-            raise ValueError("profile needs at least 3 samples on [0, 1]")
-        if not np.all(np.isfinite(self.values)):
-            raise NumericalFailure("profile contains non-finite samples")
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.values.size - 1)
-
-
-def _check_bessel_arg(z):
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0) or np.any(z > BESSEL_Z_MAX):
-        raise ValueError(f"Bessel argument outside [0, {BESSEL_Z_MAX:g}]")
-    return z
-
-
-def bessel_I1(z):
-    """Modified Bessel function of the first kind, order 1, for z in [0, 700]."""
-    z = _check_bessel_arg(z)
-    out = special.i1(z)
-    return float(out) if out.ndim == 0 else out
-
-
-def bessel_J1(z):
-    """Bessel function of the first kind, order 1, for z >= 0."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise ValueError("Bessel argument must be nonnegative")
-    out = special.j1(z)
-    return float(out) if out.ndim == 0 else out
-
-
 def _ratio_series(w, sign):
     # I1(sqrt(w))/sqrt(w) = (1/2) sum_k (w/4)^k / (k! (k+1)!); J1 alternates.
     return 0.5 + sign * w / 16.0 + w * w / 384.0
@@ -79,7 +32,8 @@ def ratio_I1_sqrt(w):
     if np.any(w < 0.0):
         raise ValueError("ratio_I1_sqrt requires w >= 0")
     z = np.sqrt(w)
-    _check_bessel_arg(z)
+    if np.any(z > BESSEL_Z_MAX):
+        raise ValueError(f"Bessel argument outside [0, {BESSEL_Z_MAX:g}]")
     small = w < _RATIO_SERIES_CUT
     safe_z = np.where(small, 1.0, z)
     out = np.where(small, _ratio_series(w, +1.0), special.i1(safe_z) / safe_z)

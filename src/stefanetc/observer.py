@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .numerics import ratio_I1_sqrt, trapezoid
-from .plant import PlantState, advance_profile
+from .plant import advance_profile
 
 
 @dataclass
@@ -104,19 +104,10 @@ def step_observer(obs: ObserverState, measurement, phys, lam: float,
     return ObserverState(u_hat=u_hat_new, t=obs.t + dt)
 
 
-def error_norms(plant: PlantState, obs: ObserverState):
-    """(L2 norm of u - u_hat, L2 norm of its x-gradient, interface slope).
+def error_norms(err: np.ndarray, s: float):
+    """(L2 norm on [0, s], interface slope) of the observer error err = u - u_hat.
 
-    Norms are on the physical domain [0, s]; gradients use the chain rule
-    d/dx = (1/s) d/dxi.  The interface slope uses the one-sided stencil.
+    The interface slope uses the one-sided stencil of `boundary_slope`.
     """
-    if plant.n != obs.n:
-        raise ValueError("plant and observer grids differ")
-    s = plant.s
-    err = plant.u - obs.u_hat
-    h = plant.h
     norm = np.sqrt(max(trapezoid(err * err, s), 0.0))
-    grad = np.gradient(err, h) / s
-    grad_norm = np.sqrt(max(trapezoid(grad * grad, s), 0.0))
-    slope = boundary_slope(err, s)
-    return norm, grad_norm, slope
+    return norm, boundary_slope(err, s)

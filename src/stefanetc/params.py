@@ -22,7 +22,7 @@ import numpy as np
 from .diagnostics import f_max as compute_f_max
 from .diagnostics import transform_constants
 from .errors import ConfigurationError, InvariantViolation
-from .numerics import simpson
+from .numerics import BESSEL_Z_MAX, simpson
 from .observer import observer_gain
 
 
@@ -62,6 +62,12 @@ class ControllerConfig:
             raise ConfigurationError("control gain c must be positive")
         if not self.lam > 0.0:
             raise ConfigurationError("observer gain lambda must be positive")
+        z_max = math.sqrt(self.lam * phys.L * phys.L / phys.alpha)
+        if z_max > BESSEL_Z_MAX:
+            raise ConfigurationError(
+                f"lambda={self.lam:g} and L={phys.L:g} put the observer-gain "
+                f"Bessel argument sqrt(lambda L^2/alpha)={z_max:g} above "
+                f"{BESSEL_Z_MAX:g}")
         limit = 2.0 * math.sqrt(phys.alpha * self.c) / phys.beta
         if not 0.0 < self.epsilon < limit:
             raise ConfigurationError(

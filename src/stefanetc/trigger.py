@@ -42,7 +42,6 @@ class TriggerState:
     q_j: float
     t_j: float
     snapshot: Snapshot
-    d: float = 0.0
     events: list[EventRecord] = field(default_factory=list)
 
 

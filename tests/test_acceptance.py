@@ -1,7 +1,11 @@
 """Acceptance suite: ten end-to-end criteria on the shipped paraffin
-experiment and its refinements.  Each criterion is one test that prints a
+experiment and its refinements, and a pin of the reference run against the
+benchmark's stored fingerprint.  Each criterion is one test that prints a
 single pass/fail line; the expensive closed-loop runs are shared session
 fixtures."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,13 +37,13 @@ def et_result():
 
 
 @pytest.fixture(scope="session")
-def comparison(default_text):
-    """Three-scenario comparison on shared physics and initial data."""
-    kinds = ["event_triggered", "continuous", "sampled_data"]
-    configs = [config.parse_config_text(
-        variant_text(default_text, [("kind = event_triggered", f"kind = {k}")]))
-        for k in kinds]
-    return dict(zip(kinds, harness.compare_scenarios(configs)))
+def comparison(et_result):
+    """Three-scenario comparison on shared physics and initial data; the
+    event-triggered row is the reference run's summary."""
+    kinds = ["continuous", "sampled_data"]
+    rows = harness.compare_scenarios(
+        [config.override(et_result.config, "scenario.kind", k) for k in kinds])
+    return {"event_triggered": et_result.summary, **dict(zip(kinds, rows))}
 
 
 def test_criterion_01_interface_convergence(et_result):
@@ -198,3 +202,19 @@ def test_criterion_10_lyapunov_monitor(et_result):
     ser = et_result.series
     slope = np.polyfit(ser["t"], np.log(ser["W"]), 1)[0]
     report(10, "lyapunov decay", slope < 0.0)
+
+
+def test_reference_run_matches_benchmark_fingerprint(et_result):
+    # The benchmark's stored seed-0 fingerprint of the shipped config: the
+    # step count and every event time and reason exactly, the held inputs
+    # and the final s and m to 1e-9 relative.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "fingerprints.json"
+    expected = json.loads(path.read_text())["et_paraffin"][0]
+    ser = et_result.series
+    assert ser["t"].size == expected["steps"]
+    assert [[e.time, e.reason] for e in et_result.events] \
+        == [[time, reason] for time, reason, _ in expected["events"]]
+    q = [e.q_j for e in et_result.events]
+    assert q == pytest.approx([q_j for _, _, q_j in expected["events"]], rel=1e-9)
+    assert ser["s"][-1] == pytest.approx(expected["final_s"], rel=1e-9)
+    assert ser["m"][-1] == pytest.approx(expected["final_m"], rel=1e-9)

@@ -92,3 +92,20 @@ class TestRoundTrip:
         assert again.ctrl == default_cfg.ctrl
         assert again.trig == default_cfg.trig
         assert np.array_equal(again.init.T0, default_cfg.init.T0)
+
+
+class TestOverride:
+    def test_matches_parsing_the_rewritten_text(self, default_cfg, default_text):
+        got = config.override(default_cfg, "trigger.gamma", "500")
+        want = config.parse_config_text(
+            variant_text(default_text, [("gamma = 1.0e3", "gamma = 500")]))
+        assert got.raw == want.raw
+        assert got.trig == want.trig and got.trig.gamma == 500.0
+        assert got.scheme == want.scheme and got.scenario == want.scenario
+        assert default_cfg.trig.gamma == 1.0e3
+
+    def test_unknown_key_raises(self, default_cfg):
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            config.override(default_cfg, "trigger.zeta", "1")
+        with pytest.raises(ConfigurationError, match="section.key"):
+            config.override(default_cfg, "gamma", "1")

@@ -1,5 +1,5 @@
-"""Feedback-law checks: the closed form of the continuous law, positivity
-enforcement of the held input, and the periodic schedule."""
+"""Feedback-law checks: the closed form of the continuous law and positivity
+enforcement of the held input."""
 
 import numpy as np
 import pytest
@@ -41,17 +41,4 @@ class TestZohUpdate:
             control.zoh_update(np.zeros(21), 2.5, 2.0, PHYS, C, 12.0)
         assert exc.value.condition == "q_positive"
         assert exc.value.t == 12.0
-
-
-class TestSchedule:
-    def test_uniform_grid(self):
-        times = control.sampled_data_schedule(3000.0, 10000.0)
-        assert np.array_equal(times, [0.0, 3000.0, 6000.0, 9000.0])
-
-    def test_horizon_inclusive(self):
-        times = control.sampled_data_schedule(2.0, 6.0)
-        assert times[-1] == 6.0
-
-    def test_rejects_nonpositive_period(self):
-        with pytest.raises(ValueError):
-            control.sampled_data_schedule(0.0, 10.0)
+        assert exc.value.value < 0.0

@@ -109,19 +109,15 @@ class TestForcingKernel:
 
 class TestLyapunov:
     def test_rest_state_values(self, tc):
-        from stefanetc import observer, plant
-
         d = params.derive_trigger(
             PHYS, params.ControllerConfig(c=C, lam=LAM, epsilon=EPS, s_r=2.0),
             params.TriggerConfig(eta=1.325e-2, gamma=1e3, delta=0.5, m0=1e-4,
                                  A=None, b_star=None))
         lyap = dg.lyapunov_config(d.A, d.b_star, d.f_max, PHYS.L, ALPHA, BETA,
                                   C, EPS)
-        pstate = plant.PlantState(u=np.zeros(21), s=2.0, sdot=0.0)
-        ostate = observer.ObserverState(u_hat=np.zeros(21))
         m0 = 1e-4
-        V1, V, W = dg.lyapunov_values(pstate, ostate, m0, 2.0, tc, LAM, PHYS,
-                                      C, lyap)
+        V1, V, W = dg.lyapunov_values(np.zeros(21), np.zeros(21), 2.0, m0,
+                                      2.0, tc, PHYS, C, lyap)
         assert V1 == 0.0
         assert V == m0
         assert W == pytest.approx(m0 * math.exp(-lyap.xi * 2.0), rel=1e-12)
@@ -129,20 +125,3 @@ class TestLyapunov:
     def test_weights_positive(self):
         lyap = dg.lyapunov_config(1.0, 2.0, 3.0, PHYS.L, ALPHA, BETA, C, EPS)
         assert lyap.B > 0.0 and lyap.xi > 0.0
-
-
-class TestValidityReport:
-    def test_empty(self):
-        rep = dg.validity_report()
-        assert rep.samples == 0
-        assert rep.as_lines() == ["validity report: no data"]
-
-    def test_aggregates(self):
-        rep = dg.validity_report(min_u=-0.01, s_series=[0.5, 1.0, 2.0],
-                                 sdot_series=[0.1, 0.0, 0.2],
-                                 q_series=[1.0, 0.5], L=3.0)
-        assert rep.min_interface == 0.5
-        assert rep.interface_headroom == 1.0
-        assert rep.min_interface_velocity == 0.0
-        assert rep.min_held_input == 0.5
-        assert rep.samples == 3

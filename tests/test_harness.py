@@ -61,6 +61,26 @@ class TestRunScenario:
         assert result.breach is not None
         assert result.breach.condition == "q_positive"
         assert result.summary["breach"]["condition"] == "q_positive"
+        # The initial event is recorded with the offending held input.
+        [event] = result.events
+        assert event.reason == "initial" and event.q_j < 0.0
+        assert result.summary["min_held_input"] == event.q_j
+
+    def test_breach_at_later_event_records_held_input(self, default_cfg):
+        # A hot plant seen by a cold observer: the event at t = 3176.5 s
+        # computes q_j < 0 and the run halts there.
+        cfg = default_cfg
+        for name, value in (("initial.s0", 0.5), ("initial.T0_amplitude", 60),
+                            ("initial.That_amplitude", 0),
+                            ("scenario.unsafe", "true"),
+                            ("scheme.horizon", 6000.0)):
+            cfg = config.override(cfg, name, value)
+        result = harness.run_scenario(cfg)
+        assert result.breach.condition == "q_positive"
+        last = result.events[-1]
+        assert last.time == result.breach.t == 3176.5
+        assert last.q_j == pytest.approx(-0.00552, rel=1e-2)
+        assert result.summary["min_held_input"] == last.q_j
 
     def test_summary_recomputable_from_series(self, short_result):
         s = short_result.series["s"]
@@ -162,6 +182,26 @@ class TestCli:
     def test_validate_default_passes(self, capsys):
         assert cli.main(["validate"]) == 0
         assert "overall: PASS" in capsys.readouterr().out
+
+    def test_derive_rejects_bessel_overflow(self, default_text, tmp_path,
+                                            capsys):
+        cfg_path = tmp_path / "lambda.cfg"
+        cfg_path.write_text(
+            variant_text(default_text, [("lambda = 0.1", "lambda = 100")]))
+        assert cli.main(["derive", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "lambda=100" in err \
+            and "L=3" in err
+
+    def test_unwritable_output_exit_code(self, short_text, tmp_path, capsys):
+        cfg_path = tmp_path / "short.cfg"
+        cfg_path.write_text(short_text)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        code = cli.main(["run", "--config", str(cfg_path),
+                         "--output", str(blocker / "out")])
+        assert code == 1
+        assert "failed writing outputs" in capsys.readouterr().err
 
     def test_sweep_unknown_key(self):
         assert cli.main(["sweep", "--param", "trigger.zeta",

@@ -10,10 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from stefanetc.errors import NumericalFailure
-from stefanetc.numerics import (Profile, bessel_I1, bessel_J1, ratio_I1_sqrt,
-                                ratio_J1_sqrt, simpson, solve_tridiagonal,
-                                trapezoid)
+from stefanetc.numerics import (ratio_I1_sqrt, ratio_J1_sqrt, simpson,
+                                solve_tridiagonal, trapezoid)
 
 
 def series_I1(z: float, terms: int = 30) -> float:
@@ -34,27 +32,24 @@ def series_J1(z: float, terms: int = 40) -> float:
 
 
 class TestBessel:
+    # I1(z) and J1(z) are reached through the ratio routines as z * ratio(z**2).
     def test_I1_against_series(self):
         for z in (0.0, 1e-4, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 20.0):
-            assert bessel_I1(z) == pytest.approx(series_I1(z), rel=1e-12, abs=1e-300)
+            assert z * ratio_I1_sqrt(z * z) == pytest.approx(
+                series_I1(z), rel=1e-12, abs=1e-300)
 
     def test_J1_against_series(self):
         for z in (0.0, 1e-4, 0.1, 0.5, 1.0, 2.5, 5.0, 8.0):
-            assert bessel_J1(z) == pytest.approx(series_J1(z), rel=1e-10, abs=1e-14)
+            assert z * ratio_J1_sqrt(z * z) == pytest.approx(
+                series_J1(z), rel=1e-10, abs=1e-14)
 
     def test_I1_domain(self):
         with pytest.raises(ValueError):
-            bessel_I1(-1.0)
+            ratio_I1_sqrt(-1.0)
+        with pytest.raises(ValueError, match="Bessel argument"):
+            ratio_I1_sqrt(701.0 ** 2)
         with pytest.raises(ValueError):
-            bessel_I1(701.0)
-        with pytest.raises(ValueError):
-            bessel_J1(-0.5)
-
-    def test_I1_array(self):
-        z = np.array([0.0, 1.0, 2.0])
-        out = bessel_I1(z)
-        assert out.shape == z.shape
-        assert out[0] == 0.0
+            ratio_J1_sqrt(-0.25)
 
 
 class TestRatios:
@@ -124,18 +119,3 @@ class TestTridiagonal:
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
             solve_tridiagonal([1.0], [3.0, 3.0, 3.0], [1.0, 1.0], [1.0, 1.0, 1.0])
-
-
-class TestProfile:
-    def test_properties(self):
-        p = Profile(np.zeros(21))
-        assert p.n == 21
-        assert p.h == pytest.approx(0.05)
-
-    def test_rejects_nan(self):
-        with pytest.raises(NumericalFailure):
-            Profile(np.array([0.0, np.nan, 1.0]))
-
-    def test_rejects_short(self):
-        with pytest.raises(ValueError):
-            Profile(np.array([0.0, 1.0]))
