@@ -186,12 +186,10 @@ def _build(raw: dict[str, dict[str, str]]) -> ScenarioConfig:
         b_star=_float_or_auto(tsec, "trigger", "b_star"))
 
     ssec = raw.get("scheme", {})
-    horizon_raw = _get(ssec, "horizon", "auto")
     scheme = SchemeConfig(
         n=int(_float(ssec, "scheme", "n", 21.0)),
         dt=_float(ssec, "scheme", "dt", 0.5),
-        horizon=None if str(horizon_raw).strip().lower() == "auto"
-        else float(horizon_raw),
+        horizon=_float_or_auto(ssec, "scheme", "horizon"),
         max_horizon=_float(ssec, "scheme", "max_horizon", 2.0e5))
     if scheme.n < 3:
         raise ConfigurationError("scheme.n must be at least 3")

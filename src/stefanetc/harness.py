@@ -85,10 +85,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                                        phys.L, phys.alpha, phys.beta, c,
                                        ctrl.epsilon)
 
-    pstate = plant.immobilize(cfg.init.T0, cfg.init.s0, phys, n)
-    ostate = observer.ObserverState(
-        u_hat=plant.immobilize(cfg.init.T0_hat, cfg.init.s0, phys, n).u)
-
     rec = _Recorder()
     # The baselines share one periodic schedule; continuous has period dt.
     periodic = scenario.kind != "event_triggered"
@@ -99,16 +95,20 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     auto_horizon = scheme.horizon is None
     t_converged = None
     breach: BreachRecord | None = None
-    min_u = float(np.min(pstate.u))
-
-    # The snapshot starts at the t = 0 values, so d = 0 at the initial event.
+    min_u = math.nan
     t = 0.0
-    ts = trigger.TriggerState(
-        m=trig.m0, q_j=math.nan, t_j=0.0,
-        snapshot=trigger.Snapshot(
-            integral_u_hat=control.integral_u_hat(ostate.u_hat, pstate.s),
-            X=pstate.s - s_r))
+    events: list[trigger.EventRecord] = []
     try:
+        pstate = plant.immobilize(cfg.init.T0, cfg.init.s0, phys, n)
+        ostate = observer.ObserverState(
+            u_hat=plant.immobilize(cfg.init.T0_hat, cfg.init.s0, phys, n).u)
+        min_u = float(np.min(pstate.u))
+        # The snapshot starts at the t = 0 values, so d = 0 at the initial event.
+        ts = trigger.TriggerState(
+            m=trig.m0, q_j=math.nan, t_j=0.0, events=events,
+            snapshot=trigger.Snapshot(
+                integral_u_hat=control.integral_u_hat(ostate.u_hat, pstate.s),
+                X=pstate.s - s_r))
         while True:
             # Feedback at t: measure, deviation, event decision, held input.
             s, sdot = plant.measure(pstate)
@@ -184,10 +184,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                               t=getattr(exc, "t", t))
 
     series = rec.arrays()
-    summary = _summarize(cfg, derived, series, ts.events, t_converged,
+    summary = _summarize(cfg, derived, series, events, t_converged,
                          horizon_end, breach, min_u)
     return ScenarioResult(config=cfg, derived=derived, series=series,
-                          events=ts.events, summary=summary, breach=breach)
+                          events=events, summary=summary, breach=breach)
 
 
 def _l2_norm(values: np.ndarray, s: float) -> float:
@@ -237,7 +237,7 @@ def compare_scenarios(configs: list[ScenarioConfig]) -> list[dict]:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

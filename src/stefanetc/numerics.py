@@ -74,19 +74,22 @@ def simpson(values, length: float) -> float:
     return float(length * _simpson(values, dx=h))
 
 
-def solve_tridiagonal(lower, diag, upper, rhs):
-    """Thomas-algorithm solve of a tridiagonal system.
+def thomas_factor(lower, diag, upper):
+    """Thomas-algorithm factorization of a tridiagonal matrix.
 
     lower: subdiagonal, length n-1 (first row has no lower entry)
     diag:  main diagonal, length n
     upper: superdiagonal, length n-1
+
+    Returns (lower, ratios, pivots) as tuples of floats for
+    `solve_tridiagonal`, so one factorization serves any number of
+    right-hand sides.
     """
     a = np.asarray(lower, dtype=float)
     b = np.asarray(diag, dtype=float)
     c = np.asarray(upper, dtype=float)
-    d = np.asarray(rhs, dtype=float)
     n = b.size
-    if a.size != n - 1 or c.size != n - 1 or d.size != n:
+    if a.size != n - 1 or c.size != n - 1:
         raise ValueError("inconsistent tridiagonal band lengths")
     off = np.zeros(n)
     off[1:] += np.abs(a)
@@ -94,20 +97,27 @@ def solve_tridiagonal(lower, diag, upper, rhs):
     if np.any(np.abs(b) < off * (1.0 - 1e-12)):
         raise ValueError("tridiagonal system is not diagonally dominant")
 
-    cp = np.empty(n - 1)
-    dp = np.empty(n)
-    beta = b[0]
-    if beta == 0.0:
-        raise NumericalFailure("zero pivot in tridiagonal solve (row 0)")
-    dp[0] = d[0] / beta
-    for i in range(1, n):
-        cp[i - 1] = c[i - 1] / beta
-        beta = b[i] - a[i - 1] * cp[i - 1]
-        if beta == 0.0:
+    a, b, c = a.tolist(), b.tolist(), c.tolist()
+    ratios, pivots = [], [b[0]]
+    for i in range(n):
+        if pivots[i] == 0.0:
             raise NumericalFailure(f"zero pivot in tridiagonal solve (row {i})")
-        dp[i] = (d[i] - a[i - 1] * dp[i - 1]) / beta
+        if i < n - 1:
+            ratios.append(c[i] / pivots[i])
+            pivots.append(b[i + 1] - a[i] * ratios[i])
+    return tuple(a), tuple(ratios), tuple(pivots)
 
-    x = dp
+
+def solve_tridiagonal(factor, rhs):
+    """Forward and back substitution through a `thomas_factor` result."""
+    lower, ratios, pivots = factor
+    d = np.asarray(rhs, dtype=float).tolist()
+    n = len(pivots)
+    if len(d) != n:
+        raise ValueError("inconsistent tridiagonal band lengths")
+    x = [d[0] / pivots[0]]
+    for i in range(1, n):
+        x.append((d[i] - lower[i - 1] * x[i - 1]) / pivots[i])
     for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
-    return x
+        x[i] -= ratios[i] * x[i + 1]
+    return np.array(x)

@@ -22,14 +22,6 @@ class ObserverState:
     u_hat: np.ndarray      # That - Tm on the unit grid [deg C]
     t: float = 0.0
 
-    @property
-    def n(self) -> int:
-        return self.u_hat.size
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.u_hat.size - 1)
-
 
 def observer_gain(x, s: float, lam: float, alpha: float):
     """Output-injection gain p(x, s) = -lam s I1(z)/z, z = sqrt(lam (s^2-x^2)/alpha).
@@ -55,8 +47,7 @@ def boundary_slope(values: np.ndarray, s: float) -> float:
 
 
 def step_observer(obs: ObserverState, measurement, phys, lam: float,
-                  q: float, dt: float,
-                  measured_slope: float | None = None) -> ObserverState:
+                  q: float, dt: float, measured_slope: float) -> ObserverState:
     """Advance the observer one step, paired with the plant step at the same dt.
 
     `measurement` is the (s, sdot) pair at the old time level; it drives the
@@ -65,7 +56,7 @@ def step_observer(obs: ObserverState, measurement, phys, lam: float,
     pass the value from the plant step just taken, so that the injection
     compares plant and observer slopes at the same time level (this keeps the
     discrete error dynamics homogeneous: a converged observer stays converged
-    to roundoff).  It defaults to the old-level measurement.
+    to roundoff).
 
     The injection is stiff through its dependence on the observer's own
     interface slope, so that slope is taken at the new level.  Because the
@@ -75,8 +66,6 @@ def step_observer(obs: ObserverState, measurement, phys, lam: float,
     `boundary_slope`; w.z > 0 for it, so the update never becomes singular.
     """
     s, sdot = measurement
-    if measured_slope is None:
-        measured_slope = -sdot / phys.beta
     n = obs.u_hat.size
     xi = np.linspace(0.0, 1.0, n)
     zeros = np.zeros(n)

@@ -10,17 +10,19 @@ and the interface ODE sdot = -(beta/s) u_xi(1).
 
 The step is semi-implicit: diffusion implicit (tridiagonal solve), advection
 and the s-dependent coefficients explicit at the old time level.  The same
-advance is reused by the observer, which only adds an output-injection source.
+advance is reused by the observer, which only adds an output-injection source,
+so the plant solve and both observer solves of a step share one factorization.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure, ValidityBreach
-from .numerics import solve_tridiagonal
+from .numerics import solve_tridiagonal, thomas_factor
 
 
 @dataclass
@@ -29,14 +31,6 @@ class PlantState:
     s: float               # interface position [cm]
     sdot: float            # interface velocity [cm/s]
     t: float = 0.0         # time [s]
-
-    @property
-    def n(self) -> int:
-        return self.u.size
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.u.size - 1)
 
 
 def immobilize(T0, s0: float, phys, n: int) -> PlantState:
@@ -47,7 +41,7 @@ def immobilize(T0, s0: float, phys, n: int) -> PlantState:
     profiles).  The far value is pinned to the melting temperature.
     """
     if not 0.0 < s0 < phys.L:
-        raise ValidityBreach("mv2", f"s0={s0:g} outside (0, L={phys.L:g})")
+        raise ValidityBreach("mv2", f"s0={s0:g} outside (0, L={phys.L:g})", t=0.0)
     xi = np.linspace(0.0, 1.0, n)
     x = xi * s0
     if callable(T0):
@@ -74,6 +68,16 @@ def interface_velocity(u: np.ndarray, s: float, beta: float) -> float:
     return -(beta / s) * (u[-1] - u[-2]) / h
 
 
+@functools.lru_cache(maxsize=1)
+def _diffusion_factor(n: int, r: float):
+    # Implicit diffusion matrix on the n - 1 unknowns u_0..u_{n-2}.  The ghost
+    # node doubles the first upper entry; the last unknown couples to the
+    # pinned u_{n-1} = 0, which adds nothing.  The plant step and both
+    # observer solves of a step share (n, r), so one entry serves all three.
+    upper = [-2.0 * r] + [-r] * (n - 3)
+    return thomas_factor([-r] * (n - 2), [1.0 + 2.0 * r] * (n - 1), upper)
+
+
 def advance_profile(u, s, sdot, q, dt, alpha, k, source=None):
     """One semi-implicit step of the immobilized PDE, returning the new profile.
 
@@ -84,34 +88,24 @@ def advance_profile(u, s, sdot, q, dt, alpha, k, source=None):
     """
     n = u.size
     h = 1.0 / (n - 1)
-    xi = np.linspace(0.0, 1.0, n)
     r = alpha * dt / (s * s * h * h)
 
-    # Upwinded advection, sign-aware (sdot >= 0 gives a >= 0, forward diff).
-    a = xi * (sdot / s)
-    adv = np.zeros(n)
-    fwd = (np.roll(u, -1) - u) / h
-    bwd = (u - np.roll(u, 1)) / h
-    adv[1:-1] = np.where(a[1:-1] >= 0.0, a[1:-1] * fwd[1:-1], a[1:-1] * bwd[1:-1])
+    # Upwinded advection on the interior nodes, sign-aware (sdot >= 0 gives
+    # a >= 0, forward difference); it vanishes at both ends.
+    a = np.linspace(0.0, 1.0, n)[1:-1] * (sdot / s)
+    inner = u[1:-1]
+    adv = np.zeros(n - 1)
+    adv[1:] = np.where(a >= 0.0, a * ((u[2:] - inner) / h),
+                       a * ((inner - u[:-2]) / h))
 
-    rhs = u[:-1] + dt * adv[:-1]
+    rhs = u[:-1] + dt * adv
     if source is not None:
         rhs = rhs + dt * np.asarray(source)[:-1]
     # Ghost node for the flux condition folds into the first row.
     g = -s * q / k
     rhs[0] -= 2.0 * r * h * g
 
-    diag = np.full(n - 1, 1.0 + 2.0 * r)
-    lower = np.full(n - 2, -r)
-    upper = np.full(n - 2, -r)
-    upper[0] = -2.0 * r
-    # Last unknown u_{n-2} couples to the pinned u_{n-1} = 0: nothing to add.
-    sol = solve_tridiagonal(lower, diag, upper, rhs)
-
-    out = np.empty(n)
-    out[:-1] = sol
-    out[-1] = 0.0
-    return out
+    return np.append(solve_tridiagonal(_diffusion_factor(n, r), rhs), 0.0)
 
 
 def step_plant(state: PlantState, phys, q: float, dt: float) -> PlantState:

@@ -1,6 +1,7 @@
 """Shared fixtures: the default paraffin configuration and helpers for
-building modified copies by textual substitution (the same mechanism the
-sweep verb uses, so tests exercise the production path)."""
+building modified copies by textual substitution.  Substitution edits the
+config text itself; `config.override`, which the sweep verb uses, rebuilds
+a parsed config instead."""
 
 import pytest
 

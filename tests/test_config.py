@@ -48,6 +48,11 @@ class TestStrictness:
         with pytest.raises(ConfigurationError, match="not a number"):
             config.parse_config_text(bad)
 
+    def test_bad_horizon(self, default_text):
+        bad = variant_text(default_text, [("horizon = auto", "horizon = soon")])
+        with pytest.raises(ConfigurationError, match="scheme.horizon"):
+            config.parse_config_text(bad)
+
     def test_bad_boolean(self, default_text):
         bad = variant_text(default_text, [("unsafe = false", "unsafe = maybe")])
         with pytest.raises(ConfigurationError, match="not a boolean"):

@@ -82,6 +82,17 @@ class TestRunScenario:
         assert last.q_j == pytest.approx(-0.00552, rel=1e-2)
         assert result.summary["min_held_input"] == last.q_j
 
+    def test_initial_breach_produces_record(self, default_cfg):
+        # An interface outside (0, L) breaches at immobilization: a record
+        # at t = 0 with no steps, not an exception.
+        cfg = config.override(default_cfg, "initial.s0", 3.5)
+        result = harness.run_scenario(config.override(cfg, "scenario.unsafe", "true"))
+        assert result.breach.condition == "mv2"
+        assert result.breach.t == 0.0
+        assert result.summary["breach"]["t"] == 0.0
+        assert result.events == [] and result.summary["steps"] == 0
+        assert np.isnan(result.summary["min_temp_margin"])
+
     def test_summary_recomputable_from_series(self, short_result):
         s = short_result.series["s"]
         assert short_result.summary["final_interface_gap"] == pytest.approx(
@@ -130,6 +141,23 @@ class TestEmitOutputs:
         assert lines[0].decode() == ",".join(harness.SERIES_COLUMNS)
         assert lines[1] == b""
 
+    def test_events_csv_fields_are_numbers(self, short_result, tmp_path):
+        # A continuous run makes an event every step, so every column of a
+        # non-initial event is filled from the loop's numpy scalars.
+        cfg = config.override(short_result.config, "scenario.kind", "continuous")
+        result = harness.run_scenario(config.override(cfg, "scheme.horizon", 3.0))
+        harness.emit_outputs(result, tmp_path)
+        rows = (tmp_path / "events.csv").read_text().splitlines()
+        assert rows[0] == ",".join(harness.EVENT_COLUMNS)
+        assert len(rows) == 1 + len(result.events) > 2
+        reason = harness.EVENT_COLUMNS.index("reason")
+        for row in rows[1:]:
+            fields = row.split(",")
+            assert len(fields) == len(harness.EVENT_COLUMNS)
+            for i, field in enumerate(fields):
+                if i != reason:
+                    float(field)
+
     def test_config_round_trip_through_emit(self, short_result, tmp_path):
         harness.emit_outputs(short_result, tmp_path)
         again = config.parse_config(tmp_path / "config.cfg")
@@ -172,6 +200,17 @@ class TestCli:
         code = cli.main(["run", "--config", str(cfg_path),
                          "--output", str(tmp_path / "out")])
         assert code == 2
+
+    def test_initial_breach_writes_outputs(self, default_text, tmp_path):
+        text = variant_text(default_text, [("s0 = 0.1", "s0 = 3.5"),
+                                           ("unsafe = false", "unsafe = true")])
+        cfg_path = tmp_path / "outside.cfg"
+        cfg_path.write_text(text)
+        code = cli.main(["run", "--config", str(cfg_path),
+                         "--output", str(tmp_path / "out")])
+        assert code == 2
+        for name in ("series.csv", "events.csv", "summary.json"):
+            assert (tmp_path / "out" / name).is_file()
 
     def test_derive_prints_report(self, capsys):
         assert cli.main(["derive"]) == 0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stefanetc.numerics import (ratio_I1_sqrt, ratio_J1_sqrt, simpson,
-                                solve_tridiagonal, trapezoid)
+                                solve_tridiagonal, thomas_factor, trapezoid)
 
 
 def series_I1(z: float, terms: int = 30) -> float:
@@ -109,13 +109,33 @@ class TestTridiagonal:
             rhs = rng.uniform(-1.0, 1.0, n)
             M = np.diag(b) + np.diag(a, -1) + np.diag(c, 1)
             expected = np.linalg.solve(M, rhs)
-            got = solve_tridiagonal(a, b, c, rhs)
+            got = solve_tridiagonal(thomas_factor(a, b, c), rhs)
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+    def test_one_factor_many_right_hand_sides(self):
+        rng = np.random.default_rng(11)
+        n = 30
+        a = rng.uniform(-1.0, 1.0, n - 1)
+        c = rng.uniform(-1.0, 1.0, n - 1)
+        b = rng.uniform(2.5, 4.0, n)
+        M = np.diag(b) + np.diag(a, -1) + np.diag(c, 1)
+        factor = thomas_factor(a, b, c)
+        rhs = rng.uniform(-1.0, 1.0, (4, n))
+        for row, expected in zip(rhs, np.linalg.solve(M, rhs.T).T):
+            got = solve_tridiagonal(factor, row)
+            assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
+        # Substitution leaves the shared factor intact: a repeat is bitwise equal.
+        assert np.array_equal(solve_tridiagonal(factor, rhs[0]),
+                              solve_tridiagonal(factor, rhs[0]))
+        with pytest.raises(ValueError):
+            solve_tridiagonal(factor, rhs[0][:-1])
 
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
-            solve_tridiagonal([2.0, 2.0], [1.0, 1.0, 1.0], [2.0, 2.0], [1.0, 1.0, 1.0])
+            solve_tridiagonal(thomas_factor([2.0, 2.0], [1.0, 1.0, 1.0], [2.0, 2.0]),
+                              [1.0, 1.0, 1.0])
 
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
-            solve_tridiagonal([1.0], [3.0, 3.0, 3.0], [1.0, 1.0], [1.0, 1.0, 1.0])
+            solve_tridiagonal(thomas_factor([1.0], [3.0, 3.0, 3.0], [1.0, 1.0]),
+                              [1.0, 1.0, 1.0])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from stefanetc import observer, params, plant
+from stefanetc import numerics, observer, params, plant
 
 PHYS = params.derive_physical(k=0.00220, rho=7.90e-4, cp=2380.0, dH=2.10e5,
                               L=3.0, Tm=37.0)
@@ -67,7 +67,8 @@ class TestStep:
         pstate = linear_plant(1.0)
         ostate = observer.ObserverState(u_hat=pstate.u.copy())
         s, sdot = plant.measure(pstate)
-        stepped = observer.step_observer(ostate, (s, sdot), PHYS, 0.0, 1e-3, 0.5)
+        stepped = observer.step_observer(ostate, (s, sdot), PHYS, 0.0, 1e-3, 0.5,
+                                         measured_slope=-sdot / PHYS.beta)
         direct = plant.advance_profile(pstate.u, s, sdot, 1e-3, 0.5,
                                        PHYS.alpha, PHYS.k)
         assert np.allclose(stepped.u_hat, direct, atol=1e-14)
@@ -92,8 +93,26 @@ class TestStep:
         pstate = linear_plant(1.0)
         ostate = observer.ObserverState(u_hat=linear_plant(10.0).u)
         s, sdot = plant.measure(pstate)
-        stepped = observer.step_observer(ostate, (s, sdot), PHYS, LAM, 1e-3, 0.5)
+        stepped = observer.step_observer(ostate, (s, sdot), PHYS, LAM, 1e-3, 0.5,
+                                         measured_slope=-sdot / PHYS.beta)
         assert stepped.u_hat[-1] == 0.0
+
+    def test_one_factorization_per_step(self, monkeypatch):
+        # The plant step and both observer solves share one tridiagonal
+        # matrix, so a paired step factors it once.
+        calls = []
+
+        def counting_factor(*bands):
+            calls.append(1)
+            return numerics.thomas_factor(*bands)
+
+        monkeypatch.setattr(plant, "thomas_factor", counting_factor)
+        plant._diffusion_factor.cache_clear()
+        pstate = linear_plant(1.0)
+        ostate = observer.ObserverState(u_hat=linear_plant(10.0).u)
+        run_pair(pstate, ostate, 1e-3, 5)
+        plant._diffusion_factor.cache_clear()
+        assert len(calls) == 5
 
 
 class TestErrorNorms:

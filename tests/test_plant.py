@@ -1,6 +1,8 @@
 """Plant-side checks: immobilization, interface velocity, equilibria,
 positivity of the semi-implicit step, and breach/failure handling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ def linear_state(amp=1.0, s0=0.1, n=21):
 class TestImmobilize:
     def test_linear_profile_resamples_exactly(self):
         st = linear_state(amp=2.0)
-        xi = np.linspace(0.0, 1.0, st.n)
+        xi = np.linspace(0.0, 1.0, st.u.size)
         assert np.allclose(st.u, 2.0 * (1.0 - xi), atol=1e-12)
         assert st.s == 0.1
         assert st.u[-1] == 0.0
@@ -84,6 +86,33 @@ class TestStep:
         st = linear_state(amp=1.0, s0=2.99)
         with pytest.raises(ValidityBreach):
             plant.step_plant(st, PHYS, 1e-3, 1e7)
+
+
+class TestTravellingWave:
+    # Exact solution: u = (alpha/beta)(exp((v/alpha)(s - x)) - 1), s = s0 + v t,
+    # under the flux q = (k v/beta) exp(v s/alpha).
+    S0, V, HORIZON = 0.1, 1.2e-4, 1000.0
+
+    def exact_u(self, x, s):
+        return (PHYS.alpha / PHYS.beta) * np.expm1((self.V / PHYS.alpha) * (s - x))
+
+    def errors(self, n, dt):
+        st = plant.immobilize(lambda x: PHYS.Tm + self.exact_u(x, self.S0),
+                              self.S0, PHYS, n)
+        steps = round(self.HORIZON / dt)
+        for j in range(steps):
+            s_exact = self.S0 + self.V * j * dt
+            q = (PHYS.k * self.V / PHYS.beta) * math.exp(self.V * s_exact / PHYS.alpha)
+            st = plant.step_plant(st, PHYS, q, dt)
+        s_exact = self.S0 + self.V * self.HORIZON
+        u_exact = self.exact_u(np.linspace(0.0, 1.0, n) * s_exact, s_exact)
+        return abs(st.s - s_exact), np.max(np.abs(st.u - u_exact))
+
+    def test_first_order_convergence(self):
+        errs = np.array([self.errors(n, dt)
+                         for n, dt in ((21, 1.0), (41, 0.5), (81, 0.25))])
+        orders = np.log2(errs[:-1] / errs[1:])
+        assert np.all(orders >= 0.9), (errs, orders)
 
 
 class TestMeasure:
