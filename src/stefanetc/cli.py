@@ -50,7 +50,6 @@ def cmd_validate(args) -> int:
     report = params.validate_initial_data(cfg.init, cfg.ctrl, cfg.phys)
     for line in report.as_lines():
         print(line)
-    print("overall:", "PASS" if report.overall_pass else "FAIL")
     return 0 if report.overall_pass else 1
 
 

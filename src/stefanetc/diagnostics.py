@@ -145,8 +145,14 @@ def f_kernel(x, s: float, lam: float, alpha: float, beta: float, c: float,
     return p - (beta / alpha) * inner + beta * phi_kernel(x - s, c, beta, epsilon)
 
 
+# Coarse grid of f_max: F_MAX_N_S values of s, F_MAX_N_QUAD Simpson panels
+# per s.  The fine grid doubles both.
+F_MAX_N_S = 256
+F_MAX_N_QUAD = 512
+
+
 def f_max(L: float, lam: float, alpha: float, beta: float, c: float,
-          epsilon: float, n_s: int = 256, n_quad: int = 512) -> float:
+          epsilon: float) -> float:
     """f_max = sqrt(max over s in (0, L] of int_0^s f(x,s)^2 dx).
 
     Simpson quadrature on an x-grid per s; a refinement doubling that moves
@@ -160,8 +166,8 @@ def f_max(L: float, lam: float, alpha: float, beta: float, c: float,
             best = max(best, simpson(f * f, s))
         return math.sqrt(best)
 
-    coarse = evaluate(n_s, n_quad)
-    fine = evaluate(2 * n_s, 2 * n_quad)
+    coarse = evaluate(F_MAX_N_S, F_MAX_N_QUAD)
+    fine = evaluate(2 * F_MAX_N_S, 2 * F_MAX_N_QUAD)
     if abs(fine - coarse) > 1e-6 * max(abs(fine), 1e-300):
         warnings.warn(
             f"f_max quadrature not converged to 1e-6 relative "

@@ -313,7 +313,7 @@ def derivation_report(cfg: ScenarioConfig, derived: params.TriggerDerived) -> st
         f"beta  = k/(rho*latent_heat)        = {phys.beta!r}",
         "",
         "[trigger chain]",
-        f"Upsilon = max_s |1 - (1/alpha) int p|  = {d.Upsilon!r}",
+        f"Upsilon = cosh(sqrt(lambda/alpha) L) = {d.Upsilon!r}",
         f"theta0 = 4 c^2                     = {d.theta0!r}",
         f"theta1 = 4 c^4 L / alpha^2         = {d.theta1!r}",
         f"theta2 = 4 c^4 / beta^2            = {d.theta2!r}",

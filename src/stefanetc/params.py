@@ -1,11 +1,12 @@
 """Physical, controller, and trigger parameters, and the derivation chain.
 
 Every constant the closed-loop guarantees rely on is derived here from the
-raw configuration: diffusivities, the gain-integral bound Upsilon, the theta
-weights, the trigger weights mu_i, the Lyapunov scale A and damping sigma,
-the dwell-time quadratic (a1, a2, a3) and minimal dwell tau, and the epsilon
-admissibility bounds.  Initial data is validated against the positivity
-(Lipschitz / sandwich / setpoint-window) conditions.
+raw configuration: diffusivities, the gain-integral bound
+Upsilon = cosh(sqrt(lambda/alpha) L), the theta weights, the trigger weights
+mu_i, the Lyapunov scale A and damping sigma, the dwell-time quadratic
+(a1, a2, a3) and minimal dwell tau, and the epsilon admissibility bounds.
+Initial data is validated against the positivity (Lipschitz / sandwich /
+setpoint-window) conditions.
 
 All internal computation is in cm-s-degC-J units; SI inputs must be converted
 at ingestion (the likeliest reproduction failure is a mixed unit system).
@@ -14,7 +15,6 @@ at ingestion (the likeliest reproduction failure is a mixed unit system).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +22,7 @@ import numpy as np
 from .diagnostics import f_max as compute_f_max
 from .diagnostics import transform_constants
 from .errors import ConfigurationError, InvariantViolation
-from .numerics import BESSEL_Z_MAX, simpson
-from .observer import observer_gain
+from .numerics import BESSEL_Z_MAX
 
 
 @dataclass(frozen=True)
@@ -125,33 +124,16 @@ class TriggerDerived:
     b_star: float
 
 
-def compute_upsilon(alpha: float, lam: float, L: float, n_s: int = 256,
-                    n_quad: int = 512) -> float:
+def compute_upsilon(alpha: float, lam: float, L: float) -> float:
     """Upsilon = max over s in [0, L] of |1 - (1/alpha) int_0^s p(y, s) dy|.
 
-    Nested Simpson quadrature on an s-grid.  The gain p is nonpositive, so
-    Upsilon >= 1 always, with equality at lam = 0.  A refinement doubling
-    that moves the result by more than 1e-6 relative attaches a warning.
+    With y = s sin(theta) and int_0^{pi/2} I1(z0 cos theta) dtheta =
+    (cosh z0 - 1)/z0, the gain integral is int_0^s p dy =
+    -alpha (cosh(sqrt(lam/alpha) s) - 1), so the bracket is
+    cosh(sqrt(lam/alpha) s), increasing in s: Upsilon = cosh(sqrt(lam/alpha) L).
+    ControllerConfig.validate caps the argument at BESSEL_Z_MAX, so it is finite.
     """
-    if lam == 0.0:
-        return 1.0
-
-    def evaluate(ns, nq):
-        best = 1.0  # the s -> 0 limit
-        for s in np.linspace(L / ns, L, ns):
-            y = np.linspace(0.0, s, nq + 1)
-            integral = simpson(observer_gain(y, s, lam, alpha), s)
-            best = max(best, abs(1.0 - integral / alpha))
-        return best
-
-    coarse = evaluate(n_s, n_quad)
-    fine = evaluate(2 * n_s, 2 * n_quad)
-    if abs(fine - coarse) > 1e-6 * max(abs(fine), 1e-300):
-        warnings.warn(
-            f"Upsilon quadrature not converged to 1e-6 relative "
-            f"({coarse:g} vs {fine:g})", RuntimeWarning, stacklevel=2,
-        )
-    return fine
+    return math.cosh(math.sqrt(lam / alpha) * L)
 
 
 def compute_thetas(c: float, L: float, alpha: float, beta: float,
@@ -276,8 +258,12 @@ def min_dwell_time(theta0: float, gamma: float, sigma: float, eta: float,
     return a1, a2, a3, tau
 
 
+# Auto A sits this factor above its floor A_min.
+A_MARGIN = 1.05
+
+
 def derive_trigger(phys: PhysicalParams, ctrl: ControllerConfig,
-                   trig: TriggerConfig, a_margin: float = 1.05) -> TriggerDerived:
+                   trig: TriggerConfig) -> TriggerDerived:
     """Run the full derivation chain from raw parameters to trigger constants."""
     ctrl.validate(phys)
     for name, value in (("eta", trig.eta), ("gamma", trig.gamma), ("m0", trig.m0)):
@@ -292,7 +278,7 @@ def derive_trigger(phys: PhysicalParams, ctrl: ControllerConfig,
     A_min = min_A(mu1, mu2, phys.L, phys.alpha, phys.beta, ctrl.epsilon,
                   ctrl.c, tc.zeta)
     if trig.A is None:
-        A = a_margin * A_min if A_min > 0.0 else 1.0
+        A = A_MARGIN * A_min if A_min > 0.0 else 1.0
     else:
         A = trig.A
         if A <= A_min:
@@ -411,14 +397,3 @@ def validate_initial_data(init: InitialData, ctrl: ControllerConfig,
 
     return rep
 
-
-def linear_initial_data(s0: float, Tm: float, amplitude: float,
-                        amplitude_hat: float, n: int = 101) -> InitialData:
-    """Build the linear cone profiles T - Tm = amp (1 - x/s0) with auto bounds."""
-    x = np.linspace(0.0, s0, n)
-    T0 = Tm + amplitude * (1.0 - x / s0)
-    T0_hat = Tm + amplitude_hat * (1.0 - x / s0)
-    H = amplitude / s0
-    H_hat = amplitude_hat / s0
-    return InitialData(s0=s0, x=x, T0=T0, T0_hat=T0_hat, H=H,
-                       H_hat_l=H_hat, H_hat_u=H_hat)

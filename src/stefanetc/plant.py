@@ -90,13 +90,16 @@ def advance_profile(u, s, sdot, q, dt, alpha, k, source=None):
     h = 1.0 / (n - 1)
     r = alpha * dt / (s * s * h * h)
 
-    # Upwinded advection on the interior nodes, sign-aware (sdot >= 0 gives
-    # a >= 0, forward difference); it vanishes at both ends.
+    # Upwinded advection on the interior nodes: a = xi sdot/s has the sign of
+    # sdot there, so sdot >= 0 takes the forward difference; it vanishes at
+    # both ends.
     a = np.linspace(0.0, 1.0, n)[1:-1] * (sdot / s)
     inner = u[1:-1]
     adv = np.zeros(n - 1)
-    adv[1:] = np.where(a >= 0.0, a * ((u[2:] - inner) / h),
-                       a * ((inner - u[:-2]) / h))
+    if sdot >= 0.0:
+        adv[1:] = a * ((u[2:] - inner) / h)
+    else:
+        adv[1:] = a * ((inner - u[:-2]) / h)
 
     rhs = u[:-1] + dt * adv
     if source is not None:

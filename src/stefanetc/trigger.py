@@ -8,10 +8,13 @@ Events occur when d^2 > gamma m, or at the latest 1/c after the previous one
 where e is the interface slope of the observer error, realizable from
 measurements as -sdot/beta minus the observer's own one-sided slope.  The
 trigger is supervised once per solver step, so events land on the step grid.
+Between steps the sources are held, and m advances by the exact solution of
+the resulting linear ODE.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,24 +58,21 @@ def deviation(integral_u_hat: float, X: float, snapshot: Snapshot,
 def step_m(m: float, d: float, u_hat_norm_sq: float, X_sq: float,
            err_slope_sq: float, eta: float, sigma: float,
            mu1: float, mu2: float, mu3: float, dt: float) -> float:
-    """Advance m by classical RK4 with all sources frozen over the step.
+    """Advance m exactly with all sources frozen over the step.
 
-    With frozen inputs the ODE is linear, mdot = -eta m + S, and RK4 integrates
-    it to O(dt^5) per step.  A nonpositive result is not clamped: it signals a
-    misconfiguration (the theory guarantees m > 0).
+    With frozen inputs the ODE is linear, mdot = -eta m + S, so
+    m(t + dt) = m e^{-eta dt} + S (1 - e^{-eta dt}) / eta (eta > 0 is checked
+    in params.derive_trigger).  expm1 keeps 1 - e^{-eta dt} accurate for small
+    eta dt, and the decay is its own exp, not m - m (1 - e^{-eta dt}), which
+    rounds to 0 once e^{-eta dt} falls below half an ulp of 1.  A nonpositive
+    result is not clamped: it signals a misconfiguration (the theory
+    guarantees m > 0).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     S = -sigma * d * d + mu1 * u_hat_norm_sq + mu2 * X_sq + mu3 * err_slope_sq
-
-    def f(mm):
-        return -eta * mm + S
-
-    k1 = f(m)
-    k2 = f(m + 0.5 * dt * k1)
-    k3 = f(m + 0.5 * dt * k2)
-    k4 = f(m + dt * k3)
-    m_new = m + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x = eta * dt
+    m_new = m * math.exp(-x) - S * math.expm1(-x) / eta
     if m_new <= 0.0:
         raise InvariantViolation(
             "m_positive",

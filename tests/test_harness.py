@@ -220,7 +220,9 @@ class TestCli:
 
     def test_validate_default_passes(self, capsys):
         assert cli.main(["validate"]) == 0
-        assert "overall: PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "overall: PASS" in out
+        assert out.count("overall:") == 1
 
     def test_derive_rejects_bessel_overflow(self, default_text, tmp_path,
                                             capsys):

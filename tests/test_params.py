@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from stefanetc import params
+from stefanetc import config, params
 from stefanetc.errors import ConfigurationError
+from stefanetc.observer import observer_gain
 
 # Frozen oracle values for the shipped paraffin configuration (cm-s-degC-J).
 PARAFFIN = dict(k=0.00220, rho=7.90e-4, cp=2380.0, dH=2.10e5, L=3.0, Tm=37.0)
@@ -67,7 +68,7 @@ class TestPhysical:
 class TestDerivationChain:
     def test_frozen_values(self, derived):
         for name, value in ORACLE.items():
-            rel = 1e-4 if name in ("Upsilon", "f_max") else 1e-10
+            rel = {"f_max": 1e-4, "Upsilon": 1e-12}.get(name, 1e-10)
             assert getattr(derived, name) == pytest.approx(value, rel=rel), name
 
     def test_mu_theta_round_trip(self, derived, paraffin):
@@ -105,6 +106,24 @@ class TestDerivationChain:
 
     def test_upsilon_identity_at_zero_gain(self):
         assert params.compute_upsilon(ALPHA, 0.0, 3.0) == 1.0
+
+    def test_upsilon_against_gain_quadrature(self):
+        # Upsilon bounds |1 - (1/alpha) int_0^s p(y, s) dy| over (0, L] and is
+        # attained at s = L; the integral of observer_gain is taken by
+        # adaptive quadrature, independent of the closed form.
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            alpha = 10.0 ** rng.uniform(-4.0, 0.0)
+            L = rng.uniform(0.5, 5.0)
+            z_L = rng.uniform(0.1, 30.0)        # sqrt(lam/alpha) L
+            lam = alpha * (z_L / L) ** 2
+            upsilon = params.compute_upsilon(alpha, lam, L)
+            for s in (0.25 * L, 0.5 * L, 0.75 * L, L):
+                integral, _ = quad(observer_gain, 0.0, s, args=(s, lam, alpha),
+                                   epsabs=0.0, epsrel=1e-13, limit=200)
+                value = abs(1.0 - integral / alpha)
+                assert value <= upsilon * (1.0 + 1e-10), (alpha, lam, L, s)
+            assert value == pytest.approx(upsilon, rel=1e-10), (alpha, lam, L)
 
     def test_thetas_closed_form(self):
         t0, t1, t2, t3 = params.compute_thetas(2.0, 3.0, 0.5, 0.25, 1.5)
@@ -188,7 +207,12 @@ class TestDwellTime:
 
 class TestValidation:
     def build_init(self, amp=1.0, amp_hat=10.0, s0=0.1):
-        return params.linear_initial_data(s0, 37.0, amp, amp_hat)
+        # Linear profiles with auto cone bounds, built by the config path.
+        cfg = config.default_config()
+        for key, value in (("T0_amplitude", amp), ("That_amplitude", amp_hat),
+                           ("s0", s0)):
+            cfg = config.override(cfg, f"initial.{key}", value)
+        return cfg.init
 
     def ctrl(self, lam=0.1, s_r=2.0):
         return params.ControllerConfig(c=3.0e-4, lam=lam, epsilon=10.0, s_r=s_r)

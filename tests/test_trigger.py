@@ -2,10 +2,14 @@
 integration of the dynamic variable, event-boundary semantics, and dwell
 statistics."""
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stefanetc import control, params, trigger
 from stefanetc.errors import InvariantViolation
@@ -50,12 +54,31 @@ class TestStepM:
         got = trigger.step_m(m, d, nrm, xsq, esq, eta, sigma, mu1, mu2, mu3, dt)
         assert got == pytest.approx(exact, rel=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(eta_dt=st.floats(1e-9, 50.0), dt=st.floats(1e-3, 1e3),
+           m=st.floats(1e-6, 1e6), S=st.floats(-1e6, 1e6))
+    def test_exact_for_frozen_sources(self, eta_dt, dt, m, S):
+        # Reference (m - S/eta) e^{-eta dt} + S/eta in 40-digit decimal, so
+        # its own cancellation does not count against step_m.  S enters as
+        # -sigma d^2 (S < 0) or mu1 ||u_hat||^2 (S >= 0), both exact in floats.
+        eta = eta_dt / dt
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            decay = (-Decimal(eta) * Decimal(dt)).exp()
+            rest = Decimal(S) / Decimal(eta)
+            exact = (Decimal(m) - rest) * decay + rest
+            scale = Decimal(m) * decay + abs(rest) * (1 - decay)
+        # Whenever the result is positive and at most two digits cancel.
+        assume(exact > scale / 100)
+        sigma, nrm = (-S, 0.0) if S < 0.0 else (0.0, S)
+        got = trigger.step_m(m, 1.0, nrm, 0.0, 0.0, eta, sigma, 1.0, 0.0, 0.0, dt)
+        assert got == pytest.approx(float(exact), rel=1e-12)
+
     def test_pure_decay(self):
         m = 1.0
         for _ in range(100):
             m = trigger.step_m(m, 0.0, 0.0, 0.0, 0.0, 0.05, 1.0, 0.0, 0.0, 0.0, 0.5)
-        # RK4 at eta dt = 0.025 carries ~1e-10 relative error per step.
-        assert m == pytest.approx(math.exp(-0.05 * 50.0), rel=1e-7)
+        assert m == pytest.approx(math.exp(-0.05 * 50.0), rel=1e-12)
 
     def test_nonpositive_m_raises(self):
         with pytest.raises(InvariantViolation):
