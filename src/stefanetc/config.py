@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -72,16 +73,24 @@ def _get(sec: dict, key: str, default=None):
     return sec[key] if key in sec else default
 
 
+def _number(raw: str, name: str) -> float:
+    # No key gives nan or inf a meaning; "auto" is how a value is left unset.
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"{name}={raw!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name}={raw!r} is not finite")
+    return value
+
+
 def _float(sec: dict, section: str, key: str, default=None) -> float:
     raw = _get(sec, key)
     if raw is None:
         if default is None:
             raise ConfigurationError(f"missing required key {section}.{key}")
         return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{section}.{key}={raw!r} is not a number") from exc
+    return _number(raw, f"{section}.{key}")
 
 
 def _float_or_auto(sec: dict, section: str, key: str) -> float | None:
@@ -109,12 +118,13 @@ def _profile(sec: dict, which: str, x: np.ndarray, s0: float, Tm: float) -> np.n
         amp = _float(sec, "initial", f"{which}_amplitude")
         return Tm + amp * (1.0 - x / s0)
     if kind == "samples":
+        name = f"initial.{which}_samples"
         raw = _get(sec, f"{which}_samples")
         if raw is None:
-            raise ConfigurationError(f"initial.{which}_samples required for kind=samples")
-        vals = np.array([float(v) for v in raw.replace(",", " ").split()])
+            raise ConfigurationError(f"{name} required for kind=samples")
+        vals = np.array([_number(v, name) for v in raw.replace(",", " ").split()])
         if vals.size < 3:
-            raise ConfigurationError(f"initial.{which}_samples needs >= 3 values")
+            raise ConfigurationError(f"{name} needs >= 3 values")
         return np.interp(x, np.linspace(0.0, s0, vals.size), vals)
     raise ConfigurationError(f"initial.{which}_kind={kind!r} not in (linear, samples)")
 
@@ -186,15 +196,20 @@ def _build(raw: dict[str, dict[str, str]]) -> ScenarioConfig:
         b_star=_float_or_auto(tsec, "trigger", "b_star"))
 
     ssec = raw.get("scheme", {})
+    n = _float(ssec, "scheme", "n", 21.0)
+    if not n.is_integer():
+        raise ConfigurationError(f"scheme.n={n:g} is not an integer")
     scheme = SchemeConfig(
-        n=int(_float(ssec, "scheme", "n", 21.0)),
+        n=int(n),
         dt=_float(ssec, "scheme", "dt", 0.5),
         horizon=_float_or_auto(ssec, "scheme", "horizon"),
         max_horizon=_float(ssec, "scheme", "max_horizon", 2.0e5))
     if scheme.n < 3:
         raise ConfigurationError("scheme.n must be at least 3")
-    if scheme.dt <= 0.0:
-        raise ConfigurationError("scheme.dt must be positive")
+    for key, value in (("dt", scheme.dt), ("horizon", scheme.horizon),
+                       ("max_horizon", scheme.max_horizon)):
+        if value is not None and value <= 0.0:
+            raise ConfigurationError(f"scheme.{key} must be positive")
 
     scsec = raw.get("scenario", {})
     kind = _get(scsec, "kind", "event_triggered").strip().lower()
@@ -207,6 +222,8 @@ def _build(raw: dict[str, dict[str, str]]) -> ScenarioConfig:
         output_dir=_get(scsec, "output_dir", "out"),
         unsafe=_bool(scsec, "scenario", "unsafe", False),
         allow_coarse_dt=_bool(scsec, "scenario", "allow_coarse_dt", False))
+    if scenario.period <= 0.0:
+        raise ConfigurationError("scenario.period must be positive")
 
     return ScenarioConfig(phys=phys, ctrl=ctrl, init=init, trig=trig,
                           scheme=scheme, scenario=scenario, raw=raw)

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigurationError
-from .numerics import ratio_I1_sqrt, ratio_J1_sqrt, simpson, trapezoid
+from .numerics import (ratio_I1_sqrt, ratio_J1_sqrt, simpson, trapezoid,
+                       unit_grid)
 from .observer import observer_gain
 
 
@@ -85,7 +86,7 @@ def transform_error_direct(w_tilde: np.ndarray, s: float, lam: float,
                            alpha: float) -> np.ndarray:
     """u_tilde(x) = w_tilde(x) + int_x^s P(x,y) w_tilde(y) dy on the xi-grid."""
     n = w_tilde.size
-    y = np.linspace(0.0, 1.0, n) * s
+    y = unit_grid(n) * s
     diff = np.maximum(y[None, :] ** 2 - y[:, None] ** 2, 0.0)
     K = (lam / alpha) * y[None, :] * ratio_I1_sqrt(lam * diff / alpha)
     K = np.triu(K)
@@ -96,7 +97,7 @@ def transform_error_inverse(u_tilde: np.ndarray, s: float, lam: float,
                             alpha: float) -> np.ndarray:
     """w_tilde(x) = u_tilde(x) - int_x^s Q(x,y) u_tilde(y) dy on the xi-grid."""
     n = u_tilde.size
-    y = np.linspace(0.0, 1.0, n) * s
+    y = unit_grid(n) * s
     diff = np.maximum(y[None, :] ** 2 - y[:, None] ** 2, 0.0)
     K = (lam / alpha) * y[None, :] * ratio_J1_sqrt(lam * diff / alpha)
     K = np.triu(K)
@@ -108,7 +109,7 @@ def transform_controller_direct(u_hat: np.ndarray, X: float, s: float,
                                 beta: float, c: float) -> np.ndarray:
     """w_hat = u_hat - (beta/alpha) int_x^s phi(x-y) u_hat dy - phi(x-s) X."""
     n = u_hat.size
-    x = np.linspace(0.0, 1.0, n) * s
+    x = unit_grid(n) * s
     K = phi_kernel(x[:, None] - x[None, :], c, beta, tc.epsilon)
     K = np.triu(K)
     integral = (K * _volterra_weights(n, s)) @ u_hat
@@ -120,7 +121,7 @@ def transform_controller_inverse(w_hat: np.ndarray, X: float, s: float,
                                  beta: float) -> np.ndarray:
     """u_hat = w_hat - (beta/alpha) int_x^s psi(x-y) w_hat dy - psi(x-s) X."""
     n = w_hat.size
-    x = np.linspace(0.0, 1.0, n) * s
+    x = unit_grid(n) * s
     K = psi_kernel(x[:, None] - x[None, :], tc)
     K = np.triu(K)
     integral = (K * _volterra_weights(n, s)) @ w_hat
@@ -145,9 +146,7 @@ def f_kernel(x, s: float, lam: float, alpha: float, beta: float, c: float,
     return p - (beta / alpha) * inner + beta * phi_kernel(x - s, c, beta, epsilon)
 
 
-# Coarse grid of f_max: F_MAX_N_S values of s, F_MAX_N_QUAD Simpson panels
-# per s.  The fine grid doubles both.
-F_MAX_N_S = 256
+# Simpson panels of the coarse f_max quadrature; the fine one doubles them.
 F_MAX_N_QUAD = 512
 
 
@@ -155,19 +154,25 @@ def f_max(L: float, lam: float, alpha: float, beta: float, c: float,
           epsilon: float) -> float:
     """f_max = sqrt(max over s in (0, L] of int_0^s f(x,s)^2 dx).
 
-    Simpson quadrature on an x-grid per s; a refinement doubling that moves
-    the result by more than 1e-6 relative attaches an accuracy warning.
-    """
-    def evaluate(ns, nq):
-        best = 0.0
-        for s in np.linspace(L / ns, L, ns):
-            x = np.linspace(0.0, s, nq + 1)
-            f = f_kernel(x, s, lam, alpha, beta, c, epsilon)
-            best = max(best, simpson(f * f, s))
-        return math.sqrt(best)
+    The max is at s = L.  Every term of f is <= 0: p <= 0, phi(x - y) <=
+    -epsilon for y >= x, and beta phi(x - s) = c (x - s) - beta epsilon.  So
+    |f| = |p(x,s)| + (beta/alpha) int_x^s |phi(x-y)| |p(y,s)| dy + c (s - x)
+    + beta epsilon.  At a fixed distance t = s - x from the interface,
+    |p(s - tau, s)| = lam s I1(sqrt(w))/sqrt(w) with w = lam tau (2s - tau)/alpha,
+    which does not decrease as s grows (I1(sqrt(w))/sqrt(w) increases with
+    w), and the phi terms depend on t and tau only.  So int_0^s f(s - t, s)^2 dt
+    grows with s: the domain gets larger and the integrand does not shrink.
 
-    coarse = evaluate(F_MAX_N_S, F_MAX_N_QUAD)
-    fine = evaluate(2 * F_MAX_N_S, 2 * F_MAX_N_QUAD)
+    Simpson quadrature at s = L; a refinement doubling that moves the result
+    by more than 1e-6 relative attaches an accuracy warning.
+    """
+    def evaluate(nq):
+        x = np.linspace(0.0, L, nq + 1)
+        f = f_kernel(x, L, lam, alpha, beta, c, epsilon)
+        return math.sqrt(simpson(f * f, L))
+
+    coarse = evaluate(F_MAX_N_QUAD)
+    fine = evaluate(2 * F_MAX_N_QUAD)
     if abs(fine - coarse) > 1e-6 * max(abs(fine), 1e-300):
         warnings.warn(
             f"f_max quadrature not converged to 1e-6 relative "
@@ -214,9 +219,12 @@ def lyapunov_values(w_tilde: np.ndarray, u_hat: np.ndarray, s: float,
     return V1, V, W
 
 
-def psi_bound_holds(tc: TransformConstants, L: float, R: float,
-                    n_check: int = 1000) -> bool:
+# Grid points of the psi bound check over [0, L].
+PSI_CHECK_N = 1000
+
+
+def psi_bound_holds(tc: TransformConstants, L: float, R: float) -> bool:
     """Check |psi(-x)| < R on a grid over [0, L], the inverse-kernel bound
     the convergence analysis relies on."""
-    x = np.linspace(0.0, L, n_check)
+    x = np.linspace(0.0, L, PSI_CHECK_N)
     return bool(np.all(np.abs(psi_kernel(-x, tc)) < R))

@@ -346,7 +346,7 @@ def derivation_report(cfg: ScenarioConfig, derived: params.TriggerDerived) -> st
     lines += [
         "",
         "[lyapunov weights]",
-        f"f_max = sqrt(max_s int f^2)        = {d.f_max!r}",
+        f"f_max = sqrt(int_0^L f(x,L)^2 dx)  = {d.f_max!r}",
         f"b_star (> mu3/(A alpha))           = {d.b_star!r}",
         "",
         "[dynamic trigger configuration]",

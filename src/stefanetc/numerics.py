@@ -8,6 +8,8 @@ physical integral over [0, s] is s times the unit-interval integral.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import special
 
@@ -50,6 +52,14 @@ def ratio_J1_sqrt(w):
     safe_z = np.where(small, 1.0, z)
     out = np.where(small, _ratio_series(w, -1.0), special.j1(safe_z) / safe_z)
     return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=8)
+def unit_grid(n: int) -> np.ndarray:
+    """The xi-grid linspace(0, 1, n); read-only, since the cache shares it."""
+    xi = np.linspace(0.0, 1.0, n)
+    xi.flags.writeable = False
+    return xi
 
 
 def trapezoid(values, length: float) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .numerics import ratio_I1_sqrt, trapezoid
+from .numerics import ratio_I1_sqrt, trapezoid, unit_grid
 from .plant import advance_profile
 
 
@@ -67,10 +67,9 @@ def step_observer(obs: ObserverState, measurement, phys, lam: float,
     """
     s, sdot = measurement
     n = obs.u_hat.size
-    xi = np.linspace(0.0, 1.0, n)
     zeros = np.zeros(n)
 
-    p = observer_gain(xi * s, s, lam, phys.alpha)
+    p = observer_gain(unit_grid(n) * s, s, lam, phys.alpha)
 
     # Base solve: A u* = rhs + dt p measured_slope.
     u_star = advance_profile(obs.u_hat, s, sdot, q, dt, phys.alpha, phys.k,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, ValidityBreach
-from .numerics import solve_tridiagonal, thomas_factor
+from .numerics import solve_tridiagonal, thomas_factor, unit_grid
 
 
 @dataclass
@@ -42,8 +42,7 @@ def immobilize(T0, s0: float, phys, n: int) -> PlantState:
     """
     if not 0.0 < s0 < phys.L:
         raise ValidityBreach("mv2", f"s0={s0:g} outside (0, L={phys.L:g})", t=0.0)
-    xi = np.linspace(0.0, 1.0, n)
-    x = xi * s0
+    x = unit_grid(n) * s0
     if callable(T0):
         u = np.asarray([float(T0(xx)) for xx in x]) - phys.Tm
     else:
@@ -93,7 +92,7 @@ def advance_profile(u, s, sdot, q, dt, alpha, k, source=None):
     # Upwinded advection on the interior nodes: a = xi sdot/s has the sign of
     # sdot there, so sdot >= 0 takes the forward difference; it vanishes at
     # both ends.
-    a = np.linspace(0.0, 1.0, n)[1:-1] * (sdot / s)
+    a = unit_grid(n)[1:-1] * (sdot / s)
     inner = u[1:-1]
     adv = np.zeros(n - 1)
     if sdot >= 0.0:

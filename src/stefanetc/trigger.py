@@ -83,7 +83,7 @@ def step_m(m: float, d: float, u_hat_norm_sq: float, X_sq: float,
 
 
 def check_event(t: float, t_j: float, d: float, m: float,
-                c: float, gamma: float, dt: float = 0.0) -> str | None:
+                c: float, gamma: float, dt: float) -> str | None:
     """Event decision at a supervised instant.
 
     Threshold uses the strict inequality d^2 > gamma m; if both the threshold

@@ -64,6 +64,25 @@ class TestStrictness:
         with pytest.raises(ConfigurationError, match="scenario.kind"):
             config.parse_config_text(bad)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("scheme.horizon", "nan", "scheme.horizon='nan' is not finite"),
+        ("scheme.horizon", "inf", "scheme.horizon='inf' is not finite"),
+        ("scheme.horizon", "-5", "scheme.horizon must be positive"),
+        ("scheme.max_horizon", "0", "scheme.max_horizon must be positive"),
+        ("scheme.n", "nan", "scheme.n='nan' is not finite"),
+        ("scheme.n", "inf", "scheme.n='inf' is not finite"),
+        ("scheme.n", "21.7", "scheme.n=21.7 is not an integer"),
+        ("scheme.dt", "nan", "scheme.dt='nan' is not finite"),
+        ("scheme.dt", "inf", "scheme.dt='inf' is not finite"),
+        ("scenario.period", "nan", "scenario.period='nan' is not finite"),
+        ("scenario.period", "-1", "scenario.period must be positive"),
+        ("controller.c", "inf", "controller.c='inf' is not finite"),
+        ("trigger.gamma", "nan", "trigger.gamma='nan' is not finite"),
+    ])
+    def test_rejects_unusable_value(self, default_cfg, key, value, match):
+        with pytest.raises(ConfigurationError, match=match):
+            config.override(default_cfg, key, value)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
             config.parse_config(tmp_path / "nope.cfg")
@@ -85,6 +104,20 @@ class TestProfiles:
             ("T0_amplitude = 1.0", "T0_samples = 38.0 37.0"),
         ])
         with pytest.raises(ConfigurationError, match="3 values"):
+            config.parse_config_text(text)
+
+
+    @pytest.mark.parametrize("samples, match", [
+        ("1 2 x", "initial.T0_samples='x' is not a number"),
+        ("40 39 nan 37", "initial.T0_samples='nan' is not finite"),
+    ])
+    def test_samples_must_be_finite_numbers(self, default_text, samples,
+                                            match):
+        text = variant_text(default_text, [
+            ("T0_kind = linear", "T0_kind = samples"),
+            ("T0_amplitude = 1.0", f"T0_samples = {samples}"),
+        ])
+        with pytest.raises(ConfigurationError, match=match):
             config.parse_config_text(text)
 
 

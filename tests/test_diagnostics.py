@@ -1,14 +1,17 @@
 """Transform and monitor checks: kernel constants, round-trip accuracy of
 both transform pairs with grid-refinement order, the forcing-kernel norm
-against a hand-integrated case, and the Lyapunov functional at rest."""
+against a hand-integrated case and a reference search over s, and the
+Lyapunov functional at rest."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from stefanetc import diagnostics as dg
 from stefanetc import params
+from stefanetc.numerics import simpson
 from stefanetc.errors import ConfigurationError
 
 PHYS = params.derive_physical(k=0.00220, rho=7.90e-4, cp=2380.0, dH=2.10e5,
@@ -89,6 +92,19 @@ class TestRoundTrips:
                            atol=1e-14)
 
 
+def forcing_draws(count, seed):
+    """Seeded valid (L, lam, alpha, beta, c, epsilon) for the forcing kernel:
+    sqrt(lam/alpha) L in [0, 30] and epsilon inside (0, 2 sqrt(alpha c)/beta)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        alpha, beta = 10.0 ** rng.uniform(-4.0, 0.0, 2)
+        c = 10.0 ** rng.uniform(-5.0, -1.0)
+        L = rng.uniform(0.5, 5.0)
+        lam = alpha * (rng.uniform(0.0, 30.0) / L) ** 2
+        epsilon = rng.uniform(0.01, 0.99) * 2.0 * math.sqrt(alpha * c) / beta
+        yield L, lam, alpha, beta, c, epsilon
+
+
 class TestForcingKernel:
     def test_f_max_zero_gain_oracle(self):
         # With zero injection gain the kernel is beta*phi(x - s), whose
@@ -105,6 +121,30 @@ class TestForcingKernel:
         x = np.linspace(0.0, s, 513)
         f = dg.f_kernel(x, s, LAM, ALPHA, BETA, C, EPS)
         assert f[-1] == pytest.approx(-LAM * s / 2.0 - BETA * EPS, rel=1e-10)
+
+    def test_reference_search_peaks_at_domain_end(self):
+        # Search s on its own grid, at f_max's fine quadrature resolution.
+        nq = 2 * dg.F_MAX_N_QUAD
+        for L, lam, alpha, beta, c, eps in forcing_draws(24, seed=2210):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = dg.f_max(L, lam, alpha, beta, c, eps)
+            ref = []
+            for s in np.linspace(L / 32, L, 32):
+                f = dg.f_kernel(np.linspace(0.0, s, nq + 1), s, lam, alpha,
+                                beta, c, eps)
+                ref.append(math.sqrt(simpson(f * f, s)))
+            assert np.all(np.diff(ref) > 0.0)
+            assert max(ref) <= got
+            assert ref[-1] == pytest.approx(got, rel=1e-12)
+
+    def test_unconverged_quadrature_warns(self):
+        with pytest.warns(RuntimeWarning, match="3816.11 vs 3816.12"):
+            got = dg.f_max(L=1.6478106158273977, lam=0.02804519175986396,
+                           alpha=0.00034471245580917773,
+                           beta=0.24532112507341663, c=0.011352682075954029,
+                           epsilon=0.007265554555876408)
+        assert got == pytest.approx(3816.116823718474, rel=1e-12)
 
 
 class TestLyapunov:

@@ -2,6 +2,11 @@
 time-step guard, validity gating, breach records, output formats, and exit
 codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -187,6 +192,21 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[physical]\nk = -1\n")
         assert cli.main(["validate", "--config", str(bad)]) == 1
+
+    def test_non_finite_n_is_configuration_error(self, default_text,
+                                                 tmp_path):
+        # Out of process, so an escaping exception shows as a traceback.
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text(variant_text(default_text, [("n = 21", "n = nan")]))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stefanetc.cli", "run", "--config",
+             str(cfg_path), "--output", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "scheme.n='nan' is not finite" in proc.stderr
 
     def test_breach_exit_code(self, default_text, tmp_path):
         text = variant_text(default_text, [

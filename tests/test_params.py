@@ -3,6 +3,7 @@ closed forms against quadrature, randomized admissibility properties, and
 the initial-data validity report."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,8 +69,14 @@ class TestPhysical:
 class TestDerivationChain:
     def test_frozen_values(self, derived):
         for name, value in ORACLE.items():
-            rel = {"f_max": 1e-4, "Upsilon": 1e-12}.get(name, 1e-10)
+            rel = {"f_max": 1e-12, "Upsilon": 1e-12}.get(name, 1e-10)
             assert getattr(derived, name) == pytest.approx(value, rel=rel), name
+
+    def test_shipped_config_derives_without_warnings(self):
+        cfg = config.default_config()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params.derive_trigger(cfg.phys, cfg.ctrl, cfg.trig)
 
     def test_mu_theta_round_trip(self, derived, paraffin):
         _, _, trig = paraffin
