@@ -4,6 +4,10 @@ Everything here is diagnostics-only: the closed loop never depends on these
 quantities.  The transforms map simulated states into the target-system
 coordinates in which the stability analysis is immediate, so that decay rates
 and boundedness claims can be checked at runtime.
+
+The monitors take one profile or a (K, n) stack of K instants with length-K
+s (and X, m); each row of a stacked call has the bits of its own 1-D call.
+The Volterra kernels are evaluated on the upper triangle (y >= x) only.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigurationError
-from .numerics import (ratio_I1_sqrt, ratio_J1_sqrt, simpson, trapezoid,
-                       unit_grid)
+from .numerics import ratio_J1_sqrt, simpson, trapezoid, unit_grid
 from .observer import observer_gain
 
 
@@ -57,75 +60,86 @@ def phi_kernel(x, c: float, beta: float, epsilon: float):
     return (c / beta) * np.asarray(x, dtype=float) - epsilon
 
 
-def psi_kernel(x, tc: TransformConstants):
-    """Inverse controller-transform kernel psi(x) = e^{nu x}(zeta sin wx + eps cos wx)."""
-    x = np.asarray(x, dtype=float)
-    out = np.exp(tc.nu * x) * (tc.zeta * np.sin(tc.omega * x)
-                               + tc.epsilon * np.cos(tc.omega * x))
-    return float(out) if out.ndim == 0 else out
+@functools.lru_cache(maxsize=8)
+def _upper(n: int):
+    """Row and column indices of the upper triangle (y_j >= x_i) of an n x n
+    Volterra matrix, and their flat indices; read-only, since the cache
+    shares them."""
+    i, j = np.triu_indices(n)
+    flat = i * n + j
+    for a in (i, j, flat):
+        a.flags.writeable = False
+    return i, j, flat
 
 
 @functools.lru_cache(maxsize=8)
 def _volterra_pattern(n: int) -> np.ndarray:
-    # Trapezoid weights in units of h: 1/2 at both ends of [x_i, s], 1 inside;
-    # the last row (x_i = s) is empty.  Read-only, since the cache shares it.
-    w = np.triu(np.ones((n, n)))
-    np.fill_diagonal(w, 0.5)
-    w[:, -1] = 0.5
-    w[-1, :] = 0.0
+    # Trapezoid weights in units of h on the upper triangle: 1/2 at both ends
+    # of [x_i, s], 1 inside; the last row (x_i = s) is empty.
+    i, j, _ = _upper(n)
+    w = np.where((i == j) | (j == n - 1), 0.5, 1.0)
+    w[i == n - 1] = 0.0
     w.flags.writeable = False
     return w
 
 
-def _volterra_weights(n: int, s: float) -> np.ndarray:
-    """Trapezoid weights for int_{x_i}^{s} . dy on the xi-grid, row per x_i."""
-    return _volterra_pattern(n) * (s / (n - 1))
+def _volterra_weights(n: int, s) -> np.ndarray:
+    """Trapezoid weights for int_{x_i}^{s} . dy on the xi-grid, packed on the
+    upper triangle; one row per entry of a length-K `s`."""
+    return _volterra_pattern(n) * (s / (n - 1))[:, None]
 
 
-def transform_error_direct(w_tilde: np.ndarray, s: float, lam: float,
-                           alpha: float) -> np.ndarray:
-    """u_tilde(x) = w_tilde(x) + int_x^s P(x,y) w_tilde(y) dy on the xi-grid."""
-    n = w_tilde.size
-    y = unit_grid(n) * s
-    diff = np.maximum(y[None, :] ** 2 - y[:, None] ** 2, 0.0)
-    K = (lam / alpha) * y[None, :] * ratio_I1_sqrt(lam * diff / alpha)
-    K = np.triu(K)
-    return w_tilde + (K * _volterra_weights(n, s)) @ w_tilde
+def _stack(profiles, *scalars):
+    """A (K, n) stack and length-K arrays from a stack or one 1-D profile
+    with its scalars."""
+    return (np.atleast_2d(np.asarray(profiles, dtype=float)),
+            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in scalars))
 
 
-def transform_error_inverse(u_tilde: np.ndarray, s: float, lam: float,
+def _volterra(kernel: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """int_{x_i}^{s} kernel(x_i, y) v(y) dy for each row of a (K, n) stack v.
+
+    `kernel` holds the upper-triangle values, (K, n(n+1)/2); they are
+    weighted, scattered into a zeroed (K, n, n) array and applied with
+    matmul, which gives every row the bits of its own matrix-vector product.
+    """
+    k, n = v.shape
+    matrix = np.zeros((k, n * n))
+    matrix[:, _upper(n)[2]] = kernel * _volterra_weights(n, s)
+    return (matrix.reshape(k, n, n) @ v[:, :, None])[:, :, 0]
+
+
+def transform_error_inverse(u_tilde: np.ndarray, s, lam: float,
                             alpha: float) -> np.ndarray:
-    """w_tilde(x) = u_tilde(x) - int_x^s Q(x,y) u_tilde(y) dy on the xi-grid."""
-    n = u_tilde.size
-    y = unit_grid(n) * s
-    diff = np.maximum(y[None, :] ** 2 - y[:, None] ** 2, 0.0)
-    K = (lam / alpha) * y[None, :] * ratio_J1_sqrt(lam * diff / alpha)
-    K = np.triu(K)
-    return u_tilde - (K * _volterra_weights(n, s)) @ u_tilde
+    """w_tilde(x) = u_tilde(x) - int_x^s Q(x,y) u_tilde(y) dy on the xi-grid.
+
+    Takes one profile and its s, or a (K, n) stack and a length-K s.
+    """
+    u, s_k = _stack(u_tilde, s)
+    i, j, _ = _upper(u.shape[1])
+    y = unit_grid(u.shape[1]) * s_k[:, None]
+    y2 = y * y
+    diff = np.maximum(y2[:, j] - y2[:, i], 0.0)
+    kernel = (lam / alpha) * y[:, j] * ratio_J1_sqrt(lam * diff / alpha)
+    out = u - _volterra(kernel, s_k, u)
+    return out.reshape(np.shape(u_tilde))
 
 
-def transform_controller_direct(u_hat: np.ndarray, X: float, s: float,
+def transform_controller_direct(u_hat: np.ndarray, X, s,
                                 tc: TransformConstants, alpha: float,
                                 beta: float, c: float) -> np.ndarray:
-    """w_hat = u_hat - (beta/alpha) int_x^s phi(x-y) u_hat dy - phi(x-s) X."""
-    n = u_hat.size
-    x = unit_grid(n) * s
-    K = phi_kernel(x[:, None] - x[None, :], c, beta, tc.epsilon)
-    K = np.triu(K)
-    integral = (K * _volterra_weights(n, s)) @ u_hat
-    return u_hat - (beta / alpha) * integral - phi_kernel(x - s, c, beta, tc.epsilon) * X
+    """w_hat = u_hat - (beta/alpha) int_x^s phi(x-y) u_hat dy - phi(x-s) X.
 
-
-def transform_controller_inverse(w_hat: np.ndarray, X: float, s: float,
-                                 tc: TransformConstants, alpha: float,
-                                 beta: float) -> np.ndarray:
-    """u_hat = w_hat - (beta/alpha) int_x^s psi(x-y) w_hat dy - psi(x-s) X."""
-    n = w_hat.size
-    x = unit_grid(n) * s
-    K = psi_kernel(x[:, None] - x[None, :], tc)
-    K = np.triu(K)
-    integral = (K * _volterra_weights(n, s)) @ w_hat
-    return w_hat - (beta / alpha) * integral - psi_kernel(x - s, tc) * X
+    Takes one profile with its X and s, or a (K, n) stack with length-K X
+    and s.
+    """
+    u, s_k, X = _stack(u_hat, s, X)
+    i, j, _ = _upper(u.shape[1])
+    x = unit_grid(u.shape[1]) * s_k[:, None]
+    kernel = phi_kernel(x[:, i] - x[:, j], c, beta, tc.epsilon)
+    out = u - (beta / alpha) * _volterra(kernel, s_k, u) \
+        - phi_kernel(x - s_k[:, None], c, beta, tc.epsilon) * X[:, None]
+    return out.reshape(np.shape(u_hat))
 
 
 def f_kernel(x, s: float, lam: float, alpha: float, beta: float, c: float,
@@ -200,31 +214,28 @@ def lyapunov_config(A: float, b_star: float, f_max_value: float, L: float,
     return LyapunovConfig(A=A, B=B, xi=xi, b_star=b_star)
 
 
-def lyapunov_values(w_tilde: np.ndarray, u_hat: np.ndarray, s: float,
-                    m: float, s_r: float, tc: TransformConstants, phys,
-                    c: float, lyap: LyapunovConfig):
-    """(V1, V, W) at one instant, from the transformed observer error w_tilde
-    (see `transform_error_inverse`), the observer profile u_hat and m."""
-    X = s - s_r
-    w_hat = transform_controller_direct(u_hat, X, s, tc, phys.alpha,
+def lyapunov_values(w_tilde: np.ndarray, u_hat: np.ndarray, s, m,
+                    s_r: float, tc: TransformConstants, phys, c: float,
+                    lyap: LyapunovConfig):
+    """(V1, V, W) from the transformed observer error w_tilde (see
+    `transform_error_inverse`), the observer profile u_hat and m.
+
+    Takes one instant, or (K, n) stacks with length-K s and m and then
+    returns three length-K arrays.
+    """
+    w_tilde_k, s_k = _stack(w_tilde, s)
+    X = s_k - s_r
+    w_hat = transform_controller_direct(u_hat, X, s_k, tc, phys.alpha,
                                         phys.beta, c)
-    h = 1.0 / (w_tilde.size - 1)
-    w_tilde_x = np.gradient(w_tilde, h) / s
-    V1 = 0.5 * trapezoid(w_hat * w_hat, s) \
+    h = 1.0 / (w_tilde_k.shape[1] - 1)
+    w_tilde_x = np.gradient(w_tilde_k, h, axis=-1) / s_k[:, None]
+    V1 = 0.5 * trapezoid(w_hat * w_hat, s_k) \
         + tc.epsilon * phys.alpha / (2.0 * phys.beta) * X * X \
-        + 0.5 * trapezoid(w_tilde * w_tilde, s) \
-        + 0.5 * lyap.B * trapezoid(w_tilde_x * w_tilde_x, s)
+        + 0.5 * trapezoid(w_tilde_k * w_tilde_k, s_k) \
+        + 0.5 * lyap.B * trapezoid(w_tilde_x * w_tilde_x, s_k)
     V = lyap.A * V1 + m
-    W = V * math.exp(-lyap.xi * s)
+    # math.exp per row: np.exp does not give the same bits.
+    W = V * np.array([math.exp(-lyap.xi * si) for si in s_k.tolist()])
+    if np.ndim(w_tilde) == 1:
+        return float(V1[0]), float(V[0]), float(W[0])
     return V1, V, W
-
-
-# Grid points of the psi bound check over [0, L].
-PSI_CHECK_N = 1000
-
-
-def psi_bound_holds(tc: TransformConstants, L: float, R: float) -> bool:
-    """Check |psi(-x)| < R on a grid over [0, L], the inverse-kernel bound
-    the convergence analysis relies on."""
-    x = np.linspace(0.0, L, PSI_CHECK_N)
-    return bool(np.all(np.abs(psi_kernel(-x, tc)) < R))

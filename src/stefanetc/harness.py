@@ -2,14 +2,21 @@
 
 A run is deterministic: per step it measures the plant, supervises the
 trigger (or the periodic schedule) and updates the held input on events,
-makes one monitor pass that logs the step, and advances plant, observer and
-dynamic variable.  Validity breaches end the run with a structured record
-instead of an exception escaping.
+logs the step, and advances plant, observer and dynamic variable.  The
+monitors (norms, energy, transformed error, Lyapunov values) never feed back
+into the loop: the log buffers each step's profiles, and one stacked monitor
+pass computes them for K steps at a time, K = max(1, MONITOR_STACK_ENTRIES
+// n^2), when the buffer is full, at the end of the run and at a breach.
+Every row is bitwise the value a pass per step would give.  Validity
+breaches end the run with a structured record instead of an exception
+escaping.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,15 +54,57 @@ class ScenarioResult:
     breach: BreachRecord | None = None
 
 
+# Bound on the entries of one monitor pass's (K, n, n) kernel stack: K steps
+# are buffered per pass, K = max(1, MONITOR_STACK_ENTRIES // n^2).
+MONITOR_STACK_ENTRIES = 32768
+
+
+def _monitor_columns(U, E, U_hat, s, m, phys, lam, s_r, tc, c, lyap):
+    """The monitor columns of K buffered steps, from (K, n) stacks of u,
+    u - u_hat and u_hat and length-K s and m, in one stacked pass."""
+    err_norm, _ = observer.error_norms(E, s)
+    w_tilde = diagnostics.transform_error_inverse(E, s, lam, phys.alpha)
+    V1, V, W = diagnostics.lyapunov_values(w_tilde, U_hat, s, m, s_r, tc,
+                                           phys, c, lyap)
+    return {"norm_T_Tm": _l2_norm(U, s), "norm_T_That": err_norm,
+            "norm_w_tilde": _l2_norm(w_tilde, s),
+            "energy": control.trapezoid(U, s) / phys.alpha + s / phys.beta,
+            "V1": V1, "V": V, "W": W}
+
+
 @dataclass
 class _Recorder:
-    rows: dict[str, list] = field(default_factory=lambda: {c: [] for c in SERIES_COLUMNS})
+    """Series rows of one run.
 
-    def log(self, **kwargs):
-        for col in SERIES_COLUMNS:
-            self.rows[col].append(kwargs[col])
+    `log` takes a step's feedback columns and buffers its profiles (u,
+    u - u_hat, u_hat) with s and m.  When `stack` steps are buffered, and
+    before `arrays`, one stacked call of `monitors` fills the monitor
+    columns and the running min of u.  Nothing here feeds back into the loop.
+    """
+    monitors: Callable
+    stack: int
+    min_u: float = math.nan
+    rows: dict[str, list] = field(default_factory=lambda: {c: [] for c in SERIES_COLUMNS})
+    buffer: list = field(default_factory=list)
+
+    def log(self, u, err, u_hat, **feedback):
+        for col, value in feedback.items():
+            self.rows[col].append(value)
+        self.buffer.append((u, err, u_hat, feedback["s"], feedback["m"]))
+        if len(self.buffer) == self.stack:
+            self.flush()
+
+    def flush(self):
+        if not self.buffer:
+            return
+        U, E, U_hat, s, m = (np.array(col) for col in zip(*self.buffer))
+        self.buffer.clear()
+        for col, values in self.monitors(U, E, U_hat, s, m).items():
+            self.rows[col].extend(values.tolist())
+        self.min_u = min(self.min_u, float(np.min(U)))
 
     def arrays(self) -> dict[str, np.ndarray]:
+        self.flush()
         return {c: np.asarray(v, dtype=float) for c, v in self.rows.items()}
 
 
@@ -85,7 +134,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                                        phys.L, phys.alpha, phys.beta, c,
                                        ctrl.epsilon)
 
-    rec = _Recorder()
+    rec = _Recorder(
+        monitors=functools.partial(_monitor_columns, phys=phys, lam=lam,
+                                   s_r=s_r, tc=tc, c=c, lyap=lyap),
+        stack=max(1, MONITOR_STACK_ENTRIES // (n * n)))
     # The baselines share one periodic schedule; continuous has period dt.
     periodic = scenario.kind != "event_triggered"
     period = dt if scenario.kind == "continuous" else scenario.period
@@ -95,14 +147,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     auto_horizon = scheme.horizon is None
     t_converged = None
     breach: BreachRecord | None = None
-    min_u = math.nan
     t = 0.0
     events: list[trigger.EventRecord] = []
     try:
         pstate = plant.immobilize(cfg.init.T0, cfg.init.s0, phys, n)
         ostate = observer.ObserverState(
             u_hat=plant.immobilize(cfg.init.T0_hat, cfg.init.s0, phys, n).u)
-        min_u = float(np.min(pstate.u))
+        rec.min_u = float(np.min(pstate.u))
         # The snapshot starts at the t = 0 values, so d = 0 at the initial event.
         ts = trigger.TriggerState(
             m=trig.m0, q_j=math.nan, t_j=0.0, events=events,
@@ -141,21 +192,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                 ts.t_j = t
                 d = 0.0
 
-            # Monitor pass: u - u_hat and its transform w_tilde, each formed
-            # once.  The error's interface slope also feeds the m step.
+            # Log the step; its monitors are computed later, in a stack.
+            # The error's interface slope also feeds the m step.
             err = pstate.u - ostate.u_hat
-            err_norm, err_slope = observer.error_norms(err, s)
-            w_tilde = diagnostics.transform_error_inverse(err, s, lam, phys.alpha)
-            V1, V, W = diagnostics.lyapunov_values(
-                w_tilde, ostate.u_hat, s, ts.m, s_r, tc, phys, c, lyap)
-            rec.log(t=t, s=s, sdot=sdot, T0_boundary=phys.Tm + pstate.u[0],
-                    norm_T_Tm=_l2_norm(pstate.u, s), norm_T_That=err_norm,
-                    norm_w_tilde=_l2_norm(w_tilde, s),
-                    energy=control.trapezoid(pstate.u, s) / phys.alpha + s / phys.beta,
-                    q=ts.q_j, d=d, d_squared=d * d, gamma_m=trig.gamma * ts.m,
-                    m=ts.m, err_slope=err_slope, integral_u_hat=integral,
-                    V1=V1, V=V, W=W)
-            min_u = min(min_u, float(np.min(pstate.u)))
+            err_slope = observer.boundary_slope(err, s)
+            rec.log(pstate.u, err, ostate.u_hat, t=t, s=s, sdot=sdot,
+                    T0_boundary=phys.Tm + pstate.u[0], q=ts.q_j, d=d,
+                    d_squared=d * d, gamma_m=trig.gamma * ts.m, m=ts.m,
+                    err_slope=err_slope, integral_u_hat=integral)
 
             if auto_horizon and t_converged is None and abs(X) < CONVERGENCE_TOL:
                 t_converged = t
@@ -185,13 +229,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     series = rec.arrays()
     summary = _summarize(cfg, derived, series, events, t_converged,
-                         horizon_end, breach, min_u)
+                         horizon_end, breach, rec.min_u)
     return ScenarioResult(config=cfg, derived=derived, series=series,
                           events=events, summary=summary, breach=breach)
 
 
-def _l2_norm(values: np.ndarray, s: float) -> float:
-    return math.sqrt(max(control.trapezoid(values * values, s), 0.0))
+def _l2_norm(values: np.ndarray, s):
+    return np.sqrt(np.maximum(control.trapezoid(values * values, s), 0.0))
 
 
 def _summarize(cfg, derived, series, events, t_converged, horizon_end,

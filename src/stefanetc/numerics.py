@@ -28,18 +28,26 @@ def _ratio_series(w, sign):
     return 0.5 + sign * w / 16.0 + w * w / 384.0
 
 
+def _ratio_sqrt(w, sign, bessel):
+    # Power series where w < _RATIO_SERIES_CUT, Bessel quotient elsewhere;
+    # each branch is evaluated only on its own entries.
+    small = w < _RATIO_SERIES_CUT
+    large = ~small
+    out = np.empty(w.shape)
+    out[small] = _ratio_series(w[small], sign)
+    z = np.sqrt(w[large])
+    out[large] = bessel(z) / z
+    return float(out) if out.ndim == 0 else out
+
+
 def ratio_I1_sqrt(w):
     """I1(sqrt(w))/sqrt(w), continuous at w = 0 with value 1/2."""
     w = np.asarray(w, dtype=float)
     if np.any(w < 0.0):
         raise ValueError("ratio_I1_sqrt requires w >= 0")
-    z = np.sqrt(w)
-    if np.any(z > BESSEL_Z_MAX):
+    if np.any(np.sqrt(w) > BESSEL_Z_MAX):
         raise ValueError(f"Bessel argument outside [0, {BESSEL_Z_MAX:g}]")
-    small = w < _RATIO_SERIES_CUT
-    safe_z = np.where(small, 1.0, z)
-    out = np.where(small, _ratio_series(w, +1.0), special.i1(safe_z) / safe_z)
-    return float(out) if out.ndim == 0 else out
+    return _ratio_sqrt(w, +1.0, special.i1)
 
 
 def ratio_J1_sqrt(w):
@@ -47,11 +55,7 @@ def ratio_J1_sqrt(w):
     w = np.asarray(w, dtype=float)
     if np.any(w < 0.0):
         raise ValueError("ratio_J1_sqrt requires w >= 0")
-    z = np.sqrt(w)
-    small = w < _RATIO_SERIES_CUT
-    safe_z = np.where(small, 1.0, z)
-    out = np.where(small, _ratio_series(w, -1.0), special.j1(safe_z) / safe_z)
-    return float(out) if out.ndim == 0 else out
+    return _ratio_sqrt(w, -1.0, special.j1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -62,17 +66,20 @@ def unit_grid(n: int) -> np.ndarray:
     return xi
 
 
-def trapezoid(values, length: float) -> float:
+def trapezoid(values, length):
     """Composite trapezoid rule over the unit grid, scaled to physical length.
 
     Realizes the physical integral over [0, length] of a field sampled on the
-    immobilized unit grid: integral = length * int_0^1 f(xi) dxi.
+    immobilized unit grid: integral = length * int_0^1 f(xi) dxi.  A (K, n)
+    stack of fields with a length-K `length` gives the K integrals, each
+    bitwise equal to its own 1-D call.
     """
     values = np.asarray(values, dtype=float)
-    if values.size < 2:
+    if values.ndim == 0 or values.shape[-1] < 2:
         raise ValueError("trapezoid needs at least 2 samples")
-    h = 1.0 / (values.size - 1)
-    return float(length * np.trapezoid(values, dx=h))
+    h = 1.0 / (values.shape[-1] - 1)
+    out = length * np.trapezoid(values, dx=h, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def simpson(values, length: float) -> float:

@@ -34,16 +34,17 @@ def observer_gain(x, s: float, lam: float, alpha: float):
     return float(out) if out.ndim == 0 else out
 
 
-def boundary_slope(values: np.ndarray, s: float) -> float:
+def boundary_slope(values: np.ndarray, s):
     """Physical interface slope: first-order one-sided difference over h*s.
+    A (K, n) stack of profiles with a length-K s gives the K slopes.
 
     This is the same functional the plant's interface velocity uses, which is
     what makes the discrete observer-error dynamics homogeneous (an error
     initialized at zero stays at roundoff level), and it is the only one-sided
     variant that keeps the injection feedback dissipative on coarse grids.
     """
-    h = 1.0 / (values.size - 1)
-    return (values[-1] - values[-2]) / (h * s)
+    h = 1.0 / (values.shape[-1] - 1)
+    return (values[..., -1] - values[..., -2]) / (h * s)
 
 
 def step_observer(obs: ObserverState, measurement, phys, lam: float,
@@ -92,10 +93,11 @@ def step_observer(obs: ObserverState, measurement, phys, lam: float,
     return ObserverState(u_hat=u_hat_new, t=obs.t + dt)
 
 
-def error_norms(err: np.ndarray, s: float):
+def error_norms(err: np.ndarray, s):
     """(L2 norm on [0, s], interface slope) of the observer error err = u - u_hat.
 
-    The interface slope uses the one-sided stencil of `boundary_slope`.
+    The interface slope uses the one-sided stencil of `boundary_slope`.  A
+    (K, n) stack of errors with a length-K s gives two length-K arrays.
     """
-    norm = np.sqrt(max(trapezoid(err * err, s), 0.0))
+    norm = np.sqrt(np.maximum(trapezoid(err * err, s), 0.0))
     return norm, boundary_slope(err, s)

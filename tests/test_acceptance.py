@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from stefanetc import config, harness, params
 from stefanetc import diagnostics as dg
 from conftest import variant_text
+import transform_oracles as oracles
 
 H = 0.05            # grid spacing of the shipped configuration
 S_R = 2.0           # setpoint [cm]
@@ -157,13 +158,13 @@ def test_criterion_07_transform_correctness(default_cfg):
         e1 = e2 = 0.0
         for p in profiles:
             rt = dg.transform_error_inverse(
-                dg.transform_error_direct(p, s, ctrl.lam, phys.alpha),
+                oracles.transform_error_direct(p, s, ctrl.lam, phys.alpha),
                 s, ctrl.lam, phys.alpha)
             e1 = max(e1, float(np.max(np.abs(rt - p))))
             w = dg.transform_controller_direct(p, 0.3, s, tc, phys.alpha,
                                                phys.beta, ctrl.c)
-            back = dg.transform_controller_inverse(w, 0.3, s, tc, phys.alpha,
-                                                   phys.beta)
+            back = oracles.transform_controller_inverse(w, 0.3, s, tc,
+                                                        phys.alpha, phys.beta)
             e2 = max(e2, float(np.max(np.abs(back - p))))
         return e1, e2
 
@@ -173,8 +174,8 @@ def test_criterion_07_transform_correctness(default_cfg):
     shrinks = coarse[0] / fine[0] >= 1.8 and coarse[1] / fine[1] >= 1.8
     kernel = tc.zeta ** 2 + ctrl.epsilon ** 2 \
         < 4.0 * phys.alpha * ctrl.c / phys.beta ** 2
-    psi = dg.psi_bound_holds(tc, phys.L,
-                             2.0 * np.sqrt(phys.alpha * ctrl.c) / phys.beta)
+    psi = oracles.psi_bound_holds(tc, phys.L,
+                                  2.0 * np.sqrt(phys.alpha * ctrl.c) / phys.beta)
     report(7, "transform correctness", within and shrinks and kernel and psi)
 
 

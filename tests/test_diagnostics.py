@@ -1,18 +1,24 @@
 """Transform and monitor checks: kernel constants, round-trip accuracy of
 both transform pairs with grid-refinement order, the forcing-kernel norm
-against a hand-integrated case and a reference search over s, and the
-Lyapunov functional at rest."""
+against a hand-integrated case and a reference search over s, the
+Lyapunov functional at rest, and stacked monitor calls against their
+row-by-row calls."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stefanetc import diagnostics as dg
 from stefanetc import params
-from stefanetc.numerics import simpson
+from stefanetc.numerics import ratio_J1_sqrt, simpson, trapezoid, unit_grid
+from stefanetc.observer import error_norms
 from stefanetc.errors import ConfigurationError
+import transform_oracles as oracles
 
 PHYS = params.derive_physical(k=0.00220, rho=7.90e-4, cp=2380.0, dH=2.10e5,
                               L=3.0, Tm=37.0)
@@ -36,11 +42,11 @@ def round_trip_errors(n, s, tc):
     worst_err_pair, worst_ctrl_pair = 0.0, 0.0
     for p in smooth_profiles(n):
         rt = dg.transform_error_inverse(
-            dg.transform_error_direct(p, s, LAM, ALPHA), s, LAM, ALPHA)
+            oracles.transform_error_direct(p, s, LAM, ALPHA), s, LAM, ALPHA)
         worst_err_pair = max(worst_err_pair, float(np.max(np.abs(rt - p))))
         X = 0.3
         w = dg.transform_controller_direct(p, X, s, tc, ALPHA, BETA, C)
-        back = dg.transform_controller_inverse(w, X, s, tc, ALPHA, BETA)
+        back = oracles.transform_controller_inverse(w, X, s, tc, ALPHA, BETA)
         worst_ctrl_pair = max(worst_ctrl_pair, float(np.max(np.abs(back - p))))
     return worst_err_pair, worst_ctrl_pair
 
@@ -62,11 +68,11 @@ class TestConstants:
             dg.transform_constants(ALPHA, BETA, C, 0.0)
 
     def test_psi_at_origin(self, tc):
-        assert dg.psi_kernel(0.0, tc) == pytest.approx(EPS, rel=1e-14)
+        assert oracles.psi_kernel(0.0, tc) == pytest.approx(EPS, rel=1e-14)
 
     def test_psi_bound_on_domain(self, tc):
         R = 2.0 * math.sqrt(ALPHA * C) / BETA
-        assert dg.psi_bound_holds(tc, PHYS.L, R)
+        assert oracles.psi_bound_holds(tc, PHYS.L, R)
 
 
 class TestRoundTrips:
@@ -86,8 +92,8 @@ class TestRoundTrips:
 
     def test_identity_at_zero_gain(self):
         p = smooth_profiles(21)[0]
-        assert np.allclose(dg.transform_error_direct(p, 0.5, 0.0, ALPHA), p,
-                           atol=1e-14)
+        assert np.allclose(oracles.transform_error_direct(p, 0.5, 0.0, ALPHA),
+                           p, atol=1e-14)
         assert np.allclose(dg.transform_error_inverse(p, 0.5, 0.0, ALPHA), p,
                            atol=1e-14)
 
@@ -165,3 +171,72 @@ class TestLyapunov:
     def test_weights_positive(self):
         lyap = dg.lyapunov_config(1.0, 2.0, 3.0, PHYS.L, ALPHA, BETA, C, EPS)
         assert lyap.B > 0.0 and lyap.xi > 0.0
+
+
+@st.composite
+def monitor_stacks(draw):
+    """(K, n) stacks of three profiles with length-K s and m."""
+    n = draw(st.sampled_from([3, 4, 21, 41]))
+    k = draw(st.sampled_from([1, 2, 7]))
+    profiles = [draw(arrays(np.float64, (k, n), elements=st.floats(-50.0, 50.0)))
+                for _ in range(3)]
+    s = draw(arrays(np.float64, k, elements=st.floats(0.01, PHYS.L)))
+    m = draw(arrays(np.float64, k, elements=st.floats(1e-8, 1e2)))
+    return (*profiles, s, m)
+
+
+def same_bits(stacked, rows):
+    return np.asarray(stacked, dtype=float).tobytes() \
+        == np.asarray(rows, dtype=float).tobytes()
+
+
+class TestStacks:
+    # The monitors run on (K, n) stacks of buffered steps; each row must
+    # carry the bits of its own 1-D call, whatever K.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(monitor_stacks())
+    def test_stacked_monitors_match_row_calls(self, tc, stack):
+        U, E, W, s, m = stack
+        rows = range(len(s))
+        assert same_bits(trapezoid(U, s), [trapezoid(U[r], s[r]) for r in rows])
+        norms, slopes = error_norms(E, s)
+        singles = [error_norms(E[r], s[r]) for r in rows]
+        assert same_bits(norms, [a for a, _ in singles])
+        assert same_bits(slopes, [b for _, b in singles])
+        assert same_bits(
+            dg.transform_error_inverse(E, s, LAM, ALPHA),
+            [dg.transform_error_inverse(E[r], s[r], LAM, ALPHA) for r in rows])
+        X = s - 2.0
+        assert same_bits(
+            dg.transform_controller_direct(U, X, s, tc, ALPHA, BETA, C),
+            [dg.transform_controller_direct(U[r], X[r], s[r], tc, ALPHA, BETA, C)
+             for r in rows])
+        lyap = dg.lyapunov_config(1.0, 2.0, 3.0, PHYS.L, ALPHA, BETA, C, EPS)
+        stacked = dg.lyapunov_values(W, U, s, m, 2.0, tc, PHYS, C, lyap)
+        singles = [dg.lyapunov_values(W[r], U[r], s[r], m[r], 2.0, tc, PHYS,
+                                      C, lyap) for r in rows]
+        for column, values in zip(stacked, zip(*singles)):
+            assert same_bits(column, values)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(monitor_stacks())
+    def test_packed_kernels_match_full_matrix(self, tc, stack):
+        # A 1-D call, which packs the kernel on the upper triangle, against
+        # the full n x n kernel cut by np.triu and one matrix-vector product.
+        U, E, _, s, _ = stack
+        for u, e, si in zip(U, E, s):
+            n = u.size
+            y = unit_grid(n) * si
+            weights = oracles.volterra_weights(n, si)
+            diff = np.maximum(y[None, :] ** 2 - y[:, None] ** 2, 0.0)
+            Q = np.triu((LAM / ALPHA) * y[None, :]
+                        * ratio_J1_sqrt(LAM * diff / ALPHA))
+            assert same_bits(dg.transform_error_inverse(e, si, LAM, ALPHA),
+                             e - (Q * weights) @ e)
+            X = si - 2.0
+            phi = np.triu(dg.phi_kernel(y[:, None] - y[None, :], C, BETA, EPS))
+            full = u - (BETA / ALPHA) * ((phi * weights) @ u) \
+                - dg.phi_kernel(y - si, C, BETA, EPS) * X
+            assert same_bits(
+                dg.transform_controller_direct(u, X, si, tc, ALPHA, BETA, C),
+                full)

@@ -40,6 +40,32 @@ class TestRunScenario:
         for col in harness.SERIES_COLUMNS:
             assert np.array_equal(a.series[col], b.series[col]), col
 
+    @pytest.mark.parametrize("overrides", [
+        [("scheme.horizon", 600.0)],
+        [("initial.s0", 0.5), ("initial.T0_amplitude", 60),
+         ("initial.That_amplitude", 0), ("scenario.unsafe", "true"),
+         ("scheme.horizon", 6000.0)],
+    ], ids=["shipped_600s", "later_event_breach"])
+    def test_series_independent_of_monitor_stack(self, default_cfg, overrides,
+                                                 tmp_path, monkeypatch):
+        # The monitors of K buffered steps are computed in one stacked pass;
+        # K = 1 must emit the same bytes.  Neither run fills its last stack,
+        # so the flush at the end of the run (or at the breach) is covered.
+        cfg = default_cfg
+        for name, value in overrides:
+            cfg = config.override(cfg, name, value)
+        stacked = harness.run_scenario(cfg)
+        stack = harness.MONITOR_STACK_ENTRIES // cfg.scheme.n ** 2
+        assert stack > 1 and stacked.series["t"].size % stack != 0
+        monkeypatch.setattr(harness, "MONITOR_STACK_ENTRIES", 1)
+        single = harness.run_scenario(cfg)
+        assert (stacked.breach is None) == (single.breach is None)
+        harness.emit_outputs(stacked, tmp_path / "stacked")
+        harness.emit_outputs(single, tmp_path / "single")
+        for name in ("series.csv", "events.csv", "summary.json"):
+            assert (tmp_path / "stacked" / name).read_bytes() \
+                == (tmp_path / "single" / name).read_bytes(), name
+
     def test_dt_guard_reports_tau(self, default_text):
         bad = variant_text(default_text,
                            [("allow_coarse_dt = true", "allow_coarse_dt = false")])

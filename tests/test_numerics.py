@@ -9,7 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import special
 
+from stefanetc import numerics
 from stefanetc.numerics import (ratio_I1_sqrt, ratio_J1_sqrt, simpson,
                                 solve_tridiagonal, thomas_factor, trapezoid)
 
@@ -74,6 +79,28 @@ class TestRatios:
             ratio_I1_sqrt(-1e-9)
         with pytest.raises(ValueError):
             ratio_J1_sqrt(-1e-9)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.integers(0, 40),
+                  elements=st.one_of(st.floats(0.0, 2e-3), st.floats(0.0, 1e4))))
+    def test_branchwise_equals_both_branch_form(self, drawn):
+        # The ratios evaluate each branch on its own entries only; they must
+        # give the bits of the form that evaluated both branches everywhere
+        # and picked with np.where.
+        cut = numerics._RATIO_SERIES_CUT
+        w = np.concatenate([[0.0, np.nextafter(cut, 0.0), cut,
+                             np.nextafter(cut, 1.0)], drawn])
+
+        def both_branches(sign, bessel):
+            small = w < cut
+            safe_z = np.where(small, 1.0, np.sqrt(w))
+            series = 0.5 + sign * w / 16.0 + w * w / 384.0
+            return np.where(small, series, bessel(safe_z) / safe_z)
+
+        assert ratio_I1_sqrt(w).tobytes() \
+            == both_branches(+1.0, special.i1).tobytes()
+        assert ratio_J1_sqrt(w).tobytes() \
+            == both_branches(-1.0, special.j1).tobytes()
 
 
 class TestQuadrature:
