@@ -86,7 +86,7 @@ def cmd_compare(args) -> int:
     print("\t".join(keys))
     for row in rows:
         print("\t".join(str(row.get(k, "")) for k in keys))
-    return 0
+    return _report_breaches((row["scenario"], row) for row in rows)
 
 
 def cmd_sweep(args) -> int:
@@ -95,11 +95,25 @@ def cmd_sweep(args) -> int:
     keys = [args.param, "control_updates", "dwell_min", "dwell_mean",
             "t_converged", "final_interface_gap"]
     print("\t".join(keys))
+    summaries = []
     for value, member in zip(args.values, swept):
         row = dict(harness.run_scenario(member).summary)
         row[args.param] = value
         print("\t".join(str(row.get(k, "")) for k in keys))
-    return 0
+        summaries.append((f"{args.param}={value}", row))
+    return _report_breaches(summaries)
+
+
+def _report_breaches(members) -> int:
+    """One stderr line per member run that halted; exit 2 if any did."""
+    code = 0
+    for label, summary in members:
+        breach = summary["breach"]
+        if breach is not None:
+            print(f"run halted: {label}: {breach['condition']} at "
+                  f"t={breach['t']}: {breach['message']}", file=sys.stderr)
+            code = 2
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

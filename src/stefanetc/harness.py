@@ -1,19 +1,24 @@
-"""Scenario orchestration: closed-loop runs, comparisons, file outputs.
+"""Scenario orchestration: the closed-loop stepper, comparisons, file outputs.
 
-A run is deterministic: per step it measures the plant, supervises the
-trigger (or the periodic schedule) and updates the held input on events,
-logs the step, and advances plant, observer and dynamic variable.  The
-monitors (norms, energy, transformed error, Lyapunov values) never feed back
-into the loop: the log buffers each step's profiles, and one stacked monitor
-pass computes them for K steps at a time, K = max(1, MONITOR_STACK_ENTRIES
-// n^2), when the buffer is full, at the end of the run and at a breach.
-Every row is bitwise the value a pass per step would give.  Validity
-breaches end the run with a structured record instead of an exception
+A run is build, loop, summarize.  `ClosedLoop` holds the feedback state and
+the per-run constants; per step it supervises the current instant (the
+dynamic trigger or one periodic schedule decides whether the held input is
+recomputed), then advances plant, observer and m by dt.  The run is
+deterministic.
+
+The monitors (norms, energy, transformed error, Lyapunov values) never feed
+back into the loop: the recorder buffers each step's feedback row and
+profiles, and one stacked monitor pass computes them for K steps at a time,
+K = max(1, MONITOR_STACK_ENTRIES // n^2), when the buffer is full, at the
+end of the run and at a breach.  Every row is bitwise the value a pass per
+step would give.  Validity breaches end the run with a structured record,
+which carries the loop's state at the breach, instead of an exception
 escaping.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from collections.abc import Callable
@@ -22,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import control, diagnostics, observer, params, plant, trigger
+from . import control, diagnostics, numerics, observer, params, plant, trigger
 from .config import ScenarioConfig, serialize_config
 from .errors import ConfigurationError, NumericalFailure, ValidityBreach
 
@@ -32,6 +37,13 @@ SERIES_COLUMNS = [
     "err_slope", "integral_u_hat", "V1", "V", "W",
 ]
 
+# The columns of the row `ClosedLoop.supervise` returns, in its order; the
+# monitor pass fills the others.
+FEEDBACK_COLUMNS = [
+    "t", "s", "sdot", "T0_boundary", "q", "d", "d_squared", "gamma_m", "m",
+    "err_slope", "integral_u_hat",
+]
+
 EVENT_COLUMNS = ["time", "reason", "q_j", "dwell", "d_squared", "gamma_m"]
 
 CONVERGENCE_TOL = 0.02   # |s - s_r| threshold defining the auto horizon [cm]
@@ -39,9 +51,22 @@ CONVERGENCE_TOL = 0.02   # |s - s_r| threshold defining the auto horizon [cm]
 
 @dataclass
 class BreachRecord:
+    """Why and when a run halted, and the loop's state at that point.
+
+    The state is the one the loop held when the breach was raised: at an
+    event, the instant t (q_j is still the input held before it; the
+    breaching value is in the event record); in an advance, the start of
+    the step that breached.  Values the run never reached are nan.
+    """
     condition: str
     message: str
     t: float | None
+    s: float
+    sdot: float
+    q_j: float
+    m: float
+    t_j: float
+    min_u: float
 
 
 @dataclass
@@ -52,6 +77,129 @@ class ScenarioResult:
     events: list[trigger.EventRecord]
     summary: dict
     breach: BreachRecord | None = None
+
+
+class ClosedLoop:
+    """The feedback state of one run and the constants it is stepped with.
+
+    The state is the plant's u, s and sdot, the observer's u_hat, m, the
+    held input q_j, the last event time t_j and the event snapshot.
+    `start` immobilizes the initial data.  Then, per step, `supervise`
+    takes the decision at the current instant and returns its row of
+    FEEDBACK_COLUMNS, and `step` advances to the next instant, with one
+    factorization shared by the plant solve and both observer solves.
+    Supervision is the dynamic trigger (`period` None) or one periodic
+    schedule: every dt for `continuous`, every `scenario.period` for
+    `sampled_data`.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, derived: params.TriggerDerived):
+        phys, ctrl, trig = cfg.phys, cfg.ctrl, cfg.trig
+        self.init, self.phys = cfg.init, phys
+        self.n, self.dt = cfg.scheme.n, cfg.scheme.dt
+        self.alpha, self.beta = phys.alpha, phys.beta
+        self.c, self.lam, self.s_r = ctrl.c, ctrl.lam, ctrl.s_r
+        self.gamma, self.eta = trig.gamma, trig.eta
+        self.weights = (derived.sigma, derived.mu1, derived.mu2, derived.mu3)
+        self.tc = diagnostics.transform_constants(phys.alpha, phys.beta,
+                                                  ctrl.c, ctrl.epsilon)
+        self.lyap = diagnostics.lyapunov_config(
+            derived.A, derived.b_star, derived.f_max, phys.L, phys.alpha,
+            phys.beta, ctrl.c, ctrl.epsilon)
+        kind = cfg.scenario.kind
+        self.period = None if kind == "event_triggered" else \
+            self.dt if kind == "continuous" else cfg.scenario.period
+        self.next_sample = self.period   # the initial event takes t = 0
+
+        self.t = 0.0
+        self.plant: plant.PlantState | None = None
+        self.observer: observer.ObserverState | None = None
+        self.m, self.q_j, self.t_j = trig.m0, math.nan, 0.0
+        self.snapshot: trigger.Snapshot | None = None
+        self.events: list[trigger.EventRecord] = []
+        # The sources of m at the last supervised instant, held over a step.
+        self._sources = None
+
+    def start(self) -> None:
+        """Map the initial plant and observer profiles onto the grid."""
+        init, phys, n = self.init, self.phys, self.n
+        self.plant = plant.immobilize(init.T0, init.s0, phys, n)
+        self.observer = observer.ObserverState(
+            u_hat=plant.immobilize(init.T0_hat, init.s0, phys, n).u)
+        # The snapshot starts at the t = 0 values, so d = 0 at the initial event.
+        self.snapshot = trigger.Snapshot(
+            integral_u_hat=control.integral_u_hat(self.observer.u_hat,
+                                                  self.plant.s),
+            X=self.plant.s - self.s_r)
+
+    def supervise(self) -> tuple:
+        """Measure, decide on an event and update the held input at t."""
+        t, u, u_hat = self.t, self.plant.u, self.observer.u_hat
+        s, sdot = plant.measure(self.plant)
+        X = s - self.s_r
+        integral = control.integral_u_hat(u_hat, s)
+        d = trigger.deviation(integral, X, self.snapshot, self.c, self.alpha,
+                              self.beta)
+
+        reason = None
+        if not self.events:
+            reason = "initial"
+        elif t > self.t_j:
+            if self.period is None:
+                reason = trigger.check_event(t, self.t_j, d, self.m, self.c,
+                                             self.gamma, self.dt)
+            elif t >= self.next_sample - 1e-9 * max(t, 1.0):
+                reason = "scheduled"
+                self.next_sample += self.period
+        if reason is not None:
+            event = trigger.EventRecord(
+                time=t, reason=reason, q_j=math.nan, dwell=t - self.t_j,
+                d_squared=d * d, gamma_m=self.gamma * self.m)
+            self.events.append(event)
+            try:
+                self.q_j = event.q_j = control.zoh_update(
+                    u_hat, s, self.s_r, self.phys, self.c, t)
+            except ValidityBreach as exc:
+                event.q_j = exc.value
+                raise
+            self.snapshot = trigger.Snapshot(integral_u_hat=integral, X=X)
+            self.t_j = t
+            d = 0.0
+
+        # The error's interface slope is logged and feeds the m step.
+        err_slope = observer.boundary_slope(u - u_hat, s)
+        self._sources = (d, X, err_slope)
+        return (t, s, sdot, self.phys.Tm + u[0], self.q_j, d, d * d,
+                self.gamma * self.m, self.m, err_slope, integral)
+
+    def step(self) -> None:
+        """Advance plant, observer and m to t + dt under the held input."""
+        dt, q_j, phys = self.dt, self.q_j, self.phys
+        s, sdot = plant.measure(self.plant)
+        factor = plant.implicit_factor(s, dt, self.alpha, self.n)
+        plant_new = plant.step_plant(self.plant, phys, q_j, dt, factor)
+        observer_new = observer.step_observer(
+            self.observer, (s, sdot), phys, self.lam, q_j, dt,
+            measured_slope=-plant_new.sdot / self.beta, factor=factor)
+        if self.period is None:
+            d, X, err_slope = self._sources
+            u_hat = observer_new.u_hat
+            u_hat_sq = max(numerics.trapezoid(u_hat * u_hat, s), 0.0)
+            self.m = trigger.step_m(self.m, d, u_hat_sq, X * X,
+                                    err_slope * err_slope, self.eta,
+                                    *self.weights, dt)
+        self.t = plant_new.t = observer_new.t = round((self.t + dt) / dt) * dt
+        self.plant, self.observer = plant_new, observer_new
+
+    def breach_record(self, exc: ValidityBreach | NumericalFailure) -> BreachRecord:
+        state = self.plant
+        return BreachRecord(
+            condition=getattr(exc, "condition", "numerical"), message=str(exc),
+            t=getattr(exc, "t", self.t),
+            s=math.nan if state is None else float(state.s),
+            sdot=math.nan if state is None else float(state.sdot),
+            q_j=float(self.q_j), m=float(self.m), t_j=float(self.t_j),
+            min_u=math.nan if state is None else float(np.min(state.u)))
 
 
 # Bound on the entries of one monitor pass's (K, n, n) kernel stack: K steps
@@ -76,52 +224,56 @@ def _monitor_columns(U, E, U_hat, s, m, phys, lam, s_r, tc, c, lyap):
 class _Recorder:
     """Series rows of one run.
 
-    `log` takes a step's feedback columns and buffers its profiles (u,
-    u - u_hat, u_hat) with s and m.  When `stack` steps are buffered, and
-    before `arrays`, one stacked call of `monitors` fills the monitor
-    columns and the running min of u.  Nothing here feeds back into the loop.
+    `log` takes a step's row of FEEDBACK_COLUMNS and buffers it with its
+    profiles u and u_hat.  When `stack` steps are buffered, and before
+    `arrays`, one stacked call of `monitors` fills the monitor columns and
+    the running min of u, and the rows become one block of the series.
+    Nothing here feeds back into the loop.
     """
     monitors: Callable
     stack: int
     min_u: float = math.nan
-    rows: dict[str, list] = field(default_factory=lambda: {c: [] for c in SERIES_COLUMNS})
-    buffer: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
+    profiles: list = field(default_factory=list)
+    blocks: list = field(default_factory=list)
 
-    def log(self, u, err, u_hat, **feedback):
-        for col, value in feedback.items():
-            self.rows[col].append(value)
-        self.buffer.append((u, err, u_hat, feedback["s"], feedback["m"]))
-        if len(self.buffer) == self.stack:
+    def log(self, row: tuple, u, u_hat):
+        self.rows.append(row)
+        self.profiles.append((u, u_hat))
+        if len(self.rows) == self.stack:
             self.flush()
 
     def flush(self):
-        if not self.buffer:
+        if not self.rows:
             return
-        U, E, U_hat, s, m = (np.array(col) for col in zip(*self.buffer))
-        self.buffer.clear()
-        for col, values in self.monitors(U, E, U_hat, s, m).items():
-            self.rows[col].extend(values.tolist())
+        columns = dict(zip(FEEDBACK_COLUMNS, np.array(list(zip(*self.rows)))))
+        U, U_hat = (np.array(col) for col in zip(*self.profiles))
+        self.rows.clear()
+        self.profiles.clear()
+        columns.update(self.monitors(U, U - U_hat, U_hat, columns["s"],
+                                     columns["m"]))
+        self.blocks.append(np.array([columns[c] for c in SERIES_COLUMNS]))
         self.min_u = min(self.min_u, float(np.min(U)))
 
     def arrays(self) -> dict[str, np.ndarray]:
         self.flush()
-        return {c: np.asarray(v, dtype=float) for c, v in self.rows.items()}
+        if not self.blocks:
+            return {c: np.array([]) for c in SERIES_COLUMNS}
+        return dict(zip(SERIES_COLUMNS, np.concatenate(self.blocks, axis=1)))
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
-    phys, ctrl, trig = cfg.phys, cfg.ctrl, cfg.trig
     scheme, scenario = cfg.scheme, cfg.scenario
     dt, n = scheme.dt, scheme.n
-    c, lam, s_r = ctrl.c, ctrl.lam, ctrl.s_r
 
-    validation = params.validate_initial_data(cfg.init, ctrl, phys)
+    validation = params.validate_initial_data(cfg.init, cfg.ctrl, cfg.phys)
     if not validation.overall_pass and not scenario.unsafe:
         failed = [ch.name for ch in validation.checks if not ch.passed]
         raise ConfigurationError(
             "initial data fails validity conditions "
             f"({', '.join(failed)}); set scenario.unsafe=true to run anyway")
 
-    derived = params.derive_trigger(phys, ctrl, trig)
+    derived = params.derive_trigger(cfg.phys, cfg.ctrl, cfg.trig)
     if scenario.kind == "event_triggered" and dt >= derived.tau / 5.0 \
             and not scenario.allow_coarse_dt:
         raise ConfigurationError(
@@ -129,109 +281,38 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
             f"the minimal dwell is tau={derived.tau:g} s and dt < tau/5 is "
             "required (set scenario.allow_coarse_dt=true to override)")
 
-    tc = diagnostics.transform_constants(phys.alpha, phys.beta, c, ctrl.epsilon)
-    lyap = diagnostics.lyapunov_config(derived.A, derived.b_star, derived.f_max,
-                                       phys.L, phys.alpha, phys.beta, c,
-                                       ctrl.epsilon)
-
+    loop = ClosedLoop(cfg, derived)
     rec = _Recorder(
-        monitors=functools.partial(_monitor_columns, phys=phys, lam=lam,
-                                   s_r=s_r, tc=tc, c=c, lyap=lyap),
+        monitors=functools.partial(_monitor_columns, phys=cfg.phys,
+                                   lam=loop.lam, s_r=loop.s_r, tc=loop.tc,
+                                   c=loop.c, lyap=loop.lyap),
         stack=max(1, MONITOR_STACK_ENTRIES // (n * n)))
-    # The baselines share one periodic schedule; continuous has period dt.
-    periodic = scenario.kind != "event_triggered"
-    period = dt if scenario.kind == "continuous" else scenario.period
-    next_sample = period   # the initial event takes the sample at t = 0
 
     horizon_end = scheme.horizon if scheme.horizon is not None else scheme.max_horizon
     auto_horizon = scheme.horizon is None
     t_converged = None
     breach: BreachRecord | None = None
-    t = 0.0
-    events: list[trigger.EventRecord] = []
     try:
-        pstate = plant.immobilize(cfg.init.T0, cfg.init.s0, phys, n)
-        ostate = observer.ObserverState(
-            u_hat=plant.immobilize(cfg.init.T0_hat, cfg.init.s0, phys, n).u)
-        rec.min_u = float(np.min(pstate.u))
-        # The snapshot starts at the t = 0 values, so d = 0 at the initial event.
-        ts = trigger.TriggerState(
-            m=trig.m0, q_j=math.nan, t_j=0.0, events=events,
-            snapshot=trigger.Snapshot(
-                integral_u_hat=control.integral_u_hat(ostate.u_hat, pstate.s),
-                X=pstate.s - s_r))
+        loop.start()
+        rec.min_u = float(np.min(loop.plant.u))
         while True:
-            # Feedback at t: measure, deviation, event decision, held input.
-            s, sdot = plant.measure(pstate)
-            X = s - s_r
-            integral = control.integral_u_hat(ostate.u_hat, s)
-            d = trigger.deviation(integral, X, ts.snapshot, c, phys.alpha, phys.beta)
-
-            reason = None
-            if not ts.events:
-                reason = "initial"
-            elif t > ts.t_j:
-                if not periodic:
-                    reason = trigger.check_event(t, ts.t_j, d, ts.m, c,
-                                                 trig.gamma, dt)
-                elif t >= next_sample - 1e-9 * max(t, 1.0):
-                    reason = "scheduled"
-                    next_sample += period
-            if reason is not None:
-                event = trigger.EventRecord(
-                    time=t, reason=reason, q_j=math.nan, dwell=t - ts.t_j,
-                    d_squared=d * d, gamma_m=trig.gamma * ts.m)
-                ts.events.append(event)
-                try:
-                    ts.q_j = event.q_j = control.zoh_update(
-                        ostate.u_hat, s, s_r, phys, c, t)
-                except ValidityBreach as exc:
-                    event.q_j = exc.value
-                    raise
-                ts.snapshot = trigger.Snapshot(integral_u_hat=integral, X=X)
-                ts.t_j = t
-                d = 0.0
-
-            # Log the step; its monitors are computed later, in a stack.
-            # The error's interface slope also feeds the m step.
-            err = pstate.u - ostate.u_hat
-            err_slope = observer.boundary_slope(err, s)
-            rec.log(pstate.u, err, ostate.u_hat, t=t, s=s, sdot=sdot,
-                    T0_boundary=phys.Tm + pstate.u[0], q=ts.q_j, d=d,
-                    d_squared=d * d, gamma_m=trig.gamma * ts.m, m=ts.m,
-                    err_slope=err_slope, integral_u_hat=integral)
-
-            if auto_horizon and t_converged is None and abs(X) < CONVERGENCE_TOL:
+            rec.log(loop.supervise(), loop.plant.u, loop.observer.u_hat)
+            t = loop.t
+            if auto_horizon and t_converged is None \
+                    and abs(loop.plant.s - loop.s_r) < CONVERGENCE_TOL:
                 t_converged = t
                 horizon_end = min(1.2 * t, scheme.max_horizon)
             if t >= horizon_end - 1e-9 * max(horizon_end, 1.0):
                 break
-
-            # Advance plant, observer and m to t + dt under the held input.
-            pstate_new = plant.step_plant(pstate, phys, ts.q_j, dt)
-            ostate = observer.step_observer(
-                ostate, (s, sdot), phys, lam, ts.q_j, dt,
-                measured_slope=-pstate_new.sdot / phys.beta)
-            if not periodic:
-                u_hat_sq = max(control.trapezoid(ostate.u_hat * ostate.u_hat, s), 0.0)
-                ts.m = trigger.step_m(ts.m, d, u_hat_sq, X * X,
-                                      err_slope * err_slope, trig.eta,
-                                      derived.sigma, derived.mu1, derived.mu2,
-                                      derived.mu3, dt)
-            pstate = pstate_new
-            t = round((t + dt) / dt) * dt
-            pstate.t = t
-            ostate.t = t
+            loop.step()
     except (ValidityBreach, NumericalFailure) as exc:
-        condition = getattr(exc, "condition", "numerical")
-        breach = BreachRecord(condition=condition, message=str(exc),
-                              t=getattr(exc, "t", t))
+        breach = loop.breach_record(exc)
 
     series = rec.arrays()
-    summary = _summarize(cfg, derived, series, events, t_converged,
+    summary = _summarize(cfg, derived, series, loop.events, t_converged,
                          horizon_end, breach, rec.min_u)
     return ScenarioResult(config=cfg, derived=derived, series=series,
-                          events=events, summary=summary, breach=breach)
+                          events=loop.events, summary=summary, breach=breach)
 
 
 def _l2_norm(values: np.ndarray, s):
@@ -261,8 +342,7 @@ def _summarize(cfg, derived, series, events, t_converged, horizon_end,
         "min_temp_margin": float(min_u),
         "min_interface_velocity": float(series["sdot"].min()) if s.size else float("nan"),
         "min_held_input": float(min(e.q_j for e in events)) if events else float("nan"),
-        "breach": None if breach is None else
-            {"condition": breach.condition, "message": breach.message, "t": breach.t},
+        "breach": None if breach is None else dataclasses.asdict(breach),
     }
 
 

@@ -9,6 +9,7 @@ physical integral over [0, s] is s times the unit-interval integral.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from scipy import special
@@ -28,34 +29,41 @@ def _ratio_series(w, sign):
     return 0.5 + sign * w / 16.0 + w * w / 384.0
 
 
-def _ratio_sqrt(w, sign, bessel):
-    # Power series where w < _RATIO_SERIES_CUT, Bessel quotient elsewhere;
-    # each branch is evaluated only on its own entries.
+def _ratio_sqrt(w, z, sign, bessel):
+    # Power series where w < _RATIO_SERIES_CUT, Bessel quotient of z = sqrt(w)
+    # elsewhere; each branch is evaluated only on its own entries.
     small = w < _RATIO_SERIES_CUT
     large = ~small
     out = np.empty(w.shape)
     out[small] = _ratio_series(w[small], sign)
-    z = np.sqrt(w[large])
+    z = z[large]
     out[large] = bessel(z) / z
     return float(out) if out.ndim == 0 else out
 
 
+def _checked_sqrt(w, name):
+    # The domain check reads the extremes, skipping NaNs as the comparisons
+    # w < 0 and sqrt(w) > BESSEL_Z_MAX do: the least w before the one sqrt,
+    # so a negative entry raises instead of warning; the caller checks the
+    # largest sqrt(w).
+    w = np.asarray(w, dtype=float)
+    if np.fmin.reduce(w, axis=None, initial=0.0) < 0.0:
+        raise ValueError(f"{name} requires w >= 0")
+    return w, np.sqrt(w)
+
+
 def ratio_I1_sqrt(w):
     """I1(sqrt(w))/sqrt(w), continuous at w = 0 with value 1/2."""
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("ratio_I1_sqrt requires w >= 0")
-    if np.any(np.sqrt(w) > BESSEL_Z_MAX):
+    w, z = _checked_sqrt(w, "ratio_I1_sqrt")
+    if np.fmax.reduce(z, axis=None, initial=0.0) > BESSEL_Z_MAX:
         raise ValueError(f"Bessel argument outside [0, {BESSEL_Z_MAX:g}]")
-    return _ratio_sqrt(w, +1.0, special.i1)
+    return _ratio_sqrt(w, z, +1.0, special.i1)
 
 
 def ratio_J1_sqrt(w):
     """J1(sqrt(w))/sqrt(w), continuous at w = 0 with value 1/2."""
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("ratio_J1_sqrt requires w >= 0")
-    return _ratio_sqrt(w, -1.0, special.j1)
+    w, z = _checked_sqrt(w, "ratio_J1_sqrt")
+    return _ratio_sqrt(w, z, -1.0, special.j1)
 
 
 @functools.lru_cache(maxsize=8)
@@ -78,7 +86,9 @@ def trapezoid(values, length):
     if values.ndim == 0 or values.shape[-1] < 2:
         raise ValueError("trapezoid needs at least 2 samples")
     h = 1.0 / (values.shape[-1] - 1)
-    out = length * np.trapezoid(values, dx=h, axis=-1)
+    # np.trapezoid(values, dx=h, axis=-1)'s own expression, without its
+    # argument handling.
+    out = length * (h * (values[..., 1:] + values[..., :-1]) / 2.0).sum(-1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -91,50 +101,56 @@ def simpson(values, length: float) -> float:
     return float(length * _simpson(values, dx=h))
 
 
-def thomas_factor(lower, diag, upper):
-    """Thomas-algorithm factorization of a tridiagonal matrix.
+def diffusion_factor(n: int, r: float):
+    """Thomas factorization of the implicit diffusion matrix of the plant step.
 
-    lower: subdiagonal, length n-1 (first row has no lower entry)
-    diag:  main diagonal, length n
-    upper: superdiagonal, length n-1
+    The matrix acts on the n - 1 unknowns u_0..u_{n-2}: -r below the
+    diagonal, 1 + 2r on it, -r above it except the first entry, -2r, where
+    the ghost node of the flux condition folds in.  The last unknown couples
+    to the pinned u_{n-1} = 0, which adds nothing.  Returns (lower, ratios,
+    pivots) as tuples of floats for `solve_tridiagonal`: the general Thomas
+    recurrence on these constant bands, in the same operations and order.
 
-    Returns (lower, ratios, pivots) as tuples of floats for
-    `solve_tridiagonal`, so one factorization serves any number of
-    right-hand sides.
+    The guard r > 0 with 1 + 2r finite stands for the dominance and
+    zero-pivot checks of a general factorization: for such r each diagonal
+    entry exceeds its row's off-diagonal sum by at least 1, and every pivot
+    is above 1 + r, so none can vanish.
     """
-    a = np.asarray(lower, dtype=float)
-    b = np.asarray(diag, dtype=float)
-    c = np.asarray(upper, dtype=float)
-    n = b.size
-    if a.size != n - 1 or c.size != n - 1:
-        raise ValueError("inconsistent tridiagonal band lengths")
-    off = np.zeros(n)
-    off[1:] += np.abs(a)
-    off[:-1] += np.abs(c)
-    if np.any(np.abs(b) < off * (1.0 - 1e-12)):
-        raise ValueError("tridiagonal system is not diagonally dominant")
-
-    a, b, c = a.tolist(), b.tolist(), c.tolist()
-    ratios, pivots = [], [b[0]]
-    for i in range(n):
-        if pivots[i] == 0.0:
-            raise NumericalFailure(f"zero pivot in tridiagonal solve (row {i})")
-        if i < n - 1:
-            ratios.append(c[i] / pivots[i])
-            pivots.append(b[i + 1] - a[i] * ratios[i])
-    return tuple(a), tuple(ratios), tuple(pivots)
+    if n < 3:
+        raise ValueError("the diffusion matrix needs n >= 3 nodes")
+    r = float(r)
+    diag = 1.0 + 2.0 * r
+    if not (r > 0.0 and diag < math.inf):
+        raise NumericalFailure(f"diffusion number r={r!r} outside (0, inf)")
+    lower = -r
+    pivot = diag
+    ratio = -2.0 * r / pivot
+    ratios, pivots = [ratio], [pivot]
+    for _ in range(n - 3):
+        pivot = diag - lower * ratio
+        ratio = lower / pivot
+        pivots.append(pivot)
+        ratios.append(ratio)
+    pivots.append(diag - lower * ratio)
+    return (lower,) * (n - 2), tuple(ratios), tuple(pivots)
 
 
-def solve_tridiagonal(factor, rhs):
-    """Forward and back substitution through a `thomas_factor` result."""
+def solve_tridiagonal(factor, rhs, out):
+    """Forward and back substitution through a (lower, ratios, pivots)
+    factorization such as `diffusion_factor`'s.
+
+    Writes the solution into out[:len(rhs)] and returns `out`; entries past
+    it are left as they are, so a profile can hold its pinned end value.
+    """
     lower, ratios, pivots = factor
-    d = np.asarray(rhs, dtype=float).tolist()
+    x = np.asarray(rhs, dtype=float).tolist()
     n = len(pivots)
-    if len(d) != n:
+    if len(x) != n:
         raise ValueError("inconsistent tridiagonal band lengths")
-    x = [d[0] / pivots[0]]
+    xi = x[0] = x[0] / pivots[0]
     for i in range(1, n):
-        x.append((d[i] - lower[i - 1] * x[i - 1]) / pivots[i])
+        xi = x[i] = (x[i] - lower[i - 1] * xi) / pivots[i]
     for i in range(n - 2, -1, -1):
-        x[i] -= ratios[i] * x[i + 1]
-    return np.array(x)
+        xi = x[i] = x[i] - ratios[i] * xi
+    out[:n] = x
+    return out

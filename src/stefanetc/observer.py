@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .numerics import ratio_I1_sqrt, trapezoid, unit_grid
-from .plant import advance_profile
+from .plant import advance_profile, implicit_factor
 
 
 @dataclass
@@ -48,7 +48,8 @@ def boundary_slope(values: np.ndarray, s):
 
 
 def step_observer(obs: ObserverState, measurement, phys, lam: float,
-                  q: float, dt: float, measured_slope: float) -> ObserverState:
+                  q: float, dt: float, measured_slope: float,
+                  factor=None) -> ObserverState:
     """Advance the observer one step, paired with the plant step at the same dt.
 
     `measurement` is the (s, sdot) pair at the old time level; it drives the
@@ -65,19 +66,22 @@ def step_observer(obs: ObserverState, measurement, phys, lam: float,
     Sherman-Morrison update on top of the shared tridiagonal step: two solves
     instead of one.  The feedback slope is the first-order difference of
     `boundary_slope`; w.z > 0 for it, so the update never becomes singular.
+    Both solves use `factor`, the step's `plant.implicit_factor`, which the
+    paired plant step shares; it is factored here when not given.
     """
     s, sdot = measurement
     n = obs.u_hat.size
-    zeros = np.zeros(n)
+    if factor is None:
+        factor = implicit_factor(s, dt, phys.alpha, n)
 
     p = observer_gain(unit_grid(n) * s, s, lam, phys.alpha)
 
     # Base solve: A u* = rhs + dt p measured_slope.
     u_star = advance_profile(obs.u_hat, s, sdot, q, dt, phys.alpha, phys.k,
-                             source=p * measured_slope)
+                             source=p * measured_slope, factor=factor)
     # Influence solve: A z = p (zero state, zero flux, source p/dt).
-    z = advance_profile(zeros, s, 0.0, 0.0, dt, phys.alpha, phys.k,
-                        source=p / dt)
+    z = advance_profile(np.zeros(n), s, 0.0, 0.0, dt, phys.alpha, phys.k,
+                        source=p / dt, factor=factor)
     # u_new = u* - z dt w.u* / (1 + dt w.z) solves (A + dt p w^T) u_new =
     # rhs + dt p measured_slope, with w^T u the feedback slope.
     w_u_star = boundary_slope(u_star, s)
@@ -88,7 +92,7 @@ def step_observer(obs: ObserverState, measurement, phys, lam: float,
             f"singular injection correction at t={obs.t:g}")
     u_hat_new = u_star - z * (dt * w_u_star / denom)
     u_hat_new[-1] = 0.0
-    if not np.all(np.isfinite(u_hat_new)):
+    if not np.isfinite(u_hat_new).all():
         raise NumericalFailure(f"observer profile became non-finite at t={obs.t:g}")
     return ObserverState(u_hat=u_hat_new, t=obs.t + dt)
 

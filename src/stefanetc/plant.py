@@ -10,19 +10,21 @@ and the interface ODE sdot = -(beta/s) u_xi(1).
 
 The step is semi-implicit: diffusion implicit (tridiagonal solve), advection
 and the s-dependent coefficients explicit at the old time level.  The same
-advance is reused by the observer, which only adds an output-injection source,
-so the plant solve and both observer solves of a step share one factorization.
+advance is reused by the observer, which only adds an output-injection source.
+The implicit matrix depends on the old-level s only, so the plant solve and both
+observer solves of a step share one closed-form factorization
+(`implicit_factor`), passed to each as `factor`.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailure, ValidityBreach
-from .numerics import solve_tridiagonal, thomas_factor, unit_grid
+from .numerics import diffusion_factor, solve_tridiagonal, unit_grid
 
 
 @dataclass
@@ -64,30 +66,33 @@ def interface_velocity(u: np.ndarray, s: float, beta: float) -> float:
     layer and destabilizes the error dynamics on coarse grids).
     """
     h = 1.0 / (u.size - 1)
-    return -(beta / s) * (u[-1] - u[-2]) / h
+    return -(beta / s) * (u.item(-1) - u.item(-2)) / h
 
 
-@functools.lru_cache(maxsize=1)
-def _diffusion_factor(n: int, r: float):
-    # Implicit diffusion matrix on the n - 1 unknowns u_0..u_{n-2}.  The ghost
-    # node doubles the first upper entry; the last unknown couples to the
-    # pinned u_{n-1} = 0, which adds nothing.  The plant step and both
-    # observer solves of a step share (n, r), so one entry serves all three.
-    upper = [-2.0 * r] + [-r] * (n - 3)
-    return thomas_factor([-r] * (n - 2), [1.0 + 2.0 * r] * (n - 1), upper)
+def _diffusion_number(s, dt, alpha, n):
+    h = 1.0 / (n - 1)
+    return alpha * dt / (s * s * h * h)
 
 
-def advance_profile(u, s, sdot, q, dt, alpha, k, source=None):
+def implicit_factor(s: float, dt: float, alpha: float, n: int):
+    """`diffusion_factor` of the step from interface position s: the one
+    factorization the plant solve and both observer solves of that step use."""
+    return diffusion_factor(n, _diffusion_number(s, dt, alpha, n))
+
+
+def advance_profile(u, s, sdot, q, dt, alpha, k, source=None, factor=None):
     """One semi-implicit step of the immobilized PDE, returning the new profile.
 
     Diffusion is implicit with s frozen at the old level; the advection term
     xi (sdot/s) u_xi is explicit and upwinded; `source` (if given) is an
     explicit volumetric term evaluated at the old level.  Boundary conditions:
     second-order ghost-node Neumann u_xi(0) = -s q / k, Dirichlet u(1) = 0.
+    `factor` is the step's `implicit_factor(s, dt, alpha, n)`, factored here
+    when not given.
     """
     n = u.size
     h = 1.0 / (n - 1)
-    r = alpha * dt / (s * s * h * h)
+    r = _diffusion_number(s, dt, alpha, n)
 
     # Upwinded advection on the interior nodes: a = xi sdot/s has the sign of
     # sdot there, so sdot >= 0 takes the forward difference; it vanishes at
@@ -102,23 +107,31 @@ def advance_profile(u, s, sdot, q, dt, alpha, k, source=None):
 
     rhs = u[:-1] + dt * adv
     if source is not None:
-        rhs = rhs + dt * np.asarray(source)[:-1]
+        rhs += dt * source[:-1]
     # Ghost node for the flux condition folds into the first row.
     g = -s * q / k
     rhs[0] -= 2.0 * r * h * g
 
-    return np.append(solve_tridiagonal(_diffusion_factor(n, r), rhs), 0.0)
+    if factor is None:
+        factor = diffusion_factor(n, r)
+    # The new profile, with the pinned interface value already in place.
+    return solve_tridiagonal(factor, rhs, np.zeros(n))
 
 
-def step_plant(state: PlantState, phys, q: float, dt: float) -> PlantState:
-    """Advance the plant one step under a held boundary heat flux q."""
-    if not np.isfinite(q):
+def step_plant(state: PlantState, phys, q: float, dt: float,
+               factor=None) -> PlantState:
+    """Advance the plant one step under a held boundary heat flux q.
+
+    `factor` is passed on to `advance_profile`.
+    """
+    if not math.isfinite(q):
         raise NumericalFailure(f"non-finite input q at t={state.t:g}")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    u_new = advance_profile(state.u, state.s, state.sdot, q, dt, phys.alpha, phys.k)
-    if not np.all(np.isfinite(u_new)):
+    u_new = advance_profile(state.u, state.s, state.sdot, q, dt, phys.alpha,
+                            phys.k, factor=factor)
+    if not np.isfinite(u_new).all():
         raise NumericalFailure(f"plant profile became non-finite at t={state.t:g}")
 
     sdot_new = interface_velocity(u_new, state.s, phys.beta)

@@ -15,7 +15,7 @@ the resulting linear ODE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,15 +37,6 @@ class EventRecord:
     dwell: float           # 0.0 for the initial event
     d_squared: float
     gamma_m: float
-
-
-@dataclass
-class TriggerState:
-    m: float
-    q_j: float
-    t_j: float
-    snapshot: Snapshot
-    events: list[EventRecord] = field(default_factory=list)
 
 
 def deviation(integral_u_hat: float, X: float, snapshot: Snapshot,

@@ -15,6 +15,13 @@ from stefanetc.errors import ConfigurationError
 from conftest import variant_text
 
 
+# A hot plant seen by a cold observer: the event at t = 3176.5 s computes
+# q_j < 0 and the run halts there.
+LATER_EVENT_BREACH = (("initial.s0", 0.5), ("initial.T0_amplitude", 60),
+                      ("initial.That_amplitude", 0), ("scenario.unsafe", "true"),
+                      ("scheme.horizon", 6000.0))
+
+
 @pytest.fixture(scope="module")
 def short_text():
     text = config.default_config_text()
@@ -112,6 +119,29 @@ class TestRunScenario:
         assert last.time == result.breach.t == 3176.5
         assert last.q_j == pytest.approx(-0.00552, rel=1e-2)
         assert result.summary["min_held_input"] == last.q_j
+
+    def test_breach_record_carries_state(self, default_cfg):
+        # The later-event breach: the record holds the loop's state at
+        # t = 3176.5 s, one step past the last logged row.
+        cfg = default_cfg
+        for name, value in LATER_EVENT_BREACH:
+            cfg = config.override(cfg, name, value)
+        result = harness.run_scenario(cfg)
+        breach, series = result.breach, result.series
+        initial, last = result.events
+        assert breach.t == last.time == series["t"][-1] + cfg.scheme.dt
+        # s advanced from the last row by the new interface velocity.
+        assert breach.sdot > 0.0
+        assert breach.s == series["s"][-1] + cfg.scheme.dt * breach.sdot
+        # The input held until the breach, set at the initial event.
+        assert breach.q_j == initial.q_j == series["q"][-1] > 0.0
+        assert breach.t_j == initial.time == 0.0
+        assert last.gamma_m == cfg.trig.gamma * breach.m and breach.m > 0.0
+        assert breach.min_u == 0.0 == result.summary["min_temp_margin"]
+        written = result.summary["breach"]
+        for key in ("s", "sdot", "q_j", "m", "t_j", "min_u"):
+            assert written[key] == getattr(breach, key), key
+        assert written["condition"] == "q_positive" and written["t"] == 3176.5
 
     def test_initial_breach_produces_record(self, default_cfg):
         # An interface outside (0, L) breaches at immobilization: a record
@@ -246,6 +276,31 @@ class TestCli:
         code = cli.main(["run", "--config", str(cfg_path),
                          "--output", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("verb", [
+        ["sweep", "--param", "initial.T0_amplitude", "--values", "60"],
+        ["compare", "--kinds", "event_triggered"],
+    ], ids=["sweep", "compare"])
+    def test_member_breach_exit_code(self, default_cfg, tmp_path, capsys,
+                                     verb):
+        # A member run halting with q_positive at t = 3155 s makes the
+        # verb exit 2 and say so on stderr; its stdout row stays.
+        cfg = default_cfg
+        for name, value in (("initial.s0", 0.5), ("scenario.unsafe", "true"),
+                            ("scheme.horizon", 4000.0)):
+            cfg = config.override(cfg, name, value)
+        if verb[0] == "compare":
+            cfg = config.override(cfg, "initial.T0_amplitude", 60)
+        cfg_path = tmp_path / "hot.cfg"
+        cfg_path.write_text(config.serialize_config(cfg))
+        assert cli.main([verb[0], "--config", str(cfg_path), *verb[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 2
+        [line] = err.splitlines()
+        assert "q_positive" in line and "t=3155.0" in line
+        label = "initial.T0_amplitude=60" if verb[0] == "sweep" \
+            else "event_triggered"
+        assert label in line
 
     def test_initial_breach_writes_outputs(self, default_text, tmp_path):
         text = variant_text(default_text, [("s0 = 0.1", "s0 = 3.5"),

@@ -15,8 +15,11 @@ from hypothesis.extra.numpy import arrays
 from scipy import special
 
 from stefanetc import numerics
-from stefanetc.numerics import (ratio_I1_sqrt, ratio_J1_sqrt, simpson,
-                                solve_tridiagonal, thomas_factor, trapezoid)
+from stefanetc.errors import NumericalFailure
+from stefanetc.numerics import (diffusion_factor, ratio_I1_sqrt,
+                                ratio_J1_sqrt, simpson, solve_tridiagonal,
+                                trapezoid)
+from tridiagonal_reference import diffusion_bands, thomas_factor, thomas_solve
 
 
 def series_I1(z: float, terms: int = 30) -> float:
@@ -102,6 +105,27 @@ class TestRatios:
         assert ratio_J1_sqrt(w).tobytes() \
             == both_branches(-1.0, special.j1).tobytes()
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(arrays(np.float64, st.integers(0, 12),
+                  elements=st.one_of(st.floats(allow_nan=True),
+                                     st.sampled_from([-0.0, 699.9 ** 2,
+                                                      700.1 ** 2]))))
+    def test_domain_checks_match_any_form(self, w):
+        # The checks read the extremes; they must raise exactly when the
+        # elementwise forms any(w < 0) and any(sqrt(w) > BESSEL_Z_MAX) do.
+        negative = bool(np.any(w < 0.0))
+        with np.errstate(invalid="ignore"):
+            overflow = bool(np.any(np.sqrt(w) > numerics.BESSEL_Z_MAX))
+        for ratio, raises in ((ratio_I1_sqrt, negative or overflow),
+                              (ratio_J1_sqrt, negative)):
+            try:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    ratio(w)
+            except ValueError:
+                assert raises
+            else:
+                assert not raises
+
 
 class TestQuadrature:
     def test_trapezoid_exact_for_linear(self):
@@ -136,7 +160,8 @@ class TestTridiagonal:
             rhs = rng.uniform(-1.0, 1.0, n)
             M = np.diag(b) + np.diag(a, -1) + np.diag(c, 1)
             expected = np.linalg.solve(M, rhs)
-            got = solve_tridiagonal(thomas_factor(a, b, c), rhs)
+            got = solve_tridiagonal(thomas_factor(a, b, c), rhs, np.empty(n))
+            assert got.tobytes() == thomas_solve(thomas_factor(a, b, c), rhs).tobytes()
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
 
     def test_one_factor_many_right_hand_sides(self):
@@ -149,20 +174,39 @@ class TestTridiagonal:
         factor = thomas_factor(a, b, c)
         rhs = rng.uniform(-1.0, 1.0, (4, n))
         for row, expected in zip(rhs, np.linalg.solve(M, rhs.T).T):
-            got = solve_tridiagonal(factor, row)
+            got = solve_tridiagonal(factor, row, np.empty(n))
             assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
         # Substitution leaves the shared factor intact: a repeat is bitwise equal.
-        assert np.array_equal(solve_tridiagonal(factor, rhs[0]),
-                              solve_tridiagonal(factor, rhs[0]))
+        assert np.array_equal(solve_tridiagonal(factor, rhs[0], np.empty(n)),
+                              solve_tridiagonal(factor, rhs[0], np.empty(n)))
         with pytest.raises(ValueError):
-            solve_tridiagonal(factor, rhs[0][:-1])
+            solve_tridiagonal(factor, rhs[0][:-1], np.empty(n))
 
     def test_rejects_non_dominant(self):
-        with pytest.raises(ValueError):
-            solve_tridiagonal(thomas_factor([2.0, 2.0], [1.0, 1.0, 1.0], [2.0, 2.0]),
-                              [1.0, 1.0, 1.0])
+        # The diffusion matrix is dominant exactly when r > 0 and finite;
+        # its factor's guard rejects every other r.
+        for r in (0.0, -0.0, -1e-6, -1.0, math.nan, math.inf, -math.inf, 1e308):
+            with pytest.raises(NumericalFailure, match="diffusion number"):
+                diffusion_factor(21, r)
 
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
-            solve_tridiagonal(thomas_factor([1.0], [3.0, 3.0, 3.0], [1.0, 1.0]),
-                              [1.0, 1.0, 1.0])
+            solve_tridiagonal(diffusion_factor(4, 0.5), [1.0, 1.0], np.empty(3))
+
+
+class TestDiffusionFactor:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(3, 161), st.floats(1e-6, 1e6), st.integers(0, 2**32 - 1))
+    def test_matches_reference_and_dense_solve(self, n, r, seed):
+        bands = diffusion_bands(n, r)
+        factor = diffusion_factor(n, r)
+        assert factor == thomas_factor(*bands)
+        rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, n - 1)
+        out = np.full(n, 7.0)
+        assert solve_tridiagonal(factor, rhs, out) is out and out[-1] == 7.0
+        x = out[:-1]
+        assert x.tobytes() == thomas_solve(thomas_factor(*bands), rhs).tobytes()
+        lower, diag, upper = (np.asarray(b) for b in bands)
+        M = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        expected = np.linalg.solve(M, rhs)
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from stefanetc import numerics, observer, params, plant
+from stefanetc import harness, numerics, observer, params, plant
 
 PHYS = params.derive_physical(k=0.00220, rho=7.90e-4, cp=2380.0, dH=2.10e5,
                               L=3.0, Tm=37.0)
@@ -97,24 +97,91 @@ class TestStep:
                                          measured_slope=-sdot / PHYS.beta)
         assert stepped.u_hat[-1] == 0.0
 
-    def test_one_factorization_per_step(self, monkeypatch):
+    def test_one_factorization_per_step(self, monkeypatch, default_cfg):
         # The plant step and both observer solves share one tridiagonal
-        # matrix, so a paired step factors it once.
+        # matrix, so a step of the closed loop factors it once.
         calls = []
 
-        def counting_factor(*bands):
+        def counting_factor(*args):
             calls.append(1)
-            return numerics.thomas_factor(*bands)
+            return numerics.diffusion_factor(*args)
 
-        monkeypatch.setattr(plant, "thomas_factor", counting_factor)
-        plant._diffusion_factor.cache_clear()
-        pstate = linear_plant(1.0)
-        ostate = observer.ObserverState(u_hat=linear_plant(10.0).u)
-        run_pair(pstate, ostate, 1e-3, 5)
-        plant._diffusion_factor.cache_clear()
+        monkeypatch.setattr(plant, "diffusion_factor", counting_factor)
+        loop = harness.ClosedLoop(
+            default_cfg, params.derive_trigger(default_cfg.phys,
+                                               default_cfg.ctrl,
+                                               default_cfg.trig))
+        loop.start()
+        for _ in range(5):
+            loop.supervise()
+            loop.step()
         assert len(calls) == 5
 
 
+def dense_oracle_step(u, u_hat, s, sdot, q, dt, phys, lam):
+    """One plant and one observer step by dense assembly and np.linalg.solve.
+
+    Written from the discretization (implicit diffusion with the flux ghost
+    node, explicit upwind advection, pinned u(1) = 0, the injection's slope
+    at the new level), not through the package's Thomas or Sherman-Morrison
+    code.
+    """
+    n = u.size
+    h = 1.0 / (n - 1)
+    xi = np.linspace(0.0, 1.0, n)
+    r = phys.alpha * dt / (s * h) ** 2
+    A = np.zeros((n - 1, n - 1))
+    for i in range(n - 1):
+        A[i, i] = 1.0 + 2.0 * r
+        if i > 0:
+            A[i, i - 1] = -r
+        if i < n - 2:
+            A[i, i + 1] = -2.0 * r if i == 0 else -r
+
+    def explicit_part(v):
+        rhs = v[:-1].copy()
+        for i in range(1, n - 1):
+            diff = v[i + 1] - v[i] if sdot >= 0.0 else v[i] - v[i - 1]
+            rhs[i] += dt * xi[i] * (sdot / s) * diff / h
+        rhs[0] += 2.0 * r * h * s * q / phys.k
+        return rhs
+
+    u_new = np.append(np.linalg.solve(A, explicit_part(u)), 0.0)
+    slope_new = (u_new[-1] - u_new[-2]) / (h * s)    # T_x(s) = -sdot_new/beta
+
+    x = xi * s
+    z = np.sqrt(lam * (s * s - x * x) / phys.alpha)
+    ratio = np.full(n, 0.5)
+    ratio[z > 0.0] = special.i1(z[z > 0.0]) / z[z > 0.0]
+    p = -lam * s * ratio
+    w = np.zeros(n - 1)
+    w[-1] = -1.0 / (h * s)            # w.v = (0 - v_{n-2}) / (h s)
+    M = A + dt * np.outer(p[:-1], w)
+    rhs = explicit_part(u_hat) + dt * p[:-1] * slope_new
+    u_hat_new = np.append(np.linalg.solve(M, rhs), 0.0)
+    return u_new, u_hat_new
+
+
+class TestDenseStepOracle:
+    def test_steps_match_dense_solves(self, default_cfg):
+        derived = params.derive_trigger(default_cfg.phys, default_cfg.ctrl,
+                                        default_cfg.trig)
+        loop = harness.ClosedLoop(default_cfg, derived)
+        loop.start()
+        phys, dt = default_cfg.phys, default_cfg.scheme.dt
+        worst = 0.0
+        for _ in range(300):
+            loop.supervise()
+            st, u_hat = loop.plant, loop.observer.u_hat
+            u_new, u_hat_new = dense_oracle_step(
+                st.u, u_hat, st.s, st.sdot, loop.q_j, dt, phys,
+                default_cfg.ctrl.lam)
+            loop.step()
+            for got, expected in ((loop.plant.u, u_new),
+                                  (loop.observer.u_hat, u_hat_new)):
+                err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+                worst = max(worst, err)
+        assert worst <= 1e-12, worst
 class TestErrorNorms:
     def test_values_on_known_fields(self):
         err = np.ones(21)
