@@ -7,7 +7,8 @@ and boundedness claims can be checked at runtime.
 
 The monitors take one profile or a (K, n) stack of K instants with length-K
 s (and X, m); each row of a stacked call has the bits of its own 1-D call.
-The Volterra kernels are evaluated on the upper triangle (y >= x) only.
+The Volterra kernels are evaluated on the upper triangle (y >= x) only, in
+chunks of at most MONITOR_STACK_ENTRIES // n^2 rows.
 """
 
 from __future__ import annotations
@@ -60,23 +61,33 @@ def phi_kernel(x, c: float, beta: float, epsilon: float):
     return (c / beta) * np.asarray(x, dtype=float) - epsilon
 
 
+# Bound on the entries of one (k, n, n) Volterra matrix stack: the
+# transforms evaluate their O(n^2) kernels on chunks of at most
+# k = max(1, MONITOR_STACK_ENTRIES // n^2) rows, whatever the number of rows
+# they are given.
+MONITOR_STACK_ENTRIES = 32768
+
+
 @functools.lru_cache(maxsize=8)
 def _upper(n: int):
-    """Row and column indices of the upper triangle (y_j >= x_i) of an n x n
-    Volterra matrix, and their flat indices; read-only, since the cache
-    shares them."""
+    """The upper triangle (y_j >= x_i) of an n x n Volterra matrix: the
+    grids xi_i and xi_j at its entries, packed in row-major order, and its
+    boolean mask; read-only, since the cache shares them."""
     i, j = np.triu_indices(n)
-    flat = i * n + j
-    for a in (i, j, flat):
+    xi = unit_grid(n)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[i, j] = True
+    grids = (xi[i], xi[j], mask)
+    for a in grids:
         a.flags.writeable = False
-    return i, j, flat
+    return grids
 
 
 @functools.lru_cache(maxsize=8)
 def _volterra_pattern(n: int) -> np.ndarray:
     # Trapezoid weights in units of h on the upper triangle: 1/2 at both ends
     # of [x_i, s], 1 inside; the last row (x_i = s) is empty.
-    i, j, _ = _upper(n)
+    i, j = np.triu_indices(n)
     w = np.where((i == j) | (j == n - 1), 0.5, 1.0)
     w[i == n - 1] = 0.0
     w.flags.writeable = False
@@ -85,7 +96,7 @@ def _volterra_pattern(n: int) -> np.ndarray:
 
 def _volterra_weights(n: int, s) -> np.ndarray:
     """Trapezoid weights for int_{x_i}^{s} . dy on the xi-grid, packed on the
-    upper triangle; one row per entry of a length-K `s`."""
+    upper triangle; one row per entry of a length-k `s`."""
     return _volterra_pattern(n) * (s / (n - 1))[:, None]
 
 
@@ -96,17 +107,29 @@ def _stack(profiles, *scalars):
             *(np.atleast_1d(np.asarray(v, dtype=float)) for v in scalars))
 
 
-def _volterra(kernel: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _volterra(kernel, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """int_{x_i}^{s} kernel(x_i, y) v(y) dy for each row of a (K, n) stack v.
 
-    `kernel` holds the upper-triangle values, (K, n(n+1)/2); they are
-    weighted, scattered into a zeroed (K, n, n) array and applied with
-    matmul, which gives every row the bits of its own matrix-vector product.
+    `kernel(s_c)` gives the packed upper-triangle values, (k, n(n+1)/2), for
+    a (k, 1) column of s.  It is called on chunks of at most
+    MONITOR_STACK_ENTRIES // n^2 rows; each chunk is weighted, written row by
+    row into a zeroed (k, n, n) array (its lower triangle stays zero) and
+    applied with matmul, which gives every row the bits of its own
+    matrix-vector product.
     """
     k, n = v.shape
-    matrix = np.zeros((k, n * n))
-    matrix[:, _upper(n)[2]] = kernel * _volterra_weights(n, s)
-    return (matrix.reshape(k, n, n) @ v[:, :, None])[:, :, 0]
+    chunk = max(1, MONITOR_STACK_ENTRIES // (n * n))
+    mask = _upper(n)[2]
+    matrices = np.zeros((min(chunk, k), n, n))
+    out = np.empty((k, n))
+    for a in range(0, k, chunk):
+        s_c = s[a:a + chunk]
+        packed = kernel(s_c[:, None]) * _volterra_weights(n, s_c)
+        matrix = matrices[:s_c.size]
+        for r, row in enumerate(packed):
+            matrix[r][mask] = row
+        out[a:a + chunk] = (matrix @ v[a:a + chunk, :, None])[:, :, 0]
+    return out
 
 
 def transform_error_inverse(u_tilde: np.ndarray, s, lam: float,
@@ -116,11 +139,13 @@ def transform_error_inverse(u_tilde: np.ndarray, s, lam: float,
     Takes one profile and its s, or a (K, n) stack and a length-K s.
     """
     u, s_k = _stack(u_tilde, s)
-    i, j, _ = _upper(u.shape[1])
-    y = unit_grid(u.shape[1]) * s_k[:, None]
-    y2 = y * y
-    diff = np.maximum(y2[:, j] - y2[:, i], 0.0)
-    kernel = (lam / alpha) * y[:, j] * ratio_J1_sqrt(lam * diff / alpha)
+    xi_i, xi_j, _ = _upper(u.shape[1])
+
+    def kernel(s_c):
+        x, y = xi_i * s_c, xi_j * s_c
+        # |y| >= |x| on the upper triangle, so the difference is >= 0.
+        return (lam / alpha) * y * ratio_J1_sqrt(lam * (y * y - x * x) / alpha)
+
     out = u - _volterra(kernel, s_k, u)
     return out.reshape(np.shape(u_tilde))
 
@@ -134,9 +159,12 @@ def transform_controller_direct(u_hat: np.ndarray, X, s,
     and s.
     """
     u, s_k, X = _stack(u_hat, s, X)
-    i, j, _ = _upper(u.shape[1])
+    xi_i, xi_j, _ = _upper(u.shape[1])
+
+    def kernel(s_c):
+        return phi_kernel(xi_i * s_c - xi_j * s_c, c, beta, tc.epsilon)
+
     x = unit_grid(u.shape[1]) * s_k[:, None]
-    kernel = phi_kernel(x[:, i] - x[:, j], c, beta, tc.epsilon)
     out = u - (beta / alpha) * _volterra(kernel, s_k, u) \
         - phi_kernel(x - s_k[:, None], c, beta, tc.epsilon) * X[:, None]
     return out.reshape(np.shape(u_hat))
@@ -224,15 +252,25 @@ def lyapunov_values(w_tilde: np.ndarray, u_hat: np.ndarray, s, m,
     returns three length-K arrays.
     """
     w_tilde_k, s_k = _stack(w_tilde, s)
-    X = s_k - s_r
-    w_hat = transform_controller_direct(u_hat, X, s_k, tc, phys.alpha,
+    u_hat_k, X = _stack(u_hat, s_k - s_r)
+    w_hat = transform_controller_direct(u_hat_k, X, s_k, tc, phys.alpha,
                                         phys.beta, c)
+    # np.gradient(w_tilde, h, axis=-1)'s own expressions (edge order 1),
+    # over s for the physical slope.
     h = 1.0 / (w_tilde_k.shape[1] - 1)
-    w_tilde_x = np.gradient(w_tilde_k, h, axis=-1) / s_k[:, None]
-    V1 = 0.5 * trapezoid(w_hat * w_hat, s_k) \
+    slope = np.empty(w_tilde_k.shape)
+    slope[:, 1:-1] = (w_tilde_k[:, 2:] - w_tilde_k[:, :-2]) / (2.0 * h)
+    slope[:, 0] = (w_tilde_k[:, 1] - w_tilde_k[:, 0]) / h
+    slope[:, -1] = (w_tilde_k[:, -1] - w_tilde_k[:, -2]) / h
+    slope /= s_k[:, None]
+    # One quadrature for the three integrands.
+    squares = np.stack((w_hat, w_tilde_k, slope))
+    squares *= squares
+    hat_sq, tilde_sq, slope_sq = trapezoid(squares, s_k)
+    V1 = 0.5 * hat_sq \
         + tc.epsilon * phys.alpha / (2.0 * phys.beta) * X * X \
-        + 0.5 * trapezoid(w_tilde_k * w_tilde_k, s_k) \
-        + 0.5 * lyap.B * trapezoid(w_tilde_x * w_tilde_x, s_k)
+        + 0.5 * tilde_sq \
+        + 0.5 * lyap.B * slope_sq
     V = lyap.A * V1 + m
     # math.exp per row: np.exp does not give the same bits.
     W = V * np.array([math.exp(-lyap.xi * si) for si in s_k.tolist()])

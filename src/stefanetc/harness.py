@@ -9,9 +9,12 @@ deterministic.
 The monitors (norms, energy, transformed error, Lyapunov values) never feed
 back into the loop: the recorder buffers each step's feedback row and
 profiles, and one stacked monitor pass computes them for K steps at a time,
-K = max(1, MONITOR_STACK_ENTRIES // n^2), when the buffer is full, at the
-end of the run and at a breach.  Every row is bitwise the value a pass per
-step would give.  Validity breaches end the run with a structured record,
+K = max(1, MONITOR_ROW_ENTRIES // n), when the buffer is full, at the end of
+the run and at a breach.  The transforms inside the pass evaluate their
+O(n^2) kernels on chunks of at most diagnostics.MONITOR_STACK_ENTRIES // n^2
+of those rows, so the number of buffered rows and the size of the kernel
+stack are set apart.  Every row is bitwise the value a pass per step would
+give.  Validity breaches end the run with a structured record,
 which carries the loop's state at the breach, instead of an exception
 escaping.
 """
@@ -202,9 +205,11 @@ class ClosedLoop:
             min_u=math.nan if state is None else float(np.min(state.u)))
 
 
-# Bound on the entries of one monitor pass's (K, n, n) kernel stack: K steps
-# are buffered per pass, K = max(1, MONITOR_STACK_ENTRIES // n^2).
-MONITOR_STACK_ENTRIES = 32768
+# Bound on the profile entries K * n of one monitor pass: K steps are
+# buffered per pass, K = max(1, MONITOR_ROW_ENTRIES // n).  The transforms
+# split the pass into kernel chunks of their own
+# (diagnostics.MONITOR_STACK_ENTRIES).
+MONITOR_ROW_ENTRIES = 2048
 
 
 def _monitor_columns(U, E, U_hat, s, m, phys, lam, s_r, tc, c, lyap):
@@ -214,9 +219,13 @@ def _monitor_columns(U, E, U_hat, s, m, phys, lam, s_r, tc, c, lyap):
     w_tilde = diagnostics.transform_error_inverse(E, s, lam, phys.alpha)
     V1, V, W = diagnostics.lyapunov_values(w_tilde, U_hat, s, m, s_r, tc,
                                            phys, c, lyap)
-    return {"norm_T_Tm": _l2_norm(U, s), "norm_T_That": err_norm,
-            "norm_w_tilde": _l2_norm(w_tilde, s),
-            "energy": control.trapezoid(U, s) / phys.alpha + s / phys.beta,
+    # One quadrature for the two squared norms and the energy.
+    u_sq, w_tilde_sq, u_int = numerics.trapezoid(
+        np.stack((U * U, w_tilde * w_tilde, U)), s)
+    return {"norm_T_Tm": np.sqrt(np.maximum(u_sq, 0.0)),
+            "norm_T_That": err_norm,
+            "norm_w_tilde": np.sqrt(np.maximum(w_tilde_sq, 0.0)),
+            "energy": u_int / phys.alpha + s / phys.beta,
             "V1": V1, "V": V, "W": W}
 
 
@@ -286,7 +295,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
         monitors=functools.partial(_monitor_columns, phys=cfg.phys,
                                    lam=loop.lam, s_r=loop.s_r, tc=loop.tc,
                                    c=loop.c, lyap=loop.lyap),
-        stack=max(1, MONITOR_STACK_ENTRIES // (n * n)))
+        stack=max(1, MONITOR_ROW_ENTRIES // n))
 
     horizon_end = scheme.horizon if scheme.horizon is not None else scheme.max_horizon
     auto_horizon = scheme.horizon is None
@@ -313,10 +322,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                          horizon_end, breach, rec.min_u)
     return ScenarioResult(config=cfg, derived=derived, series=series,
                           events=loop.events, summary=summary, breach=breach)
-
-
-def _l2_norm(values: np.ndarray, s):
-    return np.sqrt(np.maximum(control.trapezoid(values * values, s), 0.0))
 
 
 def _summarize(cfg, derived, series, events, t_converged, horizon_end,

@@ -30,14 +30,15 @@ def _ratio_series(w, sign):
 
 
 def _ratio_sqrt(w, z, sign, bessel):
-    # Power series where w < _RATIO_SERIES_CUT, Bessel quotient of z = sqrt(w)
-    # elsewhere; each branch is evaluated only on its own entries.
-    small = w < _RATIO_SERIES_CUT
-    large = ~small
-    out = np.empty(w.shape)
-    out[small] = _ratio_series(w[small], sign)
-    z = z[large]
-    out[large] = bessel(z) / z
+    # Bessel quotient of z = sqrt(w) on the whole array (skipping z = 0, so
+    # no 0/0 is formed), then the power series over the few entries where
+    # w < _RATIO_SERIES_CUT, which include every z = 0.  Both are
+    # elementwise, so every entry has the bits of its own branch.
+    out = bessel(z, out=np.empty(w.shape))
+    np.divide(out, z, out=out, where=z != 0.0)
+    small = (w < _RATIO_SERIES_CUT).reshape(-1).nonzero()[0]
+    if small.size:
+        out.reshape(-1)[small] = _ratio_series(w.reshape(-1)[small], sign)
     return float(out) if out.ndim == 0 else out
 
 

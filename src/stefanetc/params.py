@@ -61,11 +61,14 @@ class ControllerConfig:
             raise ConfigurationError("control gain c must be positive")
         if not self.lam > 0.0:
             raise ConfigurationError("observer gain lambda must be positive")
-        z_max = math.sqrt(self.lam * phys.L * phys.L / phys.alpha)
+        # The observer gain's largest argument, lam (s^2 - x^2)/alpha at
+        # x = 0, s = L, in its own order of operations: every argument the
+        # gain takes on (0, L] is then at most z_max.
+        z_max = math.sqrt(self.lam * (phys.L * phys.L) / phys.alpha)
         if z_max > BESSEL_Z_MAX:
             raise ConfigurationError(
                 f"lambda={self.lam:g} and L={phys.L:g} put the observer-gain "
-                f"Bessel argument sqrt(lambda L^2/alpha)={z_max:g} above "
+                f"Bessel argument sqrt(lambda L^2/alpha)={z_max!r} above "
                 f"{BESSEL_Z_MAX:g}")
         limit = 2.0 * math.sqrt(phys.alpha * self.c) / phys.beta
         if not 0.0 < self.epsilon < limit:

@@ -72,6 +72,7 @@ class TestStrictness:
         ("scheme.n", "nan", "scheme.n='nan' is not finite"),
         ("scheme.n", "inf", "scheme.n='inf' is not finite"),
         ("scheme.n", "21.7", "scheme.n=21.7 is not an integer"),
+        ("scheme.n", "2", "scheme.n must be at least 3"),
         ("scheme.dt", "nan", "scheme.dt='nan' is not finite"),
         ("scheme.dt", "inf", "scheme.dt='inf' is not finite"),
         ("scenario.period", "nan", "scenario.period='nan' is not finite"),

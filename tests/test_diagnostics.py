@@ -2,7 +2,7 @@
 both transform pairs with grid-refinement order, the forcing-kernel norm
 against a hand-integrated case and a reference search over s, the
 Lyapunov functional at rest, and stacked monitor calls against their
-row-by-row calls."""
+row-by-row calls and the fused quadratures against separate calls."""
 
 import math
 import warnings
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stefanetc import diagnostics as dg
-from stefanetc import params
+from stefanetc import harness, params
 from stefanetc.numerics import ratio_J1_sqrt, simpson, trapezoid, unit_grid
 from stefanetc.observer import error_norms
 from stefanetc.errors import ConfigurationError
@@ -175,8 +175,9 @@ class TestLyapunov:
 
 @st.composite
 def monitor_stacks(draw):
-    """(K, n) stacks of three profiles with length-K s and m."""
-    n = draw(st.sampled_from([3, 4, 21, 41]))
+    """(K, n) stacks of three profiles with length-K s and m; at n = 81 a
+    stack of 7 rows spans two kernel chunks (4 and 3 rows)."""
+    n = draw(st.sampled_from([3, 4, 21, 41, 81]))
     k = draw(st.sampled_from([1, 2, 7]))
     profiles = [draw(arrays(np.float64, (k, n), elements=st.floats(-50.0, 50.0)))
                 for _ in range(3)]
@@ -240,3 +241,49 @@ class TestStacks:
             assert same_bits(
                 dg.transform_controller_direct(u, X, si, tc, ALPHA, BETA, C),
                 full)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4, 21, 41, 161]),
+           arrays(np.float64, st.integers(1, 3),
+                  elements=st.floats(-1e100, 1e100, allow_subnormal=False)))
+    def test_packed_grids_match_gathered(self, n, s):
+        # The transforms form xi_i * s and xi_j * s from the cached packed
+        # grids; they must be the bits of (unit_grid(n) * s) gathered at the
+        # upper-triangle indices, and the mask must enumerate the triangle
+        # in the packed order.  On the triangle |y| >= |x|, so the argument
+        # of ratio_J1_sqrt is >= 0 for any finite s and cannot raise.
+        xi_i, xi_j, mask = dg._upper(n)
+        i, j = np.triu_indices(n)
+        assert np.array_equal(np.flatnonzero(mask), i * n + j)
+        y = unit_grid(n) * s[:, None]
+        x_packed, y_packed = xi_i * s[:, None], xi_j * s[:, None]
+        assert same_bits(x_packed, y[:, i]) and same_bits(y_packed, y[:, j])
+        assert (y_packed * y_packed - x_packed * x_packed >= 0.0).all()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(monitor_stacks())
+    def test_fused_quadratures_match_separate_calls(self, tc, stack):
+        # The monitor pass makes one trapezoid call for its three integrands
+        # and lyapunov_values one for its three, with np.gradient's
+        # expressions written out; both must give the bits of the separate
+        # calls and of np.gradient.
+        U, E, W, s, m = stack
+        lyap = dg.lyapunov_config(1.0, 2.0, 3.0, PHYS.L, ALPHA, BETA, C, EPS)
+        X = s - 2.0
+        w_hat = dg.transform_controller_direct(U, X, s, tc, ALPHA, BETA, C)
+        slope = np.gradient(W, 1.0 / (W.shape[1] - 1), axis=-1) / s[:, None]
+        V1 = 0.5 * trapezoid(w_hat * w_hat, s) \
+            + tc.epsilon * ALPHA / (2.0 * BETA) * X * X \
+            + 0.5 * trapezoid(W * W, s) \
+            + 0.5 * lyap.B * trapezoid(slope * slope, s)
+        got = dg.lyapunov_values(W, U, s, m, 2.0, tc, PHYS, C, lyap)
+        assert same_bits(got[0], V1) and same_bits(got[1], lyap.A * V1 + m)
+
+        columns = harness._monitor_columns(U, E, W, s, m, PHYS, LAM, 2.0, tc,
+                                           C, lyap)
+        w_tilde = dg.transform_error_inverse(E, s, LAM, ALPHA)
+        for name, values in (("norm_T_Tm", U), ("norm_w_tilde", w_tilde)):
+            assert same_bits(columns[name], np.sqrt(
+                np.maximum(trapezoid(values * values, s), 0.0))), name
+        assert same_bits(columns["energy"],
+                         trapezoid(U, s) / ALPHA + s / BETA)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stefanetc import cli, config, harness, trigger
+from stefanetc import cli, config, diagnostics, harness, trigger
 from stefanetc.errors import ConfigurationError
 from conftest import variant_text
 
@@ -52,20 +52,51 @@ class TestRunScenario:
         [("initial.s0", 0.5), ("initial.T0_amplitude", 60),
          ("initial.That_amplitude", 0), ("scenario.unsafe", "true"),
          ("scheme.horizon", 6000.0)],
-    ], ids=["shipped_600s", "later_event_breach"])
+        [("scheme.n", 81), ("scheme.dt", 0.125), ("scheme.horizon", 30.0)],
+        [("scheme.n", 161), ("scheme.dt", 0.0625), ("scheme.horizon", 12.5)],
+    ], ids=["shipped_600s", "later_event_breach", "n81_30s", "n161_12s"])
     def test_series_independent_of_monitor_stack(self, default_cfg, overrides,
                                                  tmp_path, monkeypatch):
-        # The monitors of K buffered steps are computed in one stacked pass;
-        # K = 1 must emit the same bytes.  Neither run fills its last stack,
-        # so the flush at the end of the run (or at the breach) is covered.
+        # The monitors of K buffered steps are computed in one stacked pass,
+        # whose transforms evaluate their kernels on chunks of those rows.
+        # One row per pass with a kernel chunk of 1 must emit the same bytes.
+        # No run fills its last stack, so the flush at the end of the run (or
+        # at the breach) is covered; at n = 81 every pass ends on a partial
+        # kernel chunk (25 rows in chunks of 4).
         cfg = default_cfg
         for name, value in overrides:
             cfg = config.override(cfg, name, value)
-        stacked = harness.run_scenario(cfg)
-        stack = harness.MONITOR_STACK_ENTRIES // cfg.scheme.n ** 2
+        n = cfg.scheme.n
+        stack = harness.MONITOR_ROW_ENTRIES // n
+        chunk = max(1, diagnostics.MONITOR_STACK_ENTRIES // n ** 2)
+
+        def sizes_of_run():
+            # Rows per monitor pass and per kernel chunk.
+            passes, chunks = [], []
+            monitor_columns = harness._monitor_columns
+            volterra_weights = diagnostics._volterra_weights
+
+            def count_pass(U, *args, **kwargs):
+                passes.append(len(U))
+                return monitor_columns(U, *args, **kwargs)
+
+            def count_chunk(n, s):
+                chunks.append(len(s))
+                return volterra_weights(n, s)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "_monitor_columns", count_pass)
+                patch.setattr(diagnostics, "_volterra_weights", count_chunk)
+                result = harness.run_scenario(cfg)
+            return result, set(passes), set(chunks)
+
+        stacked, passes, chunks = sizes_of_run()
         assert stack > 1 and stacked.series["t"].size % stack != 0
-        monkeypatch.setattr(harness, "MONITOR_STACK_ENTRIES", 1)
-        single = harness.run_scenario(cfg)
+        assert max(passes) == stack and max(chunks) == chunk
+        monkeypatch.setattr(harness, "MONITOR_ROW_ENTRIES", 1)
+        monkeypatch.setattr(diagnostics, "MONITOR_STACK_ENTRIES", 1)
+        single, passes, chunks = sizes_of_run()
+        assert passes == chunks == {1}
         assert (stacked.breach is None) == (single.breach is None)
         harness.emit_outputs(stacked, tmp_path / "stacked")
         harness.emit_outputs(single, tmp_path / "single")

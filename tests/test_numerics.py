@@ -6,6 +6,7 @@ than themselves.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
 
-from stefanetc import numerics
-from stefanetc.errors import NumericalFailure
-from stefanetc.numerics import (diffusion_factor, ratio_I1_sqrt,
-                                ratio_J1_sqrt, simpson, solve_tridiagonal,
-                                trapezoid)
+from stefanetc import config, numerics, params
+from stefanetc.errors import ConfigurationError, NumericalFailure
+from stefanetc.numerics import (BESSEL_Z_MAX, diffusion_factor,
+                                ratio_I1_sqrt, ratio_J1_sqrt, simpson,
+                                solve_tridiagonal, trapezoid)
+from stefanetc.observer import observer_gain
 from tridiagonal_reference import diffusion_bands, thomas_factor, thomas_solve
 
 
@@ -37,6 +39,20 @@ def series_J1(z: float, terms: int = 40) -> float:
         total += (-1) ** k * (z / 2.0) ** (2 * k + 1) \
             / (math.factorial(k) * math.factorial(k + 1))
     return total
+
+
+def masked_ratio_sqrt(w, sign, bessel):
+    # The ratios' earlier form: boolean masks select the entries below the
+    # cut for the power series and the others for the Bessel quotient.
+    w = np.asarray(w, dtype=float)
+    z = np.sqrt(w)
+    small = w < numerics._RATIO_SERIES_CUT
+    large = ~small
+    out = np.empty(w.shape)
+    out[small] = 0.5 + sign * w[small] / 16.0 + w[small] * w[small] / 384.0
+    z = z[large]
+    out[large] = bessel(z) / z
+    return float(out) if out.ndim == 0 else out
 
 
 class TestBessel:
@@ -85,14 +101,23 @@ class TestRatios:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(arrays(np.float64, st.integers(0, 40),
-                  elements=st.one_of(st.floats(0.0, 2e-3), st.floats(0.0, 1e4))))
-    def test_branchwise_equals_both_branch_form(self, drawn):
-        # The ratios evaluate each branch on its own entries only; they must
-        # give the bits of the form that evaluated both branches everywhere
-        # and picked with np.where.
+                  elements=st.one_of(st.floats(0.0, 2e-3), st.floats(0.0, 1e4),
+                                     st.just(math.nan))),
+           st.sampled_from([(-1,), (2, -1), ()]))
+    def test_branchwise_equals_both_branch_form(self, drawn, shape):
+        # The ratios take the Bessel quotient on every entry and write the
+        # series over the entries below the cut.  They must give the bits of
+        # the form that evaluated both branches everywhere and picked with
+        # np.where, and of the earlier form that evaluated each branch on its
+        # own entries only, for zeros, the cut and its neighbours, NaN,
+        # scalars and 2-D stacks, and raise no warning on the 0/0 they skip.
         cut = numerics._RATIO_SERIES_CUT
         w = np.concatenate([[0.0, np.nextafter(cut, 0.0), cut,
-                             np.nextafter(cut, 1.0)], drawn])
+                             np.nextafter(cut, 1.0), math.nan], drawn])
+        if shape == ():
+            w = w[len(drawn) % 5]
+        elif w.size % 2 == 0:
+            w = w.reshape(shape)
 
         def both_branches(sign, bessel):
             small = w < cut
@@ -100,10 +125,16 @@ class TestRatios:
             series = 0.5 + sign * w / 16.0 + w * w / 384.0
             return np.where(small, series, bessel(safe_z) / safe_z)
 
-        assert ratio_I1_sqrt(w).tobytes() \
-            == both_branches(+1.0, special.i1).tobytes()
-        assert ratio_J1_sqrt(w).tobytes() \
-            == both_branches(-1.0, special.j1).tobytes()
+        for ratio, sign, bessel in ((ratio_I1_sqrt, +1.0, special.i1),
+                                    (ratio_J1_sqrt, -1.0, special.j1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = ratio(w)
+            assert np.shape(got) == np.shape(w)
+            for reference in (both_branches(sign, bessel),
+                              masked_ratio_sqrt(w, sign, bessel)):
+                assert np.float64(got).tobytes() \
+                    == np.float64(reference).tobytes()
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(arrays(np.float64, st.integers(0, 12),
@@ -210,3 +241,52 @@ class TestDiffusionFactor:
         M = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         expected = np.linalg.solve(M, rhs)
         assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestValueErrorAudit:
+    # ratio_I1_sqrt, ratio_J1_sqrt and trapezoid raise ValueError outside
+    # their domains; no configuration that passes validation reaches them.
+    # ratio_J1_sqrt's argument is >= 0 on the packed triangle
+    # (test_diagnostics::TestStacks::test_packed_grids_match_gathered), and
+    # trapezoid gets n >= 3 samples (TestStrictness rejects scheme.n = 2).
+
+    def test_bessel_bound_read_in_the_gains_order(self, default_cfg):
+        # sqrt(lambda L L / alpha) rounds to 700 here, while the gain's own
+        # order, lambda (L L) / alpha, rounds above it: the check must read
+        # the gain's order, or derive_trigger's f_max raises ValueError.
+        cfg = config.override(default_cfg, "physical.L", "4.387391795507032")
+        cfg = config.override(cfg, "controller.lambda", "29.785292884363315")
+        with pytest.raises(ConfigurationError, match="Bessel argument"):
+            params.derive_trigger(cfg.phys, cfg.ctrl, cfg.trig)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 40), st.integers(0, 3), st.floats(0.0, 1.0),
+           st.sampled_from([3, 4, 21, 161]))
+    def test_gain_within_validated_bound(self, step, below, frac, n):
+        # lambda at, or a few ulps below, the largest value the controller
+        # check accepts for this L; the gain on the grid at any s in (0, L],
+        # and on the f_max grid at s = L, stays in the Bessel domain.  L is
+        # drawn on a fine grid, so that its products round as most do.
+        L = 0.1 + 9.9 * step / 2 ** 40
+        phys = params.derive_physical(k=0.00220, rho=7.90e-4, cp=2380.0,
+                                      dH=2.10e5, L=L, Tm=37.0)
+
+        def accepted(lam):
+            try:
+                params.ControllerConfig(c=3.0e-4, lam=float(lam), epsilon=10.0,
+                                        s_r=0.5 * L).validate(phys)
+            except ConfigurationError:
+                return False
+            return True
+
+        lam = BESSEL_Z_MAX ** 2 * phys.alpha / (L * L)
+        while accepted(lam):
+            lam = np.nextafter(lam, math.inf)
+        while not accepted(lam):
+            lam = np.nextafter(lam, 0.0)
+        for _ in range(below):
+            lam = np.nextafter(lam, 0.0)
+        lam = float(lam)
+        for s in {L, max(frac * L, 1e-3)}:
+            observer_gain(numerics.unit_grid(n) * s, s, lam, phys.alpha)
+        observer_gain(np.linspace(0.0, L, 1025), L, lam, phys.alpha)
