@@ -206,15 +206,21 @@ def f_max(L: float, lam: float, alpha: float, beta: float, c: float,
     grows with s: the domain gets larger and the integrand does not shrink.
 
     Simpson quadrature at s = L; a refinement doubling that moves the result
-    by more than 1e-6 relative attaches an accuracy warning.
+    by more than 1e-6 relative attaches an accuracy warning.  f grows like
+    I1(z)/z with z = sqrt(lam L^2/alpha), so past about z = 356 f^2
+    overflows: then the result is inf, with no warning on the way, and
+    `params.derive_trigger` rejects the configuration.
     """
     def evaluate(nq):
         x = np.linspace(0.0, L, nq + 1)
         f = f_kernel(x, L, lam, alpha, beta, c, epsilon)
         return math.sqrt(simpson(f * f, L))
 
-    coarse = evaluate(F_MAX_N_QUAD)
-    fine = evaluate(2 * F_MAX_N_QUAD)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = evaluate(F_MAX_N_QUAD)
+        fine = evaluate(2 * F_MAX_N_QUAD)
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        return math.inf
     if abs(fine - coarse) > 1e-6 * max(abs(fine), 1e-300):
         warnings.warn(
             f"f_max quadrature not converged to 1e-6 relative "

@@ -170,7 +170,7 @@ class ClosedLoop:
             d = 0.0
 
         # The error's interface slope is logged and feeds the m step.
-        err_slope = observer.boundary_slope(u - u_hat, s)
+        err_slope = observer.error_slope(u, u_hat, s)
         self._sources = (d, X, err_slope)
         return (t, s, sdot, self.phys.Tm + u[0], self.q_j, d, d * d,
                 self.gamma * self.m, self.m, err_slope, integral)

@@ -29,42 +29,24 @@ def _ratio_series(w, sign):
     return 0.5 + sign * w / 16.0 + w * w / 384.0
 
 
-def _ratio_sqrt(w, z, sign, bessel):
-    # Bessel quotient of z = sqrt(w) on the whole array (skipping z = 0, so
-    # no 0/0 is formed), then the power series over the few entries where
-    # w < _RATIO_SERIES_CUT, which include every z = 0.  Both are
-    # elementwise, so every entry has the bits of its own branch.
-    out = bessel(z, out=np.empty(w.shape))
+def ratio_J1_sqrt(w):
+    """J1(sqrt(w))/sqrt(w), continuous at w = 0 with value 1/2."""
+    # The domain check reads the least w, skipping NaNs as the comparison
+    # w < 0 does, before the one sqrt, so a negative entry raises instead of
+    # warning.  Then the Bessel quotient of z = sqrt(w) on the whole array
+    # (skipping z = 0, so no 0/0 is formed), and the power series over the
+    # few entries where w < _RATIO_SERIES_CUT, which include every z = 0.
+    # Both are elementwise, so every entry has the bits of its own branch.
+    w = np.asarray(w, dtype=float)
+    if np.fmin.reduce(w, axis=None, initial=0.0) < 0.0:
+        raise ValueError("ratio_J1_sqrt requires w >= 0")
+    z = np.sqrt(w)
+    out = special.j1(z, out=np.empty(w.shape))
     np.divide(out, z, out=out, where=z != 0.0)
     small = (w < _RATIO_SERIES_CUT).reshape(-1).nonzero()[0]
     if small.size:
-        out.reshape(-1)[small] = _ratio_series(w.reshape(-1)[small], sign)
+        out.reshape(-1)[small] = _ratio_series(w.reshape(-1)[small], -1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def _checked_sqrt(w, name):
-    # The domain check reads the extremes, skipping NaNs as the comparisons
-    # w < 0 and sqrt(w) > BESSEL_Z_MAX do: the least w before the one sqrt,
-    # so a negative entry raises instead of warning; the caller checks the
-    # largest sqrt(w).
-    w = np.asarray(w, dtype=float)
-    if np.fmin.reduce(w, axis=None, initial=0.0) < 0.0:
-        raise ValueError(f"{name} requires w >= 0")
-    return w, np.sqrt(w)
-
-
-def ratio_I1_sqrt(w):
-    """I1(sqrt(w))/sqrt(w), continuous at w = 0 with value 1/2."""
-    w, z = _checked_sqrt(w, "ratio_I1_sqrt")
-    if np.fmax.reduce(z, axis=None, initial=0.0) > BESSEL_Z_MAX:
-        raise ValueError(f"Bessel argument outside [0, {BESSEL_Z_MAX:g}]")
-    return _ratio_sqrt(w, z, +1.0, special.i1)
-
-
-def ratio_J1_sqrt(w):
-    """J1(sqrt(w))/sqrt(w), continuous at w = 0 with value 1/2."""
-    w, z = _checked_sqrt(w, "ratio_J1_sqrt")
-    return _ratio_sqrt(w, z, -1.0, special.j1)
 
 
 @functools.lru_cache(maxsize=8)

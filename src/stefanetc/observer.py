@@ -8,12 +8,16 @@ The observer shares the true domain: s and sdot are read from the plant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
+from . import plant
 from .errors import NumericalFailure
-from .numerics import ratio_I1_sqrt, trapezoid, unit_grid
+from .numerics import (BESSEL_Z_MAX, _RATIO_SERIES_CUT, _ratio_series,
+                       trapezoid, unit_grid)
 from .plant import advance_profile, implicit_factor
 
 
@@ -26,17 +30,37 @@ class ObserverState:
 def observer_gain(x, s: float, lam: float, alpha: float):
     """Output-injection gain p(x, s) = -lam s I1(z)/z, z = sqrt(lam (s^2-x^2)/alpha).
 
-    Continuous at x = s with value -lam s / 2.  Accepts scalar or array x.
+    Continuous at x = s with value -lam s / 2.  x is a scalar or an
+    ascending array on [0, s], as the grids xi s and linspace(0, s, .) are.
+    The argument w = lam (s^2 - x^2)/alpha then never increases along x:
+    its first entry is the largest, so the domain check reads that one, and
+    the entries below the series cut (at least the node x = s, where w = 0)
+    form a tail.  The head takes the Bessel quotient, the tail the power
+    series in Python floats; every entry has the bits of its own branch.
     """
     x = np.asarray(x, dtype=float)
     w = lam * (s * s - x * x) / alpha
-    out = -lam * s * np.asarray(ratio_I1_sqrt(np.maximum(w, 0.0)))
-    return float(out) if out.ndim == 0 else out
+    if x.ndim == 0:
+        w = w.reshape(1)
+    if w.size and math.sqrt(max(w.item(0), 0.0)) > BESSEL_Z_MAX:
+        raise ValueError(f"Bessel argument outside [0, {BESSEL_Z_MAX:g}]")
+    out = np.empty(w.size)
+    head = w.size
+    while head and (v := w.item(head - 1)) < _RATIO_SERIES_CUT:
+        head -= 1
+        out[head] = _ratio_series(max(v, 0.0), 1.0)
+    z = np.sqrt(w[:head])
+    quotient = special.i1(z, out=out[:head])
+    quotient /= z
+    out *= -lam * s
+    return out.item() if x.ndim == 0 else out
 
 
 def boundary_slope(values: np.ndarray, s):
     """Physical interface slope: first-order one-sided difference over h*s.
-    A (K, n) stack of profiles with a length-K s gives the K slopes.
+    One profile gives a float, read from its two end values as
+    `plant.interface_velocity` reads them; a (K, n) stack of profiles with
+    a length-K s gives the K slopes.
 
     This is the same functional the plant's interface velocity uses, which is
     what makes the discrete observer-error dynamics homogeneous (an error
@@ -44,7 +68,27 @@ def boundary_slope(values: np.ndarray, s):
     variant that keeps the injection feedback dissipative on coarse grids.
     """
     h = 1.0 / (values.shape[-1] - 1)
+    if values.ndim == 1:
+        return (values.item(-1) - values.item(-2)) / (h * s)
     return (values[..., -1] - values[..., -2]) / (h * s)
+
+
+def error_slope(u: np.ndarray, u_hat: np.ndarray, s: float) -> float:
+    """`boundary_slope` of u - u_hat, from the four end values."""
+    h = 1.0 / (u.size - 1)
+    return ((u.item(-1) - u_hat.item(-1))
+            - (u.item(-2) - u_hat.item(-2))) / (h * s)
+
+
+def influence_profile(p: np.ndarray, dt: float, factor) -> np.ndarray:
+    """The profile z with A z = p of the injection's Sherman-Morrison update,
+    A the step's implicit matrix (`factor`), and z(1) = 0.
+
+    It is `advance_profile` of a zero profile under zero flux and the
+    source p/dt, whose right-hand side is the source term dt (p/dt) alone:
+    that expression is kept, so z has the bits of that call.
+    """
+    return plant.solve_tridiagonal(factor, dt * (p[:-1] / dt), np.zeros(p.size))
 
 
 def step_observer(obs: ObserverState, measurement, phys, lam: float,
@@ -79,9 +123,8 @@ def step_observer(obs: ObserverState, measurement, phys, lam: float,
     # Base solve: A u* = rhs + dt p measured_slope.
     u_star = advance_profile(obs.u_hat, s, sdot, q, dt, phys.alpha, phys.k,
                              source=p * measured_slope, factor=factor)
-    # Influence solve: A z = p (zero state, zero flux, source p/dt).
-    z = advance_profile(np.zeros(n), s, 0.0, 0.0, dt, phys.alpha, phys.k,
-                        source=p / dt, factor=factor)
+    # Influence solve: A z = p.
+    z = influence_profile(p, dt, factor)
     # u_new = u* - z dt w.u* / (1 + dt w.z) solves (A + dt p w^T) u_new =
     # rhs + dt p measured_slope, with w^T u the feedback slope.
     w_u_star = boundary_slope(u_star, s)

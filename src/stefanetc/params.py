@@ -15,7 +15,7 @@ at ingestion (the likeliest reproduction failure is a mixed unit system).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -305,13 +305,27 @@ def derive_trigger(phys: PhysicalParams, ctrl: ControllerConfig,
             raise ConfigurationError(
                 f"b_star={b_star:g} does not exceed the floor mu3/(A alpha)={b_floor:g}")
 
-    return TriggerDerived(
+    derived = TriggerDerived(
         theta0=thetas[0], theta1=thetas[1], theta2=thetas[2], theta3=thetas[3],
         Upsilon=Upsilon, mu1=mu1, mu2=mu2, mu3=mu3, A=A, A_min=A_min,
         sigma=sigma, a1=a1, a2=a2, a3=a3, tau=tau, max_dwell=1.0 / ctrl.c,
         R=R, eps_star=components[2], eps_bound=eps_bound,
         eps_bound_components=components, f_max=fmax, b_star=b_star,
     )
+    # A constant past double precision would leave the trigger weights and
+    # the Lyapunov monitors inf or nan: on the shipped config f_max and
+    # b_star overflow from about sqrt(lam L^2/alpha) = 356 on, theta3 and
+    # mu3 a little later.
+    bad = []
+    for f in fields(derived):
+        value = getattr(derived, f.name)
+        if not all(map(math.isfinite, value if isinstance(value, tuple)
+                       else (value,))):
+            bad.append(f"{f.name}={value!r}")
+    if bad:
+        raise ConfigurationError(
+            f"derived constants not finite in double precision: {', '.join(bad)}")
+    return derived
 
 
 @dataclass

@@ -1,11 +1,20 @@
 """Shared fixtures: the default paraffin configuration and helpers for
 building modified copies by textual substitution.  Substitution edits the
 config text itself; `config.override`, which the sweep verb uses, rebuilds
-a parsed config instead."""
+a parsed config instead.  The repository root goes on the import path, so
+that the acceptance suite can read the benchmark's workload inputs and
+correctness gate from `perfbench`."""
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from stefanetc import config
+
+ROOT = str(Path(__file__).resolve().parents[1])
+if ROOT not in sys.path:
+    sys.path.append(ROOT)
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,16 @@
 """Acceptance suite: ten end-to-end criteria on the shipped paraffin
-experiment and its refinements, and a pin of the reference run against the
-benchmark's stored fingerprint.  Each criterion is one test that prints a
+experiment and its refinements, and a pin of the seed-0 runs of all three
+benchmark workloads against their stored fingerprints.  Each criterion is one test that prints a
 single pass/fail line; the expensive closed-loop runs are shared session
 fixtures."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from perfbench import gate, run, workloads
 from stefanetc import config, harness, params
 from stefanetc import diagnostics as dg
 from conftest import variant_text
@@ -206,16 +206,24 @@ def test_criterion_10_lyapunov_monitor(et_result):
 
 
 def test_reference_run_matches_benchmark_fingerprint(et_result):
-    # The benchmark's stored seed-0 fingerprint of the shipped config: the
-    # step count and every event time and reason exactly, the held inputs
-    # and the final s and m to 1e-9 relative.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "fingerprints.json"
-    expected = json.loads(path.read_text())["et_paraffin"][0]
-    ser = et_result.series
-    assert ser["t"].size == expected["steps"]
-    assert [[e.time, e.reason] for e in et_result.events] \
-        == [[time, reason] for time, reason, _ in expected["events"]]
-    q = [e.q_j for e in et_result.events]
-    assert q == pytest.approx([q_j for _, _, q_j in expected["events"]], rel=1e-9)
-    assert ser["s"][-1] == pytest.approx(expected["final_s"], rel=1e-9)
-    assert ser["m"][-1] == pytest.approx(expected["final_m"], rel=1e-9)
+    # The benchmark's stored seed-0 fingerprints of all three workloads:
+    # the reference run, the n = 161 continuous run and the 8 gamma-sweep
+    # members, each built from the workload's own inputs.  The step count
+    # and every event time and reason exactly, the held inputs and the
+    # final s and m to 1e-9 relative.
+    stored = json.loads(run.FINGERPRINTS.read_text())
+    results = {"et_paraffin": [et_result]}
+    for workload in ("fine_grid_continuous", "gamma_sweep"):
+        job = workloads.make_job(workload, 0)
+        cfg = config.parse_config_text(job["config_text"])
+        members = [cfg] if job["sweep_values"] is None else [
+            config.override(cfg, "trigger.gamma", value)
+            for value in job["sweep_values"]]
+        results[workload] = [harness.run_scenario(m) for m in members]
+    assert results.keys() == stored.keys()
+    for workload, runs in results.items():
+        assert len(runs) == len(stored[workload]), workload
+        for i, (expected, result) in enumerate(zip(stored[workload], runs)):
+            assert result.breach is None, (workload, i, result.breach)
+            assert gate.compare(expected, gate.fingerprint(result)) == [], \
+                (workload, i)

@@ -75,6 +75,8 @@ class TestStrictness:
         ("scheme.n", "2", "scheme.n must be at least 3"),
         ("scheme.dt", "nan", "scheme.dt='nan' is not finite"),
         ("scheme.dt", "inf", "scheme.dt='inf' is not finite"),
+        ("scheme.dt", "0", "scheme.dt must be positive"),
+        ("scheme.dt", "-0.5", "scheme.dt must be positive"),
         ("scenario.period", "nan", "scenario.period='nan' is not finite"),
         ("scenario.period", "-1", "scenario.period must be positive"),
         ("controller.c", "inf", "controller.c='inf' is not finite"),

@@ -18,9 +18,10 @@ from scipy import special
 from stefanetc import config, numerics, params
 from stefanetc.errors import ConfigurationError, NumericalFailure
 from stefanetc.numerics import (BESSEL_Z_MAX, diffusion_factor,
-                                ratio_I1_sqrt, ratio_J1_sqrt, simpson,
-                                solve_tridiagonal, trapezoid)
+                                ratio_J1_sqrt, simpson, solve_tridiagonal,
+                                trapezoid)
 from stefanetc.observer import observer_gain
+from observer_reference import ratio_I1_sqrt
 from tridiagonal_reference import diffusion_bands, thomas_factor, thomas_solve
 
 
@@ -244,7 +245,7 @@ class TestDiffusionFactor:
 
 
 class TestValueErrorAudit:
-    # ratio_I1_sqrt, ratio_J1_sqrt and trapezoid raise ValueError outside
+    # observer_gain, ratio_J1_sqrt and trapezoid raise ValueError outside
     # their domains; no configuration that passes validation reaches them.
     # ratio_J1_sqrt's argument is >= 0 on the packed triangle
     # (test_diagnostics::TestStacks::test_packed_grids_match_gathered), and

@@ -1,18 +1,57 @@
-"""Observer checks: the injection gain against its closed form, open-loop
-equivalence at zero gain, exact tracking from a perfect initialization, and
-error decay from a mismatched one."""
+"""Observer checks: the injection gain against its closed form and, bitwise,
+against its general form; the lean step (influence solve, end-value
+slopes) bitwise against the general step; open-loop equivalence at zero
+gain, exact tracking from a perfect initialization, and error decay from a
+mismatched one."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from stefanetc import harness, numerics, observer, params, plant
+from stefanetc.errors import ConfigurationError
+import observer_reference as reference
 
 PHYS = params.derive_physical(k=0.00220, rho=7.90e-4, cp=2380.0, dH=2.10e5,
                               L=3.0, Tm=37.0)
 LAM = 0.1
+
+
+def largest_valid_lam(phys):
+    """The largest lambda `ControllerConfig.validate` accepts on phys.L."""
+    def accepted(lam):
+        try:
+            params.ControllerConfig(c=3.0e-4, lam=lam, epsilon=10.0,
+                                    s_r=0.5 * phys.L).validate(phys)
+        except ConfigurationError:
+            return False
+        return True
+
+    lam = numerics.BESSEL_Z_MAX ** 2 * phys.alpha / (phys.L * phys.L)
+    while not accepted(lam):
+        lam = float(np.nextafter(lam, 0.0))
+    while accepted(float(np.nextafter(lam, math.inf))):
+        lam = float(np.nextafter(lam, math.inf))
+    return lam
+
+
+LAM_MAX = largest_valid_lam(PHYS)
+
+# Grid sizes, interface positions from 1e-4 to L (log-uniform, so tiny s,
+# where several or all entries fall below the series cut, is drawn often),
+# and lambda as a fraction of the validated bound.
+grid_sizes = st.integers(3, 161)
+positions = st.floats(math.log(1e-4), math.log(PHYS.L)).map(
+    lambda v: min(math.exp(v), PHYS.L))
+gain_fractions = st.one_of(st.floats(1e-9, 1.0), st.just(1.0))
+
+
+def bits(values):
+    return np.float64(values).tobytes()
 
 
 def linear_plant(amp, s0=0.1, n=21):
@@ -51,6 +90,57 @@ class TestGain:
         x = np.linspace(0.0, 2.0, 50)
         assert np.all(observer.observer_gain(x, 2.0, LAM, PHYS.alpha) < 0.0)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(grid_sizes, positions, gain_fractions)
+    def test_matches_general_form(self, n, s, frac):
+        # On the step's grid xi s, and entry by entry as scalars, the gain
+        # has the bits of the general two-branch form.
+        lam = frac * LAM_MAX
+        x = numerics.unit_grid(n) * s
+        got = observer.observer_gain(x, s, lam, PHYS.alpha)
+        assert bits(got) == bits(reference.observer_gain(x, s, lam, PHYS.alpha))
+        for xi, entry in zip(x.tolist(), got.tolist()):
+            scalar = observer.observer_gain(xi, s, lam, PHYS.alpha)
+            assert isinstance(scalar, float)
+            assert bits(scalar) == bits(entry) \
+                == bits(reference.observer_gain(xi, s, lam, PHYS.alpha))
+
+    def test_domain_check_reads_the_first_entry(self):
+        # The largest argument is at x = 0: one ulp of lambda past the
+        # validated bound puts it above BESSEL_Z_MAX on the grid and as a
+        # scalar, however the grid ends.
+        lam = float(np.nextafter(LAM_MAX, math.inf))
+        for x in (numerics.unit_grid(21) * PHYS.L,
+                  np.linspace(0.0, PHYS.L, 1025), 0.0):
+            observer.observer_gain(x, PHYS.L, LAM_MAX, PHYS.alpha)
+            with pytest.raises(ValueError, match="Bessel argument"):
+                observer.observer_gain(x, PHYS.L, lam, PHYS.alpha)
+            with pytest.raises(ValueError, match="Bessel argument"):
+                reference.observer_gain(x, PHYS.L, lam, PHYS.alpha)
+
+    @pytest.mark.parametrize("n, s, tail", [
+        (21, 1e-4, 21),      # every entry below the cut
+        (161, 1e-4, 161),
+        (21, 5e-3, 6),       # a tail of several entries and a head
+        (161, 5e-3, 44),
+        (21, 2.0, 1),        # the node x = s alone
+    ])
+    def test_tail_below_the_cut(self, n, s, tail):
+        x = numerics.unit_grid(n) * s
+        w = LAM * (s * s - x * x) / PHYS.alpha
+        assert np.count_nonzero(w < numerics._RATIO_SERIES_CUT) == tail
+        assert bits(observer.observer_gain(x, s, LAM, PHYS.alpha)) \
+            == bits(reference.observer_gain(x, s, LAM, PHYS.alpha))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(gain_fractions, st.sampled_from([513, 1025]))
+    def test_matches_general_form_on_f_max_grid(self, frac, points):
+        # f_max's quadrature grids linspace(0, L, .) at s = L.
+        lam = frac * LAM_MAX
+        x = np.linspace(0.0, PHYS.L, points)
+        assert bits(observer.observer_gain(x, PHYS.L, lam, PHYS.alpha)) \
+            == bits(reference.observer_gain(x, PHYS.L, lam, PHYS.alpha))
+
 
 class TestBoundarySlope:
     def test_matches_plant_interface_functional(self):
@@ -60,6 +150,20 @@ class TestBoundarySlope:
         slope = observer.boundary_slope(u, s)
         assert plant.interface_velocity(u, s, PHYS.beta) == pytest.approx(
             -PHYS.beta * slope, rel=1e-14)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(grid_sizes, positions, st.integers(0, 2 ** 32 - 1))
+    def test_end_values_match_array_form(self, n, s, seed):
+        # The one-profile slopes read end values as floats; they have the
+        # bits of the array difference and of a row of a stacked call.
+        u, u_hat = np.random.default_rng(seed).uniform(-10.0, 10.0, (2, n))
+        h = 1.0 / (n - 1)
+        err = u - u_hat
+        assert bits(observer.error_slope(u, u_hat, s)) \
+            == bits((err[..., -1] - err[..., -2]) / (h * s))
+        assert bits(observer.boundary_slope(u, s)) \
+            == bits((u[..., -1] - u[..., -2]) / (h * s)) \
+            == bits(observer.boundary_slope(u[None], np.array([s]))[0])
 
 
 class TestStep:
@@ -96,6 +200,36 @@ class TestStep:
         stepped = observer.step_observer(ostate, (s, sdot), PHYS, LAM, 1e-3, 0.5,
                                          measured_slope=-sdot / PHYS.beta)
         assert stepped.u_hat[-1] == 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(grid_sizes, positions, gain_fractions, st.floats(1e-3, 10.0))
+    def test_influence_profile_matches_advance_profile(self, n, s, frac, dt):
+        lam = frac * LAM_MAX
+        p = observer.observer_gain(numerics.unit_grid(n) * s, s, lam,
+                                   PHYS.alpha)
+        factor = plant.implicit_factor(s, dt, PHYS.alpha, n)
+        assert bits(observer.influence_profile(p, dt, factor)) \
+            == bits(reference.influence_profile(p, s, dt, PHYS.alpha, PHYS.k,
+                                                factor))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(grid_sizes, positions, gain_fractions, st.floats(1e-3, 10.0),
+           st.floats(-1e-2, 1e-2), st.floats(-1.0, 1.0),
+           st.floats(-100.0, 100.0), st.integers(0, 2 ** 32 - 1))
+    def test_step_matches_general_step(self, n, s, frac, dt, sdot, q, slope,
+                                       seed):
+        # The whole observer step has the bits of the general form: the
+        # general gain, the influence profile through advance_profile and
+        # the slopes taken on arrays.
+        lam = frac * LAM_MAX
+        u_hat = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
+        u_hat[-1] = 0.0
+        factor = plant.implicit_factor(s, dt, PHYS.alpha, n)
+        got = observer.step_observer(observer.ObserverState(u_hat=u_hat),
+                                     (s, sdot), PHYS, lam, q, dt,
+                                     measured_slope=slope, factor=factor)
+        assert bits(got.u_hat) == bits(reference.step_observer(
+            u_hat, s, sdot, PHYS, lam, q, dt, slope, factor))
 
     def test_one_factorization_per_step(self, monkeypatch, default_cfg):
         # The plant step and both observer solves share one tridiagonal

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from stefanetc import config, params
+from stefanetc import cli, config, params
 from stefanetc.errors import ConfigurationError
 from stefanetc.observer import observer_gain
 
@@ -153,6 +153,66 @@ class TestDerivationChain:
         assert d.mu2 == pytest.approx(36.85, rel=0.05)
         sigma_floor = params.compute_sigma(d.A_min, phys.alpha, phys.L)
         assert sigma_floor == pytest.approx(6.19e-5, rel=0.05)
+
+
+def gain_argument_config(z):
+    """The shipped config with lambda set so that the observer gain's
+    largest Bessel argument sqrt(lambda L^2/alpha) is z, run unsafe (the
+    initial data fail the lambda bound at such gains)."""
+    cfg = config.default_config()
+    lam = z * z * cfg.phys.alpha / (cfg.phys.L * cfg.phys.L)
+    cfg = config.override(cfg, "controller.lambda", repr(lam))
+    return config.override(cfg, "scenario.unsafe", "true")
+
+
+# What the derivation chain gives at sqrt(lambda L^2/alpha) = 355, the last
+# such argument below the overflow (kept as derived before the finiteness
+# check was added).
+AT_355 = {
+    "Upsilon": 7.473277002362671e+153,
+    "theta3": 2.01059528954554e+301,
+    "mu3": 4.0211905790910798e+298,
+    "f_max": 1.6782187799689128e+151,
+    "b_star": 1.8710889166821455e+305,
+    "tau": 0.6815804566345381,
+}
+
+
+class TestDoublePrecisionLimit:
+    # f_max squares a kernel that grows like I1(z)/z, and theta3 squares
+    # Upsilon = cosh(z): past about z = 356 they overflow on configs that
+    # ControllerConfig.validate accepts (z <= 700).  Every non-finite
+    # derived constant is a configuration error that names it, with no
+    # warning on the way.
+
+    @pytest.mark.parametrize("z, names", [
+        (360, "f_max=inf, b_star=inf"),
+        (400, "theta3=inf, mu3=inf, f_max=inf, b_star=inf"),
+        (699, "theta3=inf, mu3=inf, f_max=inf, b_star=inf"),
+    ])
+    def test_non_finite_constants_are_configuration_errors(
+            self, z, names, tmp_path, capsys):
+        cfg = gain_argument_config(z)
+        path = tmp_path / "gain.cfg"
+        path.write_text(config.serialize_config(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=f": {names}$"):
+                params.derive_trigger(cfg.phys, cfg.ctrl, cfg.trig)
+            code = cli.main(["run", "--config", str(path),
+                             "--output", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and names in err
+        assert "Traceback" not in err
+
+    def test_last_finite_argument_derives_as_before(self):
+        cfg = gain_argument_config(355)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            derived = params.derive_trigger(cfg.phys, cfg.ctrl, cfg.trig)
+        for name, value in AT_355.items():
+            assert getattr(derived, name) == pytest.approx(value, rel=1e-12), name
 
 
 class TestEpsilon:

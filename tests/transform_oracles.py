@@ -9,7 +9,9 @@ so a round trip also checks the packing.
 
 import numpy as np
 
-from stefanetc.numerics import ratio_I1_sqrt, unit_grid
+from stefanetc.numerics import unit_grid
+
+from observer_reference import ratio_I1_sqrt
 
 
 def volterra_weights(n: int, s: float) -> np.ndarray:
