@@ -7,8 +7,13 @@ and boundedness claims can be checked at runtime.
 
 The monitors take one profile or a (K, n) stack of K instants with length-K
 s (and X, m); each row of a stacked call has the bits of its own 1-D call.
-The Volterra kernels are evaluated on the upper triangle (y >= x) only, in
-chunks of at most MONITOR_STACK_ENTRIES // n^2 rows.
+The controller transform's kernel phi is affine, so its Volterra integral is
+two right-cumulative trapezoid sums: O(n) per row.  The inverse error
+transform's Bessel kernel depends on (x_i, y_j) only through j^2 - i^2 on
+the xi-grid; it is evaluated once per distinct value on the upper triangle
+(y >= x), in chunks of at most MONITOR_STACK_ENTRIES // n^2 rows.  Both keep
+the trapezoid rule of the full-matrix form and differ from it only in
+floating-point evaluation order.
 """
 
 from __future__ import annotations
@@ -61,43 +66,38 @@ def phi_kernel(x, c: float, beta: float, epsilon: float):
     return (c / beta) * np.asarray(x, dtype=float) - epsilon
 
 
-# Bound on the entries of one (k, n, n) Volterra matrix stack: the
-# transforms evaluate their O(n^2) kernels on chunks of at most
+# Bound on the entries of one (k, n, n) Volterra matrix stack: the inverse
+# error transform evaluates its O(n^2) kernel on chunks of at most
 # k = max(1, MONITOR_STACK_ENTRIES // n^2) rows, whatever the number of rows
-# they are given.
+# it is given.
 MONITOR_STACK_ENTRIES = 32768
 
 
 @functools.lru_cache(maxsize=8)
-def _upper(n: int):
-    """The upper triangle (y_j >= x_i) of an n x n Volterra matrix: the
-    grids xi_i and xi_j at its entries, packed in row-major order, and its
-    boolean mask; read-only, since the cache shares them."""
+def _triangle(n: int):
+    """The upper triangle (j >= i) of an n x n Volterra matrix on the xi-grid,
+    packed in row-major order: the distinct values of j^2 - i^2 and the index
+    that gathers them back onto the triangle, the trapezoid weights of
+    int_{x_i}^{s} y . dy in units of s^2 h, and the triangle's boolean mask;
+    read-only, since the cache shares them."""
     i, j = np.triu_indices(n)
-    xi = unit_grid(n)
+    squares, gather = np.unique(j * j - i * i, return_inverse=True)
+    # Trapezoid pattern: 1/2 at both ends of [x_i, s], 1 inside; the last
+    # row (x_i = s) is empty.  Times xi_j = y_j / s.
+    pattern = np.where((i == j) | (j == n - 1), 0.5, 1.0)
+    pattern[i == n - 1] = 0.0
     mask = np.zeros((n, n), dtype=bool)
     mask[i, j] = True
-    grids = (xi[i], xi[j], mask)
+    grids = (squares.astype(float), gather, unit_grid(n)[j] * pattern, mask)
     for a in grids:
         a.flags.writeable = False
     return grids
 
 
-@functools.lru_cache(maxsize=8)
-def _volterra_pattern(n: int) -> np.ndarray:
-    # Trapezoid weights in units of h on the upper triangle: 1/2 at both ends
-    # of [x_i, s], 1 inside; the last row (x_i = s) is empty.
-    i, j = np.triu_indices(n)
-    w = np.where((i == j) | (j == n - 1), 0.5, 1.0)
-    w[i == n - 1] = 0.0
-    w.flags.writeable = False
-    return w
-
-
 def _volterra_weights(n: int, s) -> np.ndarray:
-    """Trapezoid weights for int_{x_i}^{s} . dy on the xi-grid, packed on the
-    upper triangle; one row per entry of a length-k `s`."""
-    return _volterra_pattern(n) * (s / (n - 1))[:, None]
+    """Trapezoid weights for int_{x_i}^{s} y . dy on the xi-grid, packed on
+    the upper triangle; one row per entry of a length-k `s`."""
+    return _triangle(n)[2] * (s * s / (n - 1))[:, None]
 
 
 def _stack(profiles, *scalars):
@@ -108,7 +108,7 @@ def _stack(profiles, *scalars):
 
 
 def _volterra(kernel, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """int_{x_i}^{s} kernel(x_i, y) v(y) dy for each row of a (K, n) stack v.
+    """int_{x_i}^{s} y kernel(x_i, y) v(y) dy for each row of a (K, n) stack v.
 
     `kernel(s_c)` gives the packed upper-triangle values, (k, n(n+1)/2), for
     a (k, 1) column of s.  It is called on chunks of at most
@@ -119,12 +119,13 @@ def _volterra(kernel, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     k, n = v.shape
     chunk = max(1, MONITOR_STACK_ENTRIES // (n * n))
-    mask = _upper(n)[2]
+    mask = _triangle(n)[3]
     matrices = np.zeros((min(chunk, k), n, n))
     out = np.empty((k, n))
     for a in range(0, k, chunk):
         s_c = s[a:a + chunk]
-        packed = kernel(s_c[:, None]) * _volterra_weights(n, s_c)
+        packed = kernel(s_c[:, None])
+        packed *= _volterra_weights(n, s_c)
         matrix = matrices[:s_c.size]
         for r, row in enumerate(packed):
             matrix[r][mask] = row
@@ -132,21 +133,31 @@ def _volterra(kernel, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _error_kernel(n: int, s_c: np.ndarray, lam: float,
+                  alpha: float) -> np.ndarray:
+    """(lam/alpha) J1(sqrt(w))/sqrt(w), w = lam (y^2 - x^2)/alpha, packed on
+    the upper triangle for a (k, 1) column of s: the inverse error kernel
+    Q(x, y) over y.
+
+    On the xi-grid w = mu_s (j^2 - i^2) with mu_s = (lam/alpha) (s h)^2, so
+    the Bessel ratio is evaluated once per distinct j^2 - i^2 and gathered.
+    """
+    squares, gather, _, _ = _triangle(n)
+    ratio = ratio_J1_sqrt((lam / alpha) * (s_c / (n - 1)) ** 2 * squares)
+    ratio *= lam / alpha
+    return np.take(ratio, gather, axis=-1)
+
+
 def transform_error_inverse(u_tilde: np.ndarray, s, lam: float,
                             alpha: float) -> np.ndarray:
-    """w_tilde(x) = u_tilde(x) - int_x^s Q(x,y) u_tilde(y) dy on the xi-grid.
+    """w_tilde(x) = u_tilde(x) - int_x^s Q(x,y) u_tilde(y) dy on the xi-grid,
+    Q(x, y) = (lam/alpha) y J1(sqrt(w))/sqrt(w), w = lam (y^2 - x^2)/alpha.
 
     Takes one profile and its s, or a (K, n) stack and a length-K s.
     """
     u, s_k = _stack(u_tilde, s)
-    xi_i, xi_j, _ = _upper(u.shape[1])
-
-    def kernel(s_c):
-        x, y = xi_i * s_c, xi_j * s_c
-        # |y| >= |x| on the upper triangle, so the difference is >= 0.
-        return (lam / alpha) * y * ratio_J1_sqrt(lam * (y * y - x * x) / alpha)
-
-    out = u - _volterra(kernel, s_k, u)
+    n = u.shape[1]
+    out = u - _volterra(lambda s_c: _error_kernel(n, s_c, lam, alpha), s_k, u)
     return out.reshape(np.shape(u_tilde))
 
 
@@ -156,16 +167,22 @@ def transform_controller_direct(u_hat: np.ndarray, X, s,
     """w_hat = u_hat - (beta/alpha) int_x^s phi(x-y) u_hat dy - phi(x-s) X.
 
     Takes one profile with its X and s, or a (K, n) stack with length-K X
-    and s.
+    and s.  phi(x - y) = ((c/beta) x - epsilon) - (c/beta) y is affine, so
+    the trapezoid sum of the integral is ((c/beta) x - epsilon) T0 -
+    (c/beta) T1, with T0 and T1 the right-cumulative trapezoid sums of u_hat
+    and y u_hat: O(n) per row.
     """
     u, s_k, X = _stack(u_hat, s, X)
-    xi_i, xi_j, _ = _upper(u.shape[1])
-
-    def kernel(s_c):
-        return phi_kernel(xi_i * s_c - xi_j * s_c, c, beta, tc.epsilon)
-
-    x = unit_grid(u.shape[1]) * s_k[:, None]
-    out = u - (beta / alpha) * _volterra(kernel, s_k, u) \
+    n = u.shape[1]
+    x = unit_grid(n) * s_k[:, None]
+    # Panels (v_j + v_{j+1}) summed from the interface inwards; the last
+    # node (x = s) has an empty integral.
+    v = np.stack((u, x * u))
+    T = np.zeros(v.shape)
+    T[..., :-1] = np.cumsum(v[..., :0:-1] + v[..., -2::-1], axis=-1)[..., ::-1]
+    T *= (s_k / (2 * (n - 1)))[:, None]
+    integral = ((c / beta) * x - tc.epsilon) * T[0] - (c / beta) * T[1]
+    out = u - (beta / alpha) * integral \
         - phi_kernel(x - s_k[:, None], c, beta, tc.epsilon) * X[:, None]
     return out.reshape(np.shape(u_hat))
 
@@ -229,30 +246,13 @@ def f_max(L: float, lam: float, alpha: float, beta: float, c: float,
     return fine
 
 
-@dataclass(frozen=True)
-class LyapunovConfig:
-    """Weights of the composite Lyapunov functional V = A V1 + m, W = V e^{-xi s}."""
-    A: float
-    B: float
-    xi: float
-    b_star: float
-
-
-def lyapunov_config(A: float, b_star: float, f_max_value: float, L: float,
-                    alpha: float, beta: float, c: float,
-                    epsilon: float) -> LyapunovConfig:
-    B = 4.0 * L * L * f_max_value ** 2 / (alpha * alpha) \
-        + epsilon * beta / (2.0 * c) + b_star
-    xi = max(c * L / beta,
-             (beta / (alpha * epsilon)) * (epsilon * epsilon + c / beta))
-    return LyapunovConfig(A=A, B=B, xi=xi, b_star=b_star)
-
-
 def lyapunov_values(w_tilde: np.ndarray, u_hat: np.ndarray, s, m,
                     s_r: float, tc: TransformConstants, phys, c: float,
-                    lyap: LyapunovConfig):
+                    derived):
     """(V1, V, W) from the transformed observer error w_tilde (see
-    `transform_error_inverse`), the observer profile u_hat and m.
+    `transform_error_inverse`), the observer profile u_hat and m, with the
+    weights A, B and xi of `derived` (a `params.TriggerDerived`):
+    V = A V1 + m and W = V e^{-xi s}.
 
     Takes one instant, or (K, n) stacks with length-K s and m and then
     returns three length-K arrays.
@@ -276,10 +276,10 @@ def lyapunov_values(w_tilde: np.ndarray, u_hat: np.ndarray, s, m,
     V1 = 0.5 * hat_sq \
         + tc.epsilon * phys.alpha / (2.0 * phys.beta) * X * X \
         + 0.5 * tilde_sq \
-        + 0.5 * lyap.B * slope_sq
-    V = lyap.A * V1 + m
+        + 0.5 * derived.B * slope_sq
+    V = derived.A * V1 + m
     # math.exp per row: np.exp does not give the same bits.
-    W = V * np.array([math.exp(-lyap.xi * si) for si in s_k.tolist()])
+    W = V * np.array([math.exp(-derived.xi * si) for si in s_k.tolist()])
     if np.ndim(w_tilde) == 1:
         return float(V1[0]), float(V[0]), float(W[0])
     return V1, V, W

@@ -10,13 +10,13 @@ The monitors (norms, energy, transformed error, Lyapunov values) never feed
 back into the loop: the recorder buffers each step's feedback row and
 profiles, and one stacked monitor pass computes them for K steps at a time,
 K = max(1, MONITOR_ROW_ENTRIES // n), when the buffer is full, at the end of
-the run and at a breach.  The transforms inside the pass evaluate their
-O(n^2) kernels on chunks of at most diagnostics.MONITOR_STACK_ENTRIES // n^2
-of those rows, so the number of buffered rows and the size of the kernel
-stack are set apart.  Every row is bitwise the value a pass per step would
-give.  Validity breaches end the run with a structured record,
-which carries the loop's state at the breach, instead of an exception
-escaping.
+the run and at a breach.  Inside the pass the controller transform is O(n)
+per row, and the inverse error transform evaluates its O(n^2) kernel on
+chunks of at most diagnostics.MONITOR_STACK_ENTRIES // n^2 of those rows,
+so the number of buffered rows and the size of the kernel stack are set
+apart.  Every row is bitwise the value a pass per step would give.
+Validity breaches end the run with a structured record, which carries the
+loop's state at the breach, instead of an exception escaping.
 """
 
 from __future__ import annotations
@@ -106,9 +106,6 @@ class ClosedLoop:
         self.weights = (derived.sigma, derived.mu1, derived.mu2, derived.mu3)
         self.tc = diagnostics.transform_constants(phys.alpha, phys.beta,
                                                   ctrl.c, ctrl.epsilon)
-        self.lyap = diagnostics.lyapunov_config(
-            derived.A, derived.b_star, derived.f_max, phys.L, phys.alpha,
-            phys.beta, ctrl.c, ctrl.epsilon)
         kind = cfg.scenario.kind
         self.period = None if kind == "event_triggered" else \
             self.dt if kind == "continuous" else cfg.scenario.period
@@ -212,13 +209,13 @@ class ClosedLoop:
 MONITOR_ROW_ENTRIES = 2048
 
 
-def _monitor_columns(U, E, U_hat, s, m, phys, lam, s_r, tc, c, lyap):
+def _monitor_columns(U, E, U_hat, s, m, phys, lam, s_r, tc, c, derived):
     """The monitor columns of K buffered steps, from (K, n) stacks of u,
     u - u_hat and u_hat and length-K s and m, in one stacked pass."""
     err_norm, _ = observer.error_norms(E, s)
     w_tilde = diagnostics.transform_error_inverse(E, s, lam, phys.alpha)
     V1, V, W = diagnostics.lyapunov_values(w_tilde, U_hat, s, m, s_r, tc,
-                                           phys, c, lyap)
+                                           phys, c, derived)
     # One quadrature for the two squared norms and the energy.
     u_sq, w_tilde_sq, u_int = numerics.trapezoid(
         np.stack((U * U, w_tilde * w_tilde, U)), s)
@@ -294,7 +291,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     rec = _Recorder(
         monitors=functools.partial(_monitor_columns, phys=cfg.phys,
                                    lam=loop.lam, s_r=loop.s_r, tc=loop.tc,
-                                   c=loop.c, lyap=loop.lyap),
+                                   c=loop.c, derived=derived),
         stack=max(1, MONITOR_ROW_ENTRIES // n))
 
     horizon_end = scheme.horizon if scheme.horizon is not None else scheme.max_horizon
@@ -477,6 +474,8 @@ def derivation_report(cfg: ScenarioConfig, derived: params.TriggerDerived) -> st
         "[lyapunov weights]",
         f"f_max = sqrt(int_0^L f(x,L)^2 dx)  = {d.f_max!r}",
         f"b_star (> mu3/(A alpha))           = {d.b_star!r}",
+        f"B = 4 L^2 f_max^2/alpha^2 + eps beta/(2c) + b_star = {d.B!r}",
+        f"xi = max(c L/beta, beta (eps^2 + c/beta)/(alpha eps)) = {d.xi!r}",
         "",
         "[dynamic trigger configuration]",
         f"eta = {trig.eta!r}, gamma = {trig.gamma!r}, delta = {trig.delta!r}, "

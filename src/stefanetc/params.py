@@ -3,8 +3,9 @@
 Every constant the closed-loop guarantees rely on is derived here from the
 raw configuration: diffusivities, the gain-integral bound
 Upsilon = cosh(sqrt(lambda/alpha) L), the theta weights, the trigger weights
-mu_i, the Lyapunov scale A and damping sigma, the dwell-time quadratic
-(a1, a2, a3) and minimal dwell tau, and the epsilon admissibility bounds.
+mu_i, the Lyapunov scale A and damping sigma, the Lyapunov weights B and
+xi, the dwell-time quadratic (a1, a2, a3) and minimal dwell tau, and the
+epsilon admissibility bounds.
 Initial data is validated against the positivity (Lipschitz / sandwich /
 setpoint-window) conditions.
 
@@ -125,6 +126,8 @@ class TriggerDerived:
     eps_bound_components: tuple[float, float, float]
     f_max: float
     b_star: float
+    B: float            # Lyapunov weight of the error slope term of V1
+    xi: float           # decay rate of W = V e^{-xi s}
 
 
 def compute_upsilon(alpha: float, lam: float, L: float) -> float:
@@ -190,14 +193,6 @@ def epsilon_star(alpha: float, beta: float, c: float, L: float) -> float:
     # h(e) = h0 - lin e - quad e^2 = 0; stable form of the positive root.
     disc = math.sqrt(lin * lin + 4.0 * quad * h0)
     return 2.0 * h0 / (lin + disc)
-
-
-def h_of_epsilon(eps: float, alpha: float, beta: float, c: float, L: float) -> float:
-    """The quadratic whose positive root is epsilon_star."""
-    R = 2.0 * math.sqrt(alpha * c) / beta
-    return (alpha * c / (4.0 * beta)
-            - (4.0 * beta * beta * R * R * L / alpha + 7.0 * alpha / (16.0 * L)) * eps
-            - (4.0 * beta + beta ** 3 * R * R * L * L / (2.0 * alpha * alpha)) * eps * eps)
 
 
 def epsilon_bounds(alpha: float, beta: float, c: float,
@@ -305,17 +300,24 @@ def derive_trigger(phys: PhysicalParams, ctrl: ControllerConfig,
             raise ConfigurationError(
                 f"b_star={b_star:g} does not exceed the floor mu3/(A alpha)={b_floor:g}")
 
+    # The weights of V = A V1 + m and W = V e^{-xi s}.
+    L, alpha, beta = phys.L, phys.alpha, phys.beta
+    c, eps = ctrl.c, ctrl.epsilon
+    B = 4.0 * L * L * fmax * fmax / (alpha * alpha) \
+        + eps * beta / (2.0 * c) + b_star
+    xi = max(c * L / beta, (beta / (alpha * eps)) * (eps * eps + c / beta))
+
     derived = TriggerDerived(
         theta0=thetas[0], theta1=thetas[1], theta2=thetas[2], theta3=thetas[3],
         Upsilon=Upsilon, mu1=mu1, mu2=mu2, mu3=mu3, A=A, A_min=A_min,
         sigma=sigma, a1=a1, a2=a2, a3=a3, tau=tau, max_dwell=1.0 / ctrl.c,
         R=R, eps_star=components[2], eps_bound=eps_bound,
-        eps_bound_components=components, f_max=fmax, b_star=b_star,
+        eps_bound_components=components, f_max=fmax, b_star=b_star, B=B, xi=xi,
     )
     # A constant past double precision would leave the trigger weights and
-    # the Lyapunov monitors inf or nan: on the shipped config f_max and
-    # b_star overflow from about sqrt(lam L^2/alpha) = 356 on, theta3 and
-    # mu3 a little later.
+    # the Lyapunov monitors inf or nan: on the shipped config B overflows
+    # from sqrt(lam L^2/alpha) = 354 on, f_max and b_star from about 356,
+    # theta3 and mu3 a little later.
     bad = []
     for f in fields(derived):
         value = getattr(derived, f.name)

@@ -247,8 +247,8 @@ class TestDiffusionFactor:
 class TestValueErrorAudit:
     # observer_gain, ratio_J1_sqrt and trapezoid raise ValueError outside
     # their domains; no configuration that passes validation reaches them.
-    # ratio_J1_sqrt's argument is >= 0 on the packed triangle
-    # (test_diagnostics::TestStacks::test_packed_grids_match_gathered), and
+    # ratio_J1_sqrt's argument in the monitors is mu_s (j^2 - i^2) >= 0 on
+    # the upper triangle j >= i (test_diagnostics::TestKernelOracles), and
     # trapezoid gets n >= 3 samples (TestStrictness rejects scheme.n = 2).
 
     def test_bessel_bound_read_in_the_gains_order(self, default_cfg):

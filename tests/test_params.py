@@ -35,6 +35,8 @@ ORACLE = {
     "eps_star": 0.4525709584348692,
     "eps_bound": 0.21337522170849402,
     "f_max": 711979435.1812379,
+    "B": 1.3330107816568992e+25,
+    "xi": 67.86818181818181,
 }
 
 
@@ -69,7 +71,7 @@ class TestPhysical:
 class TestDerivationChain:
     def test_frozen_values(self, derived):
         for name, value in ORACLE.items():
-            rel = {"f_max": 1e-12, "Upsilon": 1e-12}.get(name, 1e-10)
+            rel = {"f_max": 1e-12, "Upsilon": 1e-12, "B": 1e-12}.get(name, 1e-10)
             assert getattr(derived, name) == pytest.approx(value, rel=rel), name
 
     def test_shipped_config_derives_without_warnings(self):
@@ -165,33 +167,30 @@ def gain_argument_config(z):
     return config.override(cfg, "scenario.unsafe", "true")
 
 
-# What the derivation chain gives at sqrt(lambda L^2/alpha) = 355, the last
-# such argument below the overflow (kept as derived before the finiteness
-# check was added).
-AT_355 = {
-    "Upsilon": 7.473277002362671e+153,
-    "theta3": 2.01059528954554e+301,
-    "mu3": 4.0211905790910798e+298,
-    "f_max": 1.6782187799689128e+151,
-    "b_star": 1.8710889166821455e+305,
+# What the derivation chain gives at sqrt(lambda L^2/alpha) = 353, the last
+# integer argument below the overflow of B (kept as derived before the
+# finiteness check was added, B and xi as the monitors computed them).
+AT_353 = {
+    "Upsilon": 1.0113980598204157e+153,
+    "theta3": 3.682533727470604e+299,
+    "mu3": 7.365067454941208e+296,
+    "f_max": 2.268162037974561e+150,
+    "b_star": 3.427018892666301e+303,
+    "B": 1.3527713376636046e+308,
+    "xi": 67.86818181818181,
     "tau": 0.6815804566345381,
 }
 
 
 class TestDoublePrecisionLimit:
-    # f_max squares a kernel that grows like I1(z)/z, and theta3 squares
-    # Upsilon = cosh(z): past about z = 356 they overflow on configs that
-    # ControllerConfig.validate accepts (z <= 700).  Every non-finite
-    # derived constant is a configuration error that names it, with no
-    # warning on the way.
+    # B = 4 L^2 f_max^2/alpha^2 + ... overflows from z = sqrt(lambda
+    # L^2/alpha) = 354 on; f_max squares a kernel that grows like I1(z)/z,
+    # and theta3 squares Upsilon = cosh(z): past about z = 356 they overflow
+    # too, on configs that ControllerConfig.validate accepts (z <= 700).
+    # Every non-finite derived constant is a configuration error that names
+    # it, with no warning on the way.
 
-    @pytest.mark.parametrize("z, names", [
-        (360, "f_max=inf, b_star=inf"),
-        (400, "theta3=inf, mu3=inf, f_max=inf, b_star=inf"),
-        (699, "theta3=inf, mu3=inf, f_max=inf, b_star=inf"),
-    ])
-    def test_non_finite_constants_are_configuration_errors(
-            self, z, names, tmp_path, capsys):
+    def assert_configuration_error(self, z, names, tmp_path, capsys):
         cfg = gain_argument_config(z)
         path = tmp_path / "gain.cfg"
         path.write_text(config.serialize_config(cfg))
@@ -206,25 +205,48 @@ class TestDoublePrecisionLimit:
         assert err.startswith("configuration error:") and names in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("z, names", [
+        (360, "f_max=inf, b_star=inf"),
+        (400, "theta3=inf, mu3=inf, f_max=inf, b_star=inf"),
+        (699, "theta3=inf, mu3=inf, f_max=inf, b_star=inf"),
+    ])
+    def test_non_finite_constants_are_configuration_errors(
+            self, z, names, tmp_path, capsys):
+        self.assert_configuration_error(z, f"{names}, B=inf", tmp_path, capsys)
+
+    @pytest.mark.parametrize("z", [354, 355])
+    def test_lyapunov_weight_overflow_is_configuration_error(
+            self, z, tmp_path, capsys):
+        # Before B was derived here, such a run wrote inf into V1, V and W.
+        self.assert_configuration_error(z, "B=inf", tmp_path, capsys)
+
     def test_last_finite_argument_derives_as_before(self):
-        cfg = gain_argument_config(355)
+        cfg = gain_argument_config(353)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             derived = params.derive_trigger(cfg.phys, cfg.ctrl, cfg.trig)
-        for name, value in AT_355.items():
+        for name, value in AT_353.items():
             assert getattr(derived, name) == pytest.approx(value, rel=1e-12), name
+
+
+def h_of_epsilon(eps: float, alpha: float, beta: float, c: float, L: float) -> float:
+    """The quadratic whose positive root is params.epsilon_star."""
+    R = 2.0 * math.sqrt(alpha * c) / beta
+    return (alpha * c / (4.0 * beta)
+            - (4.0 * beta * beta * R * R * L / alpha + 7.0 * alpha / (16.0 * L)) * eps
+            - (4.0 * beta + beta ** 3 * R * R * L * L / (2.0 * alpha * alpha)) * eps * eps)
 
 
 class TestEpsilon:
     def test_star_is_root(self, derived):
-        h = params.h_of_epsilon(derived.eps_star, ALPHA, BETA, 3.0e-4, 3.0)
-        assert abs(h) < 1e-12 * params.h_of_epsilon(0.0, ALPHA, BETA, 3.0e-4, 3.0)
+        h = h_of_epsilon(derived.eps_star, ALPHA, BETA, 3.0e-4, 3.0)
+        assert abs(h) < 1e-12 * h_of_epsilon(0.0, ALPHA, BETA, 3.0e-4, 3.0)
 
     def test_bound_is_min_of_components(self, derived):
         assert derived.eps_bound == min(derived.eps_bound_components)
 
     def test_h_positive_at_zero(self):
-        assert params.h_of_epsilon(0.0, ALPHA, BETA, 3.0e-4, 3.0) > 0.0
+        assert h_of_epsilon(0.0, ALPHA, BETA, 3.0e-4, 3.0) > 0.0
 
 
 class TestDwellTime:
