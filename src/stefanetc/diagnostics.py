@@ -5,15 +5,15 @@ quantities.  The transforms map simulated states into the target-system
 coordinates in which the stability analysis is immediate, so that decay rates
 and boundedness claims can be checked at runtime.
 
-The monitors take one profile or a (K, n) stack of K instants with length-K
-s (and X, m); each row of a stacked call has the bits of its own 1-D call.
-The controller transform's kernel phi is affine, so its Volterra integral is
-two right-cumulative trapezoid sums: O(n) per row.  The inverse error
-transform's Bessel kernel depends on (x_i, y_j) only through j^2 - i^2 on
-the xi-grid; it is evaluated once per distinct value on the upper triangle
-(y >= x), in chunks of at most MONITOR_STACK_ENTRIES // n^2 rows.  Both keep
-the trapezoid rule of the full-matrix form and differ from it only in
-floating-point evaluation order.
+The monitors take (K, n) stacks of K instants with length-K s (and X, m);
+each row has the bits of a one-row stack.  The controller transform's kernel
+phi is affine, so its Volterra integral is two right-cumulative trapezoid
+sums: O(n) per row.  The inverse error transform's Bessel kernel depends on
+(x_i, y_j) only through j^2 - i^2 on the xi-grid; it is evaluated once per
+distinct value of max(j^2 - i^2, 0) and gathered onto the n x n grid, in
+chunks of at most MONITOR_STACK_ENTRIES // n^2 rows, with zero weight below
+the diagonal (y < x).  Both keep the trapezoid rule of the full-matrix form
+and differ from it only in floating-point evaluation order.
 """
 
 from __future__ import annotations
@@ -74,117 +74,89 @@ MONITOR_STACK_ENTRIES = 32768
 
 
 @functools.lru_cache(maxsize=8)
-def _triangle(n: int):
-    """The upper triangle (j >= i) of an n x n Volterra matrix on the xi-grid,
-    packed in row-major order: the distinct values of j^2 - i^2 and the index
-    that gathers them back onto the triangle, the trapezoid weights of
-    int_{x_i}^{s} y . dy in units of s^2 h, and the triangle's boolean mask;
+def _grid(n: int):
+    """The n x n Volterra matrix on the xi-grid: the distinct values of
+    max(j^2 - i^2, 0), the (n, n) index that gathers them onto the grid, and
+    the trapezoid weights of int_{x_i}^{s} y . dy in units of s^2 h;
     read-only, since the cache shares them."""
-    i, j = np.triu_indices(n)
-    squares, gather = np.unique(j * j - i * i, return_inverse=True)
-    # Trapezoid pattern: 1/2 at both ends of [x_i, s], 1 inside; the last
-    # row (x_i = s) is empty.  Times xi_j = y_j / s.
-    pattern = np.where((i == j) | (j == n - 1), 0.5, 1.0)
-    pattern[i == n - 1] = 0.0
-    mask = np.zeros((n, n), dtype=bool)
-    mask[i, j] = True
-    grids = (squares.astype(float), gather, unit_grid(n)[j] * pattern, mask)
+    k = np.arange(n)
+    squares, gather = np.unique(np.maximum(k * k - k[:, None] ** 2, 0),
+                                return_inverse=True)
+    # Trapezoid pattern: 1/2 at both ends of [x_i, s], 1 inside, 0 below the
+    # diagonal; the last row (x_i = s) is empty.  Times xi_j = y_j / s.
+    pattern = np.triu(np.where((k == k[:, None]) | (k == n - 1), 0.5, 1.0))
+    pattern[-1] = 0.0
+    grids = (squares.astype(float), gather.reshape(n, n),
+             unit_grid(n) * pattern)
     for a in grids:
         a.flags.writeable = False
     return grids
 
 
-def _volterra_weights(n: int, s) -> np.ndarray:
-    """Trapezoid weights for int_{x_i}^{s} y . dy on the xi-grid, packed on
-    the upper triangle; one row per entry of a length-k `s`."""
-    return _triangle(n)[2] * (s * s / (n - 1))[:, None]
-
-
-def _stack(profiles, *scalars):
-    """A (K, n) stack and length-K arrays from a stack or one 1-D profile
-    with its scalars."""
-    return (np.atleast_2d(np.asarray(profiles, dtype=float)),
-            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in scalars))
-
-
-def _volterra(kernel, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """int_{x_i}^{s} y kernel(x_i, y) v(y) dy for each row of a (K, n) stack v.
-
-    `kernel(s_c)` gives the packed upper-triangle values, (k, n(n+1)/2), for
-    a (k, 1) column of s.  It is called on chunks of at most
-    MONITOR_STACK_ENTRIES // n^2 rows; each chunk is weighted, written row by
-    row into a zeroed (k, n, n) array (its lower triangle stays zero) and
-    applied with matmul, which gives every row the bits of its own
-    matrix-vector product.
-    """
-    k, n = v.shape
-    chunk = max(1, MONITOR_STACK_ENTRIES // (n * n))
-    mask = _triangle(n)[3]
-    matrices = np.zeros((min(chunk, k), n, n))
-    out = np.empty((k, n))
-    for a in range(0, k, chunk):
-        s_c = s[a:a + chunk]
-        packed = kernel(s_c[:, None])
-        packed *= _volterra_weights(n, s_c)
-        matrix = matrices[:s_c.size]
-        for r, row in enumerate(packed):
-            matrix[r][mask] = row
-        out[a:a + chunk] = (matrix @ v[a:a + chunk, :, None])[:, :, 0]
-    return out
+def _volterra_weights(n: int, s: np.ndarray) -> np.ndarray:
+    """Trapezoid weights for int_{x_i}^{s} y . dy on the xi-grid, (k, n, n)
+    for a length-k `s`; +0.0 below the diagonal."""
+    return _grid(n)[2] * (s * s / (n - 1))[:, None, None]
 
 
 def _error_kernel(n: int, s_c: np.ndarray, lam: float,
                   alpha: float) -> np.ndarray:
-    """(lam/alpha) J1(sqrt(w))/sqrt(w), w = lam (y^2 - x^2)/alpha, packed on
-    the upper triangle for a (k, 1) column of s: the inverse error kernel
-    Q(x, y) over y.
+    """(lam/alpha) J1(sqrt(w))/sqrt(w), w = lam max(y^2 - x^2, 0)/alpha, on
+    the n x n grid for each entry of a length-k s: (k, n, n).
 
-    On the xi-grid w = mu_s (j^2 - i^2) with mu_s = (lam/alpha) (s h)^2, so
-    the Bessel ratio is evaluated once per distinct j^2 - i^2 and gathered.
+    On the xi-grid w = mu_s max(j^2 - i^2, 0) with mu_s = (lam/alpha)
+    (s h)^2, so the Bessel ratio is evaluated once per distinct value and
+    gathered.  Below the diagonal it is the diagonal's (lam/alpha)/2.
     """
-    squares, gather, _, _ = _triangle(n)
-    ratio = ratio_J1_sqrt((lam / alpha) * (s_c / (n - 1)) ** 2 * squares)
+    squares, gather, _ = _grid(n)
+    ratio = ratio_J1_sqrt((lam / alpha) * (s_c[:, None] / (n - 1)) ** 2
+                          * squares)
     ratio *= lam / alpha
     return np.take(ratio, gather, axis=-1)
 
 
-def transform_error_inverse(u_tilde: np.ndarray, s, lam: float,
+def transform_error_inverse(u_tilde: np.ndarray, s: np.ndarray, lam: float,
                             alpha: float) -> np.ndarray:
     """w_tilde(x) = u_tilde(x) - int_x^s Q(x,y) u_tilde(y) dy on the xi-grid,
-    Q(x, y) = (lam/alpha) y J1(sqrt(w))/sqrt(w), w = lam (y^2 - x^2)/alpha.
+    Q(x, y) = (lam/alpha) y J1(sqrt(w))/sqrt(w), w = lam (y^2 - x^2)/alpha,
+    for a (K, n) stack u_tilde and a length-K s.
 
-    Takes one profile and its s, or a (K, n) stack and a length-K s.
+    Each chunk's weighted kernel is applied with one matmul, which gives
+    every row the bits of its own matrix-vector product.
     """
-    u, s_k = _stack(u_tilde, s)
-    n = u.shape[1]
-    out = u - _volterra(lambda s_c: _error_kernel(n, s_c, lam, alpha), s_k, u)
-    return out.reshape(np.shape(u_tilde))
+    k, n = u_tilde.shape
+    chunk = max(1, MONITOR_STACK_ENTRIES // (n * n))
+    out = np.empty((k, n))
+    for a in range(0, k, chunk):
+        s_c = s[a:a + chunk]
+        matrix = _error_kernel(n, s_c, lam, alpha)
+        matrix *= _volterra_weights(n, s_c)
+        out[a:a + chunk] = (matrix @ u_tilde[a:a + chunk, :, None])[:, :, 0]
+    return u_tilde - out
 
 
-def transform_controller_direct(u_hat: np.ndarray, X, s,
-                                tc: TransformConstants, alpha: float,
+def transform_controller_direct(u_hat: np.ndarray, X: np.ndarray,
+                                s: np.ndarray, epsilon: float, alpha: float,
                                 beta: float, c: float) -> np.ndarray:
-    """w_hat = u_hat - (beta/alpha) int_x^s phi(x-y) u_hat dy - phi(x-s) X.
+    """w_hat = u_hat - (beta/alpha) int_x^s phi(x-y) u_hat dy - phi(x-s) X,
+    for a (K, n) stack u_hat and length-K X and s.
 
-    Takes one profile with its X and s, or a (K, n) stack with length-K X
-    and s.  phi(x - y) = ((c/beta) x - epsilon) - (c/beta) y is affine, so
-    the trapezoid sum of the integral is ((c/beta) x - epsilon) T0 -
-    (c/beta) T1, with T0 and T1 the right-cumulative trapezoid sums of u_hat
-    and y u_hat: O(n) per row.
+    phi(x - y) = ((c/beta) x - epsilon) - (c/beta) y is affine, so the
+    trapezoid sum of the integral is ((c/beta) x - epsilon) T0 - (c/beta)
+    T1, with T0 and T1 the right-cumulative trapezoid sums of u_hat and
+    y u_hat: O(n) per row.
     """
-    u, s_k, X = _stack(u_hat, s, X)
-    n = u.shape[1]
-    x = unit_grid(n) * s_k[:, None]
+    n = u_hat.shape[1]
+    x = unit_grid(n) * s[:, None]
     # Panels (v_j + v_{j+1}) summed from the interface inwards; the last
     # node (x = s) has an empty integral.
-    v = np.stack((u, x * u))
+    v = np.stack((u_hat, x * u_hat))
     T = np.zeros(v.shape)
     T[..., :-1] = np.cumsum(v[..., :0:-1] + v[..., -2::-1], axis=-1)[..., ::-1]
-    T *= (s_k / (2 * (n - 1)))[:, None]
-    integral = ((c / beta) * x - tc.epsilon) * T[0] - (c / beta) * T[1]
-    out = u - (beta / alpha) * integral \
-        - phi_kernel(x - s_k[:, None], c, beta, tc.epsilon) * X[:, None]
-    return out.reshape(np.shape(u_hat))
+    T *= (s / (2 * (n - 1)))[:, None]
+    integral = ((c / beta) * x - epsilon) * T[0] - (c / beta) * T[1]
+    return u_hat - (beta / alpha) * integral \
+        - phi_kernel(x - s[:, None], c, beta, epsilon) * X[:, None]
 
 
 def f_kernel(x, s: float, lam: float, alpha: float, beta: float, c: float,
@@ -246,40 +218,35 @@ def f_max(L: float, lam: float, alpha: float, beta: float, c: float,
     return fine
 
 
-def lyapunov_values(w_tilde: np.ndarray, u_hat: np.ndarray, s, m,
-                    s_r: float, tc: TransformConstants, phys, c: float,
+def lyapunov_values(w_tilde: np.ndarray, u_hat: np.ndarray, s: np.ndarray,
+                    m: np.ndarray, s_r: float, epsilon: float, phys, c: float,
                     derived):
-    """(V1, V, W) from the transformed observer error w_tilde (see
-    `transform_error_inverse`), the observer profile u_hat and m, with the
-    weights A, B and xi of `derived` (a `params.TriggerDerived`):
-    V = A V1 + m and W = V e^{-xi s}.
-
-    Takes one instant, or (K, n) stacks with length-K s and m and then
-    returns three length-K arrays.
+    """(V1, V, W) from (K, n) stacks of the transformed observer error
+    w_tilde (see `transform_error_inverse`) and the observer profile u_hat,
+    and length-K s and m, with the weights A, B and xi of `derived` (a
+    `params.TriggerDerived`): V = A V1 + m and W = V e^{-xi s}, three
+    length-K arrays.
     """
-    w_tilde_k, s_k = _stack(w_tilde, s)
-    u_hat_k, X = _stack(u_hat, s_k - s_r)
-    w_hat = transform_controller_direct(u_hat_k, X, s_k, tc, phys.alpha,
+    X = s - s_r
+    w_hat = transform_controller_direct(u_hat, X, s, epsilon, phys.alpha,
                                         phys.beta, c)
     # np.gradient(w_tilde, h, axis=-1)'s own expressions (edge order 1),
     # over s for the physical slope.
-    h = 1.0 / (w_tilde_k.shape[1] - 1)
-    slope = np.empty(w_tilde_k.shape)
-    slope[:, 1:-1] = (w_tilde_k[:, 2:] - w_tilde_k[:, :-2]) / (2.0 * h)
-    slope[:, 0] = (w_tilde_k[:, 1] - w_tilde_k[:, 0]) / h
-    slope[:, -1] = (w_tilde_k[:, -1] - w_tilde_k[:, -2]) / h
-    slope /= s_k[:, None]
+    h = 1.0 / (w_tilde.shape[1] - 1)
+    slope = np.empty(w_tilde.shape)
+    slope[:, 1:-1] = (w_tilde[:, 2:] - w_tilde[:, :-2]) / (2.0 * h)
+    slope[:, 0] = (w_tilde[:, 1] - w_tilde[:, 0]) / h
+    slope[:, -1] = (w_tilde[:, -1] - w_tilde[:, -2]) / h
+    slope /= s[:, None]
     # One quadrature for the three integrands.
-    squares = np.stack((w_hat, w_tilde_k, slope))
+    squares = np.stack((w_hat, w_tilde, slope))
     squares *= squares
-    hat_sq, tilde_sq, slope_sq = trapezoid(squares, s_k)
+    hat_sq, tilde_sq, slope_sq = trapezoid(squares, s)
     V1 = 0.5 * hat_sq \
-        + tc.epsilon * phys.alpha / (2.0 * phys.beta) * X * X \
+        + epsilon * phys.alpha / (2.0 * phys.beta) * X * X \
         + 0.5 * tilde_sq \
         + 0.5 * derived.B * slope_sq
     V = derived.A * V1 + m
     # math.exp per row: np.exp does not give the same bits.
-    W = V * np.array([math.exp(-derived.xi * si) for si in s_k.tolist()])
-    if np.ndim(w_tilde) == 1:
-        return float(V1[0]), float(V[0]), float(W[0])
+    W = V * np.array([math.exp(-derived.xi * si) for si in s.tolist()])
     return V1, V, W

@@ -104,8 +104,6 @@ class ClosedLoop:
         self.c, self.lam, self.s_r = ctrl.c, ctrl.lam, ctrl.s_r
         self.gamma, self.eta = trig.gamma, trig.eta
         self.weights = (derived.sigma, derived.mu1, derived.mu2, derived.mu3)
-        self.tc = diagnostics.transform_constants(phys.alpha, phys.beta,
-                                                  ctrl.c, ctrl.epsilon)
         kind = cfg.scenario.kind
         self.period = None if kind == "event_triggered" else \
             self.dt if kind == "continuous" else cfg.scenario.period
@@ -209,12 +207,12 @@ class ClosedLoop:
 MONITOR_ROW_ENTRIES = 2048
 
 
-def _monitor_columns(U, E, U_hat, s, m, phys, lam, s_r, tc, c, derived):
+def _monitor_columns(U, E, U_hat, s, m, phys, lam, s_r, epsilon, c, derived):
     """The monitor columns of K buffered steps, from (K, n) stacks of u,
     u - u_hat and u_hat and length-K s and m, in one stacked pass."""
-    err_norm, _ = observer.error_norms(E, s)
+    err_norm = observer.error_norms(E, s)
     w_tilde = diagnostics.transform_error_inverse(E, s, lam, phys.alpha)
-    V1, V, W = diagnostics.lyapunov_values(w_tilde, U_hat, s, m, s_r, tc,
+    V1, V, W = diagnostics.lyapunov_values(w_tilde, U_hat, s, m, s_r, epsilon,
                                            phys, c, derived)
     # One quadrature for the two squared norms and the energy.
     u_sq, w_tilde_sq, u_int = numerics.trapezoid(
@@ -290,8 +288,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     loop = ClosedLoop(cfg, derived)
     rec = _Recorder(
         monitors=functools.partial(_monitor_columns, phys=cfg.phys,
-                                   lam=loop.lam, s_r=loop.s_r, tc=loop.tc,
-                                   c=loop.c, derived=derived),
+                                   lam=loop.lam, s_r=loop.s_r,
+                                   epsilon=cfg.ctrl.epsilon, c=loop.c,
+                                   derived=derived),
         stack=max(1, MONITOR_ROW_ENTRIES // n))
 
     horizon_end = scheme.horizon if scheme.horizon is not None else scheme.max_horizon

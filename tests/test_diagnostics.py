@@ -2,9 +2,9 @@
 both transform pairs with grid-refinement order, the forcing-kernel norm
 against a hand-integrated case and a reference search over s, the
 Lyapunov functional at rest, the monitor transforms against their
-full-matrix forms and the inverse kernel against mpmath, and stacked
-monitor calls against their row-by-row calls and the fused quadratures
-against separate calls."""
+full-matrix forms, the inverse kernel against mpmath and its weights below
+the diagonal, and stacked monitor calls against one-row stacks and the
+fused quadratures against separate calls."""
 
 import math
 import warnings
@@ -52,11 +52,11 @@ def smooth_profiles(n):
 def round_trip_errors(n, s, tc):
     worst_err_pair, worst_ctrl_pair = 0.0, 0.0
     for p in smooth_profiles(n):
-        rt = dg.transform_error_inverse(
+        rt = oracles.error_inverse(
             oracles.transform_error_direct(p, s, LAM, ALPHA), s, LAM, ALPHA)
         worst_err_pair = max(worst_err_pair, float(np.max(np.abs(rt - p))))
         X = 0.3
-        w = dg.transform_controller_direct(p, X, s, tc, ALPHA, BETA, C)
+        w = oracles.controller_direct(p, X, s, EPS, ALPHA, BETA, C)
         back = oracles.transform_controller_inverse(w, X, s, tc, ALPHA, BETA)
         worst_ctrl_pair = max(worst_ctrl_pair, float(np.max(np.abs(back - p))))
     return worst_err_pair, worst_ctrl_pair
@@ -105,7 +105,7 @@ class TestRoundTrips:
         p = smooth_profiles(21)[0]
         assert np.allclose(oracles.transform_error_direct(p, 0.5, 0.0, ALPHA),
                            p, atol=1e-14)
-        assert np.allclose(dg.transform_error_inverse(p, 0.5, 0.0, ALPHA), p,
+        assert np.allclose(oracles.error_inverse(p, 0.5, 0.0, ALPHA), p,
                            atol=1e-14)
 
 
@@ -165,10 +165,11 @@ class TestForcingKernel:
 
 
 class TestLyapunov:
-    def test_rest_state_values(self, tc, derived):
+    def test_rest_state_values(self, derived):
         m0 = 1e-4
-        V1, V, W = dg.lyapunov_values(np.zeros(21), np.zeros(21), 2.0, m0,
-                                      2.0, tc, PHYS, C, derived)
+        (V1,), (V,), (W,) = dg.lyapunov_values(
+            np.zeros((1, 21)), np.zeros((1, 21)), np.array([2.0]),
+            np.array([m0]), 2.0, EPS, PHYS, C, derived)
         assert V1 == 0.0
         assert V == m0
         assert W == pytest.approx(m0 * math.exp(-derived.xi * 2.0), rel=1e-12)
@@ -200,38 +201,37 @@ def same_bits(stacked, rows):
 
 class TestStacks:
     # The monitors run on (K, n) stacks of buffered steps; each row must
-    # carry the bits of its own 1-D call, whatever K.
+    # carry the bits of its own one-row stack, whatever K.
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(monitor_stacks())
-    def test_stacked_monitors_match_row_calls(self, tc, derived, stack):
+    def test_stacked_monitors_match_row_calls(self, derived, stack):
         U, E, W, s, m = stack
-        rows = range(len(s))
-        assert same_bits(trapezoid(U, s), [trapezoid(U[r], s[r]) for r in rows])
-        norms, slopes = error_norms(E, s)
-        singles = [error_norms(E[r], s[r]) for r in rows]
-        assert same_bits(norms, [a for a, _ in singles])
-        assert same_bits(slopes, [b for _, b in singles])
+        rows = [slice(r, r + 1) for r in range(len(s))]
+        assert same_bits(trapezoid(U, s),
+                         [trapezoid(U[r], s[r]) for r in range(len(s))])
+        assert same_bits(error_norms(E, s),
+                         [error_norms(E[r], s[r]) for r in rows])
         assert same_bits(
             dg.transform_error_inverse(E, s, LAM, ALPHA),
             [dg.transform_error_inverse(E[r], s[r], LAM, ALPHA) for r in rows])
         X = s - 2.0
         assert same_bits(
-            dg.transform_controller_direct(U, X, s, tc, ALPHA, BETA, C),
-            [dg.transform_controller_direct(U[r], X[r], s[r], tc, ALPHA, BETA, C)
-             for r in rows])
-        stacked = dg.lyapunov_values(W, U, s, m, 2.0, tc, PHYS, C, derived)
-        singles = [dg.lyapunov_values(W[r], U[r], s[r], m[r], 2.0, tc, PHYS,
+            dg.transform_controller_direct(U, X, s, EPS, ALPHA, BETA, C),
+            [dg.transform_controller_direct(U[r], X[r], s[r], EPS, ALPHA,
+                                            BETA, C) for r in rows])
+        stacked = dg.lyapunov_values(W, U, s, m, 2.0, EPS, PHYS, C, derived)
+        singles = [dg.lyapunov_values(W[r], U[r], s[r], m[r], 2.0, EPS, PHYS,
                                       C, derived) for r in rows]
         for column, values in zip(stacked, zip(*singles)):
-            assert same_bits(column, values)
+            assert same_bits(column, np.concatenate(values))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(monitor_stacks())
-    def test_packed_kernels_match_full_matrix(self, tc, stack):
-        # A 1-D call against the full n x n kernel cut by np.triu and one
-        # matrix-vector product, to TRANSFORM_RTOL of the magnitudes summed
-        # (see TestKernelOracles): the transforms keep the trapezoid rule of
-        # the full-matrix form and change only the evaluation order.
+    def test_kernels_match_full_matrix(self, stack):
+        # A one-row stack against the full n x n kernel cut by np.triu and
+        # one matrix-vector product, to TRANSFORM_RTOL of the magnitudes
+        # summed (see TestKernelOracles): the transforms keep the trapezoid
+        # rule of the full-matrix form and change only the evaluation order.
         U, E, _, s, _ = stack
         for u, e, si in zip(U, E, s):
             n = u.size
@@ -242,7 +242,7 @@ class TestStacks:
                         * ratio_J1_sqrt(LAM * diff / ALPHA)) * weights
             bound = TRANSFORM_RTOL * (np.abs(e) + np.max(np.abs(M), axis=1)
                                       * np.sum(np.abs(e)))
-            got = dg.transform_error_inverse(e, si, LAM, ALPHA)
+            got = oracles.error_inverse(e, si, LAM, ALPHA)
             assert (np.abs(got - (e - M @ e)) <= bound).all()
             X = si - 2.0
             phi = np.triu(dg.phi_kernel(y[:, None] - y[None, :], C, BETA, EPS))
@@ -254,28 +254,28 @@ class TestStacks:
             bound = TRANSFORM_RTOL * (
                 np.abs(u) + (BETA / ALPHA) * ((split * weights) @ np.abs(u))
                 + np.abs(dg.phi_kernel(y - si, C, BETA, EPS) * X))
-            got = dg.transform_controller_direct(u, X, si, tc, ALPHA, BETA, C)
+            got = oracles.controller_direct(u, X, si, EPS, ALPHA, BETA, C)
             assert (np.abs(got - full) <= bound).all()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(monitor_stacks())
-    def test_fused_quadratures_match_separate_calls(self, tc, derived, stack):
+    def test_fused_quadratures_match_separate_calls(self, derived, stack):
         # The monitor pass makes one trapezoid call for its three integrands
         # and lyapunov_values one for its three, with np.gradient's
         # expressions written out; both must give the bits of the separate
         # calls and of np.gradient.
         U, E, W, s, m = stack
         X = s - 2.0
-        w_hat = dg.transform_controller_direct(U, X, s, tc, ALPHA, BETA, C)
+        w_hat = dg.transform_controller_direct(U, X, s, EPS, ALPHA, BETA, C)
         slope = np.gradient(W, 1.0 / (W.shape[1] - 1), axis=-1) / s[:, None]
         V1 = 0.5 * trapezoid(w_hat * w_hat, s) \
-            + tc.epsilon * ALPHA / (2.0 * BETA) * X * X \
+            + EPS * ALPHA / (2.0 * BETA) * X * X \
             + 0.5 * trapezoid(W * W, s) \
             + 0.5 * derived.B * trapezoid(slope * slope, s)
-        got = dg.lyapunov_values(W, U, s, m, 2.0, tc, PHYS, C, derived)
+        got = dg.lyapunov_values(W, U, s, m, 2.0, EPS, PHYS, C, derived)
         assert same_bits(got[0], V1) and same_bits(got[1], derived.A * V1 + m)
 
-        columns = harness._monitor_columns(U, E, W, s, m, PHYS, LAM, 2.0, tc,
+        columns = harness._monitor_columns(U, E, W, s, m, PHYS, LAM, 2.0, EPS,
                                            C, derived)
         w_tilde = dg.transform_error_inverse(E, s, LAM, ALPHA)
         for name, values in (("norm_T_Tm", U), ("norm_w_tilde", w_tilde)):
@@ -324,28 +324,38 @@ class TestKernelOracles:
     def test_inverse_kernel_matches_mpmath(self, n, s, lam):
         # j1 is accurate in absolute, not relative, terms near its zeros, so
         # each entry is bounded relative to its row's largest magnitude.
-        i, j = np.triu_indices(n)
-        packed = dg._error_kernel(n, np.array([[s]]), lam, ALPHA)[0]
-        got = packed * (unit_grid(n) * s)[j]
-        start = 0
-        for row in range(n):
-            exact = exact_kernel_row(n, s, lam, ALPHA, row)
-            err = np.abs(got[start:start + exact.size] - exact)
-            assert (err <= TRANSFORM_RTOL * np.max(np.abs(exact))).all(), row
-            start += exact.size
+        got = dg._error_kernel(n, np.array([s]), lam, ALPHA)[0] \
+            * (unit_grid(n) * s)
+        for i in range(n):
+            exact = exact_kernel_row(n, s, lam, ALPHA, i)
+            err = np.abs(got[i, i:] - exact)
+            assert (err <= TRANSFORM_RTOL * np.max(np.abs(exact))).all(), i
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.sampled_from([3, 4, 21, 41, 161]),
            arrays(np.float64, st.integers(1, 3),
                   elements=st.floats(0.01, PHYS.L)))
     def test_distinct_square_gather_matches_full_grid(self, n, s):
-        # The Bessel ratio is evaluated once per distinct j^2 - i^2 and
-        # gathered onto the triangle; it must be the bits of the ratio at
-        # mu_s (j^2 - i^2) evaluated entry by entry on the full n x n grid.
-        i, j = np.triu_indices(n)
+        # The Bessel ratio is evaluated once per distinct max(j^2 - i^2, 0)
+        # and gathered onto the grid; it must be the bits of the ratio at
+        # mu_s max(j^2 - i^2, 0) evaluated entry by entry on the full n x n
+        # grid, below the diagonal too.
         k = np.arange(n)
         squares = np.maximum(k[None, :] ** 2 - k[:, None] ** 2, 0)
         mu = (LAM / ALPHA) * (s / (n - 1)) ** 2
         full = (LAM / ALPHA) * ratio_J1_sqrt(mu[:, None, None] * squares)
-        assert same_bits(dg._error_kernel(n, s[:, None], LAM, ALPHA),
-                         full[:, i, j])
+        assert same_bits(dg._error_kernel(n, s, LAM, ALPHA), full)
+
+    @pytest.mark.parametrize("n", [3, 4, 21, 161])
+    def test_weights_vanish_below_the_diagonal(self, n):
+        # The kernel below the diagonal is the diagonal's (lam/alpha)/2 > 0,
+        # so a weight of +0.0 there gives the +0.0 of a zeroed matrix; the
+        # upper triangle holds the trapezoid weights of the full-matrix form.
+        s = np.array([0.05, 1.0, PHYS.L])
+        weights = dg._volterra_weights(n, s)
+        below = np.tril(np.ones((n, n), dtype=bool), -1)
+        assert (weights[:, below] == 0.0).all()
+        assert not np.signbit(weights[:, below]).any()
+        for row, si in zip(weights, s):
+            expected = oracles.volterra_weights(n, si) * (unit_grid(n) * si)
+            assert np.allclose(row, expected, rtol=1e-15, atol=0.0)

@@ -62,10 +62,11 @@ def linear_plant(amp, s0=0.1, n=21):
 def run_pair(pstate, ostate, q, steps, dt=0.5, lam=LAM):
     for _ in range(steps):
         s, sdot = plant.measure(pstate)
-        pnew = plant.step_plant(pstate, PHYS, q, dt)
+        factor = plant.implicit_factor(s, dt, PHYS.alpha, pstate.u.size)
+        pnew = plant.step_plant(pstate, PHYS, q, dt, factor)
         ostate = observer.step_observer(
             ostate, (s, sdot), PHYS, lam, q, dt,
-            measured_slope=-pnew.sdot / PHYS.beta)
+            measured_slope=-pnew.sdot / PHYS.beta, factor=factor)
         pstate = pnew
     return pstate, ostate
 
@@ -154,16 +155,15 @@ class TestBoundarySlope:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(grid_sizes, positions, st.integers(0, 2 ** 32 - 1))
     def test_end_values_match_array_form(self, n, s, seed):
-        # The one-profile slopes read end values as floats; they have the
-        # bits of the array difference and of a row of a stacked call.
+        # The slopes read end values as floats; they have the bits of the
+        # array difference.
         u, u_hat = np.random.default_rng(seed).uniform(-10.0, 10.0, (2, n))
         h = 1.0 / (n - 1)
         err = u - u_hat
         assert bits(observer.error_slope(u, u_hat, s)) \
             == bits((err[..., -1] - err[..., -2]) / (h * s))
         assert bits(observer.boundary_slope(u, s)) \
-            == bits((u[..., -1] - u[..., -2]) / (h * s)) \
-            == bits(observer.boundary_slope(u[None], np.array([s]))[0])
+            == bits((u[..., -1] - u[..., -2]) / (h * s))
 
 
 class TestStep:
@@ -171,10 +171,12 @@ class TestStep:
         pstate = linear_plant(1.0)
         ostate = observer.ObserverState(u_hat=pstate.u.copy())
         s, sdot = plant.measure(pstate)
+        factor = plant.implicit_factor(s, 0.5, PHYS.alpha, pstate.u.size)
         stepped = observer.step_observer(ostate, (s, sdot), PHYS, 0.0, 1e-3, 0.5,
-                                         measured_slope=-sdot / PHYS.beta)
+                                         measured_slope=-sdot / PHYS.beta,
+                                         factor=factor)
         direct = plant.advance_profile(pstate.u, s, sdot, 1e-3, 0.5,
-                                       PHYS.alpha, PHYS.k)
+                                       PHYS.alpha, PHYS.k, factor)
         assert np.allclose(stepped.u_hat, direct, atol=1e-14)
 
     def test_perfect_initialization_stays_exact(self):
@@ -188,17 +190,19 @@ class TestStep:
     def test_error_decays_from_mismatch(self):
         pstate = linear_plant(1.0)
         ostate = observer.ObserverState(u_hat=linear_plant(10.0).u)
-        norm0, _ = observer.error_norms(pstate.u - ostate.u_hat, pstate.s)
+        norm0 = observer.error_norms(pstate.u - ostate.u_hat, pstate.s)
         pstate, ostate = run_pair(pstate, ostate, 1e-3, 400)
-        norm, _ = observer.error_norms(pstate.u - ostate.u_hat, pstate.s)
+        norm = observer.error_norms(pstate.u - ostate.u_hat, pstate.s)
         assert norm < 1e-6 * norm0
 
     def test_interface_value_pinned(self):
         pstate = linear_plant(1.0)
         ostate = observer.ObserverState(u_hat=linear_plant(10.0).u)
         s, sdot = plant.measure(pstate)
+        factor = plant.implicit_factor(s, 0.5, PHYS.alpha, pstate.u.size)
         stepped = observer.step_observer(ostate, (s, sdot), PHYS, LAM, 1e-3, 0.5,
-                                         measured_slope=-sdot / PHYS.beta)
+                                         measured_slope=-sdot / PHYS.beta,
+                                         factor=factor)
         assert stepped.u_hat[-1] == 0.0
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -320,7 +324,8 @@ class TestErrorNorms:
     def test_values_on_known_fields(self):
         err = np.ones(21)
         err[-1] = 0.0
-        norm, slope = observer.error_norms(err, 2.0)
+        norm = observer.error_norms(err, 2.0)
+        slope = observer.boundary_slope(err, 2.0)
         # err^2 = 1 except 0 at the last node: the s-scaled trapezoid sum is
         # s h (0.5 + 19 + 0) = s (1 - h/2).
         h = 0.05

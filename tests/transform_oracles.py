@@ -1,14 +1,16 @@
 """Test oracles for the backstepping transforms: the direct error transform,
-the inverse controller transform and its psi kernel bound.
+the inverse controller transform and its psi kernel bound, and the monitor
+transforms of one profile.
 
 Only the tests call these.  They are the other halves of the transform pairs
 whose monitor halves live in `stefanetc.diagnostics`, written on the full
-n x n Volterra matrix rather than the packed upper triangle the package uses,
-so a round trip also checks the packing.
+n x n Volterra matrix cut by np.triu rather than the distinct-value kernel
+and structured sums the package uses, so a round trip also checks those.
 """
 
 import numpy as np
 
+from stefanetc import diagnostics
 from stefanetc.numerics import unit_grid
 
 from observer_reference import ratio_I1_sqrt
@@ -22,6 +24,19 @@ def volterra_weights(n: int, s: float) -> np.ndarray:
     w[:, -1] = 0.5
     w[-1, :] = 0.0
     return w * (s / (n - 1))
+
+
+def error_inverse(u_tilde, s, lam, alpha):
+    """`diagnostics.transform_error_inverse` of one profile: a one-row stack."""
+    return diagnostics.transform_error_inverse(u_tilde[None], np.array([s]),
+                                               lam, alpha)[0]
+
+
+def controller_direct(u_hat, X, s, epsilon, alpha, beta, c):
+    """`diagnostics.transform_controller_direct` of one profile: a one-row
+    stack."""
+    return diagnostics.transform_controller_direct(
+        u_hat[None], np.array([X]), np.array([s]), epsilon, alpha, beta, c)[0]
 
 
 def psi_kernel(x, tc):

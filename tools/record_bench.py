@@ -12,8 +12,9 @@ Run from a git checkout of stefanetc.  The record holds:
   halved each time (0.5 s down to 0.0625 s) and a 500 s horizon, run in one
   process with BLAS pinned to one thread, after a warm-up run, three rounds
   over the ladder; each entry gives the three µs/step values, their median,
-  and a sha256 of the series and event records, so that two records can be
-  checked for bitwise equal results.
+  a sha256 of the series and event records, so that two records can be
+  checked for bitwise equal results, and a sha256 per series column and one
+  of the events, which show which of them moved.
 
 The file is written at the repository root.  It is named after the short
 hash of HEAD; when ``src/`` differs from HEAD, the name also carries the
@@ -62,16 +63,21 @@ def perfbench(workload: str, seconds: float, trace: int) -> dict:
     return {"result": json.loads(lines[-1]), "environment": env}
 
 
-def _digest(result) -> str:
-    """sha256 over the series columns and the event records of one run."""
+def _digests(result) -> dict:
+    """sha256 over the series columns and the event records of one run, and
+    one per column and of the events alone."""
     from stefanetc import harness
 
+    parts = {column: result.series[column].tobytes()
+             for column in harness.SERIES_COLUMNS}
+    parts["events"] = repr([(e.time, e.reason, e.q_j, e.dwell, e.d_squared,
+                             e.gamma_m) for e in result.events]).encode()
     digest = hashlib.sha256()
-    for column in harness.SERIES_COLUMNS:
-        digest.update(result.series[column].tobytes())
-    digest.update(repr([(e.time, e.reason, e.q_j, e.dwell, e.d_squared,
-                         e.gamma_m) for e in result.events]).encode())
-    return digest.hexdigest()
+    for part in parts.values():
+        digest.update(part)
+    return {"results_sha256": digest.hexdigest(),
+            "column_sha256": {name: hashlib.sha256(part).hexdigest()
+                              for name, part in parts.items()}}
 
 
 def ladder() -> list[dict]:
@@ -98,7 +104,7 @@ def ladder() -> list[dict]:
             entry.update(steps=int(result.series["t"].size - 1),
                          events=len(result.events),
                          breach=result.breach is not None,
-                         results_sha256=_digest(result))
+                         **_digests(result))
     for entry in entries:
         entry["median_us_per_step"] = statistics.median(entry["us_per_step"])
     return entries
