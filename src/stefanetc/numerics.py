@@ -26,7 +26,7 @@ _RATIO_SERIES_CUT = 1e-3
 
 def _ratio_series(w, sign):
     # I1(sqrt(w))/sqrt(w) = (1/2) sum_k (w/4)^k / (k! (k+1)!); J1 alternates.
-    return 0.5 + sign * w / 16.0 + w * w / 384.0
+    return 0.5 + sign * w / 16.0 + w * w / 384.0 + sign * w * w * w / 18432.0
 
 
 def ratio_J1_sqrt(w):

@@ -291,8 +291,8 @@ class TestStacks:
 # and |w d/dw R(w)| = |J2(sqrt w)|/2 <= 1/4 for R(w) = J1(sqrt w)/sqrt w, so
 # the argument costs about 1 eps of R; j1, sqrt and the divide a few eps
 # more, say 8 eps (lam/alpha) y_j per entry of Q.  Entries below the series
-# cut w = 1e-3 have R near 1/2 and a truncation error under
-# w^3/18432 < 5.5e-14, 1.1e-13 of themselves.  A row i >= 1 holds its
+# cut w = 1e-3 have R near 1/2 and are within 1e-15 of themselves
+# (test_numerics::TestRatios).  A row i >= 1 holds its
 # diagonal (lam/alpha) y_i/2, so the others are within 16 eps (n - 1)/i
 # (5.7e-13 at n = 161) of the row's largest magnitude; row 0 holds
 # (lam/alpha) y_1 |R(mu_s)|, and |R(mu_s)| >= 0.045 on the grids drawn

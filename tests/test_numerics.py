@@ -8,6 +8,7 @@ than themselves.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,7 +51,8 @@ def masked_ratio_sqrt(w, sign, bessel):
     small = w < numerics._RATIO_SERIES_CUT
     large = ~small
     out = np.empty(w.shape)
-    out[small] = 0.5 + sign * w[small] / 16.0 + w[small] * w[small] / 384.0
+    v = w[small]
+    out[small] = 0.5 + sign * v / 16.0 + v * v / 384.0 + sign * v * v * v / 18432.0
     z = z[large]
     out[large] = bessel(z) / z
     return float(out) if out.ndim == 0 else out
@@ -89,6 +91,23 @@ class TestRatios:
             assert ratio_I1_sqrt(w) == pytest.approx(series_I1(z) / z, rel=1e-10)
             assert ratio_J1_sqrt(w) == pytest.approx(series_J1(z) / z, rel=1e-10)
 
+    @pytest.mark.parametrize("w", [1e-5, 1e-4, 5e-4, 9e-4, 9.99e-4])
+    def test_series_below_the_cut_matches_mpmath(self, w):
+        # Below the cut both ratios are their power series.  The first
+        # omitted term, w^4/1474560, is under 1e-18 of the ratio there, so
+        # the sum's rounding (a few ulps of 1/2) decides: within 1e-15
+        # relative of the 40-digit values, as the Bessel branch just above
+        # the cut is.
+        with mpmath.workdps(40):
+            z = mpmath.sqrt(mpmath.mpf(w))
+            exact_I = mpmath.besseli(1, z) / z
+            exact_J = mpmath.besselj(1, z) / z
+            for got, exact in ((numerics._ratio_series(w, 1.0), exact_I),
+                               (numerics._ratio_series(w, -1.0), exact_J),
+                               (ratio_I1_sqrt(w), exact_I),
+                               (ratio_J1_sqrt(w), exact_J)):
+                assert abs(got - exact) <= 1e-15 * exact
+
     def test_against_series_moderate(self):
         for w in (0.1, 1.0, 9.0, 100.0):
             z = math.sqrt(w)
@@ -123,7 +142,8 @@ class TestRatios:
         def both_branches(sign, bessel):
             small = w < cut
             safe_z = np.where(small, 1.0, np.sqrt(w))
-            series = 0.5 + sign * w / 16.0 + w * w / 384.0
+            series = 0.5 + sign * w / 16.0 + w * w / 384.0 \
+                + sign * w * w * w / 18432.0
             return np.where(small, series, bessel(safe_z) / safe_z)
 
         for ratio, sign, bessel in ((ratio_I1_sqrt, +1.0, special.i1),
