@@ -21,44 +21,12 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import ConfigurationError
 from .numerics import ratio_J1_sqrt, simpson, trapezoid, unit_grid
 from .observer import observer_gain
-
-
-@dataclass(frozen=True)
-class TransformConstants:
-    """Constants of the controller-transform kernel pair (phi, psi)."""
-    epsilon: float
-    nu: float
-    omega: float
-    zeta: float
-
-
-def transform_constants(alpha: float, beta: float, c: float,
-                        epsilon: float) -> TransformConstants:
-    limit = 2.0 * math.sqrt(alpha * c) / beta
-    if not 0.0 < epsilon < limit:
-        raise ConfigurationError(
-            f"epsilon={epsilon:g} outside (0, 2*sqrt(alpha*c)/beta={limit:g})"
-        )
-    nu = beta * epsilon / (2.0 * alpha)
-    omega = math.sqrt((4.0 * alpha * c - (epsilon * beta) ** 2) / (4.0 * alpha * alpha))
-    zeta = -(2.0 * alpha * c - (epsilon * beta) ** 2) / (2.0 * alpha * beta * omega)
-    # For epsilon below sqrt(alpha c)/beta the kernel bound must hold exactly.
-    if epsilon < math.sqrt(alpha * c) / beta:
-        bound = 4.0 * alpha * c / (beta * beta)
-        if zeta * zeta + epsilon * epsilon >= bound:
-            raise ConfigurationError(
-                f"zeta^2+eps^2={zeta * zeta + epsilon * epsilon:g} "
-                f"not below 4*alpha*c/beta^2={bound:g}"
-            )
-    return TransformConstants(epsilon=epsilon, nu=nu, omega=omega, zeta=zeta)
 
 
 def phi_kernel(x, c: float, beta: float, epsilon: float):

@@ -446,6 +446,7 @@ def derivation_report(cfg: ScenarioConfig, derived: params.TriggerDerived) -> st
         f"mu1 = theta1/(gamma (1-delta))     = {d.mu1!r}",
         f"mu2 = theta2/(gamma (1-delta))     = {d.mu2!r}",
         f"mu3 = theta3/(gamma (1-delta))     = {d.mu3!r}",
+        f"zeta = -(2 alpha c - eps^2 beta^2)/(2 alpha beta omega) = {d.zeta!r}",
         f"A_min (max of two brackets)        = {d.A_min!r}",
         f"A (configured or 1.05*A_min)       = {d.A!r}",
         f"sigma = 4 A alpha L                = {d.sigma!r}",

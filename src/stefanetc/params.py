@@ -3,9 +3,10 @@
 Every constant the closed-loop guarantees rely on is derived here from the
 raw configuration: diffusivities, the gain-integral bound
 Upsilon = cosh(sqrt(lambda/alpha) L), the theta weights, the trigger weights
-mu_i, the Lyapunov scale A and damping sigma, the Lyapunov weights B and
-xi, the dwell-time quadratic (a1, a2, a3) and minimal dwell tau, and the
-epsilon admissibility bounds.
+mu_i, zeta of the inverse controller kernel, the Lyapunov scale A and
+damping sigma, the Lyapunov weights B and xi, the dwell-time quadratic
+(a1, a2, a3) and minimal dwell tau, and the epsilon admissibility bounds.
+Each input is checked once, before the first formula that needs it.
 Initial data is validated against the positivity (Lipschitz / sandwich /
 setpoint-window) conditions.
 
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .diagnostics import f_max as compute_f_max
-from .diagnostics import transform_constants
 from .errors import ConfigurationError, InvariantViolation
 from .numerics import BESSEL_Z_MAX
 
@@ -112,6 +112,7 @@ class TriggerDerived:
     mu1: float
     mu2: float
     mu3: float
+    zeta: float         # of psi(x) = e^{nu x}(zeta sin(omega x) + eps cos(omega x))
     A: float
     A_min: float
     sigma: float
@@ -121,7 +122,6 @@ class TriggerDerived:
     tau: float
     max_dwell: float
     R: float
-    eps_star: float
     eps_bound: float
     eps_bound_components: tuple[float, float, float]
     f_max: float
@@ -155,10 +155,6 @@ def compute_thetas(c: float, L: float, alpha: float, beta: float,
 
 def compute_mus(thetas, gamma: float, delta: float):
     """mu_i = theta_i / (gamma (1 - delta)) for the three state-norm weights."""
-    if not gamma > 0.0:
-        raise ConfigurationError("gamma must be positive")
-    if not 0.0 <= delta < 1.0:
-        raise ConfigurationError(f"delta={delta:g} must lie in [0, 1)")
     scale = gamma * (1.0 - delta)
     _, theta1, theta2, theta3 = thetas
     return theta1 / scale, theta2 / scale, theta3 / scale
@@ -180,13 +176,14 @@ def compute_sigma(A: float, alpha: float, L: float) -> float:
     return 4.0 * A * alpha * L
 
 
-def epsilon_star(alpha: float, beta: float, c: float, L: float) -> float:
-    """Positive root of the downward-opening quadratic h(eps).
+def epsilon_star(alpha: float, beta: float, c: float, L: float,
+                 R: float) -> float:
+    """Positive root of the downward-opening quadratic h(eps), with
+    R = 2 sqrt(alpha c)/beta.
 
     h(0) = alpha c / (4 beta) > 0 and h' < 0 for eps >= 0, so the positive
     root exists and is unique.
     """
-    R = 2.0 * math.sqrt(alpha * c) / beta
     h0 = alpha * c / (4.0 * beta)
     lin = 4.0 * beta * beta * R * R * L / alpha + 7.0 * alpha / (16.0 * L)
     quad = 4.0 * beta + beta ** 3 * R * R * L * L / (2.0 * alpha * alpha)
@@ -195,18 +192,18 @@ def epsilon_star(alpha: float, beta: float, c: float, L: float) -> float:
     return 2.0 * h0 / (lin + disc)
 
 
-def epsilon_bounds(alpha: float, beta: float, c: float,
-                   L: float) -> tuple[float, tuple[float, float, float]]:
-    """The admissible upper bound on epsilon and its three components.
+def epsilon_bounds(alpha: float, beta: float, c: float, L: float,
+                   R: float) -> tuple[float, tuple[float, float, float]]:
+    """The admissible upper bound on epsilon and its three components, with
+    R = 2 sqrt(alpha c)/beta.
 
     Returns (min of the three, (sqrt(alpha c)/beta, the alpha/(8 beta L ...)
     term, epsilon_star)).  Callers report rather than hard-fail on violation:
     the convergence analysis needs the bound, the closed loop runs without it.
     """
-    R = 2.0 * math.sqrt(alpha * c) / beta
     first = math.sqrt(alpha * c) / beta
     second = alpha / (8.0 * beta * L * (8.0 + beta * beta * R * R * L * L / (alpha * alpha)))
-    third = epsilon_star(alpha, beta, c, L)
+    third = epsilon_star(alpha, beta, c, L, R)
     return min(first, second, third), (first, second, third)
 
 
@@ -239,12 +236,10 @@ def min_dwell_time(theta0: float, gamma: float, sigma: float, eta: float,
                    delta: float, c: float):
     """(a1, a2, a3, tau): dwell-time quadratic coefficients and minimal dwell.
 
-    tau < 1/c is a consequence of delta < 1/(1+c); a violation indicates an
-    inconsistent configuration and is raised, not returned.
+    tau < 1/c is a consequence of delta < 1/(1+c), which `derive_trigger`
+    checks; a violation indicates an inconsistent configuration and is
+    raised, not returned.
     """
-    if not 0.0 < delta < 1.0 / (1.0 + c):
-        raise ConfigurationError(
-            f"delta={delta:g} must lie in (0, 1/(1+c)={1.0 / (1.0 + c):g})")
     a1 = gamma * delta * sigma
     a2 = 1.0 + theta0 + 2.0 * gamma * (1.0 - delta) * sigma + eta
     a3 = (1.0 + theta0 + gamma * (1.0 - delta) * sigma + eta) * (1.0 - delta) / delta
@@ -267,31 +262,43 @@ def derive_trigger(phys: PhysicalParams, ctrl: ControllerConfig,
     for name, value in (("eta", trig.eta), ("gamma", trig.gamma), ("m0", trig.m0)):
         if not value > 0.0:
             raise ConfigurationError(f"trigger parameter {name}={value:g} must be positive")
+    if not 0.0 < trig.delta < 1.0 / (1.0 + ctrl.c):
+        raise ConfigurationError(
+            f"delta={trig.delta:g} must lie in (0, 1/(1+c)={1.0 / (1.0 + ctrl.c):g})")
+    L, alpha, beta = phys.L, phys.alpha, phys.beta
+    c, eps = ctrl.c, ctrl.epsilon
 
-    Upsilon = compute_upsilon(phys.alpha, ctrl.lam, phys.L)
-    thetas = compute_thetas(ctrl.c, phys.L, phys.alpha, phys.beta, Upsilon)
+    Upsilon = compute_upsilon(alpha, ctrl.lam, L)
+    thetas = compute_thetas(c, L, alpha, beta, Upsilon)
     mu1, mu2, mu3 = compute_mus(thetas, trig.gamma, trig.delta)
 
-    tc = transform_constants(phys.alpha, phys.beta, ctrl.c, ctrl.epsilon)
-    A_min = min_A(mu1, mu2, phys.L, phys.alpha, phys.beta, ctrl.epsilon,
-                  ctrl.c, tc.zeta)
+    # zeta of the inverse controller kernel psi (Koga, Diagne & Krstic 2019);
+    # for epsilon below sqrt(alpha c)/beta the kernel bound must hold.
+    omega = math.sqrt((4.0 * alpha * c - (eps * beta) ** 2) / (4.0 * alpha * alpha))
+    zeta = -(2.0 * alpha * c - (eps * beta) ** 2) / (2.0 * alpha * beta * omega)
+    if eps < math.sqrt(alpha * c) / beta:
+        bound = 4.0 * alpha * c / (beta * beta)
+        if zeta * zeta + eps * eps >= bound:
+            raise ConfigurationError(
+                f"zeta^2+eps^2={zeta * zeta + eps * eps:g} "
+                f"not below 4*alpha*c/beta^2={bound:g}")
+    A_min = min_A(mu1, mu2, L, alpha, beta, eps, c, zeta)
     if trig.A is None:
         A = A_MARGIN * A_min if A_min > 0.0 else 1.0
     else:
         A = trig.A
         if A <= A_min:
             raise ConfigurationError(f"A={A:g} does not exceed the floor A_min={A_min:g}")
-    sigma = compute_sigma(A, phys.alpha, phys.L)
+    sigma = compute_sigma(A, alpha, L)
 
     a1, a2, a3, tau = min_dwell_time(thetas[0], trig.gamma, sigma, trig.eta,
-                                     trig.delta, ctrl.c)
+                                     trig.delta, c)
 
-    R = 2.0 * math.sqrt(phys.alpha * ctrl.c) / phys.beta
-    eps_bound, components = epsilon_bounds(phys.alpha, phys.beta, ctrl.c, phys.L)
-    fmax = compute_f_max(phys.L, ctrl.lam, phys.alpha, phys.beta, ctrl.c,
-                         ctrl.epsilon)
+    R = 2.0 * math.sqrt(alpha * c) / beta
+    eps_bound, components = epsilon_bounds(alpha, beta, c, L, R)
+    fmax = compute_f_max(L, ctrl.lam, alpha, beta, c, eps)
 
-    b_floor = mu3 / (A * phys.alpha)
+    b_floor = mu3 / (A * alpha)
     if trig.b_star is None:
         b_star = 2.0 * b_floor
     else:
@@ -301,17 +308,15 @@ def derive_trigger(phys: PhysicalParams, ctrl: ControllerConfig,
                 f"b_star={b_star:g} does not exceed the floor mu3/(A alpha)={b_floor:g}")
 
     # The weights of V = A V1 + m and W = V e^{-xi s}.
-    L, alpha, beta = phys.L, phys.alpha, phys.beta
-    c, eps = ctrl.c, ctrl.epsilon
     B = 4.0 * L * L * fmax * fmax / (alpha * alpha) \
         + eps * beta / (2.0 * c) + b_star
     xi = max(c * L / beta, (beta / (alpha * eps)) * (eps * eps + c / beta))
 
     derived = TriggerDerived(
         theta0=thetas[0], theta1=thetas[1], theta2=thetas[2], theta3=thetas[3],
-        Upsilon=Upsilon, mu1=mu1, mu2=mu2, mu3=mu3, A=A, A_min=A_min,
-        sigma=sigma, a1=a1, a2=a2, a3=a3, tau=tau, max_dwell=1.0 / ctrl.c,
-        R=R, eps_star=components[2], eps_bound=eps_bound,
+        Upsilon=Upsilon, mu1=mu1, mu2=mu2, mu3=mu3, zeta=zeta, A=A,
+        A_min=A_min, sigma=sigma, a1=a1, a2=a2, a3=a3, tau=tau,
+        max_dwell=1.0 / c, R=R, eps_bound=eps_bound,
         eps_bound_components=components, f_max=fmax, b_star=b_star, B=B, xi=xi,
     )
     # A constant past double precision would leave the trigger weights and

@@ -12,7 +12,6 @@ from scipy.integrate import quad
 
 from perfbench import gate, run, workloads
 from stefanetc import config, harness, params
-from stefanetc import diagnostics as dg
 from conftest import variant_text
 import transform_oracles as oracles
 
@@ -148,7 +147,7 @@ def test_criterion_06_conservation_oracle(default_text):
 
 def test_criterion_07_transform_correctness(default_cfg):
     phys, ctrl = default_cfg.phys, default_cfg.ctrl
-    tc = dg.transform_constants(phys.alpha, phys.beta, ctrl.c, ctrl.epsilon)
+    tc = oracles.kernel_constants(phys.alpha, phys.beta, ctrl.c, ctrl.epsilon)
     s = 0.1
 
     def worst(n):

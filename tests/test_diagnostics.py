@@ -1,4 +1,5 @@
-"""Transform and monitor checks: kernel constants, round-trip accuracy of
+"""Transform and monitor checks: kernel constants against the derivation
+chain, round-trip accuracy of
 both transform pairs with grid-refinement order, the forcing-kernel norm
 against a hand-integrated case and a reference search over s, the
 Lyapunov functional at rest, the monitor transforms against their
@@ -31,7 +32,7 @@ C, LAM, EPS = 3.0e-4, 0.1, 10.0
 
 @pytest.fixture(scope="module")
 def tc():
-    return dg.transform_constants(ALPHA, BETA, C, EPS)
+    return oracles.kernel_constants(ALPHA, BETA, C, EPS)
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +72,23 @@ class TestConstants:
     def test_kernel_bound_invariant(self, tc):
         assert tc.zeta ** 2 + tc.epsilon ** 2 < 4.0 * ALPHA * C / BETA ** 2
 
+    def test_derived_zeta_matches_oracle(self, tc, derived):
+        assert derived.zeta.hex() == tc.zeta.hex()
+
     def test_rejects_epsilon_out_of_range(self):
+        # omega is real only for epsilon in (0, 2 sqrt(alpha c)/beta); the
+        # one range check is ControllerConfig.validate's, which
+        # derive_trigger runs first.
         limit = 2.0 * math.sqrt(ALPHA * C) / BETA
-        with pytest.raises(ConfigurationError):
-            dg.transform_constants(ALPHA, BETA, C, limit * 1.01)
-        with pytest.raises(ConfigurationError):
-            dg.transform_constants(ALPHA, BETA, C, 0.0)
+        trig = params.TriggerConfig(eta=1.325e-2, gamma=1e3, delta=0.5,
+                                    m0=1e-4, A=None, b_star=None)
+        for factor in (1.01, 1.0, 0.0, -0.5):
+            ctrl = params.ControllerConfig(c=C, lam=LAM,
+                                           epsilon=factor * limit, s_r=2.0)
+            with pytest.raises(ConfigurationError, match="outside"):
+                ctrl.validate(PHYS)
+            with pytest.raises(ConfigurationError, match="outside"):
+                params.derive_trigger(PHYS, ctrl, trig)
 
     def test_psi_at_origin(self, tc):
         assert oracles.psi_kernel(0.0, tc) == pytest.approx(EPS, rel=1e-14)

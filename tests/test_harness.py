@@ -261,6 +261,7 @@ class TestDerivationReport:
         text = harness.derivation_report(short_result.config,
                                          short_result.derived)
         assert "tau" in text and "Upsilon" in text and "mu3" in text
+        assert f"= {short_result.derived.zeta!r}" in text
         # The shipped epsilon exceeds the tightest sufficient bound; the
         # report says so instead of failing.
         assert "NOTE: configured epsilon exceeds" in text

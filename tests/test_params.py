@@ -2,6 +2,7 @@
 closed forms against quadrature, randomized admissibility properties, and
 the initial-data validity report."""
 
+import dataclasses
 import math
 import warnings
 
@@ -32,7 +33,7 @@ ORACLE = {
     "tau": 0.6815804566345285,
     "max_dwell": 3333.3333333333335,
     "R": 89.35598457075847,
-    "eps_star": 0.4525709584348692,
+    "zeta": -43.83423402759405,
     "eps_bound": 0.21337522170849402,
     "f_max": 711979435.1812379,
     "B": 1.3330107816568992e+25,
@@ -239,7 +240,9 @@ def h_of_epsilon(eps: float, alpha: float, beta: float, c: float, L: float) -> f
 
 class TestEpsilon:
     def test_star_is_root(self, derived):
-        h = h_of_epsilon(derived.eps_star, ALPHA, BETA, 3.0e-4, 3.0)
+        eps_star = derived.eps_bound_components[2]
+        assert eps_star == pytest.approx(0.4525709584348692, rel=1e-10)
+        h = h_of_epsilon(eps_star, ALPHA, BETA, 3.0e-4, 3.0)
         assert abs(h) < 1e-12 * h_of_epsilon(0.0, ALPHA, BETA, 3.0e-4, 3.0)
 
     def test_bound_is_min_of_components(self, derived):
@@ -285,9 +288,15 @@ class TestDwellTime:
             *_, tau = params.min_dwell_time(theta0, gamma, sigma, eta, delta, c)
             assert 0.0 < tau < 1.0 / c
 
-    def test_rejects_delta_out_of_window(self):
-        with pytest.raises(ConfigurationError):
-            params.min_dwell_time(1e-7, 1e3, 1e-6, 1e-2, 0.9999, 3.0e-4)
+    def test_rejects_delta_out_of_window(self, paraffin):
+        # One check, for the window (0, 1/(1+c)) that tau < 1/c needs, with
+        # one message on either side of it.
+        phys, ctrl, trig = paraffin
+        for delta in (0.0, -0.1, 1.0 / (1.0 + ctrl.c), 0.9999, 1.5):
+            bad = dataclasses.replace(trig, delta=delta)
+            with pytest.raises(ConfigurationError,
+                               match=r"must lie in \(0, 1/\(1\+c\)="):
+                params.derive_trigger(phys, ctrl, bad)
 
     def test_rejects_bad_coefficients(self):
         with pytest.raises(ConfigurationError):

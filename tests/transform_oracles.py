@@ -1,12 +1,15 @@
 """Test oracles for the backstepping transforms: the direct error transform,
-the inverse controller transform and its psi kernel bound, and the monitor
-transforms of one profile.
+the inverse controller transform, its psi kernel constants and bound, and
+the monitor transforms of one profile.
 
 Only the tests call these.  They are the other halves of the transform pairs
 whose monitor halves live in `stefanetc.diagnostics`, written on the full
 n x n Volterra matrix cut by np.triu rather than the distinct-value kernel
 and structured sums the package uses, so a round trip also checks those.
 """
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +40,23 @@ def controller_direct(u_hat, X, s, epsilon, alpha, beta, c):
     stack."""
     return diagnostics.transform_controller_direct(
         u_hat[None], np.array([X]), np.array([s]), epsilon, alpha, beta, c)[0]
+
+
+class KernelConstants(NamedTuple):
+    """Constants of psi(x) = e^{nu x}(zeta sin(omega x) + epsilon cos(omega x))."""
+    epsilon: float
+    nu: float
+    omega: float
+    zeta: float
+
+
+def kernel_constants(alpha, beta, c, epsilon):
+    """The psi constants for epsilon in (0, 2 sqrt(alpha c)/beta), where omega
+    is real: the reference for `params.TriggerDerived.zeta`."""
+    nu = beta * epsilon / (2.0 * alpha)
+    omega = math.sqrt((4.0 * alpha * c - (epsilon * beta) ** 2) / (4.0 * alpha * alpha))
+    zeta = -(2.0 * alpha * c - (epsilon * beta) ** 2) / (2.0 * alpha * beta * omega)
+    return KernelConstants(epsilon=epsilon, nu=nu, omega=omega, zeta=zeta)
 
 
 def psi_kernel(x, tc):
