@@ -23,7 +23,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .numerics import ratio_J1_sqrt, simpson, trapezoid, unit_grid
 from .observer import observer_gain
@@ -127,22 +126,15 @@ def transform_controller_direct(u_hat: np.ndarray, X: np.ndarray,
         - phi_kernel(x - s[:, None], c, beta, epsilon) * X[:, None]
 
 
-def f_kernel(x, s: float, lam: float, alpha: float, beta: float, c: float,
-             epsilon: float):
-    """Forcing kernel f(x,s) = p - (beta/alpha) int_x^s phi(x-y) p dy + beta phi(x-s).
-
-    Evaluated on an array of x covering [0, s]; phi is affine in (x - y), so
-    the inner integral splits into two right-cumulative integrals of p and y p.
+def f_kernel(n: int, s: float, lam: float, alpha: float, beta: float,
+             c: float, epsilon: float) -> np.ndarray:
+    """Forcing kernel f(x,s) = p - (beta/alpha) int_x^s phi(x-y) p dy + beta phi(x-s)
+    on the n nodes x = xi s: the controller transform of p(., s) with X = -beta.
     """
-    x = np.asarray(x, dtype=float)
-    p = observer_gain(x, s, lam, alpha)
-    # Right-cumulative integrals int_x^s p dy and int_x^s y p dy.
-    cum_p = cumulative_trapezoid(p, x, initial=0.0)
-    cum_yp = cumulative_trapezoid(x * p, x, initial=0.0)
-    ip = cum_p[-1] - cum_p
-    iyp = cum_yp[-1] - cum_yp
-    inner = ((c / beta) * x - epsilon) * ip - (c / beta) * iyp
-    return p - (beta / alpha) * inner + beta * phi_kernel(x - s, c, beta, epsilon)
+    p = observer_gain(unit_grid(n) * s, s, lam, alpha)
+    return transform_controller_direct(p[None], np.array([-beta]),
+                                       np.array([s]), epsilon, alpha, beta,
+                                       c)[0]
 
 
 # Simpson panels of the coarse f_max quadrature; the fine one doubles them.
@@ -169,8 +161,7 @@ def f_max(L: float, lam: float, alpha: float, beta: float, c: float,
     `params.derive_trigger` rejects the configuration.
     """
     def evaluate(nq):
-        x = np.linspace(0.0, L, nq + 1)
-        f = f_kernel(x, L, lam, alpha, beta, c, epsilon)
+        f = f_kernel(nq + 1, L, lam, alpha, beta, c, epsilon)
         return math.sqrt(simpson(f * f, L))
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -31,7 +31,7 @@ def observer_gain(x, s: float, lam: float, alpha: float):
     """Output-injection gain p(x, s) = -lam s I1(z)/z, z = sqrt(lam (s^2-x^2)/alpha).
 
     Continuous at x = s with value -lam s / 2.  x is a scalar or an
-    ascending array on [0, s], as the grids xi s and linspace(0, s, .) are.
+    ascending array on [0, s], as the grids xi s are.
     The argument w = lam (s^2 - x^2)/alpha then never increases along x:
     its first entry is the largest, so the domain check reads that one, and
     the entries below the series cut (at least the node x = s, where w = 0)

@@ -121,6 +121,10 @@ class TestRoundTrips:
                            atol=1e-14)
 
 
+# The nodes of f_max's coarse and fine quadrature grids.
+F_MAX_GRIDS = (dg.F_MAX_N_QUAD + 1, 2 * dg.F_MAX_N_QUAD + 1)
+
+
 def forcing_draws(count, seed):
     """Seeded valid (L, lam, alpha, beta, c, epsilon) for the forcing kernel:
     sqrt(lam/alpha) L in [0, 30] and epsilon inside (0, 2 sqrt(alpha c)/beta)."""
@@ -147,9 +151,35 @@ class TestForcingKernel:
     def test_value_at_interface(self):
         # f(s, s) = p(s, s) + beta phi(0) = -lam s / 2 - beta eps.
         s = 1.2
-        x = np.linspace(0.0, s, 513)
-        f = dg.f_kernel(x, s, LAM, ALPHA, BETA, C, EPS)
+        f = dg.f_kernel(513, s, LAM, ALPHA, BETA, C, EPS)
         assert f[-1] == pytest.approx(-LAM * s / 2.0 - BETA * EPS, rel=1e-10)
+
+    def test_matches_reference_quadrature(self):
+        # f_kernel is the O(n) controller transform of p with X = -beta; the
+        # reference sums by scipy's cumulative trapezoid on the same grid.
+        # Both sum ((c/beta) x - eps) p and (c/beta) y p apart, and the
+        # reference's sums are differences from the total, so the bound is
+        # TRANSFORM_RTOL of those magnitudes over the whole interval.  Every
+        # term of f has one sign, so f_max is within it too.
+        for L, lam, alpha, beta, c, eps in forcing_draws(24, seed=2211):
+            for n in F_MAX_GRIDS:
+                x = unit_grid(n) * L
+                p = np.abs(oracles.observer_gain(x, L, lam, alpha))
+                whole = (beta / alpha) * (
+                    np.abs(dg.phi_kernel(x, c, beta, eps))
+                    * oracles.right_integral(p, x)[0]
+                    + (c / beta) * oracles.right_integral(x * p, x)[0])
+                bound = TRANSFORM_RTOL * (
+                    p + whole + beta * np.abs(dg.phi_kernel(x - L, c, beta, eps)))
+                ref = oracles.forcing_kernel(x, L, lam, alpha, beta, c, eps)
+                got = dg.f_kernel(n, L, lam, alpha, beta, c, eps)
+                assert (np.abs(got - ref) <= bound).all(), (n, L, lam)
+            # f_max is the fine grid's, the last one above.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = dg.f_max(L, lam, alpha, beta, c, eps)
+            assert got == pytest.approx(math.sqrt(simpson(ref * ref, L)),
+                                        rel=TRANSFORM_RTOL)
 
     def test_reference_search_peaks_at_domain_end(self):
         # Search s on its own grid, at f_max's fine quadrature resolution.
@@ -160,8 +190,7 @@ class TestForcingKernel:
                 got = dg.f_max(L, lam, alpha, beta, c, eps)
             ref = []
             for s in np.linspace(L / 32, L, 32):
-                f = dg.f_kernel(np.linspace(0.0, s, nq + 1), s, lam, alpha,
-                                beta, c, eps)
+                f = dg.f_kernel(nq + 1, s, lam, alpha, beta, c, eps)
                 ref.append(math.sqrt(simpson(f * f, s)))
             assert np.all(np.diff(ref) > 0.0)
             assert max(ref) <= got

@@ -2,6 +2,8 @@
 time-step guard, validity gating, breach records, output formats, and exit
 codes."""
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -10,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stefanetc import cli, config, diagnostics, harness, trigger
+from stefanetc import cli, config, diagnostics, harness, params, trigger
 from stefanetc.errors import ConfigurationError
+from stefanetc.numerics import simpson
 from conftest import variant_text
+import transform_oracles as oracles
 
 
 # A hot plant seen by a cold observer: the event at t = 3176.5 s computes
@@ -192,6 +196,70 @@ class TestRunScenario:
         lo, mean, hi = trigger.dwell_stats(short_result.events)
         assert short_result.summary["dwell_mean"] == pytest.approx(mean) \
             or (np.isnan(mean) and np.isnan(short_result.summary["dwell_mean"]))
+
+
+class TestLyapunovWeights:
+    # B (and f_max, through B) weight only the Lyapunov monitors V1, V and
+    # W, which never feed back into the loop.  The shipped run to 4200 s
+    # holds the initial event and four threshold events.
+    LYAPUNOV = ("V1", "V", "W")
+    # V1 is a sum of positive terms, one of them B-weighted, and V and W
+    # scale it: each moves by at most the relative move of B, about twice
+    # that of f_max.  f_max from the reference quadrature is within a few
+    # ulps of f_kernel's (TestForcingKernel), so 1e-14 leaves a margin.
+    REFERENCE_RTOL = 1e-14
+
+    @staticmethod
+    def run_with(cfg, replace):
+        derive = params.derive_trigger
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(params, "derive_trigger",
+                       lambda *args: replace(derive(*args)))
+            return harness.run_scenario(cfg)
+
+    @pytest.fixture(scope="class")
+    def runs(self, default_cfg):
+        cfg = config.override(default_cfg, "scheme.horizon", 4200.0)
+        L, alpha = cfg.phys.L, cfg.phys.alpha
+
+        def doubled(d):
+            return dataclasses.replace(d, B=2.0 * d.B, f_max=2.0 * d.f_max)
+
+        def reference(d):
+            # f_max by scipy's cumulative trapezoid on linspace(0, L, .),
+            # and B from it by derive_trigger's expression.
+            x = np.linspace(0.0, L, 2 * diagnostics.F_MAX_N_QUAD + 1)
+            f = oracles.forcing_kernel(x, L, cfg.ctrl.lam, alpha,
+                                       cfg.phys.beta, cfg.ctrl.c,
+                                       cfg.ctrl.epsilon)
+            fmax = math.sqrt(simpson(f * f, L))
+            B = 4.0 * L * L * fmax * fmax / (alpha * alpha) \
+                + cfg.ctrl.epsilon * cfg.phys.beta / (2.0 * cfg.ctrl.c) \
+                + d.b_star
+            return dataclasses.replace(d, B=B, f_max=fmax)
+
+        return (harness.run_scenario(cfg), self.run_with(cfg, doubled),
+                self.run_with(cfg, reference))
+
+    def test_weights_do_not_feed_back(self, runs):
+        base, doubled, _ = runs
+        assert [e.reason for e in base.events].count("threshold") == 4
+        assert base.events == doubled.events
+        for column in harness.SERIES_COLUMNS:
+            same = base.series[column].tobytes() \
+                == doubled.series[column].tobytes()
+            assert same == (column not in self.LYAPUNOV), column
+
+    def test_reference_forcing_quadrature_moves_only_lyapunov(self, runs):
+        base, _, reference = runs
+        assert base.events == reference.events
+        for column in harness.SERIES_COLUMNS:
+            got, ref = base.series[column], reference.series[column]
+            if column in self.LYAPUNOV:
+                assert np.allclose(got, ref, rtol=self.REFERENCE_RTOL,
+                                   atol=0.0), column
+            else:
+                assert got.tobytes() == ref.tobytes(), column
 
 
 class TestCompare:

@@ -112,7 +112,7 @@ class TestGain:
         # scalar, however the grid ends.
         lam = float(np.nextafter(LAM_MAX, math.inf))
         for x in (numerics.unit_grid(21) * PHYS.L,
-                  np.linspace(0.0, PHYS.L, 1025), 0.0):
+                  numerics.unit_grid(1025) * PHYS.L, 0.0):
             observer.observer_gain(x, PHYS.L, LAM_MAX, PHYS.alpha)
             with pytest.raises(ValueError, match="Bessel argument"):
                 observer.observer_gain(x, PHYS.L, lam, PHYS.alpha)
@@ -136,9 +136,9 @@ class TestGain:
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(gain_fractions, st.sampled_from([513, 1025]))
     def test_matches_general_form_on_f_max_grid(self, frac, points):
-        # f_max's quadrature grids linspace(0, L, .) at s = L.
+        # f_max's quadrature grids xi L at s = L.
         lam = frac * LAM_MAX
-        x = np.linspace(0.0, PHYS.L, points)
+        x = numerics.unit_grid(points) * PHYS.L
         assert bits(observer.observer_gain(x, PHYS.L, lam, PHYS.alpha)) \
             == bits(reference.observer_gain(x, PHYS.L, lam, PHYS.alpha))
 

@@ -1,6 +1,7 @@
 """Test oracles for the backstepping transforms: the direct error transform,
-the inverse controller transform, its psi kernel constants and bound, and
-the monitor transforms of one profile.
+the inverse controller transform, its psi kernel constants and bound, the
+forcing kernel by scipy's cumulative trapezoid, and the monitor transforms
+of one profile.
 
 Only the tests call these.  They are the other halves of the transform pairs
 whose monitor halves live in `stefanetc.diagnostics`, written on the full
@@ -12,11 +13,12 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from stefanetc import diagnostics
 from stefanetc.numerics import unit_grid
 
-from observer_reference import ratio_I1_sqrt
+from observer_reference import observer_gain, ratio_I1_sqrt
 
 
 def volterra_weights(n: int, s: float) -> np.ndarray:
@@ -85,6 +87,25 @@ def transform_controller_inverse(w_hat, X, s, tc, alpha, beta):
     K = np.triu(K)
     integral = (K * volterra_weights(n, s)) @ w_hat
     return w_hat - (beta / alpha) * integral - psi_kernel(x - s, tc) * X
+
+
+def right_integral(v, x):
+    """int_x^s v dy on an ascending grid x over [0, s]: scipy's cumulative
+    trapezoid from 0, taken from its total, so its rounding is relative to
+    the whole integral."""
+    cum = cumulative_trapezoid(v, x, initial=0.0)
+    return cum[-1] - cum
+
+
+def forcing_kernel(x, s, lam, alpha, beta, c, epsilon):
+    """f(x,s) = p - (beta/alpha) int_x^s phi(x-y) p dy + beta phi(x-s) on an
+    ascending grid x over [0, s]; phi is affine, so the integral splits into
+    those of p and y p."""
+    p = observer_gain(x, s, lam, alpha)
+    inner = ((c / beta) * x - epsilon) * right_integral(p, x) \
+        - (c / beta) * right_integral(x * p, x)
+    return p - (beta / alpha) * inner \
+        + beta * diagnostics.phi_kernel(x - s, c, beta, epsilon)
 
 
 # Grid points of the psi bound check over [0, L].
