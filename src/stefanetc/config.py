@@ -195,15 +195,16 @@ def _build(raw: dict[str, dict[str, str]]) -> ScenarioConfig:
         A=_float_or_auto(tsec, "trigger", "A"),
         b_star=_float_or_auto(tsec, "trigger", "b_star"))
 
+    # A key left out takes its dataclass default.
     ssec = raw.get("scheme", {})
-    n = _float(ssec, "scheme", "n", 21.0)
+    n = _float(ssec, "scheme", "n", float(SchemeConfig.n))
     if not n.is_integer():
         raise ConfigurationError(f"scheme.n={n:g} is not an integer")
     scheme = SchemeConfig(
         n=int(n),
-        dt=_float(ssec, "scheme", "dt", 0.5),
+        dt=_float(ssec, "scheme", "dt", SchemeConfig.dt),
         horizon=_float_or_auto(ssec, "scheme", "horizon"),
-        max_horizon=_float(ssec, "scheme", "max_horizon", 2.0e5))
+        max_horizon=_float(ssec, "scheme", "max_horizon", SchemeConfig.max_horizon))
     if scheme.n < 3:
         raise ConfigurationError("scheme.n must be at least 3")
     for key, value in (("dt", scheme.dt), ("horizon", scheme.horizon),
@@ -212,16 +213,17 @@ def _build(raw: dict[str, dict[str, str]]) -> ScenarioConfig:
             raise ConfigurationError(f"scheme.{key} must be positive")
 
     scsec = raw.get("scenario", {})
-    kind = _get(scsec, "kind", "event_triggered").strip().lower()
+    kind = _get(scsec, "kind", ScenarioSection.kind).strip().lower()
     if kind not in SCENARIO_KINDS:
         raise ConfigurationError(
             f"scenario.kind={kind!r} not in {SCENARIO_KINDS}")
     scenario = ScenarioSection(
         kind=kind,
-        period=_float(scsec, "scenario", "period", 3000.0),
-        output_dir=_get(scsec, "output_dir", "out"),
-        unsafe=_bool(scsec, "scenario", "unsafe", False),
-        allow_coarse_dt=_bool(scsec, "scenario", "allow_coarse_dt", False))
+        period=_float(scsec, "scenario", "period", ScenarioSection.period),
+        output_dir=_get(scsec, "output_dir", ScenarioSection.output_dir),
+        unsafe=_bool(scsec, "scenario", "unsafe", ScenarioSection.unsafe),
+        allow_coarse_dt=_bool(scsec, "scenario", "allow_coarse_dt",
+                              ScenarioSection.allow_coarse_dt))
     if scenario.period <= 0.0:
         raise ConfigurationError("scenario.period must be positive")
 
@@ -247,7 +249,11 @@ def parse_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
-    return parse_config_text(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not valid UTF-8: {exc}") from exc
+    return parse_config_text(text)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

@@ -1,9 +1,13 @@
-"""Backstepping transforms and Lyapunov monitors.
+"""Backstepping transforms, Lyapunov values and the forcing-kernel norm f_max.
 
-Everything here is diagnostics-only: the closed loop never depends on these
-quantities.  The transforms map simulated states into the target-system
-coordinates in which the stability analysis is immediate, so that decay rates
-and boundedness claims can be checked at runtime.
+The transforms map simulated states into the target-system coordinates in
+which the stability analysis is immediate, so that decay rates and
+boundedness claims can be checked at runtime; `lyapunov_values` gives V1,
+V = A V1 + m and W = V e^{-xi s} from them.  `f_max` is the norm of the
+forcing kernel f, the controller transform of the observer gain.  Of the
+constants `params.derive_trigger` derives, only f_max comes from here, and
+it, the weight B built on it and xi weight the Lyapunov values alone: none
+of them feeds the closed loop, and nothing the loop uses is computed here.
 
 The monitors take (K, n) stacks of K instants with length-K s (and X, m);
 each row has the bits of a one-row stack.  The controller transform's kernel

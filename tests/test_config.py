@@ -1,8 +1,12 @@
 """Configuration schema checks: strictness on unknown names, typed parsing,
-auto bounds, and serialize/parse round trips."""
+defaults, auto bounds, and serialize/parse round trips."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stefanetc import config
 from stefanetc.errors import ConfigurationError
@@ -90,6 +94,22 @@ class TestStrictness:
         with pytest.raises(ConfigurationError, match="not found"):
             config.parse_config(tmp_path / "nope.cfg")
 
+    def test_file_not_utf8(self, default_text, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(default_text.encode() + b"# \xff\n")
+        with pytest.raises(ConfigurationError, match="not valid UTF-8"):
+            config.parse_config(path)
+
+
+class TestSectionDefaults:
+    def test_left_out_sections_take_the_dataclass_defaults(self, default_text):
+        # [scheme] and [scenario] are optional; every key left out takes the
+        # default its dataclass declares (horizon: auto).
+        head = default_text.split("[scheme]")[0]
+        cfg = config.parse_config_text(head)
+        assert cfg.scheme == config.SchemeConfig()
+        assert cfg.scenario == config.ScenarioSection()
+
 
 class TestProfiles:
     def test_samples_kind(self, default_text):
@@ -133,6 +153,65 @@ class TestRoundTrip:
         assert again.ctrl == default_cfg.ctrl
         assert again.trig == default_cfg.trig
         assert np.array_equal(again.init.T0, default_cfg.init.T0)
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# A valid value for each key of the shipped config that takes one.
+VALUES = {
+    "physical.k": finite(1e-6, 1e3), "physical.rho": finite(1e-6, 1e3),
+    "physical.cp": finite(1e-3, 1e6), "physical.latent_heat": finite(1.0, 1e7),
+    "physical.L": finite(2.5, 1e3), "physical.Tm": finite(1e-3, 1e3),
+    "controller.c": finite(1e-8, 1.0), "controller.lambda": finite(1e-6, 1.0),
+    "controller.epsilon": finite(1e-6, 1e3),
+    "controller.setpoint": finite(1e-3, 3.0),
+    "initial.s0": finite(1e-2, 2.9),
+    "initial.T0_amplitude": finite(-1e2, 1e2),
+    "initial.That_amplitude": finite(-1e2, 1e2),
+    "initial.H": st.one_of(st.just("auto"), finite(1e-3, 1e3)),
+    "trigger.eta": finite(1e-6, 1.0), "trigger.gamma": finite(1.0, 1e6),
+    "trigger.delta": finite(1e-3, 0.999), "trigger.m0": finite(1e-9, 1.0),
+    "trigger.A": st.one_of(st.just("auto"), finite(1e-6, 1e6)),
+    "scheme.n": st.integers(3, 400).map(str),
+    "scheme.dt": finite(1e-3, 10.0),
+    "scheme.horizon": st.one_of(st.just("auto"), finite(1.0, 1e5)),
+    "scenario.kind": st.sampled_from(config.SCENARIO_KINDS),
+    "scenario.period": finite(1.0, 1e4),
+    "scenario.output_dir": st.from_regex(r"[A-Za-z0-9_./-]{1,20}",
+                                         fullmatch=True),
+    "scenario.unsafe": st.sampled_from(["true", "false", "yes", "off", "1"]),
+}
+
+
+def same_config(a, b):
+    assert a.raw == b.raw
+    for part in ("phys", "ctrl", "trig", "scheme", "scenario"):
+        assert getattr(a, part) == getattr(b, part), part
+    for f in dataclasses.fields(a.init):
+        assert np.array_equal(getattr(a.init, f.name),
+                              getattr(b.init, f.name)), f.name
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(VALUES)).flatmap(
+        lambda key: st.tuples(st.just(key), VALUES[key])))
+    def test_override_serialize_parse(self, default_cfg, item):
+        key, value = item
+        cfg = config.override(default_cfg, key, value)
+        same_config(config.parse_config_text(config.serialize_config(cfg)),
+                    cfg)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(config._SCHEMA)),
+           st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,11}", fullmatch=True))
+    def test_unknown_key_always_rejected(self, default_cfg, section, key):
+        if key in config._SCHEMA[section]:
+            key += "_x"
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            config.override(default_cfg, f"{section}.{key}", "1")
 
 
 class TestOverride:

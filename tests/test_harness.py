@@ -364,6 +364,23 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "scheme.n='nan' is not finite" in proc.stderr
 
+    def test_non_utf8_config_is_configuration_error(self, default_text,
+                                                    tmp_path):
+        # Out of process, so an escaping UnicodeDecodeError shows as a
+        # traceback.
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(default_text.encode() + b"# \xff\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stefanetc.cli", "derive", "--config",
+             str(cfg_path)], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("configuration error:")
+        assert "Traceback" not in proc.stderr
+        assert str(cfg_path) in proc.stderr
+
     def test_breach_exit_code(self, default_text, tmp_path):
         text = variant_text(default_text, [
             ("s0 = 0.1", "s0 = 2.1"),

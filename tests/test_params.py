@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from stefanetc import cli, config, params
@@ -156,6 +158,57 @@ class TestDerivationChain:
         assert d.mu2 == pytest.approx(36.85, rel=0.05)
         sigma_floor = params.compute_sigma(d.A_min, phys.alpha, phys.L)
         assert sigma_floor == pytest.approx(6.19e-5, rel=0.05)
+
+
+def log_uniform(lo, hi):
+    """Floats 10^u for u drawn uniformly from [lo, hi]."""
+    return st.floats(lo, hi).map(lambda u: 10.0 ** u)
+
+
+class TestDerivationProperties:
+    # Valid inputs on the shipped physics: c > 0, lambda with
+    # sqrt(lambda L^2/alpha) = z up to 400 (past 354 B overflows), epsilon
+    # inside (0, 2 sqrt(alpha c)/beta), gamma, eta > 0 and delta inside
+    # (0, 1/(1+c)).  Each draw either is a configuration error or gives
+    # finite constants with the properties the paper's results rest on.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(c=log_uniform(-8.0, 0.0), z=st.floats(0.01, 400.0),
+           eps_frac=st.floats(0.001, 0.99), gamma=log_uniform(0.0, 5.0),
+           eta=log_uniform(-4.0, 0.0), delta_frac=st.floats(0.001, 0.999))
+    def test_valid_inputs_derive_or_are_configuration_errors(
+            self, c, z, eps_frac, gamma, eta, delta_frac):
+        phys = params.derive_physical(**PARAFFIN)
+        alpha, beta, L = phys.alpha, phys.beta, phys.L
+        eps = eps_frac * 2.0 * math.sqrt(alpha * c) / beta
+        ctrl = params.ControllerConfig(c=c, lam=alpha * (z / L) ** 2,
+                                       epsilon=eps, s_r=2.0)
+        trig = params.TriggerConfig(eta=eta, gamma=gamma,
+                                    delta=delta_frac / (1.0 + c), m0=1e-4,
+                                    A=None, b_star=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "f_max quadrature not converged",
+                                    RuntimeWarning)
+            try:
+                d = params.derive_trigger(phys, ctrl, trig)
+            except ConfigurationError as exc:
+                assert "not finite in double precision" in str(exc)
+                event("configuration error")
+                return
+        event("derived")
+        for f in dataclasses.fields(d):
+            value = getattr(d, f.name)
+            assert np.isfinite(value).all(), f.name
+        assert d.A > d.A_min >= 0.0
+        assert 0.0 < d.tau < 1.0 / c
+        # zeta = -(2 alpha c - eps^2 beta^2)/(2 alpha beta omega) with
+        # omega^2 = (4 alpha c - eps^2 beta^2)/(4 alpha^2), so
+        # zeta^2 = (2 alpha c - eps^2 beta^2)^2/(beta^2 (4 alpha c - eps^2
+        # beta^2)), and adding eps^2 cancels the alpha c eps^2 beta^2 and
+        # eps^4 beta^4 terms of the numerator.
+        e2b2 = (eps * beta) ** 2
+        closed = 4.0 * (alpha * c) ** 2 / (beta * beta * (4.0 * alpha * c - e2b2))
+        assert d.zeta ** 2 + eps ** 2 == pytest.approx(closed, rel=1e-12)
 
 
 def gain_argument_config(z):

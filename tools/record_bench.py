@@ -13,8 +13,10 @@ Run from a git checkout of stefanetc.  The record holds:
   process with BLAS pinned to one thread, after a warm-up run, three rounds
   over the ladder; each entry gives the three µs/step values, their median,
   a sha256 of the series and event records, so that two records can be
-  checked for bitwise equal results, and a sha256 per series column and one
-  of the events, which show which of them moved.
+  checked for bitwise equal results, a sha256 per series column and one
+  of the events, which show which of them moved, and a sha256 over the
+  float hex of every ``TriggerDerived`` field, which shows a change of the
+  derivation chain apart from the columns.
 
 The file is written at the repository root.  It is named after the short
 hash of HEAD; when ``src/`` differs from HEAD, the name also carries the
@@ -24,6 +26,7 @@ perfbench records), since the measured sources are not yet a commit.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -64,8 +67,8 @@ def perfbench(workload: str, seconds: float, trace: int) -> dict:
 
 
 def _digests(result) -> dict:
-    """sha256 over the series columns and the event records of one run, and
-    one per column and of the events alone."""
+    """sha256 over the series columns and the event records of one run, one
+    per column and of the events alone, and one of the derived constants."""
     from stefanetc import harness
 
     parts = {column: result.series[column].tobytes()
@@ -75,9 +78,15 @@ def _digests(result) -> dict:
     digest = hashlib.sha256()
     for part in parts.values():
         digest.update(part)
+    derived = hashlib.sha256()
+    for f in dataclasses.fields(result.derived):
+        value = getattr(result.derived, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            derived.update(f"{f.name}={float(v).hex()}\n".encode())
     return {"results_sha256": digest.hexdigest(),
             "column_sha256": {name: hashlib.sha256(part).hexdigest()
-                              for name, part in parts.items()}}
+                              for name, part in parts.items()},
+            "derived_sha256": derived.hexdigest()}
 
 
 def ladder() -> list[dict]:
