@@ -171,8 +171,6 @@ def min_A(mu1: float, mu2: float, L: float, alpha: float, beta: float,
 
 def compute_sigma(A: float, alpha: float, L: float) -> float:
     """Trigger damping sigma = 4 A alpha L."""
-    if not A > 0.0:
-        raise ConfigurationError("A must be positive")
     return 4.0 * A * alpha * L
 
 
@@ -287,7 +285,8 @@ def derive_trigger(phys: PhysicalParams, ctrl: ControllerConfig,
         A = A_MARGIN * A_min if A_min > 0.0 else 1.0
     else:
         A = trig.A
-        if A <= A_min:
+        # A_min >= 0, so this also keeps A positive.
+        if not A > A_min:
             raise ConfigurationError(f"A={A:g} does not exceed the floor A_min={A_min:g}")
     sigma = compute_sigma(A, alpha, L)
 

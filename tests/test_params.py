@@ -100,12 +100,12 @@ class TestDerivationChain:
         assert derived.b_star == pytest.approx(2.0 * floor, rel=1e-12)
 
     def test_configured_A_below_floor_rejected(self, paraffin, derived):
+        # The one check on A: it must exceed A_min >= 0, so sigma > 0.
         phys, ctrl, trig = paraffin
-        bad = params.TriggerConfig(eta=trig.eta, gamma=trig.gamma,
-                                   delta=trig.delta, m0=trig.m0,
-                                   A=0.5 * derived.A_min, b_star=None)
-        with pytest.raises(ConfigurationError):
-            params.derive_trigger(phys, ctrl, bad)
+        for A in (0.5 * derived.A_min, 0.0, -1.0, math.nan):
+            bad = dataclasses.replace(trig, A=A)
+            with pytest.raises(ConfigurationError, match="does not exceed"):
+                params.derive_trigger(phys, ctrl, bad)
 
     def test_configured_b_star_below_floor_rejected(self, paraffin, derived):
         phys, ctrl, trig = paraffin
