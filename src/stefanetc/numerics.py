@@ -76,12 +76,17 @@ def trapezoid(values, length):
 
 
 def simpson(values, length: float) -> float:
-    """Composite Simpson rule over the unit grid (O(h^4) for smooth data)."""
-    from scipy.integrate import simpson as _simpson
-
-    values = np.asarray(values, dtype=float)
-    h = 1.0 / (values.size - 1)
-    return float(length * _simpson(values, dx=h))
+    """Composite Simpson rule over the unit grid (O(h^4) for smooth data),
+    on a 1-D array of an odd number of at least 3 samples."""
+    y = np.asarray(values, dtype=float)
+    if y.ndim != 1 or y.size < 3 or y.size % 2 == 0:
+        raise ValueError("simpson needs a 1-D array of an odd number of "
+                         f"at least 3 samples, not shape {y.shape}")
+    # scipy.integrate.simpson(y, dx=h)'s evenly spaced rule for odd N, in
+    # its order of operations.
+    total = np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
+    total *= (1.0 / (y.size - 1)) / 3.0
+    return float(length * total)
 
 
 def diffusion_factor(n: int, r: float):

@@ -6,6 +6,7 @@ than themselves.
 """
 
 import math
+import struct
 import warnings
 
 import mpmath
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
+from scipy.integrate import simpson as scipy_simpson
 
 from stefanetc import config, numerics, params
 from stefanetc.errors import ConfigurationError, NumericalFailure
@@ -200,6 +202,27 @@ class TestQuadrature:
     def test_trapezoid_needs_two_samples(self):
         with pytest.raises(ValueError):
             trapezoid([1.0], 1.0)
+
+    # Odd lengths from 3 to 2049, values spread over up to 600 decades, and
+    # a positive length; the reference is scipy's evenly spaced rule.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 1024), st.integers(0, 2**32 - 1),
+           st.integers(0, 300), st.floats(1e-6, 1e6))
+    def test_simpson_bitwise_equals_scipy(self, half, seed, decades, length):
+        n = 2 * half + 1
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-decades, decades, n)
+        want = float(length * scipy_simpson(v, dx=1.0 / (n - 1)))
+        got = simpson(v, length)
+        assert struct.pack("<d", got) == struct.pack("<d", want), (n, seed)
+
+    @pytest.mark.parametrize("values", [
+        np.ones(2), np.ones(4), np.ones(1024), np.ones(1), np.ones(0),
+        np.ones((3, 5)), np.float64(1.0)],
+        ids=["n2", "n4", "n1024", "n1", "n0", "2d", "0d"])
+    def test_simpson_needs_odd_samples_in_one_dimension(self, values):
+        with pytest.raises(ValueError, match="odd number"):
+            simpson(values, 1.0)
 
 
 class TestTridiagonal:
