@@ -366,11 +366,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Rows of series.csv formatted per write: bounds the text held at once.
+_SERIES_ROWS_PER_WRITE = 1024
+
+
 def emit_outputs(result: ScenarioResult, directory: str | Path) -> list[Path]:
-    """Write series.csv, events.csv, derivation_report.txt, summary.json.
+    """Write series.csv, events.csv, derivation_report.txt, summary.json and
+    config.cfg.
 
     Outputs are byte-stable for identical configs (fixed column order, repr
-    floats, no timestamps).
+    floats, no timestamps).  series.csv is streamed in slices of rows, so
+    no copy of its whole text is held.
     """
     directory = Path(directory)
     try:
@@ -378,12 +384,15 @@ def emit_outputs(result: ScenarioResult, directory: str | Path) -> list[Path]:
         written = []
 
         series_path = directory / "series.csv"
-        cols = SERIES_COLUMNS
-        lines = [",".join(cols)]
-        npts = result.series["t"].size
-        for i in range(npts):
-            lines.append(",".join(_fmt(float(result.series[c][i])) for c in cols))
-        series_path.write_text("\r\n".join(lines) + "\r\n")
+        columns = [np.asarray(result.series[c], dtype=float)
+                   for c in SERIES_COLUMNS]
+        with series_path.open("w", newline="") as out:
+            out.write(",".join(SERIES_COLUMNS) + "\r\n")
+            for start in range(0, len(columns[0]), _SERIES_ROWS_PER_WRITE):
+                stop = start + _SERIES_ROWS_PER_WRITE
+                rows = np.column_stack([col[start:stop] for col in columns])
+                out.writelines(",".join(map(repr, row)) + "\r\n"
+                               for row in rows.tolist())
         written.append(series_path)
 
         events_path = directory / "events.csv"

@@ -16,6 +16,7 @@ from stefanetc import cli, config, diagnostics, harness, params, trigger
 from stefanetc.errors import ConfigurationError
 from stefanetc.numerics import simpson
 from conftest import variant_text
+import emit_reference
 import transform_oracles as oracles
 
 
@@ -301,6 +302,47 @@ class TestEmitOutputs:
         assert lines[0].decode() == ",".join(harness.SERIES_COLUMNS)
         assert lines[1] == b""
 
+    @staticmethod
+    def special_series(npts):
+        # Wide magnitudes with nan, +-inf, signed zeros, subnormals and the
+        # extreme finite floats scattered through every column.
+        rng = np.random.default_rng(7)
+        specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                    -2.2250738585072014e-308, 1.7976931348623157e308]
+        series = {}
+        for column in harness.SERIES_COLUMNS:
+            values = rng.standard_normal(npts) \
+                * 10.0 ** rng.uniform(-300, 300, npts)
+            values[rng.integers(0, npts, npts // 8)] = \
+                rng.choice(specials, npts // 8)
+            series[column] = values
+        return series
+
+    @pytest.mark.parametrize("rows_per_write", [1, 7, None])
+    @pytest.mark.parametrize("case", ["shipped_300s", "non_finite", "empty"])
+    def test_series_matches_join_reference(self, short_result, case,
+                                           rows_per_write, tmp_path,
+                                           monkeypatch):
+        # The shipped config is the seed-0 et_paraffin input.  The
+        # non-finite series spans more than two writes at the default slice
+        # length; the empty one is the header alone.
+        npts = 2 * harness._SERIES_ROWS_PER_WRITE + 3
+        if rows_per_write is not None:
+            monkeypatch.setattr(harness, "_SERIES_ROWS_PER_WRITE",
+                                rows_per_write)
+        series = {"shipped_300s": short_result.series,
+                  "non_finite": self.special_series(npts),
+                  "empty": {c: np.array([]) for c in harness.SERIES_COLUMNS},
+                  }[case]
+        result = dataclasses.replace(short_result, series=series)
+        harness.emit_outputs(result, tmp_path / "out")
+        emit_reference.write_series_csv(series, tmp_path / "reference.csv")
+        got = (tmp_path / "out" / "series.csv").read_bytes()
+        assert got == (tmp_path / "reference.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + series["t"].size
+        if case == "non_finite":
+            assert b",nan," in got and b",-inf," in got and b",-0.0," in got
+
     def test_events_csv_fields_are_numbers(self, short_result, tmp_path):
         # A continuous run makes an event every step, so every column of a
         # non-initial event is filled from the loop's numpy scalars.
@@ -429,6 +471,31 @@ class TestCli:
         assert code == 2
         for name in ("series.csv", "events.csv", "summary.json"):
             assert (tmp_path / "out" / name).is_file()
+
+    def test_commands_import_no_heavy_scipy_subpackages(self, short_text,
+                                                        tmp_path):
+        # In a fresh process, so the modules are the commands' own: the one
+        # scipy subpackage the package needs is scipy.special.
+        cfg_path = tmp_path / "short.cfg"
+        cfg_path.write_text(variant_text(
+            short_text, [("horizon = 300.0", "horizon = 20.0")]))
+        script = (
+            "import sys\n"
+            "from stefanetc import cli\n"
+            "assert cli.main(['derive']) == 0\n"
+            f"assert cli.main(['run', '--config', {str(cfg_path)!r}, "
+            f"'--output', {str(tmp_path / 'out')!r}]) == 0\n"
+            "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse', "
+            "'scipy.linalg')\n"
+            "print('loaded:', sorted(m for m in heavy if m in sys.modules))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "loaded: []"
+        assert (tmp_path / "out" / "series.csv").is_file()
 
     def test_derive_prints_report(self, capsys):
         assert cli.main(["derive"]) == 0
