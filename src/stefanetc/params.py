@@ -41,11 +41,17 @@ class PhysicalParams:
 
 def derive_physical(k: float, rho: float, cp: float, dH: float, L: float,
                     Tm: float) -> PhysicalParams:
-    """Populate the derived diffusivities alpha = k/(rho cp), beta = k/(rho dH)."""
+    """Populate the derived diffusivities alpha = k/(rho cp), beta = k/(rho dH).
+
+    Tm is an offset in degC that only enters as T - Tm, so it may take any
+    finite value; the other constants are scales and must be positive.
+    """
     for name, value in (("k", k), ("rho", rho), ("cp", cp), ("dH", dH),
-                        ("L", L), ("Tm", Tm)):
+                        ("L", L)):
         if not value > 0.0:
             raise ConfigurationError(f"physical constant {name}={value:g} must be positive")
+    if not math.isfinite(Tm):
+        raise ConfigurationError(f"physical constant Tm={Tm:g} must be finite")
     return PhysicalParams(k=k, rho=rho, cp=cp, dH=dH, L=L, Tm=Tm,
                           alpha=k / (rho * cp), beta=k / (rho * dH))
 

@@ -163,7 +163,7 @@ def finite(lo, hi):
 VALUES = {
     "physical.k": finite(1e-6, 1e3), "physical.rho": finite(1e-6, 1e3),
     "physical.cp": finite(1e-3, 1e6), "physical.latent_heat": finite(1.0, 1e7),
-    "physical.L": finite(2.5, 1e3), "physical.Tm": finite(1e-3, 1e3),
+    "physical.L": finite(2.5, 1e3), "physical.Tm": finite(-1e3, 1e3),
     "controller.c": finite(1e-8, 1.0), "controller.lambda": finite(1e-6, 1.0),
     "controller.epsilon": finite(1e-6, 1e3),
     "controller.setpoint": finite(1e-3, 3.0),

@@ -12,7 +12,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from stefanetc import cli, config, params
+from stefanetc import cli, config, harness, params
 from stefanetc.errors import ConfigurationError
 from stefanetc.observer import observer_gain
 
@@ -69,6 +69,34 @@ class TestPhysical:
         bad["rho"] = 0.0
         with pytest.raises(ConfigurationError):
             params.derive_physical(**bad)
+
+    def test_rejects_non_finite_melting_temperature(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match="Tm=.* finite"):
+                params.derive_physical(**dict(PARAFFIN, Tm=value))
+
+    # Tm is an offset in degC that enters only as T - Tm, and the linear
+    # initial profiles are Tm + amplitude (1 - x/s0), so shifting Tm moves
+    # u = T - Tm by no more than the rounding of that sum.  Stated before
+    # the runs: s(t) agrees with the shipped Tm = 37 to 1e-12 relative.
+    TM_SHIFT_RTOL = 1e-12
+
+    @pytest.mark.parametrize("Tm", [0.0, -20.0])
+    def test_melting_temperature_is_an_offset(self, default_cfg, Tm):
+        cfg = config.override(default_cfg, "scenario.kind", "continuous")
+        cfg = config.override(cfg, "scheme.horizon", 100.0)
+        shifted = config.parse_config_text(config.serialize_config(
+            config.override(cfg, "physical.Tm", Tm)))
+        assert shifted.phys.Tm == Tm
+        assert params.derive_trigger(shifted.phys, shifted.ctrl,
+                                     shifted.trig) \
+            == params.derive_trigger(cfg.phys, cfg.ctrl, cfg.trig)
+        base = harness.run_scenario(cfg)
+        run = harness.run_scenario(shifted)
+        assert base.breach is None and run.breach is None
+        assert run.series["t"].size == base.series["t"].size == 201
+        np.testing.assert_allclose(run.series["s"], base.series["s"],
+                                   rtol=self.TM_SHIFT_RTOL, atol=0.0)
 
 
 class TestDerivationChain:
