@@ -8,6 +8,10 @@ Run from a git checkout of stefanetc.  The record holds:
   ``python3 perfbench/run.py --workload W --seed 0 --seconds S`` with the
   run length S that BENCHMARK.json sets (the end-to-end metrics), and once
   more with ``--trace 1`` (the per-layer metrics);
+- memory by phase: for each workload's seed-0 config (for ``gamma_sweep``
+  its base config, one member), a fresh process records its peak resident
+  set (``ru_maxrss``, MB) after the imports, after ``derive_trigger``,
+  after ``run_scenario`` and after ``emit_outputs``;
 - the refinement ladder: the shipped config at n = 21/41/81/161 with dt
   halved each time (0.5 s down to 0.0625 s) and a 500 s horizon, run in one
   process with BLAS pinned to one thread, after a warm-up run, three rounds
@@ -64,6 +68,40 @@ def perfbench(workload: str, seconds: float, trace: int) -> dict:
     env = next(json.loads(line.split(" ", 1)[1]) for line in lines
                if line.startswith("environment "))
     return {"result": json.loads(lines[-1]), "environment": env}
+
+
+# Run in a fresh process on a config text read from stdin; prints the peak
+# RSS in MB after each phase as JSON.
+_PHASE_RSS = """
+import json, resource, sys, tempfile
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+from stefanetc import config, harness, params
+marks = {"imports": peak_mb()}
+cfg = config.parse_config_text(sys.stdin.read())
+params.derive_trigger(cfg.phys, cfg.ctrl, cfg.trig)
+marks["derive_trigger"] = peak_mb()
+result = harness.run_scenario(cfg)
+marks["run_scenario"] = peak_mb()
+with tempfile.TemporaryDirectory() as out:
+    harness.emit_outputs(result, out)
+    marks["emit_outputs"] = peak_mb()
+print(json.dumps(marks))
+"""
+
+
+def phase_rss(workload: str) -> dict:
+    """Peak RSS (MB) of a fresh process after each phase of one seed-0 run."""
+    from perfbench import workloads
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _PHASE_RSS], cwd=ROOT, capture_output=True,
+        text=True, input=workloads.make_job(workload, 0)["config_text"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    if proc.returncode != 0:
+        raise RuntimeError(f"phase RSS of {workload} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()[-2000:]}")
+    return json.loads(proc.stdout)
 
 
 def _digests(result) -> dict:
@@ -124,7 +162,7 @@ def main() -> int:
 
     # Before numpy loads, as perfbench pins its repetitions.
     os.environ.update(dict.fromkeys(BLAS_VARS, "1"))
-    sys.path.insert(0, str(ROOT / "src"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     import numpy
     import scipy
 
@@ -138,7 +176,8 @@ def main() -> int:
         timed = perfbench(workload, seconds, trace=0)
         traced = perfbench(workload, seconds, trace=1)
         record["workloads"][workload] = {
-            "end_to_end": timed["result"], "per_layer": traced["result"]}
+            "end_to_end": timed["result"], "per_layer": traced["result"],
+            "peak_rss_mb_by_phase": phase_rss(workload)}
     source = timed["environment"]["source_sha256"]
     record["source_sha256"] = source
     record["ladder"] = ladder()
