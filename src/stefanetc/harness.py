@@ -56,14 +56,15 @@ CONVERGENCE_TOL = 0.02   # |s - s_r| threshold defining the auto horizon [cm]
 class BreachRecord:
     """Why and when a run halted, and the loop's state at that point.
 
-    The state is the one the loop held when the breach was raised: at an
-    event, the instant t (q_j is still the input held before it; the
-    breaching value is in the event record); in an advance, the start of
-    the step that breached.  Values the run never reached are nan.
+    t is the loop's clock at the breach: an event's instant, the end of the
+    step for a breach in an advance, 0 at immobilization.  The state is the
+    one the loop held: at an event, the state at t (q_j is still the input
+    held before it; the breaching value is in the event record); in an
+    advance, the start of the step.  Values the run never reached are nan.
     """
     condition: str
     message: str
-    t: float | None
+    t: float
     s: float
     sdot: float
     q_j: float
@@ -86,7 +87,8 @@ class ClosedLoop:
     """The feedback state of one run and the constants it is stepped with.
 
     The state is the plant's u, s and sdot, the observer's u_hat, m, the
-    held input q_j, the last event time t_j and the event snapshot.
+    held input q_j, the last event time t_j, the event snapshot and the
+    run's one clock t.
     `start` immobilizes the initial data.  Then, per step, `supervise`
     takes the decision at the current instant and returns its row of
     FEEDBACK_COLUMNS, and `step` advances to the next instant, with one
@@ -110,8 +112,8 @@ class ClosedLoop:
         self.next_sample = self.period   # the initial event takes t = 0
 
         self.t = 0.0
-        self.plant: plant.PlantState | None = None
-        self.observer: observer.ObserverState | None = None
+        self.u = self.u_hat = None
+        self.s = self.sdot = math.nan
         self.m, self.q_j, self.t_j = trig.m0, math.nan, 0.0
         self.snapshot: trigger.Snapshot | None = None
         self.events: list[trigger.EventRecord] = []
@@ -120,20 +122,17 @@ class ClosedLoop:
 
     def start(self) -> None:
         """Map the initial plant and observer profiles onto the grid."""
-        init, phys, n = self.init, self.phys, self.n
-        self.plant = plant.immobilize(init.T0, init.s0, phys, n)
-        self.observer = observer.ObserverState(
-            u_hat=plant.immobilize(init.T0_hat, init.s0, phys, n).u)
+        init, phys, n, s = self.init, self.phys, self.n, self.init.s0
+        self.u = plant.immobilize(init.T0, s, phys, n)
+        self.u_hat = plant.immobilize(init.T0_hat, s, phys, n)
+        self.s, self.sdot = s, plant.interface_velocity(self.u, s, self.beta)
         # The snapshot starts at the t = 0 values, so d = 0 at the initial event.
         self.snapshot = trigger.Snapshot(
-            integral_u_hat=control.integral_u_hat(self.observer.u_hat,
-                                                  self.plant.s),
-            X=self.plant.s - self.s_r)
+            integral_u_hat=control.integral_u_hat(self.u_hat, s), X=s - self.s_r)
 
     def supervise(self) -> tuple:
         """Measure, decide on an event and update the held input at t."""
-        t, u, u_hat = self.t, self.plant.u, self.observer.u_hat
-        s, sdot = plant.measure(self.plant)
+        t, u, u_hat, s, sdot = self.t, self.u, self.u_hat, self.s, self.sdot
         X = s - self.s_r
         integral = control.integral_u_hat(u_hat, s)
         d = trigger.deviation(integral, X, self.snapshot, self.c, self.alpha,
@@ -171,33 +170,31 @@ class ClosedLoop:
                 self.gamma * self.m, self.m, err_slope, integral)
 
     def step(self) -> None:
-        """Advance plant, observer and m to t + dt under the held input."""
-        dt, q_j, phys = self.dt, self.q_j, self.phys
-        s, sdot = plant.measure(self.plant)
+        """Advance plant, observer and m to t + dt under the held input.
+        The clock moves first, and the new state is kept once the whole
+        step has succeeded: a breach is stamped t + dt with the state at t."""
+        dt, q_j, phys, s, sdot = self.dt, self.q_j, self.phys, self.s, self.sdot
+        self.t = t = round((self.t + dt) / dt) * dt
         factor = plant.implicit_factor(s, dt, self.alpha, self.n)
-        plant_new = plant.step_plant(self.plant, phys, q_j, dt, factor)
-        observer_new = observer.step_observer(
-            self.observer, (s, sdot), phys, self.lam, q_j, dt,
-            measured_slope=-plant_new.sdot / self.beta, factor=factor)
+        u, s_new, sdot_new = plant.step_plant(self.u, s, sdot, phys, q_j, dt,
+                                              factor, t)
+        u_hat = observer.step_observer(self.u_hat, s, sdot, phys, self.lam,
+                                       q_j, dt, -sdot_new / self.beta, factor,
+                                       t)
         if self.period is None:
             d, X, err_slope = self._sources
-            u_hat = observer_new.u_hat
             u_hat_sq = max(numerics.trapezoid(u_hat * u_hat, s), 0.0)
             self.m = trigger.step_m(self.m, d, u_hat_sq, X * X,
                                     err_slope * err_slope, self.eta,
                                     *self.weights, dt)
-        self.t = plant_new.t = observer_new.t = round((self.t + dt) / dt) * dt
-        self.plant, self.observer = plant_new, observer_new
+        self.u, self.u_hat, self.s, self.sdot = u, u_hat, s_new, sdot_new
 
     def breach_record(self, exc: ValidityBreach | NumericalFailure) -> BreachRecord:
-        state = self.plant
         return BreachRecord(
             condition=getattr(exc, "condition", "numerical"), message=str(exc),
-            t=getattr(exc, "t", self.t),
-            s=math.nan if state is None else float(state.s),
-            sdot=math.nan if state is None else float(state.sdot),
+            t=self.t, s=float(self.s), sdot=float(self.sdot),
             q_j=float(self.q_j), m=float(self.m), t_j=float(self.t_j),
-            min_u=math.nan if state is None else float(np.min(state.u)))
+            min_u=math.nan if self.u is None else float(np.min(self.u)))
 
 
 # Bound on the profile entries K * n of one monitor pass: K steps are
@@ -299,12 +296,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     breach: BreachRecord | None = None
     try:
         loop.start()
-        rec.min_u = float(np.min(loop.plant.u))
+        rec.min_u = float(np.min(loop.u))
         while True:
-            rec.log(loop.supervise(), loop.plant.u, loop.observer.u_hat)
+            rec.log(loop.supervise(), loop.u, loop.u_hat)
             t = loop.t
             if auto_horizon and t_converged is None \
-                    and abs(loop.plant.s - loop.s_r) < CONVERGENCE_TOL:
+                    and abs(loop.s - loop.s_r) < CONVERGENCE_TOL:
                 t_converged = t
                 horizon_end = min(1.2 * t, scheme.max_horizon)
             if t >= horizon_end - 1e-9 * max(horizon_end, 1.0):

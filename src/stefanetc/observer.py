@@ -3,13 +3,12 @@
 The observer is a copy of the plant PDE driven by the held input plus an
 output-injection source p(x, s) * (T_x(s,t) - That_x(s,t)), where the plant
 slope T_x(s,t) = -sdot/beta comes from the interface-velocity measurement.
-The observer shares the true domain: s and sdot are read from the plant.
+The observer shares the true domain: its step takes the plant's s and sdot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -19,12 +18,6 @@ from .errors import NumericalFailure
 from .numerics import (BESSEL_Z_MAX, _RATIO_SERIES_CUT, _ratio_series,
                        trapezoid, unit_grid)
 from .plant import advance_profile
-
-
-@dataclass
-class ObserverState:
-    u_hat: np.ndarray      # That - Tm on the unit grid [deg C]
-    t: float = 0.0
 
 
 def observer_gain(x, s: float, lam: float, alpha: float):
@@ -88,12 +81,13 @@ def influence_profile(p: np.ndarray, dt: float, factor) -> np.ndarray:
     return plant.solve_tridiagonal(factor, dt * (p[:-1] / dt), np.zeros(p.size))
 
 
-def step_observer(obs: ObserverState, measurement, phys, lam: float,
-                  q: float, dt: float, measured_slope: float,
-                  factor) -> ObserverState:
-    """Advance the observer one step, paired with the plant step at the same dt.
+def step_observer(u_hat, s: float, sdot: float, phys, lam: float, q: float,
+                  dt: float, measured_slope: float, factor,
+                  t: float) -> np.ndarray:
+    """Advance the observer profile u_hat one step, paired with the plant
+    step at the same dt, and return the new profile.
 
-    `measurement` is the (s, sdot) pair at the old time level; it drives the
+    s and sdot are the measurements at the old time level; they drive the
     advection of the shared moving grid.  `measured_slope` is the freshest
     interface-gradient measurement T_x(s,t) = -sdot/beta; the caller should
     pass the value from the plant step just taken, so that the injection
@@ -108,15 +102,15 @@ def step_observer(obs: ObserverState, measurement, phys, lam: float,
     instead of one.  The feedback slope is the first-order difference of
     `boundary_slope`; w.z > 0 for it, so the update never becomes singular.
     Both solves use `factor`, the step's `plant.implicit_factor`, which the
-    paired plant step shares.
+    paired plant step shares.  `t` is the time the step reaches, used only
+    in messages.
     """
-    s, sdot = measurement
-    n = obs.u_hat.size
+    n = u_hat.size
 
     p = observer_gain(unit_grid(n) * s, s, lam, phys.alpha)
 
     # Base solve: A u* = rhs + dt p measured_slope.
-    u_star = advance_profile(obs.u_hat, s, sdot, q, dt, phys.alpha, phys.k,
+    u_star = advance_profile(u_hat, s, sdot, q, dt, phys.alpha, phys.k,
                              factor, source=p * measured_slope)
     # Influence solve: A z = p.
     z = influence_profile(p, dt, factor)
@@ -126,13 +120,12 @@ def step_observer(obs: ObserverState, measurement, phys, lam: float,
     w_z = boundary_slope(z, s)
     denom = 1.0 + dt * w_z
     if abs(denom) < 1e-14:
-        raise NumericalFailure(
-            f"singular injection correction at t={obs.t:g}")
+        raise NumericalFailure(f"singular injection correction at t={t:g}")
     u_hat_new = u_star - z * (dt * w_u_star / denom)
     u_hat_new[-1] = 0.0
     if not np.isfinite(u_hat_new).all():
-        raise NumericalFailure(f"observer profile became non-finite at t={obs.t:g}")
-    return ObserverState(u_hat=u_hat_new, t=obs.t + dt)
+        raise NumericalFailure(f"observer profile became non-finite at t={t:g}")
+    return u_hat_new
 
 
 def error_norms(err: np.ndarray, s):

@@ -19,7 +19,6 @@ observer solves of a step share one closed-form factorization
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +26,9 @@ from .errors import NumericalFailure, ValidityBreach
 from .numerics import diffusion_factor, solve_tridiagonal, unit_grid
 
 
-@dataclass
-class PlantState:
-    u: np.ndarray          # T - Tm on the unit grid [deg C]
-    s: float               # interface position [cm]
-    sdot: float            # interface velocity [cm/s]
-    t: float = 0.0         # time [s]
-
-
-def immobilize(T0, s0: float, phys, n: int) -> PlantState:
-    """Map an initial physical profile T0 on [0, s0] to a PlantState.
+def immobilize(T0, s0: float, phys, n: int) -> np.ndarray:
+    """Map an initial physical profile T0 on [0, s0] to u = T - Tm on the
+    unit grid.
 
     T0 may be a callable of x or an array sampled uniformly on [0, s0]; arrays
     are resampled onto the xi-grid by linear interpolation (exact for linear
@@ -52,8 +44,7 @@ def immobilize(T0, s0: float, phys, n: int) -> PlantState:
         x_src = np.linspace(0.0, s0, T0.size)
         u = np.interp(x, x_src, T0) - phys.Tm
     u[-1] = 0.0
-    sdot = interface_velocity(u, s0, phys.beta)
-    return PlantState(u=u, s=s0, sdot=sdot, t=0.0)
+    return u
 
 
 def interface_velocity(u: np.ndarray, s: float, beta: float) -> float:
@@ -115,34 +106,25 @@ def advance_profile(u, s, sdot, q, dt, alpha, k, factor, source=None):
     return solve_tridiagonal(factor, rhs, np.zeros(n))
 
 
-def step_plant(state: PlantState, phys, q: float, dt: float,
-               factor) -> PlantState:
-    """Advance the plant one step under a held boundary heat flux q.
+def step_plant(u, s: float, sdot: float, phys, q: float, dt: float, factor,
+               t: float) -> tuple[np.ndarray, float, float]:
+    """Advance the plant (u, s, sdot) one step under a held boundary heat
+    flux q and return the new (u, s, sdot).
 
-    `factor` is passed on to `advance_profile`.
+    `factor` is passed on to `advance_profile`; `t` is the time the step
+    reaches, used only in messages.
     """
     if not math.isfinite(q):
-        raise NumericalFailure(f"non-finite input q at t={state.t:g}")
+        raise NumericalFailure(f"non-finite input q at t={t:g}")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    u_new = advance_profile(state.u, state.s, state.sdot, q, dt, phys.alpha,
-                            phys.k, factor)
+    u_new = advance_profile(u, s, sdot, q, dt, phys.alpha, phys.k, factor)
     if not np.isfinite(u_new).all():
-        raise NumericalFailure(f"plant profile became non-finite at t={state.t:g}")
+        raise NumericalFailure(f"plant profile became non-finite at t={t:g}")
 
-    sdot_new = interface_velocity(u_new, state.s, phys.beta)
-    s_new = state.s + dt * sdot_new
+    sdot_new = interface_velocity(u_new, s, phys.beta)
+    s_new = s + dt * sdot_new
     if not 0.0 < s_new < phys.L:
-        raise ValidityBreach(
-            "mv2", f"interface left (0, L): s={s_new:g}", t=state.t + dt
-        )
-    return PlantState(u=u_new, s=s_new, sdot=sdot_new, t=state.t + dt)
-
-
-def measure(state: PlantState) -> tuple[float, float]:
-    """Available measurements: interface position and velocity.
-
-    The boundary gradient T_x(s, t) is recoverable as -sdot/beta.
-    """
-    return state.s, state.sdot
+        raise ValidityBreach("mv2", f"interface left (0, L): s={s_new:g}", t=t)
+    return u_new, s_new, sdot_new

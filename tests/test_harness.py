@@ -3,6 +3,7 @@ time-step guard, validity gating, breach records, output formats, and exit
 codes."""
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -12,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stefanetc import cli, config, diagnostics, harness, params, trigger
+from stefanetc import (cli, config, diagnostics, harness, params, plant,
+                       trigger)
 from stefanetc.errors import ConfigurationError
 from stefanetc.numerics import simpson
 from conftest import variant_text
@@ -25,6 +27,17 @@ import transform_oracles as oracles
 LATER_EVENT_BREACH = (("initial.s0", 0.5), ("initial.T0_amplitude", 60),
                       ("initial.That_amplitude", 0), ("scenario.unsafe", "true"),
                       ("scheme.horizon", 6000.0))
+
+# A weakly damped m with a large Lyapunov weight: m goes nonpositive in the
+# advance from the row at t = 2556.0 s.
+M_POSITIVE_BREACH = (("trigger.delta", 0.99), ("trigger.eta", 0.01),
+                     ("trigger.A", 1e6), ("scheme.horizon", 3000.0))
+
+
+def overridden(cfg, overrides):
+    for name, value in overrides:
+        cfg = config.override(cfg, name, value)
+    return cfg
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +203,49 @@ class TestRunScenario:
         assert result.events == [] and result.summary["steps"] == 0
         assert np.isnan(result.summary["min_temp_margin"])
 
+    def test_advance_breach_stamped_at_end_of_step(self, default_cfg,
+                                                   tmp_path):
+        # The loop's clock stamps the breach one step past the last row;
+        # the state is the one the step started from, and summary.json
+        # carries the same time.
+        cfg = overridden(default_cfg, M_POSITIVE_BREACH)
+        result = harness.run_scenario(cfg)
+        breach, series = result.breach, result.series
+        assert breach.condition == "m_positive"
+        assert breach.t == result.summary["breach"]["t"] \
+            == series["t"][-1] + cfg.scheme.dt == 2556.5
+        for key in ("s", "sdot", "m"):
+            assert getattr(breach, key) == series[key][-1], key
+        harness.emit_outputs(result, tmp_path)
+        written = json.loads((tmp_path / "summary.json").read_text())
+        assert written["breach"]["t"] == 2556.5
+
+    @pytest.mark.parametrize("call, part", [(1, "plant"), (2, "observer")])
+    def test_numerical_failure_stamped_at_end_of_step(self, default_cfg,
+                                                      monkeypatch, call, part):
+        # A step makes three solves: the plant's, then the observer's base
+        # and influence solves.  A nan from one of them in the step from
+        # t = 5.0 s breaches that step, stamped at its end, t = 5.5 s.
+        solve, calls = plant.solve_tridiagonal, []
+
+        def failing_solve(*args):
+            calls.append(1)
+            out = solve(*args)
+            if len(calls) == 3 * 10 + call:
+                out[:] = math.nan
+            return out
+
+        monkeypatch.setattr(plant, "solve_tridiagonal", failing_solve)
+        cfg = config.override(default_cfg, "scheme.horizon", 100.0)
+        result = harness.run_scenario(cfg)
+        breach, series = result.breach, result.series
+        assert breach.condition == "numerical"
+        assert f"{part} profile became non-finite at t=5.5" in breach.message
+        assert breach.t == result.summary["breach"]["t"] \
+            == series["t"][-1] + cfg.scheme.dt == 5.5
+        for key in ("s", "sdot", "m"):
+            assert getattr(breach, key) == series[key][-1], key
+
     def test_summary_recomputable_from_series(self, short_result):
         s = short_result.series["s"]
         assert short_result.summary["final_interface_gap"] == pytest.approx(
@@ -197,6 +253,32 @@ class TestRunScenario:
         lo, mean, hi = trigger.dwell_stats(short_result.events)
         assert short_result.summary["dwell_mean"] == pytest.approx(mean) \
             or (np.isnan(mean) and np.isnan(short_result.summary["dwell_mean"]))
+
+
+class TestRefinement:
+    # The closed loop is first order in (h, dt) refined together; the bound
+    # on the observed order is set before the run.
+    ORDER_BOUNDS = (0.9, 1.1)
+
+    def test_interface_position_converges_at_first_order(self, default_cfg):
+        # continuous on the shipped physics over 200 s at (n, dt) =
+        # (21, 0.5), (41, 0.25), (81, 0.125): max |s_h - s_h/2| at the
+        # coarser level's times halves from one pair to the next.
+        runs = []
+        for n, dt in ((21, 0.5), (41, 0.25), (81, 0.125)):
+            cfg = overridden(default_cfg, (
+                ("scheme.n", n), ("scheme.dt", dt), ("scheme.horizon", 200.0),
+                ("scenario.kind", "continuous")))
+            result = harness.run_scenario(cfg)
+            assert result.breach is None
+            runs.append(result.series)
+        diffs = []
+        for coarse, fine in zip(runs, runs[1:]):
+            assert np.array_equal(coarse["t"], fine["t"][::2])
+            diffs.append(np.max(np.abs(coarse["s"] - fine["s"][::2])))
+        order = math.log2(diffs[0] / diffs[1])
+        assert self.ORDER_BOUNDS[0] <= order <= self.ORDER_BOUNDS[1], \
+            (diffs, order)
 
 
 class TestLyapunovWeights:

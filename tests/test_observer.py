@@ -1,8 +1,8 @@
 """Observer checks: the injection gain against its closed form and, bitwise,
 against its general form; the lean step (influence solve, end-value
 slopes) bitwise against the general step; open-loop equivalence at zero
-gain, exact tracking from a perfect initialization, and error decay from a
-mismatched one."""
+gain, exact tracking from a perfect initialization, error decay from a
+mismatched one, and the target error system's decay rate at every step."""
 
 import math
 
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from stefanetc import harness, numerics, observer, params, plant
+from stefanetc import config, harness, numerics, observer, params, plant
 from stefanetc.errors import ConfigurationError
 import observer_reference as reference
 
@@ -55,20 +55,25 @@ def bits(values):
 
 
 def linear_plant(amp, s0=0.1, n=21):
+    """(u, s, sdot) of the immobilized linear profile."""
     x = np.linspace(0.0, s0, 101)
-    return plant.immobilize(PHYS.Tm + amp * (1.0 - x / s0), s0, PHYS, n)
+    u = plant.immobilize(PHYS.Tm + amp * (1.0 - x / s0), s0, PHYS, n)
+    return u, s0, plant.interface_velocity(u, s0, PHYS.beta)
 
 
-def run_pair(pstate, ostate, q, steps, dt=0.5, lam=LAM):
-    for _ in range(steps):
-        s, sdot = plant.measure(pstate)
-        factor = plant.implicit_factor(s, dt, PHYS.alpha, pstate.u.size)
-        pnew = plant.step_plant(pstate, PHYS, q, dt, factor)
-        ostate = observer.step_observer(
-            ostate, (s, sdot), PHYS, lam, q, dt,
-            measured_slope=-pnew.sdot / PHYS.beta, factor=factor)
-        pstate = pnew
-    return pstate, ostate
+def run_pair(pstate, u_hat, q, steps, dt=0.5, lam=LAM):
+    """`steps` paired plant and observer steps from the plant's
+    (u, s, sdot) and the observer's u_hat; returns the two after them."""
+    u, s, sdot = pstate
+    for k in range(1, steps + 1):
+        factor = plant.implicit_factor(s, dt, PHYS.alpha, u.size)
+        u_new, s_new, sdot_new = plant.step_plant(u, s, sdot, PHYS, q, dt,
+                                                  factor, k * dt)
+        u_hat = observer.step_observer(
+            u_hat, s, sdot, PHYS, lam, q, dt,
+            measured_slope=-sdot_new / PHYS.beta, factor=factor, t=k * dt)
+        u, s, sdot = u_new, s_new, sdot_new
+    return (u, s, sdot), u_hat
 
 
 class TestGain:
@@ -168,42 +173,38 @@ class TestBoundarySlope:
 
 class TestStep:
     def test_zero_gain_is_open_loop_copy(self):
-        pstate = linear_plant(1.0)
-        ostate = observer.ObserverState(u_hat=pstate.u.copy())
-        s, sdot = plant.measure(pstate)
-        factor = plant.implicit_factor(s, 0.5, PHYS.alpha, pstate.u.size)
-        stepped = observer.step_observer(ostate, (s, sdot), PHYS, 0.0, 1e-3, 0.5,
-                                         measured_slope=-sdot / PHYS.beta,
-                                         factor=factor)
-        direct = plant.advance_profile(pstate.u, s, sdot, 1e-3, 0.5,
+        u, s, sdot = linear_plant(1.0)
+        factor = plant.implicit_factor(s, 0.5, PHYS.alpha, u.size)
+        stepped = observer.step_observer(u.copy(), s, sdot, PHYS, 0.0, 1e-3,
+                                         0.5, measured_slope=-sdot / PHYS.beta,
+                                         factor=factor, t=0.5)
+        direct = plant.advance_profile(u, s, sdot, 1e-3, 0.5,
                                        PHYS.alpha, PHYS.k, factor)
-        assert np.allclose(stepped.u_hat, direct, atol=1e-14)
+        assert np.allclose(stepped, direct, atol=1e-14)
 
     def test_perfect_initialization_stays_exact(self):
         # Homogeneous discrete error dynamics: starting from the true state,
         # the observer tracks the plant to roundoff over many steps.
         pstate = linear_plant(1.0)
-        ostate = observer.ObserverState(u_hat=pstate.u.copy())
-        pstate, ostate = run_pair(pstate, ostate, 1e-3, 400)
-        assert np.max(np.abs(pstate.u - ostate.u_hat)) < 1e-10
+        (u, _, _), u_hat = run_pair(pstate, pstate[0].copy(), 1e-3, 400)
+        assert np.max(np.abs(u - u_hat)) < 1e-10
 
     def test_error_decays_from_mismatch(self):
-        pstate = linear_plant(1.0)
-        ostate = observer.ObserverState(u_hat=linear_plant(10.0).u)
-        norm0 = observer.error_norms(pstate.u - ostate.u_hat, pstate.s)
-        pstate, ostate = run_pair(pstate, ostate, 1e-3, 400)
-        norm = observer.error_norms(pstate.u - ostate.u_hat, pstate.s)
+        u, s, sdot = linear_plant(1.0)
+        u_hat = linear_plant(10.0)[0]
+        norm0 = observer.error_norms(u - u_hat, s)
+        (u, s, _), u_hat = run_pair((u, s, sdot), u_hat, 1e-3, 400)
+        norm = observer.error_norms(u - u_hat, s)
         assert norm < 1e-6 * norm0
 
     def test_interface_value_pinned(self):
-        pstate = linear_plant(1.0)
-        ostate = observer.ObserverState(u_hat=linear_plant(10.0).u)
-        s, sdot = plant.measure(pstate)
-        factor = plant.implicit_factor(s, 0.5, PHYS.alpha, pstate.u.size)
-        stepped = observer.step_observer(ostate, (s, sdot), PHYS, LAM, 1e-3, 0.5,
+        u, s, sdot = linear_plant(1.0)
+        factor = plant.implicit_factor(s, 0.5, PHYS.alpha, u.size)
+        stepped = observer.step_observer(linear_plant(10.0)[0], s, sdot, PHYS,
+                                         LAM, 1e-3, 0.5,
                                          measured_slope=-sdot / PHYS.beta,
-                                         factor=factor)
-        assert stepped.u_hat[-1] == 0.0
+                                         factor=factor, t=0.5)
+        assert stepped[-1] == 0.0
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(grid_sizes, positions, gain_fractions, st.floats(1e-3, 10.0))
@@ -229,10 +230,9 @@ class TestStep:
         u_hat = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
         u_hat[-1] = 0.0
         factor = plant.implicit_factor(s, dt, PHYS.alpha, n)
-        got = observer.step_observer(observer.ObserverState(u_hat=u_hat),
-                                     (s, sdot), PHYS, lam, q, dt,
-                                     measured_slope=slope, factor=factor)
-        assert bits(got.u_hat) == bits(reference.step_observer(
+        got = observer.step_observer(u_hat, s, sdot, PHYS, lam, q, dt,
+                                     measured_slope=slope, factor=factor, t=dt)
+        assert bits(got) == bits(reference.step_observer(
             u_hat, s, sdot, PHYS, lam, q, dt, slope, factor))
 
     def test_one_factorization_per_step(self, monkeypatch, default_cfg):
@@ -254,6 +254,42 @@ class TestStep:
             loop.supervise()
             loop.step()
         assert len(calls) == 5
+
+
+# The per-step decay of the transformed error is asserted while
+# ||w_tilde|| is above this fraction of ||w_tilde(0)||; below it the error
+# nears its roundoff floor.
+W_TILDE_FLOOR = 1e-10
+
+
+class TestTargetSystem:
+    """The observer is designed so that the transformed error obeys
+    w_t = alpha w_xx - lam w with w(s) = 0, so ||w_tilde|| (the
+    `norm_w_tilde` column) decays at least at rate lam, whatever the input.
+    """
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.floats(0.01, 0.3), st.sampled_from([(21, 0.5), (41, 0.25)]),
+           st.floats(0.5, 2.0), st.floats(5.0, 20.0))
+    def test_error_decays_at_design_rate_every_step(self, default_cfg, lam,
+                                                    grid, T0_amplitude,
+                                                    That_amplitude):
+        n, dt = grid
+        cfg = default_cfg
+        for name, value in (("controller.lambda", lam), ("scheme.n", n),
+                            ("scheme.dt", dt), ("scheme.horizon", 300.0),
+                            ("scenario.kind", "continuous"),
+                            ("scenario.unsafe", "true"),
+                            ("initial.T0_amplitude", T0_amplitude),
+                            ("initial.That_amplitude", That_amplitude)):
+            cfg = config.override(cfg, name, value)
+        result = harness.run_scenario(cfg)
+        assert result.breach is None
+        w = result.series["norm_w_tilde"]
+        above = w[:-1] > W_TILDE_FLOOR * w[0]
+        assert above.any()
+        ratios = w[1:][above] / w[:-1][above]
+        assert ratios.max() <= math.exp(-lam * dt), ratios.max()
 
 
 def dense_oracle_step(u, u_hat, s, sdot, q, dt, phys, lam):
@@ -310,13 +346,11 @@ class TestDenseStepOracle:
         worst = 0.0
         for _ in range(300):
             loop.supervise()
-            st, u_hat = loop.plant, loop.observer.u_hat
             u_new, u_hat_new = dense_oracle_step(
-                st.u, u_hat, st.s, st.sdot, loop.q_j, dt, phys,
+                loop.u, loop.u_hat, loop.s, loop.sdot, loop.q_j, dt, phys,
                 default_cfg.ctrl.lam)
             loop.step()
-            for got, expected in ((loop.plant.u, u_new),
-                                  (loop.observer.u_hat, u_hat_new)):
+            for got, expected in ((loop.u, u_new), (loop.u_hat, u_hat_new)):
                 err = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
                 worst = max(worst, err)
         assert worst <= 1e-12, worst
