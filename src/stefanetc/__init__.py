@@ -9,8 +9,8 @@ from .config import (ScenarioConfig, default_config, default_config_text,
                      parse_config, parse_config_text, serialize_config)
 from .errors import (ConfigurationError, InvariantViolation, NumericalFailure,
                      ValidityBreach)
-from .harness import (ScenarioResult, compare_scenarios, derivation_report,
-                      emit_outputs, run_scenario)
+from .harness import (ScenarioResult, derivation_report, emit_outputs,
+                      run_scenario)
 from .params import (ControllerConfig, InitialData, PhysicalParams,
                      TriggerConfig, TriggerDerived, derive_physical,
                      derive_trigger, validate_initial_data)
@@ -21,7 +21,7 @@ __all__ = [
     "ConfigurationError", "ControllerConfig", "InitialData",
     "InvariantViolation", "NumericalFailure", "PhysicalParams",
     "ScenarioConfig", "ScenarioResult", "TriggerConfig", "TriggerDerived",
-    "ValidityBreach", "compare_scenarios", "default_config",
+    "ValidityBreach", "default_config",
     "default_config_text", "derivation_report", "derive_physical",
     "derive_trigger", "emit_outputs", "parse_config", "parse_config_text",
     "run_scenario", "serialize_config", "validate_initial_data",

@@ -4,11 +4,12 @@ Verbs:
     derive    print the derivation report for a config
     validate  check the initial-data / parameter validity conditions
     run       run one scenario and write series/events/report/summary files
-    compare   run event_triggered vs a baseline on the same physics
+    compare   sweep scenario.kind over a list of kinds
     sweep     re-run a scenario over a list of values for one config key
 
 Exit codes: 0 success, 1 configuration or file error, 2 validity breach
-during a run.
+during a run.  Every verb that runs reports a breach on one stderr line,
+with the time of its breach record.
 """
 
 from __future__ import annotations
@@ -68,44 +69,40 @@ def cmd_run(args) -> int:
     for path in written:
         print(f"wrote {path}")
     _print_summary(result.summary)
-    if result.breach is not None:
-        print(f"run halted: {result.breach.condition}: {result.breach.message}",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _report_breaches([(cfg.scenario.kind, result.summary)])
 
 
 def cmd_compare(args) -> int:
-    cfg = _load(args)
-    kinds = args.kinds.split(",") if args.kinds else ["event_triggered", args.baseline]
-    configs = [override(cfg, "scenario.kind", kind) for kind in kinds]
-    rows = harness.compare_scenarios(configs)
-    keys = ["scenario", "control_updates", "events_threshold",
-            "events_max_dwell", "dwell_min", "dwell_mean", "dwell_max",
-            "t_converged", "final_interface_gap"]
-    print("\t".join(keys))
-    for row in rows:
-        print("\t".join(str(row.get(k, "")) for k in keys))
-    return _report_breaches((row["scenario"], row) for row in rows)
+    return _run_members(_load(args), "scenario.kind", args.kinds.split(","), [
+        "scenario", "control_updates", "events_threshold", "events_max_dwell",
+        "dwell_min", "dwell_mean", "dwell_max", "t_converged",
+        "final_interface_gap"])
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    swept = [override(cfg, args.param, value) for value in args.values]
-    keys = [args.param, "control_updates", "dwell_min", "dwell_mean",
-            "t_converged", "final_interface_gap"]
+    return _run_members(_load(args), args.param, args.values, [
+        args.param, "control_updates", "dwell_min", "dwell_mean",
+        "t_converged", "final_interface_gap"])
+
+
+def _run_members(cfg, param: str, values, keys) -> int:
+    """Run cfg with `param` set to each of `values`, every member config
+    built before the first run; print a header of `keys` and one
+    tab-separated row per member, then report the breaches."""
+    members = [override(cfg, param, value) for value in values]
     print("\t".join(keys))
     summaries = []
-    for value, member in zip(args.values, swept):
+    for value, member in zip(values, members):
         row = dict(harness.run_scenario(member).summary)
-        row[args.param] = value
+        row[param] = value
         print("\t".join(str(row.get(k, "")) for k in keys))
-        summaries.append((f"{args.param}={value}", row))
+        summaries.append((f"{param}={value}", row))
     return _report_breaches(summaries)
 
 
 def _report_breaches(members) -> int:
-    """One stderr line per member run that halted; exit 2 if any did."""
+    """One stderr line per (label, summary) run that halted, at its breach
+    record's t; exit 2 if any did."""
     code = 0
     for label, summary in members:
         breach = summary["breach"]
@@ -143,9 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare scenario kinds on one config")
     add_common(p)
-    p.add_argument("--baseline", choices=SCENARIO_KINDS, default="sampled_data")
-    p.add_argument("--kinds", default=None,
-                   help="comma-separated kinds (overrides --baseline)")
+    p.add_argument("--kinds", default="event_triggered,sampled_data",
+                   help="comma-separated scenario kinds")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="re-run over values of one config key")

@@ -29,8 +29,8 @@ def continuous_q(u_hat: np.ndarray, s: float, s_r: float, phys, c: float) -> flo
     return -c * (phys.k / phys.alpha * integral + phys.k / phys.beta * X)
 
 
-def zoh_update(u_hat: np.ndarray, s: float, s_r: float, phys, c: float,
-               t_event: float) -> float:
+def zoh_update(u_hat: np.ndarray, s: float, s_r: float, phys,
+               c: float) -> float:
     """Compute the held input q_j at an event instant.
 
     A nonpositive q_j means the positivity hypotheses (Lipschitz/sandwich/
@@ -40,5 +40,5 @@ def zoh_update(u_hat: np.ndarray, s: float, s_r: float, phys, c: float,
     q_j = continuous_q(u_hat, s, s_r, phys, c)
     if q_j <= 0.0:
         raise ValidityBreach("q_positive", f"held input q_j={q_j:g} <= 0",
-                             t=t_event, value=q_j)
+                             value=q_j)
     return q_j

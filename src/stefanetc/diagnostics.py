@@ -181,14 +181,15 @@ def f_max(L: float, lam: float, alpha: float, beta: float, c: float,
     return fine
 
 
-def lyapunov_values(w_tilde: np.ndarray, u_hat: np.ndarray, s: np.ndarray,
-                    m: np.ndarray, s_r: float, epsilon: float, phys, c: float,
-                    derived):
+def lyapunov_values(w_tilde: np.ndarray, tilde_sq: np.ndarray,
+                    u_hat: np.ndarray, s: np.ndarray, m: np.ndarray,
+                    s_r: float, epsilon: float, phys, c: float, derived):
     """(V1, V, W) from (K, n) stacks of the transformed observer error
     w_tilde (see `transform_error_inverse`) and the observer profile u_hat,
-    and length-K s and m, with the weights A, B and xi of `derived` (a
-    `params.TriggerDerived`): V = A V1 + m and W = V e^{-xi s}, three
-    length-K arrays.
+    length-K tilde_sq = trapezoid(w_tilde^2, s), which the monitor pass
+    integrates once for ||w_tilde|| and V1, and length-K s and m, with the
+    weights A, B and xi of `derived` (a `params.TriggerDerived`): V = A V1 +
+    m and W = V e^{-xi s}, three length-K arrays.
     """
     X = s - s_r
     w_hat = transform_controller_direct(u_hat, X, s, epsilon, phys.alpha,
@@ -201,10 +202,10 @@ def lyapunov_values(w_tilde: np.ndarray, u_hat: np.ndarray, s: np.ndarray,
     slope[:, 0] = (w_tilde[:, 1] - w_tilde[:, 0]) / h
     slope[:, -1] = (w_tilde[:, -1] - w_tilde[:, -2]) / h
     slope /= s[:, None]
-    # One quadrature for the three integrands.
-    squares = np.stack((w_hat, w_tilde, slope))
+    # One quadrature for the two integrands.
+    squares = np.stack((w_hat, slope))
     squares *= squares
-    hat_sq, tilde_sq, slope_sq = trapezoid(squares, s)
+    hat_sq, slope_sq = trapezoid(squares, s)
     V1 = 0.5 * hat_sq \
         + epsilon * phys.alpha / (2.0 * phys.beta) * X * X \
         + 0.5 * tilde_sq \

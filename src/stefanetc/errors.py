@@ -9,14 +9,14 @@ class ValidityBreach(RuntimeError):
     """A model-validity condition failed during a run (CLI exit code 2).
 
     Carries the name of the violated condition and the offending value so the
-    harness can emit a structured breach record instead of a bare traceback.
+    harness can emit a structured breach record instead of a bare traceback;
+    the record's time is the loop's clock, not the exception's.
     """
 
-    def __init__(self, condition: str, message: str, t: float | None = None,
+    def __init__(self, condition: str, message: str,
                  value: float | None = None):
-        super().__init__(f"[{condition}] {message}" + (f" (t={t:g} s)" if t is not None else ""))
+        super().__init__(f"[{condition}] {message}")
         self.condition = condition
-        self.t = t
         self.value = value
 
 

@@ -1,4 +1,4 @@
-"""Scenario orchestration: the closed-loop stepper, comparisons, file outputs.
+"""Scenario orchestration: the closed-loop stepper and file outputs.
 
 A run is build, loop, summarize.  `ClosedLoop` holds the feedback state and
 the per-run constants; per step it supervises the current instant (the
@@ -155,7 +155,7 @@ class ClosedLoop:
             self.events.append(event)
             try:
                 self.q_j = event.q_j = control.zoh_update(
-                    u_hat, s, self.s_r, self.phys, self.c, t)
+                    u_hat, s, self.s_r, self.phys, self.c)
             except ValidityBreach as exc:
                 event.q_j = exc.value
                 raise
@@ -174,13 +174,12 @@ class ClosedLoop:
         The clock moves first, and the new state is kept once the whole
         step has succeeded: a breach is stamped t + dt with the state at t."""
         dt, q_j, phys, s, sdot = self.dt, self.q_j, self.phys, self.s, self.sdot
-        self.t = t = round((self.t + dt) / dt) * dt
+        self.t = round((self.t + dt) / dt) * dt
         factor = plant.implicit_factor(s, dt, self.alpha, self.n)
         u, s_new, sdot_new = plant.step_plant(self.u, s, sdot, phys, q_j, dt,
-                                              factor, t)
+                                              factor)
         u_hat = observer.step_observer(self.u_hat, s, sdot, phys, self.lam,
-                                       q_j, dt, -sdot_new / self.beta, factor,
-                                       t)
+                                       q_j, dt, -sdot_new / self.beta, factor)
         if self.period is None:
             d, X, err_slope = self._sources
             u_hat_sq = max(numerics.trapezoid(u_hat * u_hat, s), 0.0)
@@ -209,11 +208,11 @@ def _monitor_columns(U, E, U_hat, s, m, phys, lam, s_r, epsilon, c, derived):
     u - u_hat and u_hat and length-K s and m, in one stacked pass."""
     err_norm = observer.error_norms(E, s)
     w_tilde = diagnostics.transform_error_inverse(E, s, lam, phys.alpha)
-    V1, V, W = diagnostics.lyapunov_values(w_tilde, U_hat, s, m, s_r, epsilon,
-                                           phys, c, derived)
     # One quadrature for the two squared norms and the energy.
     u_sq, w_tilde_sq, u_int = numerics.trapezoid(
         np.stack((U * U, w_tilde * w_tilde, U)), s)
+    V1, V, W = diagnostics.lyapunov_values(w_tilde, w_tilde_sq, U_hat, s, m,
+                                           s_r, epsilon, phys, c, derived)
     return {"norm_T_Tm": np.sqrt(np.maximum(u_sq, 0.0)),
             "norm_T_That": err_norm,
             "norm_w_tilde": np.sqrt(np.maximum(w_tilde_sq, 0.0)),
@@ -342,19 +341,6 @@ def _summarize(cfg, derived, series, events, t_converged, horizon_end,
         "min_held_input": float(min(e.q_j for e in events)) if events else float("nan"),
         "breach": None if breach is None else dataclasses.asdict(breach),
     }
-
-
-def compare_scenarios(configs: list[ScenarioConfig]) -> list[dict]:
-    """Run several configs sharing physical/initial data; aligned summary rows."""
-    if not configs:
-        return []
-    ref = configs[0]
-    for other in configs[1:]:
-        if other.raw.get("physical") != ref.raw.get("physical") \
-                or other.raw.get("initial") != ref.raw.get("initial"):
-            raise ConfigurationError(
-                "compare requires identical [physical] and [initial] sections")
-    return [dict(run_scenario(cfg).summary) for cfg in configs]
 
 
 def _fmt(value) -> str:

@@ -23,18 +23,15 @@ from .plant import advance_profile
 def observer_gain(x, s: float, lam: float, alpha: float):
     """Output-injection gain p(x, s) = -lam s I1(z)/z, z = sqrt(lam (s^2-x^2)/alpha).
 
-    Continuous at x = s with value -lam s / 2.  x is a scalar or an
-    ascending array on [0, s], as the grids xi s are.
+    Continuous at x = s with value -lam s / 2.  x is an ascending array on
+    [0, s], as the grids xi s are.
     The argument w = lam (s^2 - x^2)/alpha then never increases along x:
     its first entry is the largest, so the domain check reads that one, and
     the entries below the series cut (at least the node x = s, where w = 0)
     form a tail.  The head takes the Bessel quotient, the tail the power
     series in Python floats; every entry has the bits of its own branch.
     """
-    x = np.asarray(x, dtype=float)
     w = lam * (s * s - x * x) / alpha
-    if x.ndim == 0:
-        w = w.reshape(1)
     if w.size and math.sqrt(max(w.item(0), 0.0)) > BESSEL_Z_MAX:
         raise ValueError(f"Bessel argument outside [0, {BESSEL_Z_MAX:g}]")
     out = np.empty(w.size)
@@ -46,7 +43,7 @@ def observer_gain(x, s: float, lam: float, alpha: float):
     quotient = special.i1(z, out=out[:head])
     quotient /= z
     out *= -lam * s
-    return out.item() if x.ndim == 0 else out
+    return out
 
 
 def boundary_slope(values: np.ndarray, s: float) -> float:
@@ -82,8 +79,7 @@ def influence_profile(p: np.ndarray, dt: float, factor) -> np.ndarray:
 
 
 def step_observer(u_hat, s: float, sdot: float, phys, lam: float, q: float,
-                  dt: float, measured_slope: float, factor,
-                  t: float) -> np.ndarray:
+                  dt: float, measured_slope: float, factor) -> np.ndarray:
     """Advance the observer profile u_hat one step, paired with the plant
     step at the same dt, and return the new profile.
 
@@ -102,8 +98,7 @@ def step_observer(u_hat, s: float, sdot: float, phys, lam: float, q: float,
     instead of one.  The feedback slope is the first-order difference of
     `boundary_slope`; w.z > 0 for it, so the update never becomes singular.
     Both solves use `factor`, the step's `plant.implicit_factor`, which the
-    paired plant step shares.  `t` is the time the step reaches, used only
-    in messages.
+    paired plant step shares.
     """
     n = u_hat.size
 
@@ -120,11 +115,11 @@ def step_observer(u_hat, s: float, sdot: float, phys, lam: float, q: float,
     w_z = boundary_slope(z, s)
     denom = 1.0 + dt * w_z
     if abs(denom) < 1e-14:
-        raise NumericalFailure(f"singular injection correction at t={t:g}")
+        raise NumericalFailure("singular injection correction")
     u_hat_new = u_star - z * (dt * w_u_star / denom)
     u_hat_new[-1] = 0.0
     if not np.isfinite(u_hat_new).all():
-        raise NumericalFailure(f"observer profile became non-finite at t={t:g}")
+        raise NumericalFailure("observer profile became non-finite")
     return u_hat_new
 
 

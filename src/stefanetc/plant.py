@@ -27,22 +27,17 @@ from .numerics import diffusion_factor, solve_tridiagonal, unit_grid
 
 
 def immobilize(T0, s0: float, phys, n: int) -> np.ndarray:
-    """Map an initial physical profile T0 on [0, s0] to u = T - Tm on the
-    unit grid.
+    """Map an initial physical profile T0, an array sampled uniformly on
+    [0, s0], to u = T - Tm on the unit grid.
 
-    T0 may be a callable of x or an array sampled uniformly on [0, s0]; arrays
-    are resampled onto the xi-grid by linear interpolation (exact for linear
-    profiles).  The far value is pinned to the melting temperature.
+    T0 is resampled onto the xi-grid by linear interpolation (exact for
+    linear profiles).  The far value is pinned to the melting temperature.
     """
     if not 0.0 < s0 < phys.L:
-        raise ValidityBreach("mv2", f"s0={s0:g} outside (0, L={phys.L:g})", t=0.0)
-    x = unit_grid(n) * s0
-    if callable(T0):
-        u = np.asarray([float(T0(xx)) for xx in x]) - phys.Tm
-    else:
-        T0 = np.asarray(T0, dtype=float)
-        x_src = np.linspace(0.0, s0, T0.size)
-        u = np.interp(x, x_src, T0) - phys.Tm
+        raise ValidityBreach("mv2", f"s0={s0:g} outside (0, L={phys.L:g})")
+    T0 = np.asarray(T0, dtype=float)
+    x_src = np.linspace(0.0, s0, T0.size)
+    u = np.interp(unit_grid(n) * s0, x_src, T0) - phys.Tm
     u[-1] = 0.0
     return u
 
@@ -106,25 +101,24 @@ def advance_profile(u, s, sdot, q, dt, alpha, k, factor, source=None):
     return solve_tridiagonal(factor, rhs, np.zeros(n))
 
 
-def step_plant(u, s: float, sdot: float, phys, q: float, dt: float, factor,
-               t: float) -> tuple[np.ndarray, float, float]:
+def step_plant(u, s: float, sdot: float, phys, q: float, dt: float,
+               factor) -> tuple[np.ndarray, float, float]:
     """Advance the plant (u, s, sdot) one step under a held boundary heat
     flux q and return the new (u, s, sdot).
 
-    `factor` is passed on to `advance_profile`; `t` is the time the step
-    reaches, used only in messages.
+    `factor` is passed on to `advance_profile`.
     """
     if not math.isfinite(q):
-        raise NumericalFailure(f"non-finite input q at t={t:g}")
+        raise NumericalFailure("non-finite input q")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
     u_new = advance_profile(u, s, sdot, q, dt, phys.alpha, phys.k, factor)
     if not np.isfinite(u_new).all():
-        raise NumericalFailure(f"plant profile became non-finite at t={t:g}")
+        raise NumericalFailure("plant profile became non-finite")
 
     sdot_new = interface_velocity(u_new, s, phys.beta)
     s_new = s + dt * sdot_new
     if not 0.0 < s_new < phys.L:
-        raise ValidityBreach("mv2", f"interface left (0, L): s={s_new:g}", t=t)
+        raise ValidityBreach("mv2", f"interface left (0, L): s={s_new:g}")
     return u_new, s_new, sdot_new

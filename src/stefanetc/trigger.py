@@ -32,7 +32,7 @@ class Snapshot:
 @dataclass
 class EventRecord:
     time: float
-    reason: str            # 'initial' | 'threshold' | 'max_dwell'
+    reason: str            # 'initial' | 'threshold' | 'max_dwell' | 'scheduled'
     q_j: float
     dwell: float           # 0.0 for the initial event
     d_squared: float

@@ -4,7 +4,7 @@ enforcement of the held input."""
 import numpy as np
 import pytest
 
-from stefanetc import control, params
+from stefanetc import control, harness, params
 from stefanetc.errors import ValidityBreach
 
 PHYS = params.derive_physical(k=0.00220, rho=7.90e-4, cp=2380.0, dH=2.10e5,
@@ -33,12 +33,17 @@ class TestContinuousLaw:
 
 class TestZohUpdate:
     def test_returns_positive_input(self):
-        q = control.zoh_update(np.zeros(21), 0.1, 2.0, PHYS, C, 0.0)
+        q = control.zoh_update(np.zeros(21), 0.1, 2.0, PHYS, C)
         assert q > 0.0
 
-    def test_breach_past_setpoint(self):
+    def test_breach_past_setpoint(self, default_cfg):
         with pytest.raises(ValidityBreach) as exc:
-            control.zoh_update(np.zeros(21), 2.5, 2.0, PHYS, C, 12.0)
+            control.zoh_update(np.zeros(21), 2.5, 2.0, PHYS, C)
         assert exc.value.condition == "q_positive"
-        assert exc.value.t == 12.0
         assert exc.value.value < 0.0
+        # The breach's time is the loop's clock, which its record reads.
+        assert "t=" not in str(exc.value)
+        loop = harness.ClosedLoop(default_cfg, params.derive_trigger(
+            default_cfg.phys, default_cfg.ctrl, default_cfg.trig))
+        loop.t = 12.0
+        assert loop.breach_record(exc.value).t == 12.0

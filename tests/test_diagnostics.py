@@ -209,7 +209,7 @@ class TestLyapunov:
     def test_rest_state_values(self, derived):
         m0 = 1e-4
         (V1,), (V,), (W,) = dg.lyapunov_values(
-            np.zeros((1, 21)), np.zeros((1, 21)), np.array([2.0]),
+            np.zeros((1, 21)), np.zeros(1), np.zeros((1, 21)), np.array([2.0]),
             np.array([m0]), 2.0, EPS, PHYS, C, derived)
         assert V1 == 0.0
         assert V == m0
@@ -260,9 +260,11 @@ class TestStacks:
             dg.transform_controller_direct(U, X, s, EPS, ALPHA, BETA, C),
             [dg.transform_controller_direct(U[r], X[r], s[r], EPS, ALPHA,
                                             BETA, C) for r in rows])
-        stacked = dg.lyapunov_values(W, U, s, m, 2.0, EPS, PHYS, C, derived)
-        singles = [dg.lyapunov_values(W[r], U[r], s[r], m[r], 2.0, EPS, PHYS,
-                                      C, derived) for r in rows]
+        stacked = dg.lyapunov_values(W, trapezoid(W * W, s), U, s, m, 2.0,
+                                     EPS, PHYS, C, derived)
+        singles = [dg.lyapunov_values(W[r], trapezoid(W[r] * W[r], s[r]),
+                                      U[r], s[r], m[r], 2.0, EPS, PHYS, C,
+                                      derived) for r in rows]
         for column, values in zip(stacked, zip(*singles)):
             assert same_bits(column, np.concatenate(values))
 
@@ -301,10 +303,10 @@ class TestStacks:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(monitor_stacks())
     def test_fused_quadratures_match_separate_calls(self, derived, stack):
-        # The monitor pass makes one trapezoid call for its three integrands
-        # and lyapunov_values one for its three, with np.gradient's
-        # expressions written out; both must give the bits of the separate
-        # calls and of np.gradient.
+        # The monitor pass makes one trapezoid call for its three integrands,
+        # whose w_tilde^2 integral V1 shares, and lyapunov_values one for its
+        # two, with np.gradient's expressions written out; both must give
+        # the bits of the separate calls and of np.gradient.
         U, E, W, s, m = stack
         X = s - 2.0
         w_hat = dg.transform_controller_direct(U, X, s, EPS, ALPHA, BETA, C)
@@ -313,7 +315,8 @@ class TestStacks:
             + EPS * ALPHA / (2.0 * BETA) * X * X \
             + 0.5 * trapezoid(W * W, s) \
             + 0.5 * derived.B * trapezoid(slope * slope, s)
-        got = dg.lyapunov_values(W, U, s, m, 2.0, EPS, PHYS, C, derived)
+        got = dg.lyapunov_values(W, trapezoid(W * W, s), U, s, m, 2.0, EPS,
+                                 PHYS, C, derived)
         assert same_bits(got[0], V1) and same_bits(got[1], derived.A * V1 + m)
 
         columns = harness._monitor_columns(U, E, W, s, m, PHYS, LAM, 2.0, EPS,

@@ -40,6 +40,22 @@ def overridden(cfg, overrides):
     return cfg
 
 
+def fail_step_from_5s(monkeypatch, call):
+    """Make solve `call` of the step from t = 5.0 s return nan: a step makes
+    three solves, the plant's, then the observer's base and influence
+    solves."""
+    solve, calls = plant.solve_tridiagonal, []
+
+    def failing_solve(*args):
+        calls.append(1)
+        out = solve(*args)
+        if len(calls) == 3 * 10 + call:
+            out[:] = math.nan
+        return out
+
+    monkeypatch.setattr(plant, "solve_tridiagonal", failing_solve)
+
+
 @pytest.fixture(scope="module")
 def short_text():
     text = config.default_config_text()
@@ -223,24 +239,15 @@ class TestRunScenario:
     @pytest.mark.parametrize("call, part", [(1, "plant"), (2, "observer")])
     def test_numerical_failure_stamped_at_end_of_step(self, default_cfg,
                                                       monkeypatch, call, part):
-        # A step makes three solves: the plant's, then the observer's base
-        # and influence solves.  A nan from one of them in the step from
-        # t = 5.0 s breaches that step, stamped at its end, t = 5.5 s.
-        solve, calls = plant.solve_tridiagonal, []
-
-        def failing_solve(*args):
-            calls.append(1)
-            out = solve(*args)
-            if len(calls) == 3 * 10 + call:
-                out[:] = math.nan
-            return out
-
-        monkeypatch.setattr(plant, "solve_tridiagonal", failing_solve)
+        # A nan from the plant's or the observer's base solve in the step
+        # from t = 5.0 s breaches that step, stamped at its end, t = 5.5 s.
+        fail_step_from_5s(monkeypatch, call)
         cfg = config.override(default_cfg, "scheme.horizon", 100.0)
         result = harness.run_scenario(cfg)
         breach, series = result.breach, result.series
         assert breach.condition == "numerical"
-        assert f"{part} profile became non-finite at t=5.5" in breach.message
+        assert f"{part} profile became non-finite" in breach.message
+        assert "t=" not in breach.message
         assert breach.t == result.summary["breach"]["t"] \
             == series["t"][-1] + cfg.scheme.dt == 5.5
         for key in ("s", "sdot", "m"):
@@ -343,18 +350,6 @@ class TestLyapunovWeights:
                                    atol=0.0), column
             else:
                 assert got.tobytes() == ref.tobytes(), column
-
-
-class TestCompare:
-    def test_requires_shared_physics(self, default_text):
-        a = config.parse_config_text(default_text)
-        b = config.parse_config_text(
-            variant_text(default_text, [("L = 3.0", "L = 2.5")]))
-        with pytest.raises(ConfigurationError, match="identical"):
-            harness.compare_scenarios([a, b])
-
-    def test_empty_list(self):
-        assert harness.compare_scenarios([]) == []
 
 
 class TestEmitOutputs:
@@ -517,6 +512,46 @@ class TestCli:
         code = cli.main(["run", "--config", str(cfg_path),
                          "--output", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("overrides, condition, t", [
+        ((("initial.s0", 3.5), ("scenario.unsafe", "true")), "mv2", 0.0),
+        (M_POSITIVE_BREACH, "m_positive", 2556.5),
+        ((("scheme.horizon", 100.0),), "numerical", 5.5),
+    ], ids=["mv2", "m_positive", "numerical"])
+    def test_run_breach_line_reads_record_time(self, default_cfg, tmp_path,
+                                               capsys, monkeypatch, overrides,
+                                               condition, t):
+        # `run` prints its breach as `compare` and `sweep` do, at the
+        # record's t, and no message, printed or written, holds a time.
+        if condition == "numerical":
+            fail_step_from_5s(monkeypatch, 1)
+        cfg_path = tmp_path / "breach.cfg"
+        cfg_path.write_text(config.serialize_config(
+            overridden(default_cfg, overrides)))
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--output", str(tmp_path / "out")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        written = json.loads((tmp_path / "out" / "summary.json").read_text())
+        breach = written["breach"]
+        assert breach["condition"] == condition and breach["t"] == t
+        assert "t=" not in breach["message"]
+        assert line == (f"run halted: event_triggered: {condition} at t={t}: "
+                        f"{breach['message']}")
+
+    def test_compare_builds_every_member_before_running(self, capsys,
+                                                        monkeypatch):
+        # An invalid kind after a valid one is a configuration error before
+        # any run; with no options compare runs event_triggered and
+        # sampled_data, and --baseline is gone.
+        runs = []
+        monkeypatch.setattr(harness, "run_scenario", runs.append)
+        assert cli.main(["compare", "--kinds", "event_triggered,bogus"]) == 1
+        assert runs == [] and capsys.readouterr().out == ""
+        parser = cli.build_parser()
+        assert parser.parse_args(["compare"]).kinds \
+            == "event_triggered,sampled_data"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["compare", "--baseline", "continuous"])
 
     @pytest.mark.parametrize("verb", [
         ["sweep", "--param", "initial.T0_amplitude", "--values", "60"],

@@ -65,13 +65,13 @@ def run_pair(pstate, u_hat, q, steps, dt=0.5, lam=LAM):
     """`steps` paired plant and observer steps from the plant's
     (u, s, sdot) and the observer's u_hat; returns the two after them."""
     u, s, sdot = pstate
-    for k in range(1, steps + 1):
+    for _ in range(steps):
         factor = plant.implicit_factor(s, dt, PHYS.alpha, u.size)
         u_new, s_new, sdot_new = plant.step_plant(u, s, sdot, PHYS, q, dt,
-                                                  factor, k * dt)
+                                                  factor)
         u_hat = observer.step_observer(
             u_hat, s, sdot, PHYS, lam, q, dt,
-            measured_slope=-sdot_new / PHYS.beta, factor=factor, t=k * dt)
+            measured_slope=-sdot_new / PHYS.beta, factor=factor)
         u, s, sdot = u_new, s_new, sdot_new
     return (u, s, sdot), u_hat
 
@@ -79,18 +79,19 @@ def run_pair(pstate, u_hat, q, steps, dt=0.5, lam=LAM):
 class TestGain:
     def test_value_at_interface(self):
         # Removable singularity: p(s, s) = -lam s / 2.
-        assert observer.observer_gain(0.7, 0.7, LAM, PHYS.alpha) == pytest.approx(
-            -LAM * 0.7 / 2.0, rel=1e-12)
+        [p] = observer.observer_gain(np.array([0.7]), 0.7, LAM, PHYS.alpha)
+        assert p == pytest.approx(-LAM * 0.7 / 2.0, rel=1e-12)
 
     def test_closed_form_interior(self):
         s, x = 1.5, 0.4
         z = math.sqrt(LAM * (s * s - x * x) / PHYS.alpha)
         expected = -LAM * s * special.i1(z) / z
-        assert observer.observer_gain(x, s, LAM, PHYS.alpha) == pytest.approx(
-            expected, rel=1e-12)
+        [p] = observer.observer_gain(np.array([x]), s, LAM, PHYS.alpha)
+        assert p == pytest.approx(expected, rel=1e-12)
 
     def test_zero_gain(self):
-        assert observer.observer_gain(0.2, 0.5, 0.0, PHYS.alpha) == 0.0
+        [p] = observer.observer_gain(np.array([0.2]), 0.5, 0.0, PHYS.alpha)
+        assert p == 0.0
 
     def test_nonpositive_everywhere(self):
         x = np.linspace(0.0, 2.0, 50)
@@ -99,25 +100,26 @@ class TestGain:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(grid_sizes, positions, gain_fractions)
     def test_matches_general_form(self, n, s, frac):
-        # On the step's grid xi s, and entry by entry as scalars, the gain
-        # has the bits of the general two-branch form.
+        # On the step's grid xi s, and entry by entry as one-node grids, the
+        # gain has the bits of the general two-branch form.
         lam = frac * LAM_MAX
         x = numerics.unit_grid(n) * s
         got = observer.observer_gain(x, s, lam, PHYS.alpha)
         assert bits(got) == bits(reference.observer_gain(x, s, lam, PHYS.alpha))
         for xi, entry in zip(x.tolist(), got.tolist()):
-            scalar = observer.observer_gain(xi, s, lam, PHYS.alpha)
+            [scalar] = observer.observer_gain(np.array([xi]), s, lam,
+                                              PHYS.alpha)
             assert isinstance(scalar, float)
             assert bits(scalar) == bits(entry) \
                 == bits(reference.observer_gain(xi, s, lam, PHYS.alpha))
 
     def test_domain_check_reads_the_first_entry(self):
         # The largest argument is at x = 0: one ulp of lambda past the
-        # validated bound puts it above BESSEL_Z_MAX on the grid and as a
-        # scalar, however the grid ends.
+        # validated bound puts it above BESSEL_Z_MAX on the grid and on the
+        # one node x = 0, however the grid ends.
         lam = float(np.nextafter(LAM_MAX, math.inf))
         for x in (numerics.unit_grid(21) * PHYS.L,
-                  numerics.unit_grid(1025) * PHYS.L, 0.0):
+                  numerics.unit_grid(1025) * PHYS.L, np.zeros(1)):
             observer.observer_gain(x, PHYS.L, LAM_MAX, PHYS.alpha)
             with pytest.raises(ValueError, match="Bessel argument"):
                 observer.observer_gain(x, PHYS.L, lam, PHYS.alpha)
@@ -177,7 +179,7 @@ class TestStep:
         factor = plant.implicit_factor(s, 0.5, PHYS.alpha, u.size)
         stepped = observer.step_observer(u.copy(), s, sdot, PHYS, 0.0, 1e-3,
                                          0.5, measured_slope=-sdot / PHYS.beta,
-                                         factor=factor, t=0.5)
+                                         factor=factor)
         direct = plant.advance_profile(u, s, sdot, 1e-3, 0.5,
                                        PHYS.alpha, PHYS.k, factor)
         assert np.allclose(stepped, direct, atol=1e-14)
@@ -203,7 +205,7 @@ class TestStep:
         stepped = observer.step_observer(linear_plant(10.0)[0], s, sdot, PHYS,
                                          LAM, 1e-3, 0.5,
                                          measured_slope=-sdot / PHYS.beta,
-                                         factor=factor, t=0.5)
+                                         factor=factor)
         assert stepped[-1] == 0.0
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -231,7 +233,7 @@ class TestStep:
         u_hat[-1] = 0.0
         factor = plant.implicit_factor(s, dt, PHYS.alpha, n)
         got = observer.step_observer(u_hat, s, sdot, PHYS, lam, q, dt,
-                                     measured_slope=slope, factor=factor, t=dt)
+                                     measured_slope=slope, factor=factor)
         assert bits(got) == bits(reference.step_observer(
             u_hat, s, sdot, PHYS, lam, q, dt, slope, factor))
 

@@ -159,8 +159,9 @@ class TestDerivationChain:
             lam = alpha * (z_L / L) ** 2
             upsilon = params.compute_upsilon(alpha, lam, L)
             for s in (0.25 * L, 0.5 * L, 0.75 * L, L):
-                integral, _ = quad(observer_gain, 0.0, s, args=(s, lam, alpha),
-                                   epsabs=0.0, epsrel=1e-13, limit=200)
+                integral, _ = quad(
+                    lambda y: observer_gain(np.array([y]), s, lam, alpha)[0],
+                    0.0, s, epsabs=0.0, epsrel=1e-13, limit=200)
                 value = abs(1.0 - integral / alpha)
                 assert value <= upsilon * (1.0 + 1e-10), (alpha, lam, L, s)
             assert value == pytest.approx(upsilon, rel=1e-10), (alpha, lam, L)
