@@ -6,7 +6,8 @@ The continuous law drives the interface to the setpoint s_r:
 
 Event-triggered and periodic modes apply it in zero-order-hold fashion; the
 "continuous" baseline is a ZOH at every solver step, the finest rate a
-discrete simulator can realize.
+discrete simulator can realize.  The law takes the integral and X that the
+supervision of an instant has measured, so u_hat is integrated once there.
 """
 
 from __future__ import annotations
@@ -22,22 +23,21 @@ def integral_u_hat(u_hat: np.ndarray, s: float) -> float:
     return trapezoid(u_hat, s)
 
 
-def continuous_q(u_hat: np.ndarray, s: float, s_r: float, phys, c: float) -> float:
-    """Evaluate the continuous feedback law at the current observer state."""
-    integral = integral_u_hat(u_hat, s)
-    X = s - s_r
+def continuous_q(integral: float, X: float, phys, c: float) -> float:
+    """Evaluate the continuous feedback law from the observer's integral
+    `integral_u_hat(u_hat, s)` and X = s - s_r."""
     return -c * (phys.k / phys.alpha * integral + phys.k / phys.beta * X)
 
 
-def zoh_update(u_hat: np.ndarray, s: float, s_r: float, phys,
-               c: float) -> float:
-    """Compute the held input q_j at an event instant.
+def zoh_update(integral: float, X: float, phys, c: float) -> float:
+    """Compute the held input q_j at an event instant from the integral and
+    X that the supervision of that instant has measured.
 
     A nonpositive q_j means the positivity hypotheses (Lipschitz/sandwich/
     setpoint conditions) were violated; the run must halt rather than clamp,
     since well-posedness of the plant requires nonnegative heat.
     """
-    q_j = continuous_q(u_hat, s, s_r, phys, c)
+    q_j = continuous_q(integral, X, phys, c)
     if q_j <= 0.0:
         raise ValidityBreach("q_positive", f"held input q_j={q_j:g} <= 0",
                              value=q_j)

@@ -10,12 +10,13 @@ class ValidityBreach(RuntimeError):
 
     Carries the name of the violated condition and the offending value so the
     harness can emit a structured breach record instead of a bare traceback;
-    the record's time is the loop's clock, not the exception's.
+    the record's time is the loop's clock, not the exception's.  The message
+    does not repeat the condition, which the record and the CLI line name.
     """
 
     def __init__(self, condition: str, message: str,
                  value: float | None = None):
-        super().__init__(f"[{condition}] {message}")
+        super().__init__(message)
         self.condition = condition
         self.value = value
 

@@ -11,10 +11,13 @@ back into the loop: the recorder buffers each step's feedback row and
 profiles, and one stacked monitor pass computes them for K steps at a time,
 K = max(1, MONITOR_ROW_ENTRIES // n), when the buffer is full, at the end of
 the run and at a breach.  Inside the pass the controller transform is O(n)
-per row, and the inverse error transform evaluates its O(n^2) kernel on
-chunks of at most diagnostics.MONITOR_STACK_ENTRIES // n^2 of those rows,
-so the number of buffered rows and the size of the kernel stack are set
-apart.  Every row is bitwise the value a pass per step would give.
+per row.  The inverse error transform chooses a path per row: from
+n = diagnostics.SERIES_MIN_N on, a row whose sqrt(lam/alpha) s is below the
+first zero of J1 takes the O(n) series path, and every other row the
+O(n^2) gathered kernel, on chunks of at most
+diagnostics.MONITOR_STACK_ENTRIES // n^2 of those rows, so the number of
+buffered rows and the size of the kernel stack are set apart.  Every row is
+bitwise the value a pass per step would give.
 Validity breaches end the run with a structured record, which carries the
 loop's state at the breach, instead of an exception escaping.
 """
@@ -155,7 +158,7 @@ class ClosedLoop:
             self.events.append(event)
             try:
                 self.q_j = event.q_j = control.zoh_update(
-                    u_hat, s, self.s_r, self.phys, self.c)
+                    integral, X, self.phys, self.c)
             except ValidityBreach as exc:
                 event.q_j = exc.value
                 raise

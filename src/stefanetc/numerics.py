@@ -30,7 +30,8 @@ def _ratio_series(w, sign):
 
 
 def ratio_J1_sqrt(w):
-    """J1(sqrt(w))/sqrt(w), continuous at w = 0 with value 1/2."""
+    """J1(sqrt(w))/sqrt(w) of an array w, continuous at w = 0 with value
+    1/2."""
     # The domain check reads the least w, skipping NaNs as the comparison
     # w < 0 does, before the one sqrt, so a negative entry raises instead of
     # warning.  Then the Bessel quotient of z = sqrt(w) on the whole array
@@ -46,7 +47,7 @@ def ratio_J1_sqrt(w):
     small = (w < _RATIO_SERIES_CUT).reshape(-1).nonzero()[0]
     if small.size:
         out.reshape(-1)[small] = _ratio_series(w.reshape(-1)[small], -1.0)
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 @functools.lru_cache(maxsize=8)

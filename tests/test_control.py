@@ -18,11 +18,13 @@ class TestContinuousLaw:
         s, s_r = 0.5, 2.0
         expected = -C * (PHYS.k / PHYS.alpha * 2.0 * s
                          + PHYS.k / PHYS.beta * (s - s_r))
-        assert control.continuous_q(u_hat, s, s_r, PHYS, C) == pytest.approx(
-            expected, rel=1e-12)
+        integral = control.integral_u_hat(u_hat, s)
+        assert control.continuous_q(integral, s - s_r, PHYS, C) \
+            == pytest.approx(expected, rel=1e-12)
 
     def test_positive_below_setpoint(self):
-        q = control.continuous_q(np.zeros(21), 0.1, 2.0, PHYS, C)
+        integral = control.integral_u_hat(np.zeros(21), 0.1)
+        q = control.continuous_q(integral, 0.1 - 2.0, PHYS, C)
         assert q == pytest.approx(C * PHYS.k / PHYS.beta * 1.9, rel=1e-12)
         assert q > 0.0
 
@@ -33,12 +35,14 @@ class TestContinuousLaw:
 
 class TestZohUpdate:
     def test_returns_positive_input(self):
-        q = control.zoh_update(np.zeros(21), 0.1, 2.0, PHYS, C)
+        integral = control.integral_u_hat(np.zeros(21), 0.1)
+        q = control.zoh_update(integral, 0.1 - 2.0, PHYS, C)
         assert q > 0.0
 
     def test_breach_past_setpoint(self, default_cfg):
         with pytest.raises(ValidityBreach) as exc:
-            control.zoh_update(np.zeros(21), 2.5, 2.0, PHYS, C)
+            control.zoh_update(control.integral_u_hat(np.zeros(21), 2.5),
+                               2.5 - 2.0, PHYS, C)
         assert exc.value.condition == "q_positive"
         assert exc.value.value < 0.0
         # The breach's time is the loop's clock, which its record reads.

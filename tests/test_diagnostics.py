@@ -4,18 +4,22 @@ both transform pairs with grid-refinement order, the forcing-kernel norm
 against a hand-integrated case and a reference search over s, the
 Lyapunov functional at rest, the monitor transforms against their
 full-matrix forms, the inverse kernel against mpmath and its weights below
-the diagonal, and stacked monitor calls against one-row stacks and the
-fused quadratures against separate calls."""
+the diagonal, the series path's multiplication theorem against mpmath, its
+truncation constants against their bound and its row rule, and stacked
+monitor calls against one-row stacks and the fused quadratures against
+separate calls."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import special
 
 from stefanetc import diagnostics as dg
 from stefanetc import harness, params
@@ -28,6 +32,22 @@ PHYS = params.derive_physical(k=0.00220, rho=7.90e-4, cp=2380.0, dH=2.10e5,
                               L=3.0, Tm=37.0)
 ALPHA, BETA = PHYS.alpha, PHYS.beta
 C, LAM, EPS = 3.0e-4, 0.1, 10.0
+
+
+def least_gathered_s():
+    """The least s with sqrt(LAM/ALPHA) s >= J1_FIRST_ZERO: from n =
+    SERIES_MIN_N on, rows below it take the inverse transform's series path
+    and rows from it on the gathered kernel."""
+    s = dg.J1_FIRST_ZERO / math.sqrt(LAM / ALPHA)
+    while math.sqrt(LAM / ALPHA) * s < dg.J1_FIRST_ZERO:
+        s = float(np.nextafter(s, math.inf))
+    while math.sqrt(LAM / ALPHA) * float(np.nextafter(s, 0.0)) \
+            >= dg.J1_FIRST_ZERO:
+        s = float(np.nextafter(s, 0.0))
+    return s
+
+
+S_J11 = least_gathered_s()
 
 
 @pytest.fixture(scope="module")
@@ -114,11 +134,14 @@ class TestRoundTrips:
         assert coarse[1] / fine[1] >= 1.8
 
     def test_identity_at_zero_gain(self):
-        p = smooth_profiles(21)[0]
-        assert np.allclose(oracles.transform_error_direct(p, 0.5, 0.0, ALPHA),
-                           p, atol=1e-14)
-        assert np.allclose(oracles.error_inverse(p, 0.5, 0.0, ALPHA), p,
-                           atol=1e-14)
+        # At n = 41 the inverse takes the series path, at z = 0.
+        for n in (21, 41):
+            p = smooth_profiles(n)[0]
+            assert np.allclose(
+                oracles.transform_error_direct(p, 0.5, 0.0, ALPHA), p,
+                atol=1e-14)
+            assert np.allclose(oracles.error_inverse(p, 0.5, 0.0, ALPHA), p,
+                               atol=1e-14)
 
 
 # The nodes of f_max's coarse and fine quadrature grids.
@@ -224,15 +247,39 @@ class TestLyapunov:
 
 @st.composite
 def monitor_stacks(draw):
-    """(K, n) stacks of three profiles with length-K s and m; at n = 81 a
-    stack of 7 rows spans two kernel chunks (4 and 3 rows)."""
-    n = draw(st.sampled_from([3, 4, 21, 41, 81]))
+    """(K, n) stacks of three profiles with length-K s and m.  A drawn number
+    of the rows have s below S_J11 and the others not, in a drawn
+    order, so from n = 41 on a stack holds rows of either path or both; at
+    n = 81 a stack of 7 gathered rows spans two kernel chunks (4 and 3
+    rows)."""
+    n = draw(st.sampled_from([3, 4, 21, 41, 81, 161]))
     k = draw(st.sampled_from([1, 2, 7]))
     profiles = [draw(arrays(np.float64, (k, n), elements=st.floats(-50.0, 50.0)))
                 for _ in range(3)]
-    s = draw(arrays(np.float64, k, elements=st.floats(0.01, PHYS.L)))
+    below = draw(st.sampled_from(range(k + 1)))
+    s = np.concatenate([
+        draw(arrays(np.float64, below,
+                    elements=st.floats(0.01, S_J11, exclude_max=True))),
+        draw(arrays(np.float64, k - below,
+                    elements=st.floats(S_J11, PHYS.L)))])
+    s = s[draw(st.permutations(range(k)))]
     m = draw(arrays(np.float64, k, elements=st.floats(1e-8, 1e2)))
     return (*profiles, s, m)
+
+
+def full_matrix_error_inverse(e, s):
+    """The inverse error transform of one profile by the full n x n kernel
+    cut by np.triu and one matrix-vector product, and the bound on a
+    transform's distance from it: TRANSFORM_RTOL of the magnitudes summed."""
+    n = e.size
+    y = unit_grid(n) * s
+    diff = np.maximum(y[None, :] ** 2 - y[:, None] ** 2, 0.0)
+    M = np.triu((LAM / ALPHA) * y[None, :]
+                * ratio_J1_sqrt(LAM * diff / ALPHA)) \
+        * oracles.volterra_weights(n, s)
+    bound = TRANSFORM_RTOL * (np.abs(e) + np.max(np.abs(M), axis=1)
+                              * np.sum(np.abs(e)))
+    return e - M @ e, bound
 
 
 def same_bits(stacked, rows):
@@ -280,13 +327,9 @@ class TestStacks:
             n = u.size
             y = unit_grid(n) * si
             weights = oracles.volterra_weights(n, si)
-            diff = np.maximum(y[None, :] ** 2 - y[:, None] ** 2, 0.0)
-            M = np.triu((LAM / ALPHA) * y[None, :]
-                        * ratio_J1_sqrt(LAM * diff / ALPHA)) * weights
-            bound = TRANSFORM_RTOL * (np.abs(e) + np.max(np.abs(M), axis=1)
-                                      * np.sum(np.abs(e)))
+            reference, bound = full_matrix_error_inverse(e, si)
             got = oracles.error_inverse(e, si, LAM, ALPHA)
-            assert (np.abs(got - (e - M @ e)) <= bound).all()
+            assert (np.abs(got - reference) <= bound).all()
             X = si - 2.0
             phi = np.triu(dg.phi_kernel(y[:, None] - y[None, :], C, BETA, EPS))
             full = u - (BETA / ALPHA) * ((phi * weights) @ u) \
@@ -330,7 +373,8 @@ class TestStacks:
 
 
 # Relative tolerance of the monitor transforms and the inverse kernel
-# against their references, fixed before the comparisons were run.  The
+# against their references, fixed before the comparisons were run (the
+# series path's sentence below was added with that path).  The
 # kernel's argument mu_s (j^2 - i^2) is within a few ulps of the exact one
 # and |w d/dw R(w)| = |J2(sqrt w)|/2 <= 1/4 for R(w) = J1(sqrt w)/sqrt w, so
 # the argument costs about 1 eps of R; j1, sqrt and the divide a few eps
@@ -341,8 +385,17 @@ class TestStacks:
 # (5.7e-13 at n = 161) of the row's largest magnitude; row 0 holds
 # (lam/alpha) y_1 |R(mu_s)|, and |R(mu_s)| >= 0.045 on the grids drawn
 # below (within 8e-13).  The O(n) controller transform adds n-term
-# cumulative sums, within n eps of the magnitudes summed.
+# cumulative sums, within n eps of the magnitudes summed.  The inverse
+# transform's series path sums positive terms (SERIES_TOL below) over
+# n-term cumulative sums, within about (n + SERIES_ORDERS) eps of the
+# magnitudes summed.
 TRANSFORM_RTOL = 1e-12
+
+# Tolerance of the series path's orders R_m(a) and of its sum against
+# mpmath, relative to their values at a = 0: R_m(0) = 1/(2^{m+1} (m+1)!),
+# and the diagonal's 1/2 for the sum.  The worst of 320 seeded draws was
+# 3.4 eps for an order and 1.5 eps for the sum; the bound is 16 eps.
+SERIES_TOL = 16 * np.finfo(float).eps
 
 
 def exact_kernel_row(n, s, lam, alpha, i):
@@ -403,3 +456,110 @@ class TestKernelOracles:
         for row, si in zip(weights, s):
             expected = oracles.volterra_weights(n, si) * (unit_grid(n) * si)
             assert np.allclose(row, expected, rtol=1e-15, atol=0.0)
+
+
+def exact_order(m, a):
+    """R_m(a) = J_{m+1}(sqrt a)/sqrt(a)^{m+1} in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        if a == 0.0:
+            return mpmath.mpf(1) / (2 ** (m + 1) * mpmath.factorial(m + 1))
+        z = mpmath.sqrt(mpmath.mpf(a))
+        return mpmath.besselj(m + 1, z) / z ** (m + 1)
+
+
+class TestSeriesPath:
+    def test_first_zero(self):
+        assert dg.J1_FIRST_ZERO == special.jn_zeros(1, 1)[0]
+
+    def test_truncation_constants_meet_their_bound(self):
+        # In exact arithmetic at z = J1_FIRST_ZERO, the float just above
+        # j_{1,1}.  The sum's terms are at most (z^2/4)^m/(2 m! (m+1)!) and
+        # fall geometrically from m = SERIES_ORDERS on: what is left out is
+        # below 2^-58 of the diagonal's 1/2, and one order fewer is not.  The
+        # top orders' power series alternates with falling terms: the first
+        # term left out is below 2^-58 of the first, and one term fewer is
+        # not.  Their coefficients are the exactly rounded rationals.
+        q = Fraction(dg.J1_FIRST_ZERO) ** 2 / 4
+        orders, terms = dg.SERIES_ORDERS, dg.TOP_ORDER_TERMS
+        bound = Fraction(1, 2 ** 58)
+
+        def term(m):
+            return q ** m / (2 * math.factorial(m) * math.factorial(m + 1))
+
+        tail = term(orders) / (1 - q / ((orders + 1) * (orders + 2)))
+        assert tail / Fraction(1, 2) < bound <= term(orders - 1) / Fraction(1, 2)
+
+        def left_out(m, k):
+            return q ** k * math.factorial(m + 1) \
+                / (math.factorial(k) * math.factorial(m + k + 1))
+
+        for column, m in enumerate((orders - 1, orders)):
+            assert q / (m + 2) < 1
+            assert left_out(m, terms) < bound
+            for k in range(terms):
+                exact = Fraction((-1) ** k, 2 ** (m + 1) * 4 ** k
+                                 * math.factorial(k) * math.factorial(m + k + 1))
+                assert dg._TOP_ORDER_COEFFICIENTS[k, column] == float(exact)
+        assert left_out(orders - 1, terms - 1) >= bound
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(0.0, dg.J1_FIRST_ZERO, exclude_max=True),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(float(np.nextafter(dg.J1_FIRST_ZERO, 0.0)), 1.0, 1.0)
+    @example(float(np.nextafter(dg.J1_FIRST_ZERO, 0.0)), 1.0, 0.0)
+    def test_multiplication_theorem_matches_mpmath(self, z, a_frac, b_frac):
+        # a >= b with a <= z^2 < j_{1,1}^2: each order against its 40-digit
+        # value, and sum_m (b/2)^m/m! R_m(a), by Horner as the series path
+        # sums it, against J1(sqrt(a - b))/sqrt(a - b).
+        a = a_frac * z * z
+        b = b_frac * a
+        total = 0.0
+        for m, r in zip(range(dg.SERIES_ORDERS - 1, -1, -1),
+                        dg._bessel_orders(np.array(a))):
+            scale = 1.0 / (2 ** (m + 1) * math.factorial(m + 1))
+            assert abs(float(r) - exact_order(m, a)) <= SERIES_TOL * scale, m
+            total = float(r) + (b / 2) / (m + 1) * total
+        with mpmath.workdps(40):
+            w = mpmath.mpf(a) - mpmath.mpf(b)
+            exact = mpmath.mpf(0.5) if w == 0 else \
+                mpmath.besselj(1, mpmath.sqrt(w)) / mpmath.sqrt(w)
+            assert abs(total - exact) <= SERIES_TOL * 0.5
+
+    @pytest.mark.parametrize("n", [41, 81, 161])
+    @pytest.mark.parametrize("fraction", [1e-3, 0.3, 0.9, 1.0 - 1e-12])
+    def test_series_rows_match_full_matrix(self, n, fraction):
+        # Rows below the first zero, up to its edge, where the truncation is
+        # largest, against the full-matrix form at TRANSFORM_RTOL.
+        s = fraction * S_J11
+        assert math.sqrt(LAM / ALPHA) * s < dg.J1_FIRST_ZERO
+        e = np.random.default_rng(n).uniform(-50.0, 50.0, n)
+        reference, bound = full_matrix_error_inverse(e, s)
+        got = oracles.error_inverse(e, s, LAM, ALPHA)
+        assert (np.abs(got - reference) <= bound).all()
+
+    @pytest.mark.parametrize("n", [21, 40, 41, 161])
+    def test_row_rule(self, n, monkeypatch):
+        # From n = SERIES_MIN_N on, exactly the rows with sqrt(lam/alpha) s
+        # below J1_FIRST_ZERO take the series path, here from a stack that
+        # straddles it by an ulp; each row keeps the bits of its own
+        # one-row stack.
+        s = np.array([PHYS.L, np.nextafter(S_J11, 1.0), 0.05, S_J11,
+                      np.nextafter(S_J11, 0.0), 1.0])
+        below = math.sqrt(LAM / ALPHA) * s < dg.J1_FIRST_ZERO
+        assert below.tolist() == [False, False, True, False, True, False]
+        if n < dg.SERIES_MIN_N:
+            below[:] = False
+        taken = {}
+        for name in ("_series_integral", "_gathered_integral"):
+            def record(u, s_rows, *args, path=getattr(dg, name), name=name):
+                taken.setdefault(name, []).extend(s_rows.tolist())
+                return path(u, s_rows, *args)
+            monkeypatch.setattr(dg, name, record)
+        E = np.random.default_rng(n).uniform(-50.0, 50.0, (s.size, n))
+        stacked = dg.transform_error_inverse(E, s, LAM, ALPHA)
+        expected = {"_series_integral": s[below].tolist(),
+                    "_gathered_integral": s[~below].tolist()}
+        assert taken == {k: v for k, v in expected.items() if v}
+        rows = [dg.transform_error_inverse(E[r:r + 1], s[r:r + 1], LAM, ALPHA)
+                for r in range(s.size)]
+        assert same_bits(stacked, np.concatenate(rows))

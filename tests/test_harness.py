@@ -15,7 +15,7 @@ import pytest
 
 from stefanetc import (cli, config, diagnostics, harness, params, plant,
                        trigger)
-from stefanetc.errors import ConfigurationError
+from stefanetc.errors import ConfigurationError, InvariantViolation
 from stefanetc.numerics import simpson
 from conftest import variant_text
 import emit_reference
@@ -92,23 +92,29 @@ class TestRunScenario:
     def test_series_independent_of_monitor_stack(self, default_cfg, overrides,
                                                  tmp_path, monkeypatch):
         # The monitors of K buffered steps are computed in one stacked pass,
-        # whose transforms evaluate their kernels on chunks of those rows.
-        # One row per pass with a kernel chunk of 1 must emit the same bytes.
-        # No run fills its last stack, so the flush at the end of the run (or
-        # at the breach) is covered; at n = 81 every pass ends on a partial
-        # kernel chunk (25 rows in chunks of 4).
+        # whose inverse error transform evaluates its gathered kernel on
+        # chunks of those rows.  One row per pass with a kernel chunk of 1
+        # must emit the same bytes.  No run fills its last stack, so the
+        # flush at the end of the run (or at the breach) is covered.  At
+        # n = 21 every row takes the gathered kernel; at n = 81 and 161, with
+        # s near 0.1 throughout, every row takes the series path, so the
+        # chunk count covers the gathered rows only and the series rows are
+        # counted apart.
         cfg = default_cfg
         for name, value in overrides:
             cfg = config.override(cfg, name, value)
         n = cfg.scheme.n
         stack = harness.MONITOR_ROW_ENTRIES // n
         chunk = max(1, diagnostics.MONITOR_STACK_ENTRIES // n ** 2)
+        series_path = n >= diagnostics.SERIES_MIN_N
 
         def sizes_of_run():
-            # Rows per monitor pass and per kernel chunk.
-            passes, chunks = [], []
+            # Rows per monitor pass, per gathered kernel chunk and per call
+            # of the series path.
+            passes, chunks, series = [], [], []
             monitor_columns = harness._monitor_columns
             volterra_weights = diagnostics._volterra_weights
+            series_integral = diagnostics._series_integral
 
             def count_pass(U, *args, **kwargs):
                 passes.append(len(U))
@@ -118,19 +124,32 @@ class TestRunScenario:
                 chunks.append(len(s))
                 return volterra_weights(n, s)
 
+            def count_series(u_tilde, *args):
+                series.append(len(u_tilde))
+                return series_integral(u_tilde, *args)
+
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "_monitor_columns", count_pass)
                 patch.setattr(diagnostics, "_volterra_weights", count_chunk)
+                patch.setattr(diagnostics, "_series_integral", count_series)
                 result = harness.run_scenario(cfg)
-            return result, set(passes), set(chunks)
+            return result, set(passes), set(chunks), set(series)
 
-        stacked, passes, chunks = sizes_of_run()
+        stacked, passes, chunks, series = sizes_of_run()
         assert stack > 1 and stacked.series["t"].size % stack != 0
-        assert max(passes) == stack and max(chunks) == chunk
+        assert max(passes) == stack
+        if series_path:
+            z = math.sqrt(cfg.ctrl.lam / cfg.phys.alpha) * stacked.series["s"]
+            assert (z < diagnostics.J1_FIRST_ZERO).all()
+            assert not chunks and max(series) == stack
+        else:
+            assert max(chunks) == chunk and not series
         monkeypatch.setattr(harness, "MONITOR_ROW_ENTRIES", 1)
         monkeypatch.setattr(diagnostics, "MONITOR_STACK_ENTRIES", 1)
-        single, passes, chunks = sizes_of_run()
-        assert passes == chunks == {1}
+        single, passes, chunks, series = sizes_of_run()
+        assert passes == {1}
+        assert (chunks, series) == ((set(), {1}) if series_path
+                                    else ({1}, set()))
         assert (stacked.breach is None) == (single.breach is None)
         harness.emit_outputs(stacked, tmp_path / "stacked")
         harness.emit_outputs(single, tmp_path / "single")
@@ -513,16 +532,21 @@ class TestCli:
                          "--output", str(tmp_path / "out")])
         assert code == 2
 
-    @pytest.mark.parametrize("overrides, condition, t", [
-        ((("initial.s0", 3.5), ("scenario.unsafe", "true")), "mv2", 0.0),
-        (M_POSITIVE_BREACH, "m_positive", 2556.5),
-        ((("scheme.horizon", 100.0),), "numerical", 5.5),
+    @pytest.mark.parametrize("overrides, condition, t, message", [
+        ((("initial.s0", 3.5), ("scenario.unsafe", "true")), "mv2", 0.0,
+         "s0=3.5 outside (0, L=3)"),
+        (M_POSITIVE_BREACH, "m_positive", 2556.5,
+         "dynamic trigger variable m=-1.55327e+06 <= 0 (mu/sigma "
+         "misconfiguration or too-coarse dt)"),
+        ((("scheme.horizon", 100.0),), "numerical", 5.5,
+         "plant profile became non-finite"),
     ], ids=["mv2", "m_positive", "numerical"])
     def test_run_breach_line_reads_record_time(self, default_cfg, tmp_path,
                                                capsys, monkeypatch, overrides,
-                                               condition, t):
+                                               condition, t, message):
         # `run` prints its breach as `compare` and `sweep` do, at the
-        # record's t, and no message, printed or written, holds a time.
+        # record's t; no message, printed or written, holds a time, and the
+        # condition is named once, by the line and the record's own field.
         if condition == "numerical":
             fail_step_from_5s(monkeypatch, 1)
         cfg_path = tmp_path / "breach.cfg"
@@ -535,8 +559,21 @@ class TestCli:
         breach = written["breach"]
         assert breach["condition"] == condition and breach["t"] == t
         assert "t=" not in breach["message"]
+        assert breach["message"] == message
         assert line == (f"run halted: event_triggered: {condition} at t={t}: "
-                        f"{breach['message']}")
+                        f"{message}")
+
+    def test_escaped_breach_names_its_condition_once(self, monkeypatch,
+                                                     capsys):
+        # A breach raised outside the loop, such as derive_trigger's, ends
+        # the command with exit 2 and one line that names its condition.
+        def breach(cfg):
+            raise InvariantViolation("tau_below_max_dwell", "tau=9 >= 1/c=8")
+
+        monkeypatch.setattr(harness, "run_scenario", breach)
+        assert cli.main(["run"]) == 2
+        assert capsys.readouterr().err \
+            == "validity breach: tau_below_max_dwell: tau=9 >= 1/c=8\n"
 
     def test_compare_builds_every_member_before_running(self, capsys,
                                                         monkeypatch):

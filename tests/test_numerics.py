@@ -69,7 +69,7 @@ class TestBessel:
 
     def test_J1_against_series(self):
         for z in (0.0, 1e-4, 0.1, 0.5, 1.0, 2.5, 5.0, 8.0):
-            assert z * ratio_J1_sqrt(z * z) == pytest.approx(
+            assert z * ratio_J1_sqrt(np.array([z * z]))[0] == pytest.approx(
                 series_J1(z), rel=1e-10, abs=1e-14)
 
     def test_I1_domain(self):
@@ -78,20 +78,21 @@ class TestBessel:
         with pytest.raises(ValueError, match="Bessel argument"):
             ratio_I1_sqrt(701.0 ** 2)
         with pytest.raises(ValueError):
-            ratio_J1_sqrt(-0.25)
+            ratio_J1_sqrt(np.array([-0.25]))
 
 
 class TestRatios:
     def test_values_at_zero(self):
         assert ratio_I1_sqrt(0.0) == pytest.approx(0.5, rel=1e-14)
-        assert ratio_J1_sqrt(0.0) == pytest.approx(0.5, rel=1e-14)
+        assert ratio_J1_sqrt(np.array([0.0]))[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_continuity_across_series_cut(self):
         # The piecewise definition must agree on both sides of the cut.
         for w in (0.5e-3, 0.999e-3, 1.001e-3, 2e-3):
             z = math.sqrt(w)
             assert ratio_I1_sqrt(w) == pytest.approx(series_I1(z) / z, rel=1e-10)
-            assert ratio_J1_sqrt(w) == pytest.approx(series_J1(z) / z, rel=1e-10)
+            assert ratio_J1_sqrt(np.array([w]))[0] == pytest.approx(
+                series_J1(z) / z, rel=1e-10)
 
     @pytest.mark.parametrize("w", [1e-5, 1e-4, 5e-4, 9e-4, 9.99e-4])
     def test_series_below_the_cut_matches_mpmath(self, w):
@@ -107,7 +108,7 @@ class TestRatios:
             for got, exact in ((numerics._ratio_series(w, 1.0), exact_I),
                                (numerics._ratio_series(w, -1.0), exact_J),
                                (ratio_I1_sqrt(w), exact_I),
-                               (ratio_J1_sqrt(w), exact_J)):
+                               (ratio_J1_sqrt(np.array([w]))[0], exact_J)):
                 assert abs(got - exact) <= 1e-15 * exact
 
     def test_against_series_moderate(self):
@@ -119,7 +120,7 @@ class TestRatios:
         with pytest.raises(ValueError):
             ratio_I1_sqrt(-1e-9)
         with pytest.raises(ValueError):
-            ratio_J1_sqrt(-1e-9)
+            ratio_J1_sqrt(np.array([-1e-9]))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(arrays(np.float64, st.integers(0, 40),
@@ -132,7 +133,8 @@ class TestRatios:
         # the form that evaluated both branches everywhere and picked with
         # np.where, and of the earlier form that evaluated each branch on its
         # own entries only, for zeros, the cut and its neighbours, NaN,
-        # scalars and 2-D stacks, and raise no warning on the 0/0 they skip.
+        # 0-d arrays and 2-D stacks, and raise no warning on the 0/0 they
+        # skip.
         cut = numerics._RATIO_SERIES_CUT
         w = np.concatenate([[0.0, np.nextafter(cut, 0.0), cut,
                              np.nextafter(cut, 1.0), math.nan], drawn])

@@ -34,8 +34,8 @@ class TestDeviation:
             snap = trigger.Snapshot(integral_u_hat=I_snap, X=s_snap - s_r)
             d = trigger.deviation(I_now, s_now - s_r, snap, C,
                                   PHYS.alpha, PHYS.beta)
-            q_j = control.continuous_q(u_snap, s_snap, s_r, PHYS, C)
-            q_cont = control.continuous_q(u_now, s_now, s_r, PHYS, C)
+            q_j = control.continuous_q(I_snap, s_snap - s_r, PHYS, C)
+            q_cont = control.continuous_q(I_now, s_now - s_r, PHYS, C)
             assert d == pytest.approx((q_cont - q_j) / PHYS.k, rel=1e-12, abs=1e-15)
 
     def test_zero_at_snapshot(self):
