@@ -141,8 +141,10 @@ _TOP_ORDER_COEFFICIENTS = np.array([
     for k in range(TOP_ORDER_TERMS)])
 
 # The least n whose rows take the series path: per row it is slower than the
-# gathered path at n = 21 and faster from n = 41 on (`tools/record_bench.py`,
-# "kernel_paths" in BENCH_*.json).
+# gathered kernel at n = 21 and faster from n = 41 on.  `tools/record_bench.py`
+# times both as "kernel_paths"; BENCH_91e5a6f.json reads 7.1 against 6.7 µs
+# per row at n = 21, 14.5 against 21.8 at n = 41 and 64 against 268 at
+# n = 161.
 SERIES_MIN_N = 41
 
 
