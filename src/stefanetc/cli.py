@@ -161,8 +161,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (ValidityBreach, NumericalFailure) as exc:
-        condition = getattr(exc, "condition", "numerical")
-        print(f"validity breach: {condition}: {exc}", file=sys.stderr)
+        print(f"validity breach: {exc.condition}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

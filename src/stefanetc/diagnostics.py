@@ -211,14 +211,11 @@ def transform_error_inverse(u_tilde: np.ndarray, s: np.ndarray, lam: float,
     """
     series = (math.sqrt(lam / alpha) * s < J1_FIRST_ZERO) \
         & (u_tilde.shape[1] >= SERIES_MIN_N)
-    if series.all() or not series.any():
-        # One path for the whole stack, which it takes without row copies.
-        path = _series_integral if series.all() else _gathered_integral
-        return u_tilde - path(u_tilde, s, lam, alpha)
     integral = np.empty(u_tilde.shape)
     for rows, path in ((series, _series_integral),
                        (~series, _gathered_integral)):
-        integral[rows] = path(u_tilde[rows], s[rows], lam, alpha)
+        if rows.any():
+            integral[rows] = path(u_tilde[rows], s[rows], lam, alpha)
     return u_tilde - integral
 
 

@@ -27,3 +27,5 @@ class InvariantViolation(ValidityBreach):
 
 class NumericalFailure(RuntimeError):
     """NaN/Inf appeared in a state, or a linear solve hit a zero pivot."""
+
+    condition = "numerical"

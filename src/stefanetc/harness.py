@@ -193,7 +193,7 @@ class ClosedLoop:
 
     def breach_record(self, exc: ValidityBreach | NumericalFailure) -> BreachRecord:
         return BreachRecord(
-            condition=getattr(exc, "condition", "numerical"), message=str(exc),
+            condition=exc.condition, message=str(exc),
             t=self.t, s=float(self.s), sdot=float(self.sdot),
             q_j=float(self.q_j), m=float(self.m), t_j=float(self.t_j),
             min_u=math.nan if self.u is None else float(np.min(self.u)))

@@ -88,7 +88,10 @@ class TestRunScenario:
          ("scheme.horizon", 6000.0)],
         [("scheme.n", 81), ("scheme.dt", 0.125), ("scheme.horizon", 30.0)],
         [("scheme.n", 161), ("scheme.dt", 0.0625), ("scheme.horizon", 12.5)],
-    ], ids=["shipped_600s", "later_event_breach", "n81_30s", "n161_12s"])
+        [("scheme.n", 81), ("scheme.dt", 0.125), ("scheme.horizon", 30.0),
+         ("controller.lambda", 2.0), ("scenario.unsafe", "true")],
+    ], ids=["shipped_600s", "later_event_breach", "n81_30s", "n161_12s",
+            "n81_30s_gathered"])
     def test_series_independent_of_monitor_stack(self, default_cfg, overrides,
                                                  tmp_path, monkeypatch):
         # The monitors of K buffered steps are computed in one stacked pass,
@@ -99,14 +102,15 @@ class TestRunScenario:
         # n = 21 every row takes the gathered kernel; at n = 81 and 161, with
         # s near 0.1 throughout, every row takes the series path, so the
         # chunk count covers the gathered rows only and the series rows are
-        # counted apart.
+        # counted apart.  At lambda = 2 sqrt(lam/alpha) s stays above the
+        # first zero of J1, so every n = 81 row takes the gathered kernel,
+        # 25 rows per pass in chunks of 4, the last of them partial.
         cfg = default_cfg
         for name, value in overrides:
             cfg = config.override(cfg, name, value)
         n = cfg.scheme.n
         stack = harness.MONITOR_ROW_ENTRIES // n
         chunk = max(1, diagnostics.MONITOR_STACK_ENTRIES // n ** 2)
-        series_path = n >= diagnostics.SERIES_MIN_N
 
         def sizes_of_run():
             # Rows per monitor pass, per gathered kernel chunk and per call
@@ -138,11 +142,14 @@ class TestRunScenario:
         stacked, passes, chunks, series = sizes_of_run()
         assert stack > 1 and stacked.series["t"].size % stack != 0
         assert max(passes) == stack
+        z = math.sqrt(cfg.ctrl.lam / cfg.phys.alpha) * stacked.series["s"]
+        series_path = bool(n >= diagnostics.SERIES_MIN_N
+                           and (z < diagnostics.J1_FIRST_ZERO).all())
         if series_path:
-            z = math.sqrt(cfg.ctrl.lam / cfg.phys.alpha) * stacked.series["s"]
-            assert (z < diagnostics.J1_FIRST_ZERO).all()
             assert not chunks and max(series) == stack
         else:
+            assert n < diagnostics.SERIES_MIN_N \
+                or (z >= diagnostics.J1_FIRST_ZERO).all()
             assert max(chunks) == chunk and not series
         monkeypatch.setattr(harness, "MONITOR_ROW_ENTRIES", 1)
         monkeypatch.setattr(diagnostics, "MONITOR_STACK_ENTRIES", 1)
