@@ -15,7 +15,8 @@ import pytest
 
 from stefanetc import (cli, config, diagnostics, harness, params, plant,
                        trigger)
-from stefanetc.errors import ConfigurationError, InvariantViolation
+from stefanetc.errors import (ConfigurationError, InvariantViolation,
+                              NumericalFailure)
 from stefanetc.numerics import simpson
 from conftest import variant_text
 import emit_reference
@@ -570,17 +571,22 @@ class TestCli:
         assert line == (f"run halted: event_triggered: {condition} at t={t}: "
                         f"{message}")
 
+    @pytest.mark.parametrize("exc, line", [
+        (InvariantViolation("tau_below_max_dwell", "tau=9 >= 1/c=8"),
+         "tau_below_max_dwell: tau=9 >= 1/c=8"),
+        (NumericalFailure("diffusion number r=0.0 outside (0, inf)"),
+         "numerical: diffusion number r=0.0 outside (0, inf)"),
+    ], ids=["invariant", "numerical"])
     def test_escaped_breach_names_its_condition_once(self, monkeypatch,
-                                                     capsys):
+                                                     capsys, exc, line):
         # A breach raised outside the loop, such as derive_trigger's, ends
         # the command with exit 2 and one line that names its condition.
         def breach(cfg):
-            raise InvariantViolation("tau_below_max_dwell", "tau=9 >= 1/c=8")
+            raise exc
 
         monkeypatch.setattr(harness, "run_scenario", breach)
         assert cli.main(["run"]) == 2
-        assert capsys.readouterr().err \
-            == "validity breach: tau_below_max_dwell: tau=9 >= 1/c=8\n"
+        assert capsys.readouterr().err == f"validity breach: {line}\n"
 
     def test_compare_builds_every_member_before_running(self, capsys,
                                                         monkeypatch):
