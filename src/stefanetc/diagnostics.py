@@ -13,20 +13,21 @@ The monitors take (K, n) stacks of K instants with length-K s (and X, m);
 each row has the bits of a one-row stack.  The controller transform's kernel
 phi is affine, so its Volterra integral is two right-cumulative trapezoid
 sums: O(n) per row.  The inverse error transform takes one of two paths
-per row.  From n = SERIES_MIN_N on, a row with z = sqrt(lam/alpha) s below
-the first zero of J1 takes the series path: the multiplication theorem
-splits the Bessel ratio at j^2 - i^2 into SERIES_ORDERS products of powers
-of i^2 and Bessel functions of j^2, so the integral is that many
-right-cumulative trapezoid sums combined by Horner, O(SERIES_ORDERS n) per
-row, with no Bessel function per grid entry.  Every other row takes the
-gathered kernel, which holds for any z: its Bessel ratio depends on
-(x_i, y_j) only through j^2 - i^2 on the xi-grid, so it is evaluated once
-per distinct value of max(j^2 - i^2, 0) and gathered onto the n x n grid,
-in chunks of at most MONITOR_STACK_ENTRIES // n^2 gathered rows, with zero
-weight below the diagonal (y < x).  All of them keep the trapezoid rule of
-the full-matrix form; they differ from it in floating-point evaluation
-order, and the series path also by a truncation below 2^-58 of the
-kernel's diagonal value.
+per row, chosen by where the series converges.  A row with
+z = sqrt(lam/alpha) s below the first zero of J1 takes the series path:
+the multiplication theorem splits the Bessel ratio at j^2 - i^2 into
+SERIES_ORDERS products of powers of i^2 and Bessel functions of j^2, so
+the integral is that many right-cumulative trapezoid sums combined by
+Horner, O(SERIES_ORDERS n) per row, with no Bessel function per grid
+entry.  Every other row takes the gathered kernel, the only path that
+holds at z >= j_{1,1}: its Bessel ratio depends on (x_i, y_j) only through
+j^2 - i^2 on the xi-grid, so it is evaluated once per distinct value of
+max(j^2 - i^2, 0) and gathered onto the n x n grid, in chunks of at most
+MONITOR_STACK_ENTRIES // n^2 gathered rows, with zero weight below the
+diagonal (y < x).  All of them keep the trapezoid rule of the full-matrix
+form; they differ from it in floating-point evaluation order, and the
+series path also by a truncation below 2^-58 of the kernel's diagonal
+value.
 """
 
 from __future__ import annotations
@@ -140,13 +141,6 @@ _TOP_ORDER_COEFFICIENTS = np.array([
      for m in (SERIES_ORDERS - 1, SERIES_ORDERS)]
     for k in range(TOP_ORDER_TERMS)])
 
-# The least n whose rows take the series path: per row it is slower than the
-# gathered kernel at n = 21 and faster from n = 41 on.  `tools/record_bench.py`
-# times both as "kernel_paths"; BENCH_91e5a6f.json reads 7.1 against 6.7 µs
-# per row at n = 21, 14.5 against 21.8 at n = 41 and 64 against 268 at
-# n = 161.
-SERIES_MIN_N = 41
-
 
 def _bessel_orders(a: np.ndarray):
     """R_m(a) = J_{m+1}(sqrt a)/sqrt(a)^{m+1} for m = SERIES_ORDERS - 1 down
@@ -203,14 +197,12 @@ def transform_error_inverse(u_tilde: np.ndarray, s: np.ndarray, lam: float,
     Q(x, y) = (lam/alpha) y J1(sqrt(w))/sqrt(w), w = lam (y^2 - x^2)/alpha,
     for a (K, n) stack u_tilde and a length-K s.
 
-    A row takes the series path when n >= SERIES_MIN_N and
-    sqrt(lam/alpha) s < J1_FIRST_ZERO, where every term of its sum is
-    positive; every other row takes the gathered kernel, which holds for
-    any s.  The choice and both paths are per row, so each row has the bits
-    of its own one-row stack.
+    A row takes the series path when sqrt(lam/alpha) s < J1_FIRST_ZERO,
+    where every term of its sum is positive; every other row takes the
+    gathered kernel, which holds for any s.  The choice and both paths are
+    per row, so each row has the bits of its own one-row stack.
     """
-    series = (math.sqrt(lam / alpha) * s < J1_FIRST_ZERO) \
-        & (u_tilde.shape[1] >= SERIES_MIN_N)
+    series = math.sqrt(lam / alpha) * s < J1_FIRST_ZERO
     integral = np.empty(u_tilde.shape)
     for rows, path in ((series, _series_integral),
                        (~series, _gathered_integral)):

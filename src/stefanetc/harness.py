@@ -11,10 +11,9 @@ back into the loop: the recorder buffers each step's feedback row and
 profiles, and one stacked monitor pass computes them for K steps at a time,
 K = max(1, MONITOR_ROW_ENTRIES // n), when the buffer is full, at the end of
 the run and at a breach.  Inside the pass the controller transform is O(n)
-per row.  The inverse error transform chooses a path per row: from
-n = diagnostics.SERIES_MIN_N on, a row whose sqrt(lam/alpha) s is below the
-first zero of J1 takes the O(n) series path, and every other row the
-O(n^2) gathered kernel, on chunks of at most
+per row.  The inverse error transform chooses a path per row: a row whose
+sqrt(lam/alpha) s is below the first zero of J1 takes the O(n) series
+path, and every other row the O(n^2) gathered kernel, on chunks of at most
 diagnostics.MONITOR_STACK_ENTRIES // n^2 of those rows, so the number of
 buffered rows and the size of the kernel stack are set apart.  Every row is
 bitwise the value a pass per step would give.
@@ -120,7 +119,8 @@ class ClosedLoop:
         self.m, self.q_j, self.t_j = trig.m0, math.nan, 0.0
         self.snapshot: trigger.Snapshot | None = None
         self.events: list[trigger.EventRecord] = []
-        # The sources of m at the last supervised instant, held over a step.
+        # d, X and e at the last supervised instant, held over a step; `step`
+        # adds ||u_hat||^2 of the new observer profile over the old s.
         self._sources = None
 
     def start(self) -> None:
@@ -200,10 +200,13 @@ class ClosedLoop:
 
 
 # Bound on the profile entries K * n of one monitor pass: K steps are
-# buffered per pass, K = max(1, MONITOR_ROW_ENTRIES // n).  The transforms
-# split the pass into kernel chunks of their own
-# (diagnostics.MONITOR_STACK_ENTRIES).
-MONITOR_ROW_ENTRIES = 2048
+# buffered per pass, K = max(1, MONITOR_ROW_ENTRIES // n).  The series path
+# pays a fixed count of numpy calls per pass, so it wants K large, but past
+# about 100 rows at n = 161 its (n, K) arrays leave the cache: a sweep over
+# 2048 to 16384 ran fastest at 8192 on the workloads that take it.  The
+# gathered kernel splits the pass into chunks of its own
+# (diagnostics.MONITOR_STACK_ENTRIES), so K does not size its stack.
+MONITOR_ROW_ENTRIES = 8192
 
 
 def _monitor_columns(U, E, U_hat, s, m, phys, lam, s_r, epsilon, c, derived):

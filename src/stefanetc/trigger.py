@@ -8,8 +8,11 @@ Events occur when d^2 > gamma m, or at the latest 1/c after the previous one
 where e is the interface slope of the observer error, realizable from
 measurements as -sdot/beta minus the observer's own one-sided slope.  The
 trigger is supervised once per solver step, so events land on the step grid.
-Between steps the sources are held, and m advances by the exact solution of
-the resulting linear ODE.
+Over a step the sources are held, and m advances by the exact solution of
+the resulting linear ODE.  They are not all taken at one time level: d, X
+and e come from the supervised instant t, while ||u_hat||^2 is the observer
+profile after the step, at t + dt, integrated over the interface position
+at t (`harness.ClosedLoop.step`).
 """
 
 from __future__ import annotations

@@ -35,9 +35,9 @@ C, LAM, EPS = 3.0e-4, 0.1, 10.0
 
 
 def least_gathered_s():
-    """The least s with sqrt(LAM/ALPHA) s >= J1_FIRST_ZERO: from n =
-    SERIES_MIN_N on, rows below it take the inverse transform's series path
-    and rows from it on the gathered kernel."""
+    """The least s with sqrt(LAM/ALPHA) s >= J1_FIRST_ZERO: rows below it
+    take the inverse transform's series path and rows from it on the
+    gathered kernel."""
     s = dg.J1_FIRST_ZERO / math.sqrt(LAM / ALPHA)
     while math.sqrt(LAM / ALPHA) * s < dg.J1_FIRST_ZERO:
         s = float(np.nextafter(s, math.inf))
@@ -525,7 +525,7 @@ class TestSeriesPath:
                 mpmath.besselj(1, mpmath.sqrt(w)) / mpmath.sqrt(w)
             assert abs(total - exact) <= SERIES_TOL * 0.5
 
-    @pytest.mark.parametrize("n", [41, 81, 161])
+    @pytest.mark.parametrize("n", [3, 4, 21, 41, 81, 161])
     @pytest.mark.parametrize("fraction", [1e-3, 0.3, 0.9, 1.0 - 1e-12])
     def test_series_rows_match_full_matrix(self, n, fraction):
         # Rows below the first zero, up to its edge, where the truncation is
@@ -537,18 +537,16 @@ class TestSeriesPath:
         got = oracles.error_inverse(e, s, LAM, ALPHA)
         assert (np.abs(got - reference) <= bound).all()
 
-    @pytest.mark.parametrize("n", [21, 40, 41, 161])
+    @pytest.mark.parametrize("n", [3, 21, 41, 161])
     def test_row_rule(self, n, monkeypatch):
-        # From n = SERIES_MIN_N on, exactly the rows with sqrt(lam/alpha) s
-        # below J1_FIRST_ZERO take the series path, here from a stack that
+        # At every n, exactly the rows with sqrt(lam/alpha) s below
+        # J1_FIRST_ZERO take the series path, here from a stack that
         # straddles it by an ulp; each row keeps the bits of its own
         # one-row stack.
         s = np.array([PHYS.L, np.nextafter(S_J11, 1.0), 0.05, S_J11,
                       np.nextafter(S_J11, 0.0), 1.0])
         below = math.sqrt(LAM / ALPHA) * s < dg.J1_FIRST_ZERO
         assert below.tolist() == [False, False, True, False, True, False]
-        if n < dg.SERIES_MIN_N:
-            below[:] = False
         taken = {}
         for name in ("_series_integral", "_gathered_integral"):
             def record(u, s_rows, *args, path=getattr(dg, name), name=name):

@@ -99,13 +99,14 @@ class TestRunScenario:
         # whose inverse error transform evaluates its gathered kernel on
         # chunks of those rows.  One row per pass with a kernel chunk of 1
         # must emit the same bytes.  No run fills its last stack, so the
-        # flush at the end of the run (or at the breach) is covered.  At
-        # n = 21 every row takes the gathered kernel; at n = 81 and 161, with
-        # s near 0.1 throughout, every row takes the series path, so the
-        # chunk count covers the gathered rows only and the series rows are
-        # counted apart.  At lambda = 2 sqrt(lam/alpha) s stays above the
-        # first zero of J1, so every n = 81 row takes the gathered kernel,
-        # 25 rows per pass in chunks of 4, the last of them partial.
+        # flush at the end of the run (or at the breach) is covered.  With s
+        # near 0.1 throughout, every row of the shipped run (n = 21) and of
+        # the n = 81 and 161 runs takes the series path.  From s0 = 0.5, and
+        # at lambda = 2, sqrt(lam/alpha) s stays above the first zero of J1,
+        # so every row takes the gathered kernel: at n = 21, 390 rows per
+        # pass in chunks of 74, at n = 81, 101 rows per pass in chunks of 4,
+        # the last chunk of a pass partial.  The chunk count covers the
+        # gathered rows only and the series rows are counted apart.
         cfg = default_cfg
         for name, value in overrides:
             cfg = config.override(cfg, name, value)
@@ -144,13 +145,11 @@ class TestRunScenario:
         assert stack > 1 and stacked.series["t"].size % stack != 0
         assert max(passes) == stack
         z = math.sqrt(cfg.ctrl.lam / cfg.phys.alpha) * stacked.series["s"]
-        series_path = bool(n >= diagnostics.SERIES_MIN_N
-                           and (z < diagnostics.J1_FIRST_ZERO).all())
+        series_path = bool((z < diagnostics.J1_FIRST_ZERO).all())
         if series_path:
             assert not chunks and max(series) == stack
         else:
-            assert n < diagnostics.SERIES_MIN_N \
-                or (z >= diagnostics.J1_FIRST_ZERO).all()
+            assert (z >= diagnostics.J1_FIRST_ZERO).all()
             assert max(chunks) == chunk and not series
         monkeypatch.setattr(harness, "MONITOR_ROW_ENTRIES", 1)
         monkeypatch.setattr(diagnostics, "MONITOR_STACK_ENTRIES", 1)

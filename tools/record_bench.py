@@ -20,13 +20,7 @@ Run from a git checkout of stefanetc.  The record holds:
   checked for bitwise equal results, a sha256 per series column and one
   of the events, which show which of them moved, and a sha256 over the
   float hex of every ``TriggerDerived`` field, which shows a change of the
-  derivation chain apart from the columns;
-- the inverse error transform's two kernel paths, per row: at each
-  n = 21/41/81/161, one monitor pass of K = MONITOR_ROW_ENTRIES // n
-  seeded profiles with s spread below the first zero of J1, where both
-  paths hold, timed through the series path and the gathered kernel
-  alternately; each entry gives the median µs per row of each path over
-  the repeats.  `diagnostics.SERIES_MIN_N` is set from these.
+  derivation chain apart from the columns.
 
 The file is written at the repository root.  It is named after the short
 hash of HEAD; when ``src/`` differs from HEAD, the name also carries the
@@ -39,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import platform
 import statistics
@@ -53,8 +46,6 @@ WORKLOADS = ("et_paraffin", "fine_grid_continuous", "gamma_sweep")
 LADDER = ((21, 0.5), (41, 0.25), (81, 0.125), (161, 0.0625))
 LADDER_HORIZON_S = 500.0
 LADDER_ROUNDS = 3
-KERNEL_PATH_NS = (21, 41, 81, 161)
-KERNEL_PATH_REPEATS = 21
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -166,38 +157,6 @@ def ladder() -> list[dict]:
     return entries
 
 
-def kernel_paths() -> list[dict]:
-    """µs per row of the inverse error transform's series path and gathered
-    kernel on the same stacks, the median over alternating repeats."""
-    import numpy as np
-
-    from stefanetc import config, diagnostics, harness
-
-    cfg = config.default_config()
-    lam, alpha = cfg.ctrl.lam, cfg.phys.alpha
-    s_zero = diagnostics.J1_FIRST_ZERO / math.sqrt(lam / alpha)
-    paths = {"series": diagnostics._series_integral,
-             "gathered": diagnostics._gathered_integral}
-    rng = np.random.default_rng(0)
-    entries = []
-    for n in KERNEL_PATH_NS:
-        rows = max(1, harness.MONITOR_ROW_ENTRIES // n)
-        u_tilde = rng.uniform(-1.0, 1.0, (rows, n))
-        s = np.linspace(0.05, 0.95, rows) * s_zero
-        times = {name: [] for name in paths}
-        for _ in range(KERNEL_PATH_REPEATS):
-            for name, path in paths.items():
-                t0 = time.perf_counter()
-                path(u_tilde, s, lam, alpha)
-                times[name].append(time.perf_counter() - t0)
-        entry = {"n": n, "rows": rows, "repeats": KERNEL_PATH_REPEATS}
-        for name, values in times.items():
-            entry[f"{name}_us_per_row"] = round(
-                1e6 * statistics.median(values) / rows, 2)
-        entries.append(entry)
-    return entries
-
-
 def main() -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
@@ -222,7 +181,6 @@ def main() -> int:
     source = timed["environment"]["source_sha256"]
     record["source_sha256"] = source
     record["ladder"] = ladder()
-    record["kernel_paths"] = kernel_paths()
     record["environment"] = {
         "python": platform.python_version(), "numpy": numpy.__version__,
         "scipy": scipy.__version__, "machine": platform.machine(),
