@@ -202,9 +202,10 @@ class ClosedLoop:
 # Bound on the profile entries K * n of one monitor pass: K steps are
 # buffered per pass, K = max(1, MONITOR_ROW_ENTRIES // n).  The series path
 # pays a fixed count of numpy calls per pass, so it wants K large, but past
-# about 100 rows at n = 161 its (n, K) arrays leave the cache: a sweep over
-# 2048 to 16384 ran fastest at 8192 on the workloads that take it.  The
-# gathered kernel splits the pass into chunks of its own
+# about 100 rows at n = 161 its (n, K) arrays leave the cache: in a sweep
+# from 2048 to 32768 the pass at n = 161 took 0.56 of its 2048 time from
+# 8192 to 16384 and 0.65 at 32768, and 8192 is the least size on that
+# plateau.  The gathered kernel splits the pass into chunks of its own
 # (diagnostics.MONITOR_STACK_ENTRIES), so K does not size its stack.
 MONITOR_ROW_ENTRIES = 8192
 
