@@ -6,17 +6,18 @@ dynamic trigger or one periodic schedule decides whether the held input is
 recomputed), then advances plant, observer and m by dt.  The run is
 deterministic.
 
-The monitors (norms, energy, transformed error, Lyapunov values) never feed
-back into the loop: the recorder buffers each step's feedback row and
-profiles, and one stacked monitor pass computes them for K steps at a time,
-K = max(1, MONITOR_ROW_ENTRIES // n), when the buffer is full, at the end of
-the run and at a breach.  Inside the pass the controller transform is O(n)
-per row.  The inverse error transform chooses a path per row: a row whose
-sqrt(lam/alpha) s is below the first zero of J1 takes the O(n) series
-path, and every other row the O(n^2) gathered kernel, on chunks of at most
-diagnostics.MONITOR_STACK_ENTRIES // n^2 of those rows, so the number of
-buffered rows and the size of the kernel stack are set apart.  Every row is
-bitwise the value a pass per step would give.
+The feedback row holds only what the loop itself computes.  The other
+columns (T0_boundary, d^2, gamma m, norms, energy, transformed error,
+Lyapunov values) never feed back into the loop: the recorder buffers each
+step's row and profiles, and one stacked monitor pass computes them for K
+steps at a time, K = max(1, MONITOR_ROW_ENTRIES // n), when the buffer is
+full, at the end of the run and at a breach.  Inside the pass the
+controller transform is O(n) per row.  The inverse error transform chooses
+a path per row: a row whose sqrt(lam/alpha) s is below the first zero of J1
+takes the O(n) series path, and every other row the O(n^2) gathered kernel,
+on chunks of at most diagnostics.MONITOR_STACK_ENTRIES // n^2 of those
+rows, so the number of buffered rows and the size of the kernel stack are
+set apart.  Every row is bitwise the value a pass per step would give.
 Validity breaches end the run with a structured record, which carries the
 loop's state at the breach, instead of an exception escaping.
 """
@@ -45,8 +46,7 @@ SERIES_COLUMNS = [
 # The columns of the row `ClosedLoop.supervise` returns, in its order; the
 # monitor pass fills the others.
 FEEDBACK_COLUMNS = [
-    "t", "s", "sdot", "T0_boundary", "q", "d", "d_squared", "gamma_m", "m",
-    "err_slope", "integral_u_hat",
+    "t", "s", "sdot", "q", "d", "m", "err_slope", "integral_u_hat",
 ]
 
 EVENT_COLUMNS = ["time", "reason", "q_j", "dwell", "d_squared", "gamma_m"]
@@ -169,8 +169,7 @@ class ClosedLoop:
         # The error's interface slope is logged and feeds the m step.
         err_slope = observer.error_slope(u, u_hat, s)
         self._sources = (d, X, err_slope)
-        return (t, s, sdot, self.phys.Tm + u[0], self.q_j, d, d * d,
-                self.gamma * self.m, self.m, err_slope, integral)
+        return (t, s, sdot, self.q_j, d, self.m, err_slope, integral)
 
     def step(self) -> None:
         """Advance plant, observer and m to t + dt under the held input.
@@ -210,17 +209,22 @@ class ClosedLoop:
 MONITOR_ROW_ENTRIES = 8192
 
 
-def _monitor_columns(U, E, U_hat, s, m, phys, lam, s_r, epsilon, c, derived):
-    """The monitor columns of K buffered steps, from (K, n) stacks of u,
-    u - u_hat and u_hat and length-K s and m, in one stacked pass."""
+def _monitor_columns(U, E, U_hat, feedback, cfg, derived):
+    """The monitor columns of K buffered steps from (K, n) stacks of u,
+    u - u_hat and u_hat and the rows' `feedback` columns, in one pass."""
+    phys, ctrl = cfg.phys, cfg.ctrl
+    s, m, d = feedback["s"], feedback["m"], feedback["d"]
     err_norm = observer.error_norms(E, s)
-    w_tilde = diagnostics.transform_error_inverse(E, s, lam, phys.alpha)
+    w_tilde = diagnostics.transform_error_inverse(E, s, ctrl.lam, phys.alpha)
     # One quadrature for the two squared norms and the energy.
     u_sq, w_tilde_sq, u_int = numerics.trapezoid(
         np.stack((U * U, w_tilde * w_tilde, U)), s)
     V1, V, W = diagnostics.lyapunov_values(w_tilde, w_tilde_sq, U_hat, s, m,
-                                           s_r, epsilon, phys, c, derived)
-    return {"norm_T_Tm": np.sqrt(np.maximum(u_sq, 0.0)),
+                                           ctrl.s_r, ctrl.epsilon, phys,
+                                           ctrl.c, derived)
+    return {"T0_boundary": phys.Tm + U[:, 0], "d_squared": d * d,
+            "gamma_m": cfg.trig.gamma * m,
+            "norm_T_Tm": np.sqrt(np.maximum(u_sq, 0.0)),
             "norm_T_That": err_norm,
             "norm_w_tilde": np.sqrt(np.maximum(w_tilde_sq, 0.0)),
             "energy": u_int / phys.alpha + s / phys.beta,
@@ -257,8 +261,7 @@ class _Recorder:
         U, U_hat = (np.array(col) for col in zip(*self.profiles))
         self.rows.clear()
         self.profiles.clear()
-        columns.update(self.monitors(U, U - U_hat, U_hat, columns["s"],
-                                     columns["m"]))
+        columns.update(self.monitors(U, U - U_hat, U_hat, columns))
         self.blocks.append(np.array([columns[c] for c in SERIES_COLUMNS]))
         self.min_u = min(self.min_u, float(np.min(U)))
 
@@ -290,9 +293,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
 
     loop = ClosedLoop(cfg, derived)
     rec = _Recorder(
-        monitors=functools.partial(_monitor_columns, phys=cfg.phys,
-                                   lam=loop.lam, s_r=loop.s_r,
-                                   epsilon=cfg.ctrl.epsilon, c=loop.c,
+        monitors=functools.partial(_monitor_columns, cfg=cfg,
                                    derived=derived),
         stack=max(1, MONITOR_ROW_ENTRIES // n))
 

@@ -97,8 +97,8 @@ def diffusion_factor(n: int, r: float):
     diagonal, 1 + 2r on it, -r above it except the first entry, -2r, where
     the ghost node of the flux condition folds in.  The last unknown couples
     to the pinned u_{n-1} = 0, which adds nothing.  Returns (lower, ratios,
-    pivots) as tuples of floats for `solve_tridiagonal`: the general Thomas
-    recurrence on these constant bands, in the same operations and order.
+    pivots) for `solve_tridiagonal`: the one band value -r, then the Thomas
+    ratios and pivots as tuples of floats, in the general recurrence's order.
 
     The guard r > 0 with 1 + 2r finite stands for the dominance and
     zero-pivot checks of a general factorization: for such r each diagonal
@@ -121,16 +121,13 @@ def diffusion_factor(n: int, r: float):
         pivots.append(pivot)
         ratios.append(ratio)
     pivots.append(diag - lower * ratio)
-    return (lower,) * (n - 2), tuple(ratios), tuple(pivots)
+    return lower, tuple(ratios), tuple(pivots)
 
 
-def solve_tridiagonal(factor, rhs, out):
-    """Forward and back substitution through a (lower, ratios, pivots)
-    factorization such as `diffusion_factor`'s.
-
-    Writes the solution into out[:len(rhs)] and returns `out`; entries past
-    it are left as they are, so a profile can hold its pinned end value.
-    """
+def solve_tridiagonal(factor, rhs):
+    """Forward and back substitution through `diffusion_factor`'s (lower,
+    ratios, pivots); returns the len(rhs) + 1 node profile, the solution
+    and then the pinned interface value +0.0."""
     lower, ratios, pivots = factor
     x = np.asarray(rhs, dtype=float).tolist()
     n = len(pivots)
@@ -138,8 +135,8 @@ def solve_tridiagonal(factor, rhs, out):
         raise ValueError("inconsistent tridiagonal band lengths")
     xi = x[0] = x[0] / pivots[0]
     for i in range(1, n):
-        xi = x[i] = (x[i] - lower[i - 1] * xi) / pivots[i]
+        xi = x[i] = (x[i] - lower * xi) / pivots[i]
     for i in range(n - 2, -1, -1):
         xi = x[i] = x[i] - ratios[i] * xi
-    out[:n] = x
-    return out
+    x.append(0.0)
+    return np.array(x)

@@ -75,7 +75,7 @@ def influence_profile(p: np.ndarray, dt: float, factor) -> np.ndarray:
     source p/dt, whose right-hand side is the source term dt (p/dt) alone:
     that expression is kept, so z has the bits of that call.
     """
-    return plant.solve_tridiagonal(factor, dt * (p[:-1] / dt), np.zeros(p.size))
+    return plant.solve_tridiagonal(factor, dt * (p[:-1] / dt))
 
 
 def step_observer(u_hat, s: float, sdot: float, phys, lam: float, q: float,
@@ -105,8 +105,8 @@ def step_observer(u_hat, s: float, sdot: float, phys, lam: float, q: float,
     p = observer_gain(unit_grid(n) * s, s, lam, phys.alpha)
 
     # Base solve: A u* = rhs + dt p measured_slope.
-    u_star = advance_profile(u_hat, s, sdot, q, dt, phys.alpha, phys.k,
-                             factor, source=p * measured_slope)
+    u_star = advance_profile(u_hat, s, sdot, q, dt, phys.k, factor,
+                             source=p * measured_slope)
     # Influence solve: A z = p.
     z = influence_profile(p, dt, factor)
     # u_new = u* - z dt w.u* / (1 + dt w.z) solves (A + dt p w^T) u_new =
@@ -116,8 +116,8 @@ def step_observer(u_hat, s: float, sdot: float, phys, lam: float, q: float,
     denom = 1.0 + dt * w_z
     if abs(denom) < 1e-14:
         raise NumericalFailure("singular injection correction")
+    # u* and z end in +0.0, and so does u* - z c for every finite c.
     u_hat_new = u_star - z * (dt * w_u_star / denom)
-    u_hat_new[-1] = 0.0
     if not np.isfinite(u_hat_new).all():
         raise NumericalFailure("observer profile became non-finite")
     return u_hat_new

@@ -13,7 +13,8 @@ and the s-dependent coefficients explicit at the old time level.  The same
 advance is reused by the observer, which only adds an output-injection source.
 The implicit matrix depends on the old-level s only, so the plant solve and both
 observer solves of a step share one closed-form factorization
-(`implicit_factor`), passed to each as `factor`.
+(`implicit_factor`), passed to each as `factor`, which carries r; the solve
+returns the profile with its pinned interface value.
 """
 
 from __future__ import annotations
@@ -55,18 +56,15 @@ def interface_velocity(u: np.ndarray, s: float, beta: float) -> float:
     return -(beta / s) * (u.item(-1) - u.item(-2)) / h
 
 
-def _diffusion_number(s, dt, alpha, n):
-    h = 1.0 / (n - 1)
-    return alpha * dt / (s * s * h * h)
-
-
 def implicit_factor(s: float, dt: float, alpha: float, n: int):
-    """`diffusion_factor` of the step from interface position s: the one
-    factorization the plant solve and both observer solves of that step use."""
-    return diffusion_factor(n, _diffusion_number(s, dt, alpha, n))
+    """`diffusion_factor` of the step from interface position s, at the
+    diffusion number r = alpha dt / (s h)^2: the one factorization the plant
+    solve and both observer solves of that step use."""
+    h = 1.0 / (n - 1)
+    return diffusion_factor(n, alpha * dt / (s * s * h * h))
 
 
-def advance_profile(u, s, sdot, q, dt, alpha, k, factor, source=None):
+def advance_profile(u, s, sdot, q, dt, k, factor, source=None):
     """One semi-implicit step of the immobilized PDE, returning the new profile.
 
     Diffusion is implicit with s frozen at the old level; the advection term
@@ -77,7 +75,7 @@ def advance_profile(u, s, sdot, q, dt, alpha, k, factor, source=None):
     """
     n = u.size
     h = 1.0 / (n - 1)
-    r = _diffusion_number(s, dt, alpha, n)
+    r = -factor[0]   # the factor's one band value is -r
 
     # Upwinded advection on the interior nodes: a = xi sdot/s has the sign of
     # sdot there, so sdot >= 0 takes the forward difference; it vanishes at
@@ -97,8 +95,8 @@ def advance_profile(u, s, sdot, q, dt, alpha, k, factor, source=None):
     g = -s * q / k
     rhs[0] -= 2.0 * r * h * g
 
-    # The new profile, with the pinned interface value already in place.
-    return solve_tridiagonal(factor, rhs, np.zeros(n))
+    # The new profile, with the pinned interface value in place.
+    return solve_tridiagonal(factor, rhs)
 
 
 def step_plant(u, s: float, sdot: float, phys, q: float, dt: float,
@@ -113,7 +111,7 @@ def step_plant(u, s: float, sdot: float, phys, q: float, dt: float,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    u_new = advance_profile(u, s, sdot, q, dt, phys.alpha, phys.k, factor)
+    u_new = advance_profile(u, s, sdot, q, dt, phys.k, factor)
     if not np.isfinite(u_new).all():
         raise NumericalFailure("plant profile became non-finite")
 

@@ -40,10 +40,10 @@ def observer_gain(x, s, lam, alpha):
     return float(out) if out.ndim == 0 else out
 
 
-def influence_profile(p, s, dt, alpha, k, factor):
+def influence_profile(p, s, dt, k, factor):
     """The Sherman-Morrison influence profile z: `plant.advance_profile` of
     a zero profile under zero flux and the source p/dt."""
-    return plant.advance_profile(np.zeros(p.size), s, 0.0, 0.0, dt, alpha, k,
+    return plant.advance_profile(np.zeros(p.size), s, 0.0, 0.0, dt, k,
                                  source=p / dt, factor=factor)
 
 
@@ -52,9 +52,9 @@ def step_observer(u_hat, s, sdot, phys, lam, q, dt, measured_slope, factor):
     general gain, `influence_profile` and slopes taken on arrays."""
     n = u_hat.size
     p = observer_gain(unit_grid(n) * s, s, lam, phys.alpha)
-    u_star = plant.advance_profile(u_hat, s, sdot, q, dt, phys.alpha, phys.k,
+    u_star = plant.advance_profile(u_hat, s, sdot, q, dt, phys.k,
                                    source=p * measured_slope, factor=factor)
-    z = influence_profile(p, s, dt, phys.alpha, phys.k, factor)
+    z = influence_profile(p, s, dt, phys.k, factor)
     h = 1.0 / (n - 1)
     w_u_star = (u_star[..., -1] - u_star[..., -2]) / (h * s)
     w_z = (z[..., -1] - z[..., -2]) / (h * s)

@@ -10,6 +10,7 @@ monitor calls against one-row stacks and the fused quadratures against
 separate calls."""
 
 import math
+import types
 import warnings
 from fractions import Fraction
 
@@ -32,6 +33,9 @@ PHYS = params.derive_physical(k=0.00220, rho=7.90e-4, cp=2380.0, dH=2.10e5,
                               L=3.0, Tm=37.0)
 ALPHA, BETA = PHYS.alpha, PHYS.beta
 C, LAM, EPS = 3.0e-4, 0.1, 10.0
+CTRL = params.ControllerConfig(c=C, lam=LAM, epsilon=EPS, s_r=2.0)
+TRIG = params.TriggerConfig(eta=1.325e-2, gamma=1e3, delta=0.5, m0=1e-4,
+                            A=None, b_star=None)
 
 
 def least_gathered_s():
@@ -57,10 +61,7 @@ def tc():
 
 @pytest.fixture(scope="module")
 def derived():
-    return params.derive_trigger(
-        PHYS, params.ControllerConfig(c=C, lam=LAM, epsilon=EPS, s_r=2.0),
-        params.TriggerConfig(eta=1.325e-2, gamma=1e3, delta=0.5, m0=1e-4,
-                             A=None, b_star=None))
+    return params.derive_trigger(PHYS, CTRL, TRIG)
 
 
 def smooth_profiles(n):
@@ -362,8 +363,17 @@ class TestStacks:
                                  PHYS, C, derived)
         assert same_bits(got[0], V1) and same_bits(got[1], derived.A * V1 + m)
 
-        columns = harness._monitor_columns(U, E, W, s, m, PHYS, LAM, 2.0, EPS,
-                                           C, derived)
+        # The logged-only columns, from the buffered rows, have the bits of
+        # the Python floats the feedback row once held.
+        d = s - 2.0
+        cfg = types.SimpleNamespace(phys=PHYS, ctrl=CTRL, trig=TRIG)
+        columns = harness._monitor_columns(U, E, W, {"s": s, "m": m, "d": d},
+                                           cfg, derived)
+        for name, row_values in (
+                ("T0_boundary", [PHYS.Tm + u[0] for u in U]),
+                ("d_squared", [x * x for x in d.tolist()]),
+                ("gamma_m", [TRIG.gamma * x for x in m.tolist()])):
+            assert same_bits(columns[name], row_values), name
         w_tilde = dg.transform_error_inverse(E, s, LAM, ALPHA)
         for name, values in (("norm_T_Tm", U), ("norm_w_tilde", w_tilde)):
             assert same_bits(columns[name], np.sqrt(

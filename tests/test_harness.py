@@ -526,6 +526,29 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert str(cfg_path) in proc.stderr
 
+    def test_max_dwell_event_with_negative_input_halts(self, default_text,
+                                                       tmp_path):
+        # A weakly damped m (eta = 0.005) passes validation and
+        # derive_trigger, then grows to about 2e11, so no threshold event
+        # fires, and the first max-dwell event, at t = 3333.0 s, below
+        # 1/c = 3333.3 s, computes q_j < 0: the 1/c max dwell alone does not
+        # keep the held input positive.  Out of process, so an escaping
+        # exception shows as a traceback.
+        cfg_path = tmp_path / "eta.cfg"
+        cfg_path.write_text(variant_text(default_text, [
+            ("eta = 1.325e-2", "eta = 0.005")]))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stefanetc.cli", "run", "--config",
+             str(cfg_path), "--output", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("run halted: ") \
+            and ": q_positive at t=3333.0: " in line
+
     def test_breach_exit_code(self, default_text, tmp_path):
         text = variant_text(default_text, [
             ("s0 = 0.1", "s0 = 2.1"),

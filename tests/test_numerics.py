@@ -228,36 +228,21 @@ class TestQuadrature:
 
 
 class TestTridiagonal:
-    def test_against_dense_solver(self):
-        rng = np.random.default_rng(7)
-        for n in (3, 5, 20, 101):
-            a = rng.uniform(-1.0, 1.0, n - 1)
-            c = rng.uniform(-1.0, 1.0, n - 1)
-            b = np.abs(rng.uniform(2.5, 4.0, n))
-            rhs = rng.uniform(-1.0, 1.0, n)
-            M = np.diag(b) + np.diag(a, -1) + np.diag(c, 1)
-            expected = np.linalg.solve(M, rhs)
-            got = solve_tridiagonal(thomas_factor(a, b, c), rhs, np.empty(n))
-            assert got.tobytes() == thomas_solve(thomas_factor(a, b, c), rhs).tobytes()
-            assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
-
     def test_one_factor_many_right_hand_sides(self):
         rng = np.random.default_rng(11)
-        n = 30
-        a = rng.uniform(-1.0, 1.0, n - 1)
-        c = rng.uniform(-1.0, 1.0, n - 1)
-        b = rng.uniform(2.5, 4.0, n)
-        M = np.diag(b) + np.diag(a, -1) + np.diag(c, 1)
-        factor = thomas_factor(a, b, c)
-        rhs = rng.uniform(-1.0, 1.0, (4, n))
+        n, r = 31, 0.7
+        lower, diag, upper = (np.asarray(b) for b in diffusion_bands(n, r))
+        M = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        factor = diffusion_factor(n, r)
+        rhs = rng.uniform(-1.0, 1.0, (4, n - 1))
         for row, expected in zip(rhs, np.linalg.solve(M, rhs.T).T):
-            got = solve_tridiagonal(factor, row, np.empty(n))
-            assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
+            got = solve_tridiagonal(factor, row)
+            assert np.allclose(got[:-1], expected, rtol=1e-12, atol=1e-14)
         # Substitution leaves the shared factor intact: a repeat is bitwise equal.
-        assert np.array_equal(solve_tridiagonal(factor, rhs[0], np.empty(n)),
-                              solve_tridiagonal(factor, rhs[0], np.empty(n)))
+        assert np.array_equal(solve_tridiagonal(factor, rhs[0]),
+                              solve_tridiagonal(factor, rhs[0]))
         with pytest.raises(ValueError):
-            solve_tridiagonal(factor, rhs[0][:-1], np.empty(n))
+            solve_tridiagonal(factor, rhs[0][:-1])
 
     def test_rejects_non_dominant(self):
         # The diffusion matrix is dominant exactly when r > 0 and finite;
@@ -268,21 +253,27 @@ class TestTridiagonal:
 
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
-            solve_tridiagonal(diffusion_factor(4, 0.5), [1.0, 1.0], np.empty(3))
+            solve_tridiagonal(diffusion_factor(4, 0.5), [1.0, 1.0])
 
 
 class TestDiffusionFactor:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(3, 161), st.floats(1e-6, 1e6), st.integers(0, 2**32 - 1))
     def test_matches_reference_and_dense_solve(self, n, r, seed):
+        # The one band value stands for the general factorization's lower
+        # band, and the solve has the bits of the general substitution with
+        # the pinned end +0.0 appended.
         bands = diffusion_bands(n, r)
-        factor = diffusion_factor(n, r)
-        assert factor == thomas_factor(*bands)
+        lower, ratios, pivots = diffusion_factor(n, r)
+        reference = thomas_factor(*bands)
+        assert (ratios, pivots) == reference[1:]
+        assert reference[0] == (lower,) * (n - 2) and -lower == r
         rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, n - 1)
-        out = np.full(n, 7.0)
-        assert solve_tridiagonal(factor, rhs, out) is out and out[-1] == 7.0
-        x = out[:-1]
-        assert x.tobytes() == thomas_solve(thomas_factor(*bands), rhs).tobytes()
+        profile = solve_tridiagonal((lower, ratios, pivots), rhs)
+        assert profile.size == n and struct.pack("<d", profile[-1]) \
+            == struct.pack("<d", 0.0)
+        x = profile[:-1]
+        assert x.tobytes() == thomas_solve(reference, rhs).tobytes()
         lower, diag, upper = (np.asarray(b) for b in bands)
         M = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         expected = np.linalg.solve(M, rhs)

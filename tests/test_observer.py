@@ -180,8 +180,7 @@ class TestStep:
         stepped = observer.step_observer(u.copy(), s, sdot, PHYS, 0.0, 1e-3,
                                          0.5, measured_slope=-sdot / PHYS.beta,
                                          factor=factor)
-        direct = plant.advance_profile(u, s, sdot, 1e-3, 0.5,
-                                       PHYS.alpha, PHYS.k, factor)
+        direct = plant.advance_profile(u, s, sdot, 1e-3, 0.5, PHYS.k, factor)
         assert np.allclose(stepped, direct, atol=1e-14)
 
     def test_perfect_initialization_stays_exact(self):
@@ -216,8 +215,7 @@ class TestStep:
                                    PHYS.alpha)
         factor = plant.implicit_factor(s, dt, PHYS.alpha, n)
         assert bits(observer.influence_profile(p, dt, factor)) \
-            == bits(reference.influence_profile(p, s, dt, PHYS.alpha, PHYS.k,
-                                                factor))
+            == bits(reference.influence_profile(p, s, dt, PHYS.k, factor))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(grid_sizes, positions, gain_fractions, st.floats(1e-3, 10.0),

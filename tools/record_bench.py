@@ -12,6 +12,15 @@ Run from a git checkout of stefanetc.  The record holds:
   its base config, one member), a fresh process records its peak resident
   set (``ru_maxrss``, MB) after the imports, after ``derive_trigger``,
   after ``run_scenario`` and after ``emit_outputs``;
+- the conditioning of the benchmark's fingerprints: in a fresh process,
+  each workload's seed-0 config (for ``gamma_sweep`` its first member) runs
+  once as it is and NOISE_RUNS more times with every result of
+  ``plant.solve_tridiagonal`` perturbed by a seeded relative noise of
+  +-2^-53 per entry (one ulp of most entries); the record says whether
+  the step count and the event times and reasons held, and gives the
+  largest relative deviation from the unperturbed run of each event's q_j,
+  the final s and the final m, the quantities perfbench's gate holds to
+  its REL_TOL;
 - the refinement ladder: the shipped config at n = 21/41/81/161 with dt
   halved each time (0.5 s down to 0.0625 s) and a 500 s horizon, run in one
   process with BLAS pinned to one thread, after a warm-up run, three rounds
@@ -46,6 +55,7 @@ WORKLOADS = ("et_paraffin", "fine_grid_continuous", "gamma_sweep")
 LADDER = ((21, 0.5), (41, 0.25), (81, 0.125), (161, 0.0625))
 LADDER_HORIZON_S = 500.0
 LADDER_ROUNDS = 3
+NOISE_RUNS = 4
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -102,6 +112,72 @@ def phase_rss(workload: str) -> dict:
         raise RuntimeError(f"phase RSS of {workload} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-2000:]}")
     return json.loads(proc.stdout)
+
+
+# Run in a fresh process on a job from stdin (its config text and sweep
+# values); prints the gate's fingerprint of the unperturbed run and of
+# NOISE_RUNS runs under seeded noise on every tridiagonal solve.
+_SOLVE_NOISE = """
+import json, sys
+import numpy as np
+from perfbench import gate
+from stefanetc import config, harness, plant
+job = json.loads(sys.stdin.read())
+cfg = config.parse_config_text(job["config_text"])
+if job["sweep_values"]:
+    cfg = config.override(cfg, "trigger.gamma", job["sweep_values"][0])
+solve = plant.solve_tridiagonal
+
+def fingerprint(seed):
+    if seed is None:
+        plant.solve_tridiagonal = solve
+    else:
+        rng = np.random.default_rng(seed)
+
+        def noisy(factor, rhs):
+            x = solve(factor, rhs)
+            return x + x * rng.choice((-2.0 ** -53, 2.0 ** -53), x.size)
+
+        plant.solve_tridiagonal = noisy
+    return gate.fingerprint(harness.run_scenario(cfg))
+
+print(json.dumps([fingerprint(None)]
+                 + [fingerprint(seed) for seed in range(int(sys.argv[1]))]))
+"""
+
+
+def solve_noise(workload: str) -> dict:
+    """How far seeded +-2^-53 relative noise on every tridiagonal solve moves
+    the fingerprinted quantities of one workload's seed-0 run."""
+    from perfbench import gate, workloads
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _SOLVE_NOISE, str(NOISE_RUNS)], cwd=ROOT,
+        capture_output=True, text=True,
+        input=json.dumps(workloads.make_job(workload, 0)),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"),
+                                                         str(ROOT)))))
+    if proc.returncode != 0:
+        raise RuntimeError(f"solve noise of {workload} exited "
+                           f"{proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    base, *noisy = json.loads(proc.stdout)
+
+    def deviation(expected, actual):
+        return abs(actual - expected) / abs(expected)
+
+    return {
+        "runs": NOISE_RUNS, "relative_noise": 2.0 ** -53,
+        "gate_rel_tol": gate.REL_TOL,
+        "events_held": all(
+            run["steps"] == base["steps"]
+            and [e[:2] for e in run["events"]] == [e[:2] for e in base["events"]]
+            for run in noisy),
+        "q_j_max_rel_deviation": max(
+            deviation(e[2], f[2]) for run in noisy
+            for e, f in zip(base["events"], run["events"])),
+        **{f"{key}_max_rel_deviation": max(deviation(base[key], run[key])
+                                           for run in noisy)
+           for key in ("final_s", "final_m")}}
 
 
 def _digests(result) -> dict:
@@ -178,6 +254,10 @@ def main() -> int:
         record["workloads"][workload] = {
             "end_to_end": timed["result"], "per_layer": traced["result"],
             "peak_rss_mb_by_phase": phase_rss(workload)}
+    # After every child that reads its peak RSS: a child's ru_maxrss starts
+    # at this process's peak, which parsing the noise runs' events raises.
+    for workload in WORKLOADS:
+        record["workloads"][workload]["solve_noise"] = solve_noise(workload)
     source = timed["environment"]["source_sha256"]
     record["source_sha256"] = source
     record["ladder"] = ladder()
