@@ -4,6 +4,19 @@ Everything here is stateless and accepts scalars or numpy arrays.  The grid
 convention throughout the package: profiles live on a uniform grid of the
 immobilized coordinate xi in [0, 1] with n nodes and spacing h = 1/(n-1); a
 physical integral over [0, s] is s times the unit-interval integral.
+
+The Thomas factorization and substitution of the plant's diffusion matrix
+run as a compiled kernel, `_thomas.c`, with the bits of the Python loops
+below (`_factor_loops`, `_solve_loops`): the same IEEE operations in the
+same order, built with -O2 -ffp-contract=off -fno-fast-math and no -march.
+-ffp-contract=off matters: a fused multiply-add rounds a - b * c once
+instead of twice, and such last-bit changes per solve move the closed
+loop's m past the benchmark's 1e-9 gate.  The first import builds the
+kernel in a child process, about 0.8 s, into $XDG_CACHE_HOME/stefanetc
+(or ~/.cache/stefanetc); every import then loads it, and uses it only if it
+reproduces the loops' bits on fixed cases.  Where cffi or a C compiler is
+missing, the build fails, or the check does, the loops run instead, with
+the same results.  `THOMAS_KERNEL` says which path runs.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ import math
 import numpy as np
 from scipy import special
 
+from . import _thomas
 from .errors import NumericalFailure
 
 # Largest Bessel argument accepted before exp(z) overflows double precision.
@@ -97,8 +111,9 @@ def diffusion_factor(n: int, r: float):
     diagonal, 1 + 2r on it, -r above it except the first entry, -2r, where
     the ghost node of the flux condition folds in.  The last unknown couples
     to the pinned u_{n-1} = 0, which adds nothing.  Returns (lower, ratios,
-    pivots) for `solve_tridiagonal`: the one band value -r, then the Thomas
-    ratios and pivots as tuples of floats, in the general recurrence's order.
+    pivots) for `solve_tridiagonal`: the one band value -r, then the n - 2
+    Thomas ratios and n - 1 pivots as float64 arrays, in the general
+    recurrence's order.
 
     The guard r > 0 with 1 + 2r finite stands for the dominance and
     zero-pivot checks of a general factorization: for such r each diagonal
@@ -108,10 +123,32 @@ def diffusion_factor(n: int, r: float):
     if n < 3:
         raise ValueError("the diffusion matrix needs n >= 3 nodes")
     r = float(r)
-    diag = 1.0 + 2.0 * r
-    if not (r > 0.0 and diag < math.inf):
+    if not (r > 0.0 and 1.0 + 2.0 * r < math.inf):
         raise NumericalFailure(f"diffusion number r={r!r} outside (0, inf)")
+    if _kernel is None:
+        return _factor_loops(n, r)
+    return _factor_compiled(_kernel, n, r)
+
+
+def solve_tridiagonal(factor, rhs):
+    """Forward and back substitution through the (lower, ratios, pivots)
+    that `diffusion_factor` returns; returns the len(rhs) + 1 node profile,
+    the solution and then the pinned interface value +0.0."""
+    lower, ratios, pivots = factor
+    x = np.ascontiguousarray(rhs, dtype=float)
+    if x.shape != pivots.shape or ratios.shape != (x.size - 1,):
+        raise ValueError("inconsistent tridiagonal band lengths")
+    if _kernel is None:
+        return _solve_loops(lower, ratios, pivots, x)
+    return _solve_compiled(_kernel, lower, ratios, pivots, x)
+
+
+# The Thomas loops in Python floats: the reference every compiled result is
+# held to, and the path taken where the kernel is not available.
+
+def _factor_loops(n, r):
     lower = -r
+    diag = 1.0 + 2.0 * r
     pivot = diag
     ratio = -2.0 * r / pivot
     ratios, pivots = [ratio], [pivot]
@@ -121,18 +158,12 @@ def diffusion_factor(n: int, r: float):
         pivots.append(pivot)
         ratios.append(ratio)
     pivots.append(diag - lower * ratio)
-    return lower, tuple(ratios), tuple(pivots)
+    return lower, np.array(ratios), np.array(pivots)
 
 
-def solve_tridiagonal(factor, rhs):
-    """Forward and back substitution through `diffusion_factor`'s (lower,
-    ratios, pivots); returns the len(rhs) + 1 node profile, the solution
-    and then the pinned interface value +0.0."""
-    lower, ratios, pivots = factor
-    x = np.asarray(rhs, dtype=float).tolist()
+def _solve_loops(lower, ratios, pivots, rhs):
+    ratios, pivots, x = ratios.tolist(), pivots.tolist(), rhs.tolist()
     n = len(pivots)
-    if len(x) != n:
-        raise ValueError("inconsistent tridiagonal band lengths")
     xi = x[0] = x[0] / pivots[0]
     for i in range(1, n):
         xi = x[i] = (x[i] - lower * xi) / pivots[i]
@@ -140,3 +171,53 @@ def solve_tridiagonal(factor, rhs):
         xi = x[i] = x[i] - ratios[i] * xi
     x.append(0.0)
     return np.array(x)
+
+
+# The same loops in C (`_thomas.c`), on the callers' checked sizes.
+
+def _factor_compiled(kernel, n, r):
+    ratios, pivots = np.empty(n - 2), np.empty(n - 1)
+    buf = kernel.ffi.from_buffer
+    kernel.lib.diffusion_factor(n - 1, r, buf("double[]", ratios),
+                                buf("double[]", pivots))
+    return -r, ratios, pivots
+
+
+def _solve_compiled(kernel, lower, ratios, pivots, rhs):
+    out = np.empty(rhs.size + 1)
+    buf = kernel.ffi.from_buffer
+    kernel.lib.solve_tridiagonal(rhs.size, lower, buf("double[]", ratios),
+                                 buf("double[]", pivots), buf("double[]", rhs),
+                                 buf("double[]", out))
+    return out
+
+
+def _reproduces_loops(kernel) -> bool:
+    """Whether `kernel` gives the bits of the Python loops on fixed cases:
+    seeded diffusion numbers over six decades, n from 3 to 400, and for
+    n > 20 also right-hand sides with signed zeros and subnormals, and
+    with infinities and a NaN."""
+    rng = np.random.default_rng(0x7407A5)
+    for n in (3, 4, 5, 21, 41, 161, 400):
+        for r in (10.0 ** rng.uniform(-3.0, 3.0, 3)).tolist():
+            want = _factor_loops(n, r)
+            got = _factor_compiled(kernel, n, r)
+            if any(a.tobytes() != b.tobytes()
+                   for a, b in zip(want[1:], got[1:])):
+                return False
+            rhs = rng.standard_normal((3, n - 1))
+            if n > 20:
+                for row, special in ((1, [0.0, -0.0, 5e-324, -2.5e-310]),
+                                     (2, [math.inf, -math.inf, math.nan])):
+                    at = rng.choice(n - 1, len(special), replace=False)
+                    rhs[row, at] = special
+            for row in rhs:
+                if (_solve_loops(*want, row).tobytes()
+                        != _solve_compiled(kernel, *got, row).tobytes()):
+                    return False
+    return True
+
+
+# Which path the Thomas functions take: "compiled" when the kernel built,
+# loaded and passed the check, else "python: " and the reason.
+_kernel, THOMAS_KERNEL = _thomas.load(_reproduces_loops)

@@ -1,7 +1,8 @@
 """Dynamic event-trigger: deviation d(t), dynamic variable m(t), event rule.
 
 Events occur when d^2 > gamma m, or at the latest 1/c after the previous one
-(the max dwell keeps the held input positive).  m obeys
+(the max dwell bounds every hold; `control.zoh_update`'s q_positive check,
+not the dwell, keeps the held input positive).  m obeys
 
     mdot = -eta m - sigma d^2 + mu1 ||u_hat||^2 + mu2 X^2 + mu3 e^2,
 
@@ -84,10 +85,13 @@ def check_event(t: float, t_j: float, d: float, m: float,
     and the max dwell fire on the same step, the threshold reason is logged
     (the control action is identical either way).
 
-    `dt` is the supervision step.  The 1/c max dwell guarantees positivity of
-    the held input only if no hold lasts longer than 1/c, so on a step grid
-    the event fires at the last supervised instant that does not overshoot:
-    when waiting one more step would push the dwell past 1/c.
+    `dt` is the supervision step.  The 1/c max dwell bounds every hold, so
+    on a step grid the event fires at the last supervised instant that does
+    not overshoot: when waiting one more step would push the dwell past 1/c.
+    The bound does not make the held input positive: `control.zoh_update`
+    checks q_j > 0 at every event and halts the run with a q_positive
+    breach otherwise (the shipped config with trigger.eta = 0.005 reaches
+    q_j = -3.69e-4 at its max dwell event at t = 3333.0 s).
     """
     if d * d > gamma * m:
         return "threshold"

@@ -664,7 +664,9 @@ class TestCli:
     def test_commands_import_no_heavy_scipy_subpackages(self, short_text,
                                                         tmp_path):
         # In a fresh process, so the modules are the commands' own: the one
-        # scipy subpackage the package needs is scipy.special.
+        # scipy subpackage the package needs is scipy.special.  The Thomas
+        # kernel loads through `_cffi_backend` alone; cffi and setuptools
+        # run only in the child that builds it.
         cfg_path = tmp_path / "short.cfg"
         cfg_path.write_text(variant_text(
             short_text, [("horizon = 300.0", "horizon = 20.0")]))
@@ -675,7 +677,7 @@ class TestCli:
             f"assert cli.main(['run', '--config', {str(cfg_path)!r}, "
             f"'--output', {str(tmp_path / 'out')!r}]) == 0\n"
             "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse', "
-            "'scipy.linalg')\n"
+            "'scipy.linalg', 'setuptools', 'cffi')\n"
             "print('loaded:', sorted(m for m in heavy if m in sys.modules))\n")
         src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", script],

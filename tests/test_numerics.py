@@ -6,8 +6,13 @@ than themselves.
 """
 
 import math
+import platform
+import re
 import struct
+import sys
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -18,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import special
 from scipy.integrate import simpson as scipy_simpson
 
-from stefanetc import config, numerics, params
+from stefanetc import _thomas, config, harness, numerics, params
 from stefanetc.errors import ConfigurationError, NumericalFailure
 from stefanetc.numerics import (BESSEL_Z_MAX, diffusion_factor,
                                 ratio_J1_sqrt, simpson, solve_tridiagonal,
@@ -227,57 +232,204 @@ class TestQuadrature:
             simpson(values, 1.0)
 
 
+def thomas_paths():
+    """The kernel values `numerics` dispatches on: the compiled kernel, when
+    this process loaded it, and None, the Python loops."""
+    return [None] if numerics._kernel is None else [numerics._kernel, None]
+
+
 class TestTridiagonal:
     def test_one_factor_many_right_hand_sides(self):
         rng = np.random.default_rng(11)
         n, r = 31, 0.7
         lower, diag, upper = (np.asarray(b) for b in diffusion_bands(n, r))
         M = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        factor = diffusion_factor(n, r)
         rhs = rng.uniform(-1.0, 1.0, (4, n - 1))
-        for row, expected in zip(rhs, np.linalg.solve(M, rhs.T).T):
-            got = solve_tridiagonal(factor, row)
-            assert np.allclose(got[:-1], expected, rtol=1e-12, atol=1e-14)
-        # Substitution leaves the shared factor intact: a repeat is bitwise equal.
-        assert np.array_equal(solve_tridiagonal(factor, rhs[0]),
-                              solve_tridiagonal(factor, rhs[0]))
-        with pytest.raises(ValueError):
-            solve_tridiagonal(factor, rhs[0][:-1])
+        for kernel in thomas_paths():
+            with mock.patch.object(numerics, "_kernel", kernel):
+                factor = diffusion_factor(n, r)
+                for row, expected in zip(rhs, np.linalg.solve(M, rhs.T).T):
+                    got = solve_tridiagonal(factor, row)
+                    assert np.allclose(got[:-1], expected, rtol=1e-12,
+                                       atol=1e-14)
+                # Substitution leaves the shared factor intact: a repeat is
+                # bitwise equal.
+                assert np.array_equal(solve_tridiagonal(factor, rhs[0]),
+                                      solve_tridiagonal(factor, rhs[0]))
+                for bad in (rhs[0][:-1], rhs[:, :-1], rhs[0][0]):
+                    with pytest.raises(ValueError):
+                        solve_tridiagonal(factor, bad)
 
     def test_rejects_non_dominant(self):
         # The diffusion matrix is dominant exactly when r > 0 and finite;
         # its factor's guard rejects every other r.
-        for r in (0.0, -0.0, -1e-6, -1.0, math.nan, math.inf, -math.inf, 1e308):
-            with pytest.raises(NumericalFailure, match="diffusion number"):
-                diffusion_factor(21, r)
+        for kernel in thomas_paths():
+            with mock.patch.object(numerics, "_kernel", kernel):
+                for r in (0.0, -0.0, -1e-6, -1.0, math.nan, math.inf,
+                          -math.inf, 1e308):
+                    with pytest.raises(NumericalFailure,
+                                       match="diffusion number"):
+                        diffusion_factor(21, r)
+                with pytest.raises(ValueError, match="n >= 3"):
+                    diffusion_factor(2, 0.5)
 
     def test_rejects_bad_lengths(self):
-        with pytest.raises(ValueError):
-            solve_tridiagonal(diffusion_factor(4, 0.5), [1.0, 1.0])
+        for kernel in thomas_paths():
+            with mock.patch.object(numerics, "_kernel", kernel):
+                with pytest.raises(ValueError):
+                    solve_tridiagonal(diffusion_factor(4, 0.5), [1.0, 1.0])
+
+    @pytest.mark.parametrize("n", [3, 4, 21, 161, 400])
+    def test_special_right_hand_sides_match_reference(self, n):
+        # Signed zeros, subnormals, infinities and NaNs take the reference
+        # substitution's IEEE path, sign and payload of every NaN included,
+        # on the compiled and the Python path alike.
+        rng = np.random.default_rng(n)
+        m, tiny = n - 1, 5e-324
+        cases = [np.zeros(m), -np.zeros(m), np.full(m, tiny),
+                 np.full(m, -tiny) * np.arange(m),
+                 rng.standard_normal(m) * 2.2250738585072014e-308]
+        for value in (math.inf, -math.inf, math.nan, -math.nan, 0.0, -0.0):
+            for at in sorted({0, m // 2, m - 1}):
+                rhs = rng.standard_normal(m)
+                rhs[at] = value
+                cases.append(rhs)
+        rhs = rng.standard_normal(m)
+        rhs[rng.choice(m, min(m, 4), replace=False)] = \
+            [math.inf, -math.inf, math.nan, -0.0][:min(m, 4)]
+        cases.append(rhs)
+        for r in (1e-6, 0.37, 1e6):
+            reference = thomas_factor(*diffusion_bands(n, r))
+            for kernel in thomas_paths():
+                with mock.patch.object(numerics, "_kernel", kernel):
+                    factor = diffusion_factor(n, r)
+                    for rhs in cases:
+                        profile = solve_tridiagonal(factor, rhs)
+                        assert profile[:-1].tobytes() \
+                            == thomas_solve(reference, rhs).tobytes(), \
+                            (kernel, r, rhs)
+                        assert profile[-1:].tobytes() == bytes(8)
 
 
 class TestDiffusionFactor:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.integers(3, 161), st.floats(1e-6, 1e6), st.integers(0, 2**32 - 1))
+    @given(st.integers(3, 400), st.floats(1e-6, 1e6), st.integers(0, 2**32 - 1))
     def test_matches_reference_and_dense_solve(self, n, r, seed):
         # The one band value stands for the general factorization's lower
         # band, and the solve has the bits of the general substitution with
-        # the pinned end +0.0 appended.
+        # the pinned end +0.0 appended, on every path.
         bands = diffusion_bands(n, r)
-        lower, ratios, pivots = diffusion_factor(n, r)
         reference = thomas_factor(*bands)
-        assert (ratios, pivots) == reference[1:]
-        assert reference[0] == (lower,) * (n - 2) and -lower == r
         rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, n - 1)
-        profile = solve_tridiagonal((lower, ratios, pivots), rhs)
-        assert profile.size == n and struct.pack("<d", profile[-1]) \
-            == struct.pack("<d", 0.0)
-        x = profile[:-1]
-        assert x.tobytes() == thomas_solve(reference, rhs).tobytes()
         lower, diag, upper = (np.asarray(b) for b in bands)
         M = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
         expected = np.linalg.solve(M, rhs)
-        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+        for kernel in thomas_paths():
+            with mock.patch.object(numerics, "_kernel", kernel):
+                lower, ratios, pivots = diffusion_factor(n, r)
+                profile = solve_tridiagonal((lower, ratios, pivots), rhs)
+            assert ratios.dtype == pivots.dtype == np.float64
+            assert (tuple(ratios.tolist()), tuple(pivots.tolist())) \
+                == reference[1:]
+            assert reference[0] == (lower,) * (n - 2) and -lower == r
+            assert profile.size == n and struct.pack("<d", profile[-1]) \
+                == struct.pack("<d", 0.0)
+            x = profile[:-1]
+            assert x.tobytes() == thomas_solve(reference, rhs).tobytes()
+            assert np.max(np.abs(x - expected)) \
+                <= 1e-12 * np.max(np.abs(expected))
+
+
+def host_has_fma() -> bool:
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+    return platform.machine() == "x86_64" and bool(re.search(r"\bfma\b",
+                                                              cpuinfo))
+
+
+def short_run(kernel, cfg):
+    """Series and events of a 200 s run of `cfg` on the given Thomas path."""
+    with mock.patch.object(numerics, "_kernel", kernel):
+        result = harness.run_scenario(
+            config.override(cfg, "scheme.horizon", 200.0))
+    return ({c: result.series[c].tobytes() for c in harness.SERIES_COLUMNS},
+            result.events)
+
+
+needs_kernel = pytest.mark.skipif(numerics._kernel is None,
+                                  reason=numerics.THOMAS_KERNEL)
+
+
+class TestThomasKernel:
+    """The loader: a cold build in an empty cache, and the fallback to the
+    Python loops whenever the kernel cannot be trusted."""
+
+    @staticmethod
+    def load(monkeypatch, cache, **kwargs):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        return _thomas.load(numerics._reproduces_loops, **kwargs)
+
+    @needs_kernel
+    def test_cold_build_loads_then_is_reused(self, monkeypatch, tmp_path):
+        kernel, status = self.load(monkeypatch, tmp_path)
+        assert status == "compiled" and kernel is not None
+        built = [p.name for p in (tmp_path / "stefanetc").iterdir()]
+        assert len(built) == 1 and built[0].startswith("_stefanetc_thomas_")
+
+        def no_build(*args):
+            raise AssertionError("rebuilt a cached kernel")
+        monkeypatch.setattr(_thomas, "_build", no_build)
+        assert self.load(monkeypatch, tmp_path)[1] == "compiled"
+
+    @pytest.mark.parametrize("fault", ["no_compile", "reciprocal", "fma"])
+    def test_untrusted_kernel_falls_back_bitwise(self, fault, default_cfg,
+                                                 monkeypatch, tmp_path):
+        # A source that cannot compile, and two that compile but fail the
+        # check: division by a pivot as a multiply by its reciprocal, and
+        # the shipped source with a - b * c fused into one rounding (the
+        # mutation -ffp-contract=off rules out).  Each leaves the Python
+        # loops in charge, and a run on them has the compiled run's bits.
+        flags = _thomas.FLAGS
+        source = tmp_path / "thomas.c"
+        text = _thomas.SOURCE.read_text()
+        if fault == "no_compile":
+            text = "#error this kernel does not compile\n" + text
+            expect = "python: the kernel build failed"
+        elif fault == "reciprocal":
+            assert text.count("/ pivots[i]") == 1
+            text = text.replace("/ pivots[i]", "* (1.0 / pivots[i])")
+            expect = "python: the compiled kernel does not reproduce"
+        else:
+            if not host_has_fma():
+                pytest.skip("needs an x86-64 host with FMA")
+            flags = ("-O2", "-ffp-contract=fast", "-mfma")
+            expect = "python: the compiled kernel does not reproduce"
+        source.write_text(text)
+        kernel, status = self.load(monkeypatch, tmp_path / "cache",
+                                   source=source, flags=flags)
+        assert kernel is None and status.startswith(expect), status
+        assert not [p for p in (tmp_path / "cache" / "stefanetc").iterdir()
+                    if p.name.startswith(".build-")]
+        assert short_run(kernel, default_cfg) \
+            == short_run(numerics._kernel, default_cfg)
+
+    def test_missing_cffi_or_cache_falls_back(self, monkeypatch, tmp_path):
+        blocked = tmp_path / "not_a_directory"
+        blocked.write_text("")
+        kernel, status = self.load(monkeypatch, blocked)
+        assert kernel is None
+        assert status.startswith("python: no writable kernel cache"), status
+        monkeypatch.setitem(sys.modules, "_cffi_backend", None)
+        assert self.load(monkeypatch, tmp_path) \
+            == (None, "python: cffi is not installed")
+
+    def test_path_is_reported(self):
+        assert (numerics.THOMAS_KERNEL == "compiled") \
+            == (numerics._kernel is not None)
+        if numerics._kernel is None:
+            assert numerics.THOMAS_KERNEL.startswith("python: ")
 
 
 class TestValueErrorAudit:

@@ -31,6 +31,10 @@ Run from a git checkout of stefanetc.  The record holds:
   float hex of every ``TriggerDerived`` field, which shows a change of the
   derivation chain apart from the columns.
 
+The environment names the Thomas path the package takes in this process
+and so in the runs above, which share its cache (``numerics.THOMAS_KERNEL``:
+"compiled", or "python: " and the reason), and the cffi version.
+
 The file is written at the repository root.  It is named after the short
 hash of HEAD; when ``src/`` differs from HEAD, the name also carries the
 first 8 hex digits of the source digest (the sha256 over ``src/`` that
@@ -203,6 +207,16 @@ def _digests(result) -> dict:
             "derived_sha256": derived.hexdigest()}
 
 
+def cffi_version() -> str | None:
+    """The version of cffi's backend, which the Thomas kernel loads, or None
+    where it is not installed."""
+    try:
+        import _cffi_backend
+    except ImportError:
+        return None
+    return _cffi_backend.__version__
+
+
 def ladder() -> list[dict]:
     """µs/step of the shipped config along the refinement ladder."""
     from stefanetc import config, harness
@@ -242,6 +256,8 @@ def main() -> int:
     import numpy
     import scipy
 
+    from stefanetc import numerics
+
     commit = git("rev-parse", "HEAD")
     short = git("rev-parse", "--short", "HEAD")
     dirty = bool(git("status", "--porcelain", "--", "src"))
@@ -263,7 +279,9 @@ def main() -> int:
     record["ladder"] = ladder()
     record["environment"] = {
         "python": platform.python_version(), "numpy": numpy.__version__,
-        "scipy": scipy.__version__, "machine": platform.machine(),
+        "scipy": scipy.__version__, "cffi": cffi_version(),
+        "thomas_kernel": numerics.THOMAS_KERNEL,
+        "machine": platform.machine(),
         "processor": platform.processor(), "nproc": os.cpu_count(),
         "affinity": len(os.sched_getaffinity(0)), "blas_threads": 1}
 
