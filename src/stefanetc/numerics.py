@@ -1,9 +1,10 @@
 """Special functions and low-level numerical kernels.
 
-Everything here is stateless and accepts scalars or numpy arrays.  The grid
-convention throughout the package: profiles live on a uniform grid of the
-immobilized coordinate xi in [0, 1] with n nodes and spacing h = 1/(n-1); a
-physical integral over [0, s] is s times the unit-interval integral.
+Everything here is stateless and accepts scalars or numpy arrays; the Thomas
+path below is fixed at import.  The grid convention throughout the package:
+profiles live on a uniform grid of the immobilized coordinate xi in [0, 1]
+with n nodes and spacing h = 1/(n-1); a physical integral over [0, s] is s
+times the unit-interval integral.
 
 The Thomas factorization and substitution of the plant's diffusion matrix
 run as a compiled kernel, `_thomas.c`, with the bits of the Python loops
@@ -194,23 +195,22 @@ def _solve_compiled(kernel, lower, ratios, pivots, rhs):
 
 def _reproduces_loops(kernel) -> bool:
     """Whether `kernel` gives the bits of the Python loops on fixed cases:
-    seeded diffusion numbers over six decades, n from 3 to 400, and for
-    n > 20 also right-hand sides with signed zeros and subnormals, and
-    with infinities and a NaN."""
-    rng = np.random.default_rng(0x7407A5)
+    n from 3 to 400, diffusion numbers over six decades, and right-hand
+    sides of generic floats, for n > 20 also with signed zeros and
+    subnormals, and with infinities and a NaN.  No random generator: a
+    check at every import should not touch code the run never uses."""
+    specials = ([0.0, -0.0, 5e-324, -2.5e-310], [math.inf, -math.inf, math.nan])
     for n in (3, 4, 5, 21, 41, 161, 400):
-        for r in (10.0 ** rng.uniform(-3.0, 3.0, 3)).tolist():
+        for r in (1.3e-3, 0.37, 7.1, 913.0):
             want = _factor_loops(n, r)
             got = _factor_compiled(kernel, n, r)
             if any(a.tobytes() != b.tobytes()
                    for a, b in zip(want[1:], got[1:])):
                 return False
-            rhs = rng.standard_normal((3, n - 1))
+            rhs = np.sin(r + np.arange(3.0 * (n - 1))).reshape(3, n - 1)
             if n > 20:
-                for row, special in ((1, [0.0, -0.0, 5e-324, -2.5e-310]),
-                                     (2, [math.inf, -math.inf, math.nan])):
-                    at = rng.choice(n - 1, len(special), replace=False)
-                    rhs[row, at] = special
+                for row, special in zip(rhs[1:], specials):
+                    row[3::n // 4][:len(special)] = special
             for row in rhs:
                 if (_solve_loops(*want, row).tobytes()
                         != _solve_compiled(kernel, *got, row).tobytes()):
