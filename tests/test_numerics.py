@@ -383,6 +383,7 @@ class TestThomasKernel:
         monkeypatch.setattr(_thomas, "_build", no_build)
         assert self.load(monkeypatch, tmp_path)[1] == "compiled"
 
+    @needs_kernel
     @pytest.mark.parametrize("fault", ["no_compile", "reciprocal", "fma"])
     def test_untrusted_kernel_falls_back_bitwise(self, fault, default_cfg,
                                                  monkeypatch, tmp_path):
@@ -391,8 +392,6 @@ class TestThomasKernel:
         # the shipped source with a - b * c fused into one rounding (the
         # mutation -ffp-contract=off rules out).  Each leaves the Python
         # loops in charge, and a run on them has the compiled run's bits.
-        if fault != "no_compile" and numerics._kernel is None:
-            pytest.skip(numerics.THOMAS_KERNEL)
         flags = _thomas.FLAGS
         source = tmp_path / "thomas.c"
         text = _thomas.SOURCE.read_text()
