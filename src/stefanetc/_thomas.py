@@ -1,13 +1,16 @@
-"""Build, cache and load the compiled Thomas kernel, `_thomas.c`.
+"""Build, cache and load the compiled kernel of the step, `_thomas.c`.
 
-`load(check)` returns ``(module, "compiled")`` when the kernel builds, loads
-and passes `check`, else ``(None, "python: <reason>")``; it never raises.
+`load(check)` returns ``(Kernel, "compiled")`` when the kernel builds, loads,
+finds scipy's i1 and passes `check`, else ``(None, "python: <reason>")``; it
+never raises.
 The build runs cffi in API mode in a child interpreter, so neither cffi
 nor setuptools is imported here: the loaded module needs only
-`_cffi_backend`.  Each build is cached in `cache_dir()`, named by a digest
-of the source, the declarations, the compile flags, the cffi version and
-the interpreter's cache tag, and moved into place with one atomic
-`os.replace`, so concurrent builds of one key leave one complete file.
+`_cffi_backend`, and scipy's i1 is read with ctypes from the capsule that
+scipy.special.cython_special exports.  Each build is cached in
+`cache_dir()`, named by a digest of the source, the declarations, the
+compile flags, the cffi version and the interpreter's cache tag, and moved
+into place with one atomic `os.replace`, so concurrent builds of one key
+leave one complete file.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 SOURCE = Path(__file__).with_name("_thomas.c")
 
@@ -30,10 +34,34 @@ SOURCE = Path(__file__).with_name("_thomas.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math")
 
 CDEF = """
+static const double BESSEL_Z_MAX;
+static const double RATIO_SERIES_CUT;
+typedef double (*bessel_i1)(double, int);
 void diffusion_factor(long m, double r, double *ratios, double *pivots);
 void solve_tridiagonal(long m, double lower, const double *ratios,
                        const double *pivots, const double *rhs, double *out);
+void advance_rhs(long n, const double *u, double s, double sdot, double q,
+                 double dt, double k, double r, const double *p,
+                 double slope, double *rhs);
+int observer_rhs(long n, const double *u_hat, double s, double sdot,
+                 double q, double dt, double k, double r, double lam,
+                 double alpha, double slope, bessel_i1 i1, double *rhs);
+int observer_update(long n, double s, double dt, const double *u_star,
+                    const double *z, double *out, double *norm_sq);
 """
+
+# The name and signature under which scipy.special.cython_special exports
+# its i1, the function the scipy.special.i1 ufunc evaluates.
+I1_CAPSULE = ("i1", b"double (double, int __pyx_skip_dispatch)")
+
+
+class Kernel(NamedTuple):
+    """The loaded module's `ffi` and `lib`, and scipy's i1 as a
+    `bessel_i1` function pointer for `lib.observer_rhs`."""
+    ffi: object
+    lib: object
+    i1: object
+
 
 BUILD_TIMEOUT_S = 300.0
 
@@ -86,11 +114,27 @@ def _build(name: str, source: Path, flags, target: Path) -> str | None:
     return None
 
 
-def load(check, source: Path = SOURCE, flags=FLAGS):
-    """The kernel module and "compiled", or None and "python: <reason>".
+def scipy_i1_address() -> int:
+    """The address of scipy's i1, from the capsule that
+    scipy.special.cython_special exports under I1_CAPSULE; raises
+    ImportError, AttributeError, KeyError or ValueError where it is
+    missing."""
+    import ctypes
 
-    `check(module)` returns whether the module's results have the bits of
-    the Python loops; a module that fails it is not used.
+    from scipy.special import cython_special
+    name, signature = I1_CAPSULE
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return get_pointer(cython_special.__pyx_capi__[name], signature)
+
+
+def load(check, source: Path = SOURCE, flags=FLAGS):
+    """The `Kernel` and "compiled", or None and "python: <reason>".
+
+    `check(kernel)` returns whether the kernel's results have the bits of
+    the Python and numpy code it replaces; a kernel that fails it is not
+    used.
     """
     try:
         import _cffi_backend
@@ -120,7 +164,13 @@ def load(check, source: Path = SOURCE, flags=FLAGS):
         spec.loader.exec_module(module)
     except ImportError as exc:
         return None, f"python: the built kernel does not load ({exc})"
-    if not check(module):
+    try:
+        address = scipy_i1_address()
+    except (ImportError, AttributeError, KeyError, ValueError) as exc:
+        return None, f"python: scipy's i1 is not available ({exc!r})"
+    kernel = Kernel(module.ffi, module.lib,
+                    module.ffi.cast("bessel_i1", address))
+    if not check(kernel):
         return None, ("python: the compiled kernel does not reproduce the "
-                      "Python loops' bits")
-    return module, "compiled"
+                      "Python and numpy code's bits")
+    return kernel, "compiled"

@@ -180,12 +180,12 @@ class ClosedLoop:
         factor = plant.implicit_factor(s, dt, self.alpha, self.n)
         u, s_new, sdot_new = plant.step_plant(self.u, s, sdot, phys, q_j, dt,
                                               factor)
-        u_hat = observer.step_observer(self.u_hat, s, sdot, phys, self.lam,
-                                       q_j, dt, -sdot_new / self.beta, factor)
+        u_hat, u_hat_sq = observer.step_observer(
+            self.u_hat, s, sdot, phys, self.lam, q_j, dt, -sdot_new / self.beta,
+            factor)
         if self.period is None:
             d, X, err_slope = self._sources
-            u_hat_sq = max(numerics.trapezoid(u_hat * u_hat, s), 0.0)
-            self.m = trigger.step_m(self.m, d, u_hat_sq, X * X,
+            self.m = trigger.step_m(self.m, d, max(u_hat_sq, 0.0), X * X,
                                     err_slope * err_slope, self.eta,
                                     *self.weights, dt)
         self.u, self.u_hat, self.s, self.sdot = u, u_hat, s_new, sdot_new

@@ -6,18 +6,27 @@ profiles live on a uniform grid of the immobilized coordinate xi in [0, 1]
 with n nodes and spacing h = 1/(n-1); a physical integral over [0, s] is s
 times the unit-interval integral.
 
-The Thomas factorization and substitution of the plant's diffusion matrix
-run as a compiled kernel, `_thomas.c`, with the bits of the Python loops
-below (`_factor_loops`, `_solve_loops`): the same IEEE operations in the
-same order, built with -O2 -ffp-contract=off -fno-fast-math and no -march.
--ffp-contract=off matters: a fused multiply-add rounds a - b * c once
-instead of twice, and such last-bit changes per solve move the closed
-loop's m past the benchmark's 1e-9 gate.  The first import builds the
-kernel in a child process, about 0.8 s, into $XDG_CACHE_HOME/stefanetc
-(or ~/.cache/stefanetc); every import then loads it, and uses it only if it
-reproduces the loops' bits on fixed cases.  Where cffi or a C compiler is
-missing, the build fails, or the check does, the loops run instead, with
-the same results.  `THOMAS_KERNEL` says which path runs.
+The Thomas factorization and substitution of the plant's diffusion matrix,
+and the per-node arithmetic of a closed-loop step (the right-hand side of
+`plant.advance_profile`, the observer gain with the influence right-hand
+side, and the Sherman-Morrison update of `observer.step_observer` with the
+trapezoid of its square), run as a compiled kernel, `_thomas.c`.  Its
+results have the bits of the Python loops below (`_factor_loops`,
+`_solve_loops`) and of the numpy code in `plant` and `observer`: the same
+IEEE operations in the same order, built with -O2 -ffp-contract=off
+-fno-fast-math and no -march.  -ffp-contract=off matters: a fused
+multiply-add rounds a - b * c once instead of twice, and such last-bit
+changes per solve move the closed loop's m past the benchmark's 1e-9 gate.
+The gain's Bessel function is scipy's own i1, which the kernel calls
+through the C function scipy.special.cython_special exports.  The first
+import builds the kernel in a child process, about 0.8 s, into
+$XDG_CACHE_HOME/stefanetc (or ~/.cache/stefanetc).  Every import then
+loads it (`load_kernel`, which the package's __init__ calls once `plant`
+and `observer` are defined) and uses it only if it reproduces those bits
+on fixed cases (`check_kernel`).  Where cffi, a C compiler or scipy's
+exported i1 is missing, the build fails, or the check does, the loops and
+the numpy code run instead, with the same results.  `THOMAS_KERNEL` says
+which path runs.
 """
 
 from __future__ import annotations
@@ -218,6 +227,78 @@ def _reproduces_loops(kernel) -> bool:
     return True
 
 
-# Which path the Thomas functions take: "compiled" when the kernel built,
-# loaded and passed the check, else "python: " and the reason.
-_kernel, THOMAS_KERNEL = _thomas.load(_reproduces_loops)
+def _reproduces_step(kernel) -> bool:
+    """Whether `kernel` gives the bits of the numpy step on fixed cases: the
+    plant's right-hand side at n from 3 to 400 with sdot of both signs and
+    both zeros, the observer's at gains all below, across and above the
+    series cut and beyond the Bessel range, and the Sherman-Morrison update
+    on generic, singular and non-finite profiles; profiles with signed
+    zeros; the same exception where the numpy code raises."""
+    from . import observer, plant
+
+    if (kernel.lib.BESSEL_Z_MAX, kernel.lib.RATIO_SERIES_CUT) \
+            != (BESSEL_Z_MAX, _RATIO_SERIES_CUT):
+        return False
+
+    def outcome(f, *args):
+        try:
+            out = f(*args)
+        except (ValueError, NumericalFailure) as exc:
+            return type(exc), str(exc)
+        return [np.asarray(part).tobytes() for part in out]
+
+    def observer_rhs(u, factor, lam, slope):
+        p = observer.observer_gain(unit_grid(u.size) * s, s, lam, alpha)
+        return (plant.advance_rhs(u, s, sdot, q, dt, k, -factor[0],
+                                  p * slope), observer.influence_rhs(p, dt))
+
+    s, q, dt, k, alpha, slope = 0.35, 2.9, 0.37, 2.2e-3, 1.3e-3, -41.0
+    for n in (3, 4, 21, 161, 400):
+        u = np.sin(0.3 + np.arange(n))
+        u[1::7], u[-1] = -0.0, 0.0
+        factor = _factor_loops(n, 0.9)
+        for sdot in (2.7e-4, -3.1e-4, 0.0, -0.0):
+            if (outcome(lambda: [plant.advance_rhs(u, s, sdot, q, dt, k,
+                                                   -factor[0])])
+                    != outcome(lambda: [plant._advance_rhs_compiled(
+                        kernel, u, s, sdot, q, dt, k, factor)])):
+                return False
+        # Gains whose w = lam (s^2 - x^2) / alpha starts at w0.
+        for w0 in (5e-4, 3e-3, 40.0, 6e5):
+            lam = w0 * alpha / (s * s)
+            if (outcome(observer_rhs, u, factor, lam, slope)
+                    != outcome(observer._observer_rhs_compiled, kernel, u, s,
+                               sdot, q, dt, k, factor, lam, alpha, slope)):
+                return False
+        h = 1.0 / (n - 1)
+        u_star = np.cos(0.2 + np.arange(n))
+        z = 0.01 * np.sin(1.1 + 0.5 * np.arange(n))
+        u_star[-1] = z[-1] = 0.0
+        singular, infinite = z.copy(), u_star.copy()
+        singular[-2] = h * s / dt
+        infinite[0] = math.inf
+        for a, b in ((u_star, z), (u_star, singular), (infinite, z)):
+            if (outcome(observer.sherman_morrison, a, b, s, dt)
+                    != outcome(observer._sherman_morrison_compiled, kernel,
+                               a, b, s, dt)):
+                return False
+    return True
+
+
+# Which path the Thomas functions and the step's per-node arithmetic take:
+# "compiled" when the kernel built, loaded, found scipy's i1 and passed the
+# check, else "python: " and the reason.  The package's __init__ calls
+# `load_kernel` once the plant and observer code the check compares against
+# is defined.
+_kernel, THOMAS_KERNEL = None, "python: the kernel is not loaded yet"
+
+
+def check_kernel(kernel) -> bool:
+    """The load-time check: whether `kernel` reproduces the Thomas loops and
+    the numpy step bit for bit."""
+    return _reproduces_loops(kernel) and _reproduces_step(kernel)
+
+
+def load_kernel() -> None:
+    global _kernel, THOMAS_KERNEL
+    _kernel, THOMAS_KERNEL = _thomas.load(check_kernel)

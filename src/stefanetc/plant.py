@@ -15,6 +15,11 @@ The implicit matrix depends on the old-level s only, so the plant solve and both
 observer solves of a step share one closed-form factorization
 (`implicit_factor`), passed to each as `factor`, which carries r; the solve
 returns the profile with its pinned interface value.
+
+`advance_rhs` forms the step's right-hand side in numpy.  Where the
+compiled kernel is loaded (`numerics.THOMAS_KERNEL`), `step_plant` forms it
+in C with the same bits instead, so `advance_profile` runs only where the
+kernel is not loaded; the solve is `solve_tridiagonal` on both paths.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import math
 
 import numpy as np
 
+from . import numerics
 from .errors import NumericalFailure, ValidityBreach
 from .numerics import diffusion_factor, solve_tridiagonal, unit_grid
 
@@ -73,9 +79,18 @@ def advance_profile(u, s, sdot, q, dt, k, factor, source=None):
     second-order ghost-node Neumann u_xi(0) = -s q / k, Dirichlet u(1) = 0.
     `factor` is the step's `implicit_factor(s, dt, alpha, n)`.
     """
+    # The new profile, with the pinned interface value in place.  The
+    # factor's one band value is -r.
+    return solve_tridiagonal(
+        factor, advance_rhs(u, s, sdot, q, dt, k, -factor[0], source))
+
+
+def advance_rhs(u, s, sdot, q, dt, k, r, source=None):
+    """The right-hand side of `advance_profile` at diffusion number r, in
+    numpy: the reference of the kernel's `advance_rhs` and the path where
+    it is not loaded."""
     n = u.size
     h = 1.0 / (n - 1)
-    r = -factor[0]   # the factor's one band value is -r
 
     # Upwinded advection on the interior nodes: a = xi sdot/s has the sign of
     # sdot there, so sdot >= 0 takes the forward difference; it vanishes at
@@ -94,9 +109,20 @@ def advance_profile(u, s, sdot, q, dt, k, factor, source=None):
     # Ghost node for the flux condition folds into the first row.
     g = -s * q / k
     rhs[0] -= 2.0 * r * h * g
+    return rhs
 
-    # The new profile, with the pinned interface value in place.
-    return solve_tridiagonal(factor, rhs)
+
+def _advance_rhs_compiled(kernel, u, s, sdot, q, dt, k, factor):
+    """`advance_rhs` of the profile u under no source, by the kernel."""
+    u = np.ascontiguousarray(u, dtype=float)
+    if u.shape != (factor[2].size + 1,):
+        raise ValueError("inconsistent tridiagonal band lengths")
+    rhs = np.empty(u.size - 1)
+    buf = kernel.ffi.from_buffer
+    kernel.lib.advance_rhs(u.size, buf("double[]", u), s, sdot, q, dt, k,
+                           -factor[0], kernel.ffi.NULL, 0.0,
+                           buf("double[]", rhs))
+    return rhs
 
 
 def step_plant(u, s: float, sdot: float, phys, q: float, dt: float,
@@ -104,14 +130,21 @@ def step_plant(u, s: float, sdot: float, phys, q: float, dt: float,
     """Advance the plant (u, s, sdot) one step under a held boundary heat
     flux q and return the new (u, s, sdot).
 
-    `factor` is passed on to `advance_profile`.
+    `factor` is the step's `implicit_factor`.  Where the compiled kernel
+    is loaded (`numerics.THOMAS_KERNEL`), it forms the right-hand side of
+    `advance_profile` with the same bits, and the step solves it here.
     """
     if not math.isfinite(q):
         raise NumericalFailure("non-finite input q")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    u_new = advance_profile(u, s, sdot, q, dt, phys.k, factor)
+    kernel = numerics._kernel
+    if kernel is None:
+        u_new = advance_profile(u, s, sdot, q, dt, phys.k, factor)
+    else:
+        u_new = solve_tridiagonal(factor, _advance_rhs_compiled(
+            kernel, u, s, sdot, q, dt, phys.k, factor))
     if not np.isfinite(u_new).all():
         raise NumericalFailure("plant profile became non-finite")
 

@@ -21,10 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
+from scipy.special import cython_special
 from scipy.integrate import simpson as scipy_simpson
 
-from stefanetc import _thomas, config, harness, numerics, params
-from stefanetc.errors import ConfigurationError, NumericalFailure
+from stefanetc import (_thomas, config, harness, numerics, observer, params,
+                       plant)
+from stefanetc.errors import (ConfigurationError, NumericalFailure,
+                              ValidityBreach)
 from stefanetc.numerics import (BESSEL_Z_MAX, diffusion_factor,
                                 ratio_J1_sqrt, simpson, solve_tridiagonal,
                                 trapezoid)
@@ -369,7 +372,7 @@ class TestThomasKernel:
     @staticmethod
     def load(monkeypatch, cache, **kwargs):
         monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-        return _thomas.load(numerics._reproduces_loops, **kwargs)
+        return _thomas.load(numerics.check_kernel, **kwargs)
 
     @needs_kernel
     def test_cold_build_loads_then_is_reused(self, monkeypatch, tmp_path):
@@ -383,30 +386,50 @@ class TestThomasKernel:
         monkeypatch.setattr(_thomas, "_build", no_build)
         assert self.load(monkeypatch, tmp_path)[1] == "compiled"
 
+    # Mutations of the shipped source that compile but fail the check: the
+    # old text, which must occur once, and its replacement.
+    MUTATIONS = {
+        # Division by a pivot as a multiply by its reciprocal.
+        "reciprocal": ("/ pivots[i]", "* (1.0 / pivots[i])"),
+        # The forward and backward upwind differences swapped.
+        "upwind_swapped": ("(u[i + 1] - u[i]) / h\n"
+                           "                                : (u[i] - u[i - 1]) / h",
+                           "(u[i] - u[i - 1]) / h\n"
+                           "                                : (u[i + 1] - u[i]) / h"),
+        # The influence right-hand side dt (p / dt) written as p.
+        "influence_as_p": ("dt * (z_rhs[i] / dt)", "z_rhs[i]"),
+        # A left-to-right sum in place of numpy's pairwise sum.
+        "sequential_sum": ("if (m < 8) {", "if (1) {"),
+    }
+
     @needs_kernel
-    @pytest.mark.parametrize("fault", ["no_compile", "reciprocal", "fma"])
+    @pytest.mark.parametrize("fault", ["no_compile", "fma", "no_i1",
+                                       *MUTATIONS])
     def test_untrusted_kernel_falls_back_bitwise(self, fault, default_cfg,
                                                  monkeypatch, tmp_path):
-        # A source that cannot compile, and two that compile but fail the
-        # check: division by a pivot as a multiply by its reciprocal, and
-        # the shipped source with a - b * c fused into one rounding (the
-        # mutation -ffp-contract=off rules out).  Each leaves the Python
-        # loops in charge, and a run on them has the compiled run's bits.
+        # A source that cannot compile; the mutations above; the shipped
+        # source with a - b * c fused into one rounding (the mutation
+        # -ffp-contract=off rules out); and the shipped source where scipy
+        # exports no i1.  Each leaves the Python and numpy code in charge,
+        # and a run on it has the compiled run's bits.
         flags = _thomas.FLAGS
         source = tmp_path / "thomas.c"
         text = _thomas.SOURCE.read_text()
+        expect = "python: the compiled kernel does not reproduce"
         if fault == "no_compile":
             text = "#error this kernel does not compile\n" + text
             expect = "python: the kernel build failed"
-        elif fault == "reciprocal":
-            assert text.count("/ pivots[i]") == 1
-            text = text.replace("/ pivots[i]", "* (1.0 / pivots[i])")
-            expect = "python: the compiled kernel does not reproduce"
-        else:
+        elif fault == "fma":
             if not host_has_fma():
                 pytest.skip("needs an x86-64 host with FMA")
             flags = ("-O2", "-ffp-contract=fast", "-mfma")
-            expect = "python: the compiled kernel does not reproduce"
+        elif fault == "no_i1":
+            monkeypatch.delitem(cython_special.__pyx_capi__, "i1")
+            expect = "python: scipy's i1 is not available"
+        else:
+            old, new = self.MUTATIONS[fault]
+            assert text.count(old) == 1
+            text = text.replace(old, new)
         source.write_text(text)
         kernel, status = self.load(monkeypatch, tmp_path / "cache",
                                    source=source, flags=flags)
@@ -431,6 +454,170 @@ class TestThomasKernel:
             == (numerics._kernel is not None)
         if numerics._kernel is None:
             assert numerics.THOMAS_KERNEL.startswith("python: ")
+
+
+PHYS = params.derive_physical(k=0.00220, rho=7.90e-4, cp=2380.0, dH=2.10e5,
+                              L=3.0, Tm=37.0)
+
+
+def outcome(f, *args):
+    """The bytes of each array `f(*args)` returns, or the type and message
+    of the failure it raises."""
+    try:
+        out = f(*args)
+    except (ValueError, NumericalFailure, ValidityBreach) as exc:
+        return type(exc), str(exc)
+    return [np.asarray(part).tobytes() for part in out]
+
+
+def profile(rng, n, scale):
+    """n generic values in [-scale, scale] with a few +0.0 and -0.0, ending
+    in the pinned +0.0."""
+    u = rng.uniform(-scale, scale, n)
+    u[rng.integers(0, n, 3)] = 0.0
+    u[rng.integers(0, n, 3)] = -0.0
+    u[-1] = 0.0
+    return u
+
+
+# A step's inputs: n up to 400, where the trapezoid's pairwise sum splits
+# its n - 1 terms; s log-uniform from 1e-4 to L; sdot of both signs, and
+# both zeros, though no workload's sdot falls below 3.3e-6; the gain's
+# first argument w0 = lam s^2 / alpha from 0 over the series cut to beyond
+# the Bessel range (700^2).
+step_inputs = dict(
+    n=st.integers(3, 400),
+    s=st.floats(math.log(1e-4), math.log(PHYS.L)).map(
+        lambda v: min(math.exp(v), PHYS.L)),
+    sdot=st.one_of(st.floats(-1e-2, 1e-2), st.sampled_from([0.0, -0.0])),
+    q=st.floats(-1.0, 1.0),
+    dt=st.floats(1e-3, 10.0),
+    w0=st.one_of(st.just(0.0), st.floats(math.log(1e-7), math.log(1e6)).map(
+        math.exp)),
+    slope=st.floats(-100.0, 100.0),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+class TestStepKernel:
+    """The compiled pieces of the step against the numpy code they replace,
+    bit for bit, and the step on both paths.  Overflow warnings are
+    ignored: they change no value, and the extreme gains overflow."""
+
+    @needs_kernel
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(**step_inputs)
+    def test_pieces_match_numpy(self, n, s, sdot, q, dt, w0, slope, seed):
+        kernel, k, alpha = numerics._kernel, PHYS.k, PHYS.alpha
+        rng = np.random.default_rng(seed)
+        u = profile(rng, n, 10.0)
+        factor = plant.implicit_factor(s, dt, alpha, n)
+        r = -factor[0]
+        lam = w0 * alpha / (s * s)
+
+        def numpy_rhs(dt):
+            p = observer_gain(numerics.unit_grid(n) * s, s, lam, alpha)
+            return (plant.advance_rhs(u, s, sdot, q, dt, k, r, p * slope),
+                    observer.influence_rhs(p, dt))
+
+        def compiled_rhs(dt):
+            return observer._observer_rhs_compiled(kernel, u, s, sdot, q, dt,
+                                                   k, factor, lam, alpha,
+                                                   slope)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            # The plant's right-hand side: advection, ghost node.
+            assert outcome(lambda: [plant._advance_rhs_compiled(
+                kernel, u, s, sdot, q, dt, k, factor)]) \
+                == outcome(lambda: [plant.advance_rhs(u, s, sdot, q, dt, k,
+                                                      r)])
+            # The observer's: the gain in the source and in dt (p / dt).
+            assert outcome(compiled_rhs, dt) == outcome(numpy_rhs, dt)
+            # At dt = 1 the influence right-hand side is the gain itself.
+            if w0 <= BESSEL_Z_MAX ** 2:
+                assert compiled_rhs(1.0)[1].tobytes() == observer_gain(
+                    numerics.unit_grid(n) * s, s, lam, alpha)[:-1].tobytes()
+            # The Sherman-Morrison update and its square's trapezoid.
+            u_star, z = profile(rng, n, 10.0), profile(rng, n, 1.0)
+            assert outcome(observer._sherman_morrison_compiled, kernel,
+                           u_star, z, s, dt) \
+                == outcome(observer.sherman_morrison, u_star, z, s, dt)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**step_inputs)
+    def test_step_has_one_result_on_both_paths(self, n, s, sdot, q, dt, w0,
+                                               slope, seed):
+        rng = np.random.default_rng(seed)
+        u, u_hat = profile(rng, n, 10.0), profile(rng, n, 10.0)
+        factor = plant.implicit_factor(s, dt, PHYS.alpha, n)
+        lam = w0 * PHYS.alpha / (s * s)
+        results = []
+        for kernel in thomas_paths():
+            with mock.patch.object(numerics, "_kernel", kernel), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                results.append((
+                    outcome(lambda: plant.step_plant(u, s, sdot, PHYS, q, dt,
+                                                     factor)),
+                    outcome(observer.step_observer, u_hat, s, sdot, PHYS,
+                            lam, q, dt, slope, factor)))
+        assert results[1:] == results[:-1]
+
+    # Failures of a step of the shipped loop, each made by changing one of
+    # its three solves (the plant's, then the observer's base and influence
+    # solves) or the gain, and the failure the step raises for it.
+    FAILURES = {
+        # A NaN profile also moves s to NaN, outside (0, L): the finiteness
+        # check comes first.
+        "plant_nan": (NumericalFailure, "plant profile became non-finite"),
+        "mv2": (ValidityBreach, "interface left (0, L)"),
+        "bessel": (ValueError, "Bessel argument outside [0, 700]"),
+        "singular": (NumericalFailure, "singular injection correction"),
+        "observer_nan": (NumericalFailure,
+                         "observer profile became non-finite"),
+    }
+
+    @pytest.mark.parametrize("faults", [
+        *([f] for f in FAILURES), ["mv2", "bessel"], ["bessel", "singular"],
+        ["singular", "observer_nan"]], ids="+".join)
+    def test_same_failure_on_both_paths(self, faults, default_cfg,
+                                        monkeypatch):
+        # Where a step has several faults, the first failure in the order
+        # above is raised, on both paths alike.
+        solve = plant.solve_tridiagonal
+
+        def faulty_solve(factor, rhs):
+            calls.append(1)
+            out = solve(factor, rhs)
+            if len(calls) == 1 and "plant_nan" in faults:
+                out[:] = math.nan
+            if len(calls) == 1 and "mv2" in faults:
+                out[-2] = 1e6          # sdot far beyond (L - s) / dt
+            if len(calls) == 2 and "observer_nan" in faults:
+                out[:] = math.nan
+            if len(calls) == 3 and "singular" in faults:
+                # w.z = -1 / dt, so 1 + dt w.z is 0 to roundoff.
+                out[-2] = loop.s / ((out.size - 1) * loop.dt)
+            return out
+
+        monkeypatch.setattr(plant, "solve_tridiagonal", faulty_solve)
+        raised = []
+        for kernel in thomas_paths():
+            with mock.patch.object(numerics, "_kernel", kernel):
+                loop = harness.ClosedLoop(
+                    default_cfg, params.derive_trigger(
+                        default_cfg.phys, default_cfg.ctrl, default_cfg.trig))
+                loop.start()
+                loop.supervise()
+                if "bessel" in faults:
+                    loop.lam *= 1e6
+                calls = []
+                with pytest.raises((ValueError, NumericalFailure,
+                                    ValidityBreach)) as exc:
+                    loop.step()
+                raised.append((exc.type, str(exc.value)))
+        kind, message = self.FAILURES[faults[0]]
+        assert raised[0][0] is kind and raised[0][1].startswith(message), \
+            raised
+        assert raised[1:] == raised[:-1]
 
 
 class TestValueErrorAudit:
