@@ -114,7 +114,7 @@ def _build(name: str, source: Path, flags, target: Path) -> str | None:
     return None
 
 
-def scipy_i1_address() -> int:
+def _scipy_i1_address() -> int:
     """The address of scipy's i1, from the capsule that
     scipy.special.cython_special exports under I1_CAPSULE; raises
     ImportError, AttributeError, KeyError or ValueError where it is
@@ -165,7 +165,7 @@ def load(check, source: Path = SOURCE, flags=FLAGS):
     except ImportError as exc:
         return None, f"python: the built kernel does not load ({exc})"
     try:
-        address = scipy_i1_address()
+        address = _scipy_i1_address()
     except (ImportError, AttributeError, KeyError, ValueError) as exc:
         return None, f"python: scipy's i1 is not available ({exc!r})"
     kernel = Kernel(module.ffi, module.lib,

@@ -247,7 +247,7 @@ def _reproduces_step(kernel) -> bool:
             return type(exc), str(exc)
         return [np.asarray(part).tobytes() for part in out]
 
-    def observer_rhs(u, factor, lam, slope):
+    def observer_rhs(u, sdot, factor, lam):
         p = observer.observer_gain(unit_grid(u.size) * s, s, lam, alpha)
         return (plant.advance_rhs(u, s, sdot, q, dt, k, -factor[0],
                                   p * slope), observer.influence_rhs(p, dt))
@@ -257,16 +257,17 @@ def _reproduces_step(kernel) -> bool:
         u = np.sin(0.3 + np.arange(n))
         u[1::7], u[-1] = -0.0, 0.0
         factor = _factor_loops(n, 0.9)
-        for sdot in (2.7e-4, -3.1e-4, 0.0, -0.0):
+        # Each sdot with a gain whose w = lam (s^2 - x^2) / alpha starts at
+        # w0.
+        for sdot, w0 in zip((2.7e-4, -3.1e-4, 0.0, -0.0),
+                            (5e-4, 3e-3, 40.0, 6e5)):
             if (outcome(lambda: [plant.advance_rhs(u, s, sdot, q, dt, k,
                                                    -factor[0])])
                     != outcome(lambda: [plant._advance_rhs_compiled(
                         kernel, u, s, sdot, q, dt, k, factor)])):
                 return False
-        # Gains whose w = lam (s^2 - x^2) / alpha starts at w0.
-        for w0 in (5e-4, 3e-3, 40.0, 6e5):
             lam = w0 * alpha / (s * s)
-            if (outcome(observer_rhs, u, factor, lam, slope)
+            if (outcome(observer_rhs, u, sdot, factor, lam)
                     != outcome(observer._observer_rhs_compiled, kernel, u, s,
                                sdot, q, dt, k, factor, lam, alpha, slope)):
                 return False
