@@ -8,9 +8,12 @@
  * operation per operator, evaluated as written, so every result has the
  * bits of that code: no a - b * c is fused into one rounding, and nothing
  * is reassociated.  The callers check the sizes and the diffusion number
- * before they pass pointers. */
+ * before they pass pointers.  At the end, the formatter of series.csv's
+ * rows, which writes repr's bytes. */
 
 #include <math.h>
+#include <stdint.h>
+#include <string.h>
 
 /* numerics.BESSEL_Z_MAX and numerics._RATIO_SERIES_CUT; the load-time
  * check compares them with the Python values. */
@@ -203,4 +206,219 @@ int observer_update(long n, double s, double dt, const double *u_star,
         return 2;
     *norm_sq = s * pairwise_sum(out, 0, n - 1, h);
     return 0;
+}
+
+/* Python's repr of a double, by Schubfach (R. Giulietti, "The Schubfach
+ * way to render doubles", 2020) in the form of Java's DoubleToDecimal,
+ * with two departures, since repr writes the shortest decimal that reads
+ * back to the double and Java at least two digits: the one-digit-shorter
+ * candidate is tried from s >= 10, not s >= 100, and the smallest
+ * subnormals are not scaled by 10 first (Java's C_TINY branch, which
+ * gives 4.9e-324 for repr's 5e-324).  Integer arithmetic only, on
+ * Schubfach's table of g(k) = floor(10^-k / 2^r) + 1, 2^125 <= g < 2^126,
+ * for k from POW10_K_MIN to POW10_K_MAX, which the loader computes from
+ * exact integers and passes as g1 = g >> 63, g0 = g mod 2^63 pairs. */
+
+static const int POW10_K_MIN = -324;
+static const int POW10_K_MAX = 292;
+
+/* The most bytes repr writes for a double: "-2.2250738585072014e-308". */
+static const int REPR_MAX = 24;
+
+#define MASK63 0x7fffffffffffffffULL
+#define C_MIN (1ULL << 52)
+#define Q_MIN (-1074)
+
+/* floor(log10(2^e)), floor(log10(3/4 2^e)) and floor(log2(10^e)) for the
+ * e of doubles; >> of a negative value is arithmetic in GCC and Clang. */
+static int flog10_pow2(int e)
+{
+    return (int)((long long)e * 661971961083LL >> 41);
+}
+
+static int flog10_three_quarters_pow2(int e)
+{
+    return (int)(((long long)e * 661971961083LL - 274743187321LL) >> 41);
+}
+
+static int flog2_pow10(int e)
+{
+    return (int)((long long)e * 913124641741LL >> 38);
+}
+
+/* The high 64 bits of the 128-bit product a b. */
+static uint64_t mul_high(uint64_t a, uint64_t b)
+{
+    uint64_t a0 = a & 0xffffffffULL, a1 = a >> 32;
+    uint64_t b0 = b & 0xffffffffULL, b1 = b >> 32;
+    uint64_t mid = a1 * b0 + (a0 * b0 >> 32);
+    uint64_t mid2 = a0 * b1 + (mid & 0xffffffffULL);
+    return a1 * b1 + (mid >> 32) + (mid2 >> 32);
+}
+
+/* g cp 2^-127 rounded to odd, g = g1 2^63 + g0. */
+static uint64_t round_to_odd(uint64_t g1, uint64_t g0, uint64_t cp)
+{
+    uint64_t x1 = mul_high(g0, cp);
+    uint64_t y0 = g1 * cp;
+    uint64_t y1 = mul_high(g1, cp);
+    uint64_t z = (y0 >> 1) + x1;
+    uint64_t vbp = y1 + (z >> 63);
+    return vbp | (((z & MASK63) + MASK63) >> 63);
+}
+
+/* The shortest decimal f 10^k that rounds to the double c 2^q, c > 0, the
+ * one nearest it where several do, ties to an even f; returns k. */
+static int shortest(int q, uint64_t c, const uint64_t *g, uint64_t *f)
+{
+    int out = (int)(c & 1);
+    uint64_t cb = c << 2, cbr = cb + 2, cbl;
+    int k;
+    if (c != C_MIN || q == Q_MIN) {
+        cbl = cb - 2;
+        k = flog10_pow2(q);
+    } else {
+        cbl = cb - 1;
+        k = flog10_three_quarters_pow2(q);
+    }
+    int h = q + flog2_pow10(-k) + 2;
+    const uint64_t *gk = g + 2 * (k - POW10_K_MIN);
+    uint64_t vb = round_to_odd(gk[0], gk[1], cb << h);
+    uint64_t vbl = round_to_odd(gk[0], gk[1], cbl << h);
+    uint64_t vbr = round_to_odd(gk[0], gk[1], cbr << h);
+    uint64_t s = vb >> 2;
+    if (s >= 10) {
+        uint64_t sp10 = s / 10 * 10, tp10 = sp10 + 10;
+        int upin = vbl + out <= sp10 << 2;
+        int wpin = (tp10 << 2) + out <= vbr;
+        if (upin != wpin) {
+            *f = upin ? sp10 : tp10;
+            return k;
+        }
+    }
+    uint64_t t = s + 1;
+    int uin = vbl + out <= s << 2;
+    int win = (t << 2) + out <= vbr;
+    if (uin != win) {
+        *f = uin ? s : t;
+        return k;
+    }
+    long long cmp = (long long)(vb - ((s + t) << 1));
+    *f = cmp < 0 || (cmp == 0 && (s & 1) == 0) ? s : t;
+    return k;
+}
+
+/* f 10^e, f > 0, laid out as repr does from its digits d1..dn, without
+ * trailing zeros, and decpt = n + e: positional where -4 < decpt <= 16,
+ * with ".0" after an integral value, else d1.d2..dn and an exponent of at
+ * least two digits; returns the end of the text. */
+static char *lay_out(char *p, uint64_t f, int e)
+{
+    char digits[20], *d = digits + sizeof digits;
+    while (f % 10 == 0) {
+        f /= 10;
+        e++;
+    }
+    for (; f; f /= 10)
+        *--d = (char)('0' + f % 10);
+    int n = (int)(digits + sizeof digits - d);
+    int decpt = n + e;
+    if (-4 < decpt && decpt <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', (size_t)-decpt);
+        p += -decpt;
+        memcpy(p, d, (size_t)n);
+        return p + n;
+    }
+    if (0 < decpt && decpt < n) {
+        memcpy(p, d, (size_t)decpt);
+        p += decpt;
+        *p++ = '.';
+        memcpy(p, d + decpt, (size_t)(n - decpt));
+        return p + n - decpt;
+    }
+    if (n <= decpt && decpt <= 16) {
+        memcpy(p, d, (size_t)n);
+        p += n;
+        memset(p, '0', (size_t)(decpt - n));
+        p += decpt - n;
+        *p++ = '.';
+        *p++ = '0';
+        return p;
+    }
+    *p++ = d[0];
+    if (n > 1) {
+        *p++ = '.';
+        memcpy(p, d + 1, (size_t)(n - 1));
+        p += n - 1;
+    }
+    int x = decpt - 1;
+    *p++ = 'e';
+    *p++ = x < 0 ? '-' : '+';
+    if (x < 0)
+        x = -x;
+    if (x >= 100)
+        *p++ = (char)('0' + x / 100);
+    *p++ = (char)('0' + x / 10 % 10);
+    *p++ = (char)('0' + x % 10);
+    return p;
+}
+
+static char *copy(char *p, const char *text)
+{
+    while (*text)
+        *p++ = *text++;
+    return p;
+}
+
+/* repr(v) at p; returns the end of the text. */
+static char *format_double(char *p, double v, const uint64_t *g)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    uint64_t t = bits & (C_MIN - 1);
+    int bq = (int)(bits >> 52) & 0x7ff;
+    if (bq == 0x7ff && t)
+        return copy(p, "nan");
+    if (bits >> 63)
+        *p++ = '-';
+    if (bq == 0x7ff)
+        return copy(p, "inf");
+    if (bq == 0 && t == 0)
+        return copy(p, "0.0");
+    uint64_t f;
+    int e = 0;
+    if (bq == 0)
+        e = shortest(Q_MIN, t, g, &f);
+    else {
+        int mq = -Q_MIN + 1 - bq;
+        uint64_t c = C_MIN | t;
+        /* An integer below 2^52 is its own shortest decimal. */
+        if (0 < mq && mq < 53 && (c >> mq << mq) == c)
+            f = c >> mq;
+        else
+            e = shortest(-mq, c, g, &f);
+    }
+    return lay_out(p, f, e);
+}
+
+/* The rows x cols doubles of values, row-major, as CSV lines of their
+ * reprs: "," between the values of a row, "\r\n" after each row.  out
+ * holds at least rows (cols (REPR_MAX + 1) + 2) bytes; returns the bytes
+ * written. */
+long format_rows(long rows, long cols, const double *values,
+                 const uint64_t *g, char *out)
+{
+    char *p = out;
+    for (long i = 0; i < rows; i++) {
+        for (long j = 0; j < cols; j++) {
+            if (j)
+                *p++ = ',';
+            p = format_double(p, values[i * cols + j], g);
+        }
+        *p++ = '\r';
+        *p++ = '\n';
+    }
+    return (long)(p - out);
 }

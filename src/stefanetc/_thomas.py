@@ -1,4 +1,5 @@
-"""Build, cache and load the compiled kernel of the step, `_thomas.c`.
+"""Build, cache and load the compiled kernel of the step and of the series
+formatter, `_thomas.c`.
 
 `load(check)` returns ``(Kernel, "compiled")`` when the kernel builds, loads,
 finds scipy's i1 and passes `check`, else ``(None, "python: <reason>")``; it
@@ -48,6 +49,11 @@ int observer_rhs(long n, const double *u_hat, double s, double sdot,
                  double alpha, double slope, bessel_i1 i1, double *rhs);
 int observer_update(long n, double s, double dt, const double *u_star,
                     const double *z, double *out, double *norm_sq);
+static const int POW10_K_MIN;
+static const int POW10_K_MAX;
+static const int REPR_MAX;
+long format_rows(long rows, long cols, const double *values,
+                 const uint64_t *g, char *out);
 """
 
 # The name and signature under which scipy.special.cython_special exports
@@ -56,11 +62,29 @@ I1_CAPSULE = ("i1", b"double (double, int __pyx_skip_dispatch)")
 
 
 class Kernel(NamedTuple):
-    """The loaded module's `ffi` and `lib`, and scipy's i1 as a
-    `bessel_i1` function pointer for `lib.observer_rhs`."""
+    """The loaded module's `ffi` and `lib`, scipy's i1 as a `bessel_i1`
+    function pointer for `lib.observer_rhs`, and Schubfach's table as a
+    `uint64_t[]` for `lib.format_rows`."""
     ffi: object
     lib: object
     i1: object
+    pow10: object
+
+
+def _pow10_table(k_min: int, k_max: int) -> list[int]:
+    """Schubfach's g(k) = floor(10^-k / 2^r) + 1, r = floor(log2(10^-k)) -
+    125, for k from k_min to k_max, from exact integers, each as the pair
+    g >> 63, g mod 2^63."""
+    table = []
+    for k in range(k_min, k_max + 1):
+        if k <= 0:
+            r = (10 ** -k).bit_length() - 126
+            g = (10 ** -k >> r if r >= 0 else 10 ** -k << -r) + 1
+        else:   # 10^k is no power of two: floor(log2(10^-k)) = -bits(10^k)
+            r = -(10 ** k).bit_length() - 125
+            g = (1 << -r) // 10 ** k + 1
+        table += [g >> 63, g & ((1 << 63) - 1)]
+    return table
 
 
 BUILD_TIMEOUT_S = 300.0
@@ -133,8 +157,8 @@ def load(check, source: Path = SOURCE, flags=FLAGS):
     """The `Kernel` and "compiled", or None and "python: <reason>".
 
     `check(kernel)` returns whether the kernel's results have the bits of
-    the Python and numpy code it replaces; a kernel that fails it is not
-    used.
+    the Python and numpy code it replaces, and its formatter repr's bytes;
+    a kernel that fails it is not used.
     """
     try:
         import _cffi_backend
@@ -168,9 +192,11 @@ def load(check, source: Path = SOURCE, flags=FLAGS):
         address = _scipy_i1_address()
     except (ImportError, AttributeError, KeyError, ValueError) as exc:
         return None, f"python: scipy's i1 is not available ({exc!r})"
-    kernel = Kernel(module.ffi, module.lib,
-                    module.ffi.cast("bessel_i1", address))
+    lib = module.lib
+    kernel = Kernel(module.ffi, lib, module.ffi.cast("bessel_i1", address),
+                    module.ffi.new("uint64_t[]", _pow10_table(
+                        lib.POW10_K_MIN, lib.POW10_K_MAX)))
     if not check(kernel):
         return None, ("python: the compiled kernel does not reproduce the "
-                      "Python and numpy code's bits")
+                      "Python and numpy code's bits or repr's bytes")
     return kernel, "compiled"

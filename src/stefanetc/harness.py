@@ -361,13 +361,39 @@ def _fmt(value) -> str:
 _SERIES_ROWS_PER_WRITE = 1024
 
 
+def _format_rows(rows: np.ndarray) -> bytes:
+    """The CSV lines of a 2-D float array: the repr of each value, "," between
+    the values of a row and "\r\n" after each row."""
+    return "".join(",".join(map(repr, row)) + "\r\n"
+                   for row in rows.tolist()).encode("ascii")
+
+
+def _format_rows_compiled(kernel, rows: np.ndarray, buf: bytearray):
+    """`_format_rows(rows)` by the compiled formatter, written into `buf`,
+    which it first grows to what `rows` may need; a view of `buf` that holds
+    until the next call."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    count, cols = rows.shape
+    need = count * (cols * (kernel.lib.REPR_MAX + 1) + 2)
+    if len(buf) < need:
+        buf.extend(bytes(need - len(buf)))
+    size = kernel.lib.format_rows(count, cols,
+                                  kernel.ffi.from_buffer("double[]", rows),
+                                  kernel.pow10,
+                                  kernel.ffi.from_buffer("char[]", buf))
+    return memoryview(buf)[:size]
+
+
 def emit_outputs(result: ScenarioResult, directory: str | Path) -> list[Path]:
     """Write series.csv, events.csv, derivation_report.txt, summary.json and
     config.cfg.
 
     Outputs are byte-stable for identical configs (fixed column order, repr
-    floats, no timestamps).  series.csv is streamed in slices of rows, so
-    no copy of its whole text is held.
+    floats, no timestamps).  series.csv is streamed in slices of
+    _SERIES_ROWS_PER_WRITE rows, so no copy of its whole text is held.  With
+    the compiled kernel loaded, each slice is formatted by one call of its
+    formatter, which writes repr's bytes, into one buffer reused across the
+    slices; otherwise by repr itself.
     """
     directory = Path(directory)
     try:
@@ -377,13 +403,14 @@ def emit_outputs(result: ScenarioResult, directory: str | Path) -> list[Path]:
         series_path = directory / "series.csv"
         columns = [np.asarray(result.series[c], dtype=float)
                    for c in SERIES_COLUMNS]
-        with series_path.open("w", newline="") as out:
-            out.write(",".join(SERIES_COLUMNS) + "\r\n")
+        kernel, buf = numerics._kernel, bytearray()
+        with series_path.open("wb") as out:
+            out.write((",".join(SERIES_COLUMNS) + "\r\n").encode("ascii"))
             for start in range(0, len(columns[0]), _SERIES_ROWS_PER_WRITE):
                 stop = start + _SERIES_ROWS_PER_WRITE
                 rows = np.column_stack([col[start:stop] for col in columns])
-                out.writelines(",".join(map(repr, row)) + "\r\n"
-                               for row in rows.tolist())
+                out.write(_format_rows(rows) if kernel is None
+                          else _format_rows_compiled(kernel, rows, buf))
         written.append(series_path)
 
         events_path = directory / "events.csv"

@@ -23,10 +23,12 @@ import builds the kernel in a child process, about 0.8 s, into
 $XDG_CACHE_HOME/stefanetc (or ~/.cache/stefanetc).  Every import then
 loads it (`load_kernel`, which the package's __init__ calls once `plant`
 and `observer` are defined) and uses it only if it reproduces those bits
-on fixed cases (`check_kernel`).  Where cffi, a C compiler or scipy's
-exported i1 is missing, the build fails, or the check does, the loops and
-the numpy code run instead, with the same results.  `THOMAS_KERNEL` says
-which path runs.
+on fixed cases (`check_kernel`).  The kernel also formats the rows of
+series.csv for `harness.emit_outputs`, and the check holds that formatter
+to repr's bytes.  Where cffi, a C compiler or scipy's exported i1 is
+missing, the build fails, or the check does, the loops, the numpy code
+and repr run instead, with the same results.  `THOMAS_KERNEL` says which
+path runs.
 """
 
 from __future__ import annotations
@@ -286,6 +288,32 @@ def _reproduces_step(kernel) -> bool:
     return True
 
 
+def _reproduces_repr(kernel) -> bool:
+    """Whether `kernel`'s formatter writes the bytes of `harness`'s repr
+    writer on fixed cases: every power of two, the neighbours of every 16th,
+    the first 300 subnormals, the powers of ten, both sides of the switches
+    to exponent notation at 1e-4 and 1e16 with both signs, and +-0, +-inf
+    and NaNs of both signs; rows of 1 to 632 values.  Not every neighbour
+    of every power of two: repr takes about 1 us for each 17-digit one."""
+    from . import harness
+
+    p = np.ldexp(1.0, np.arange(-1074, 1024))
+    edges = np.array([1e-4, 1e-5, 1e15, 1e16, 1e17, 9999999999999998.0])
+    edges = np.concatenate((edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, math.inf)))
+    cases = (
+        p.reshape(-1, 2),
+        np.column_stack((np.nextafter(p[::16], 0.0),
+                         np.nextafter(p[::16], math.inf))),
+        np.arange(1.0, 301.0).reshape(-1, 5) * 5e-324,
+        np.array([[float(f"1e{k}") for k in range(-323, 309)]]),
+        np.concatenate((edges, -edges)).reshape(-1, 1),
+        np.array([[0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]]))
+    buf = bytearray()
+    return all(bytes(harness._format_rows_compiled(kernel, rows, buf))
+               == harness._format_rows(rows) for rows in cases)
+
+
 # Which path the Thomas functions and the step's per-node arithmetic take:
 # "compiled" when the kernel built, loaded, found scipy's i1 and passed the
 # check, else "python: " and the reason.  The package's __init__ calls
@@ -296,8 +324,9 @@ _kernel, THOMAS_KERNEL = None, "python: the kernel is not loaded yet"
 
 def check_kernel(kernel) -> bool:
     """The load-time check: whether `kernel` reproduces the Thomas loops and
-    the numpy step bit for bit."""
-    return _reproduces_loops(kernel) and _reproduces_step(kernel)
+    the numpy step bit for bit, and repr byte for byte."""
+    return (_reproduces_loops(kernel) and _reproduces_step(kernel)
+            and _reproduces_repr(kernel))
 
 
 def load_kernel() -> None:

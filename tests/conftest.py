@@ -1,7 +1,8 @@
 """Shared fixtures: the default paraffin configuration and helpers for
 building modified copies by textual substitution.  Substitution edits the
 config text itself; `config.override`, which the sweep verb uses, rebuilds
-a parsed config instead.  The repository root goes on the import path, so
+a parsed config instead.  `thomas_paths` lists the kernel paths a test
+runs on both of.  The repository root goes on the import path, so
 that the acceptance suite can read the benchmark's workload inputs and
 correctness gate from `perfbench`.
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from stefanetc import config
+from stefanetc import config, numerics
 
 ROOT = str(Path(__file__).resolve().parents[1])
 if ROOT not in sys.path:
@@ -30,6 +31,13 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:
         pass
+
+
+def thomas_paths():
+    """The kernel values `numerics`, the step and `emit_outputs` dispatch on:
+    the compiled kernel, when this process loaded it, and None, the Python
+    loops, the numpy step and repr."""
+    return [None] if numerics._kernel is None else [numerics._kernel, None]
 
 
 @pytest.fixture(scope="session")

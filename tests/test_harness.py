@@ -9,16 +9,17 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from stefanetc import (cli, config, diagnostics, harness, params, plant,
-                       trigger)
+from stefanetc import (cli, config, diagnostics, harness, numerics, params,
+                       plant, trigger)
 from stefanetc.errors import (ConfigurationError, InvariantViolation,
                               NumericalFailure)
 from stefanetc.numerics import simpson
-from conftest import variant_text
+from conftest import thomas_paths, variant_text
 import emit_reference
 import transform_oracles as oracles
 
@@ -380,13 +381,16 @@ class TestLyapunovWeights:
 
 class TestEmitOutputs:
     def test_files_written_and_stable(self, short_result, tmp_path):
-        first = harness.emit_outputs(short_result, tmp_path / "a")
-        second = harness.emit_outputs(short_result, tmp_path / "b")
-        names = sorted(p.name for p in first)
-        assert names == ["config.cfg", "derivation_report.txt", "events.csv",
-                         "series.csv", "summary.json"]
-        for pa, pb in zip(first, second):
-            assert pa.read_bytes() == pb.read_bytes()
+        # Twice on each path, and the same bytes every time.
+        emitted = []
+        for i, kernel in enumerate(2 * thomas_paths()):
+            with mock.patch.object(numerics, "_kernel", kernel):
+                written = harness.emit_outputs(short_result, tmp_path / str(i))
+            emitted.append({p.name: p.read_bytes() for p in written})
+        assert sorted(emitted[0]) == ["config.cfg", "derivation_report.txt",
+                                      "events.csv", "series.csv",
+                                      "summary.json"]
+        assert emitted[1:] == emitted[:-1]
 
     def test_series_csv_format(self, short_result, tmp_path):
         harness.emit_outputs(short_result, tmp_path)
@@ -407,11 +411,15 @@ class TestEmitOutputs:
 
     @staticmethod
     def special_series(npts):
-        # Wide magnitudes with nan, +-inf, signed zeros, subnormals and the
-        # extreme finite floats scattered through every column.
+        # Wide magnitudes with nan, +-inf, signed zeros, subnormals, powers
+        # of two and their neighbours, and the extreme finite floats
+        # scattered through every column.
         rng = np.random.default_rng(7)
+        powers = np.ldexp(1.0, np.array([-1074, -1022, -1, 52, 53, 1023]))
         specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
-                    -2.2250738585072014e-308, 1.7976931348623157e308]
+                    -2.2250738585072014e-308, 1.7976931348623157e308,
+                    5e-323, -1.5e-323, 2.5e-310, *powers,
+                    *np.nextafter(powers, 0.0), *np.nextafter(powers, math.inf)]
         series = {}
         for column in harness.SERIES_COLUMNS:
             values = rng.standard_normal(npts) \
@@ -438,13 +446,17 @@ class TestEmitOutputs:
                   "empty": {c: np.array([]) for c in harness.SERIES_COLUMNS},
                   }[case]
         result = dataclasses.replace(short_result, series=series)
-        harness.emit_outputs(result, tmp_path / "out")
         emit_reference.write_series_csv(series, tmp_path / "reference.csv")
-        got = (tmp_path / "out" / "series.csv").read_bytes()
-        assert got == (tmp_path / "reference.csv").read_bytes()
+        reference = (tmp_path / "reference.csv").read_bytes()
+        for kernel in thomas_paths():
+            with mock.patch.object(numerics, "_kernel", kernel):
+                harness.emit_outputs(result, tmp_path / "out")
+            got = (tmp_path / "out" / "series.csv").read_bytes()
+            assert got == reference, kernel
         assert got.count(b"\r\n") == 1 + series["t"].size
         if case == "non_finite":
             assert b",nan," in got and b",-inf," in got and b",-0.0," in got
+            assert b",5e-324," in got and b",5e-323," in got
 
     def test_events_csv_fields_are_numbers(self, short_result, tmp_path):
         # A continuous run makes an event every step, so every column of a

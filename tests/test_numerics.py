@@ -32,6 +32,7 @@ from stefanetc.numerics import (BESSEL_Z_MAX, diffusion_factor,
                                 ratio_J1_sqrt, simpson, solve_tridiagonal,
                                 trapezoid)
 from stefanetc.observer import observer_gain
+from conftest import thomas_paths
 from observer_reference import ratio_I1_sqrt
 from tridiagonal_reference import diffusion_bands, thomas_factor, thomas_solve
 
@@ -235,12 +236,6 @@ class TestQuadrature:
             simpson(values, 1.0)
 
 
-def thomas_paths():
-    """The kernel values `numerics` dispatches on: the compiled kernel, when
-    this process loaded it, and None, the Python loops."""
-    return [None] if numerics._kernel is None else [numerics._kernel, None]
-
-
 class TestTridiagonal:
     def test_one_factor_many_right_hand_sides(self):
         rng = np.random.default_rng(11)
@@ -352,13 +347,15 @@ def host_has_fma() -> bool:
                                                               cpuinfo))
 
 
-def short_run(kernel, cfg):
-    """Series and events of a 200 s run of `cfg` on the given Thomas path."""
+def short_run(kernel, cfg, directory):
+    """Series and events of a 200 s run of `cfg` on the given Thomas path,
+    and the bytes of each file it emits into `directory` on that path."""
     with mock.patch.object(numerics, "_kernel", kernel):
         result = harness.run_scenario(
             config.override(cfg, "scheme.horizon", 200.0))
+        written = harness.emit_outputs(result, directory)
     return ({c: result.series[c].tobytes() for c in harness.SERIES_COLUMNS},
-            result.events)
+            result.events, {path.name: path.read_bytes() for path in written})
 
 
 needs_kernel = pytest.mark.skipif(numerics._kernel is None,
@@ -400,6 +397,18 @@ class TestThomasKernel:
         "influence_as_p": ("dt * (z_rhs[i] / dt)", "z_rhs[i]"),
         # A left-to-right sum in place of numpy's pairwise sum.
         "sequential_sum": ("if (m < 8) {", "if (1) {"),
+        # A formatter that always writes 17 digits: 0.1 as
+        # 0.10000000000000000.
+        "seventeen_digits": ("while (f % 10 == 0) {\n"
+                             "        f /= 10;\n"
+                             "        e++;",
+                             "while (f < 10000000000000000ULL) {\n"
+                             "        f *= 10;\n"
+                             "        e--;"),
+        # Exponent notation from 1e15 on, where repr has it from 1e16.
+        "exponent_at_1e15": ("&& decpt <= 16)", "&& decpt <= 15)"),
+        # Java's two-digit minimum: 10 x 5e-324 as 4.9e-323, not 5e-323.
+        "java_two_digits": ("if (s >= 10) {", "if (s >= 100) {"),
     }
 
     @needs_kernel
@@ -410,8 +419,9 @@ class TestThomasKernel:
         # A source that cannot compile; the mutations above; the shipped
         # source with a - b * c fused into one rounding (the mutation
         # -ffp-contract=off rules out); and the shipped source where scipy
-        # exports no i1.  Each leaves the Python and numpy code in charge,
-        # and a run on it has the compiled run's bits.
+        # exports no i1.  Each leaves the Python and numpy code and repr in
+        # charge, and a run on it has the compiled run's bits and emits the
+        # compiled run's bytes.
         flags = _thomas.FLAGS
         source = tmp_path / "thomas.c"
         text = _thomas.SOURCE.read_text()
@@ -436,8 +446,8 @@ class TestThomasKernel:
         assert kernel is None and status.startswith(expect), status
         assert not [p for p in (tmp_path / "cache" / "stefanetc").iterdir()
                     if p.name.startswith(".build-")]
-        assert short_run(kernel, default_cfg) \
-            == short_run(numerics._kernel, default_cfg)
+        assert short_run(kernel, default_cfg, tmp_path / "fallback") \
+            == short_run(numerics._kernel, default_cfg, tmp_path / "compiled")
 
     def test_missing_cffi_or_cache_falls_back(self, monkeypatch, tmp_path):
         blocked = tmp_path / "not_a_directory"
@@ -454,6 +464,60 @@ class TestThomasKernel:
             == (numerics._kernel is not None)
         if numerics._kernel is None:
             assert numerics.THOMAS_KERNEL.startswith("python: ")
+
+
+def compiled_csv(values) -> bytes:
+    """The compiled formatter's CSV text of a 2-D float array."""
+    return bytes(harness._format_rows_compiled(
+        numerics._kernel, np.asarray(values, dtype=float), bytearray()))
+
+
+def repr_csv(values) -> bytes:
+    """The same text from repr, value by value."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\r\n"
+                   for row in values).encode()
+
+
+@needs_kernel
+class TestFormatKernel:
+    """The compiled formatter writes repr's bytes, on raw bit patterns and
+    on sweeps of the cases where a shortest-digit algorithm or its layout
+    goes wrong: the irregular spacing below a power of two, the smallest
+    subnormals, which take fewer than 17 digits, the integers where the
+    doubles' spacing passes 1, and the switches to exponent notation."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arrays(np.uint64, st.tuples(st.integers(1, 8),
+                                       st.integers(1, 18))))
+    def test_bit_patterns_match_repr(self, bits):
+        values = bits.view(np.float64)
+        assert compiled_csv(values) == repr_csv(values)
+
+    def test_sweeps_match_repr(self):
+        p = np.ldexp(1.0, np.arange(-1074, 1024))
+        near_2_53 = np.arange(2 ** 53 - 300, 2 ** 53 + 300, dtype=np.int64)
+        nans = np.array([0x7ff8000000000000, 0xfff8000000000000,
+                         0x7ff0000000000001, 0xfff4000000abcdef,
+                         0x7fffffffffffffff, 0xffffffffffffffff],
+                        dtype=np.uint64).view(np.float64)
+        sweeps = {
+            "powers_of_two": np.column_stack(
+                (np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))),
+            "powers_of_ten": np.array(
+                [[float(f"1e{k}") for k in range(-323, 309)]]).T,
+            "subnormals": np.arange(1.0, 100001.0).reshape(-1, 10) * 5e-324,
+            "near_2_53": near_2_53.astype(float).reshape(-1, 3),
+            "notation_edges": np.array([[1e-4, 1e-5, 1e16,
+                                         np.nextafter(1e16, 0.0)]]),
+            "nans": nans[None, :],
+        }
+        for name, values in sweeps.items():
+            for signed in (values, -values):
+                assert compiled_csv(signed) == repr_csv(signed), name
+        assert compiled_csv([[1e-4, 1e-5, 1e16, np.nextafter(1e16, 0.0)]]) \
+            == b"0.0001,1e-05,1e+16,9999999999999998.0\r\n"
+        assert compiled_csv([[5e-324, 10 * 5e-324, math.nan, -0.0]]) \
+            == b"5e-324,5e-323,nan,-0.0\r\n"
 
 
 PHYS = params.derive_physical(k=0.00220, rho=7.90e-4, cp=2380.0, dH=2.10e5,

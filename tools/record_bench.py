@@ -8,10 +8,13 @@ Run from a git checkout of stefanetc.  The record holds:
   ``python3 perfbench/run.py --workload W --seed 0 --seconds S`` with the
   run length S that BENCHMARK.json sets (the end-to-end metrics), and once
   more with ``--trace 1`` (the per-layer metrics);
-- memory by phase: for each workload's seed-0 config (for ``gamma_sweep``
-  its base config, one member), a fresh process records its peak resident
-  set (``ru_maxrss``, MB) after the imports, after ``derive_trigger``,
-  after ``run_scenario`` and after ``emit_outputs``;
+- memory by phase and the emitted files: for each workload's seed-0
+  config (for ``gamma_sweep`` its base config, one member), a fresh process
+  records its peak resident set (``ru_maxrss``, MB) after the imports,
+  after ``derive_trigger``, after ``run_scenario`` and after
+  ``emit_outputs``, the seconds ``emit_outputs`` took and a sha256 of each
+  file it wrote, so that two records can be checked for byte-equal
+  outputs;
 - the conditioning of the benchmark's fingerprints: in a fresh process,
   each workload's seed-0 config (for ``gamma_sweep`` its first member) runs
   once as it is and NOISE_RUNS more times with every result of
@@ -85,9 +88,10 @@ def perfbench(workload: str, seconds: float, trace: int) -> dict:
 
 
 # Run in a fresh process on a config text read from stdin; prints the peak
-# RSS in MB after each phase as JSON.
+# RSS in MB after each phase, the seconds emit_outputs took and a sha256 of
+# each file it wrote, as JSON.
 _PHASE_RSS = """
-import json, resource, sys, tempfile
+import hashlib, json, resource, sys, tempfile, time
 def peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 from stefanetc import config, harness, params
@@ -98,14 +102,20 @@ marks["derive_trigger"] = peak_mb()
 result = harness.run_scenario(cfg)
 marks["run_scenario"] = peak_mb()
 with tempfile.TemporaryDirectory() as out:
-    harness.emit_outputs(result, out)
+    t0 = time.perf_counter()
+    written = harness.emit_outputs(result, out)
+    emit_s = time.perf_counter() - t0
     marks["emit_outputs"] = peak_mb()
-print(json.dumps(marks))
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in written}
+print(json.dumps({"peak_rss_mb_by_phase": marks, "emit_outputs_s": emit_s,
+                  "emitted_sha256": digests}))
 """
 
 
 def phase_rss(workload: str) -> dict:
-    """Peak RSS (MB) of a fresh process after each phase of one seed-0 run."""
+    """Peak RSS (MB) of a fresh process after each phase of one seed-0 run,
+    the seconds its emit_outputs took and a sha256 of each emitted file."""
     from perfbench import workloads
 
     proc = subprocess.run(
@@ -269,7 +279,7 @@ def main() -> int:
         traced = perfbench(workload, seconds, trace=1)
         record["workloads"][workload] = {
             "end_to_end": timed["result"], "per_layer": traced["result"],
-            "peak_rss_mb_by_phase": phase_rss(workload)}
+            **phase_rss(workload)}
     # After every child that reads its peak RSS: a child's ru_maxrss starts
     # at this process's peak, which parsing the noise runs' events raises.
     for workload in WORKLOADS:
