@@ -9,7 +9,8 @@ Run from a git checkout of stefanetc.  The record holds:
   run length S that BENCHMARK.json sets (the end-to-end metrics), and once
   more with ``--trace 1`` (the per-layer metrics);
 - memory by phase and the emitted files: for each workload's seed-0
-  config (for ``gamma_sweep`` its base config, one member), a fresh process
+  config (for ``gamma_sweep`` its base config, gamma = 1e3, which is none
+  of the sweep's eight members but runs as long as one), a fresh process
   records its peak resident set (``ru_maxrss``, MB) after the imports,
   after ``derive_trigger``, after ``run_scenario`` and after
   ``emit_outputs``, the seconds ``emit_outputs`` took and a sha256 of each
