@@ -1,5 +1,6 @@
 """Build, cache and load the compiled kernel of the step and of the series
-formatter, `_thomas.c`.
+formatter, `_thomas.c`, and wrap it as `Kernel`, the compiled set of the
+six pieces that `numerics.REFERENCE` holds in Python and numpy.
 
 `load(check)` returns ``(Kernel, "compiled")`` when the kernel builds, loads,
 finds scipy's i1 and passes `check`, else ``(None, "python: <reason>")``; it
@@ -19,13 +20,17 @@ from __future__ import annotations
 import hashlib
 import importlib.machinery
 import importlib.util
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import NamedTuple
+
+import numpy as np
+
+from .errors import NumericalFailure
 
 SOURCE = Path(__file__).with_name("_thomas.c")
 
@@ -59,16 +64,6 @@ long format_rows(long rows, long cols, const double *values,
 # The name and signature under which scipy.special.cython_special exports
 # its i1, the function the scipy.special.i1 ufunc evaluates.
 I1_CAPSULE = ("i1", b"double (double, int __pyx_skip_dispatch)")
-
-
-class Kernel(NamedTuple):
-    """The loaded module's `ffi` and `lib`, scipy's i1 as a `bessel_i1`
-    function pointer for `lib.observer_rhs`, and Schubfach's table as a
-    `uint64_t[]` for `lib.format_rows`."""
-    ffi: object
-    lib: object
-    i1: object
-    pow10: object
 
 
 def _pow10_table(k_min: int, k_max: int) -> list[int]:
@@ -153,12 +148,127 @@ def _scipy_i1_address() -> int:
     return get_pointer(cython_special.__pyx_capi__[name], signature)
 
 
+# The size checks each piece of both sets makes before any arithmetic, so
+# that both raise the same exception on the same input and the compiled
+# set passes no pointer past the end of an array.
+
+def factor_args(n: int, r) -> float:
+    """r as a float, for a diffusion matrix of n >= 3 nodes and a diffusion
+    number r with r > 0 and 1 + 2r finite (`numerics.diffusion_factor`)."""
+    if n < 3:
+        raise ValueError("the diffusion matrix needs n >= 3 nodes")
+    r = float(r)
+    if not (r > 0.0 and 1.0 + 2.0 * r < math.inf):
+        raise NumericalFailure(f"diffusion number r={r!r} outside (0, inf)")
+    return r
+
+
+def bands(ratios, pivots, rhs):
+    """rhs as a contiguous float64 array with the band lengths of ratios
+    and pivots, float64 arrays too."""
+    x = np.ascontiguousarray(rhs, dtype=float)
+    if (x.shape != pivots.shape or ratios.shape != (x.size - 1,)
+            or ratios.dtype != float or pivots.dtype != float):
+        raise ValueError("inconsistent tridiagonal band lengths")
+    return x
+
+
+def profile(u, like=None):
+    """u as a contiguous float64 profile: 1-D, of at least 2 nodes, and of
+    the length of the profile `like` where one is given."""
+    u = np.ascontiguousarray(u, dtype=float)
+    if u.ndim != 1 or u.size < 2 or like is not None and u.size != like.size:
+        raise ValueError("profiles must be 1-D, of one length, with at "
+                         "least 2 nodes")
+    return u
+
+
+class Kernel:
+    """The compiled set of the six pieces.  Each method has the signature
+    of its namesake in `numerics.REFERENCE`, makes its size checks, and
+    returns its bits or raises its exception with its message."""
+
+    def __init__(self, module, i1_address: int):
+        self.ffi, self.lib = module.ffi, module.lib
+        # The C copies of numerics.BESSEL_Z_MAX and _RATIO_SERIES_CUT.
+        self.constants = (self.lib.BESSEL_Z_MAX, self.lib.RATIO_SERIES_CUT)
+        self.i1 = self.ffi.cast("bessel_i1", i1_address)
+        self.pow10 = self.ffi.new("uint64_t[]", _pow10_table(
+            self.lib.POW10_K_MIN, self.lib.POW10_K_MAX))
+
+    def factor(self, n, r):
+        r = factor_args(n, r)
+        ratios, pivots = np.empty(n - 2), np.empty(n - 1)
+        buf = self.ffi.from_buffer
+        self.lib.diffusion_factor(n - 1, r, buf("double[]", ratios),
+                                  buf("double[]", pivots))
+        return -r, ratios, pivots
+
+    def solve(self, lower, ratios, pivots, rhs):
+        rhs = bands(ratios, pivots, rhs)
+        out = np.empty(rhs.size + 1)
+        buf = self.ffi.from_buffer
+        self.lib.solve_tridiagonal(rhs.size, lower, buf("double[]", ratios),
+                                   buf("double[]", pivots),
+                                   buf("double[]", rhs), buf("double[]", out))
+        return out
+
+    def advance_rhs(self, u, s, sdot, q, dt, k, r):
+        u = profile(u)
+        rhs = np.empty(u.size - 1)
+        buf = self.ffi.from_buffer
+        self.lib.advance_rhs(u.size, buf("double[]", u), s, sdot, q, dt, k, r,
+                             self.ffi.NULL, 0.0, buf("double[]", rhs))
+        return rhs
+
+    def observer_rhs(self, u_hat, s, sdot, q, dt, k, r, lam, alpha, slope):
+        u_hat = profile(u_hat)
+        rhs = np.empty((2, u_hat.size - 1))
+        buf = self.ffi.from_buffer
+        if self.lib.observer_rhs(u_hat.size, buf("double[]", u_hat), s, sdot,
+                                 q, dt, k, r, lam, alpha, slope, self.i1,
+                                 buf("double[]", rhs)):
+            from .observer import BESSEL_DOMAIN
+            raise ValueError(BESSEL_DOMAIN)
+        return rhs
+
+    def observer_update(self, u_star, z, s, dt):
+        u_star = profile(u_star)
+        z = profile(z, u_star)
+        out = np.empty(u_star.size)
+        norm_sq = self.ffi.new("double *")
+        buf = self.ffi.from_buffer
+        failed = self.lib.observer_update(u_star.size, s, dt,
+                                          buf("double[]", u_star),
+                                          buf("double[]", z),
+                                          buf("double[]", out), norm_sq)
+        if failed:
+            from .observer import NON_FINITE, SINGULAR
+            raise NumericalFailure(SINGULAR if failed == 1 else NON_FINITE)
+        return out, norm_sq[0]
+
+    def format_rows(self, rows, buf):
+        """The text of `rows`, written into `buf` (first grown to what
+        `rows` may need), as a view of `buf` that holds until the next
+        call."""
+        rows = np.ascontiguousarray(rows, dtype=float)
+        count, cols = rows.shape
+        need = count * (cols * (self.lib.REPR_MAX + 1) + 2)
+        if len(buf) < need:
+            buf.extend(bytes(need - len(buf)))
+        size = self.lib.format_rows(count, cols,
+                                    self.ffi.from_buffer("double[]", rows),
+                                    self.pow10,
+                                    self.ffi.from_buffer("char[]", buf))
+        return memoryview(buf)[:size]
+
+
 def load(check, source: Path = SOURCE, flags=FLAGS):
     """The `Kernel` and "compiled", or None and "python: <reason>".
 
-    `check(kernel)` returns whether the kernel's results have the bits of
-    the Python and numpy code it replaces, and its formatter repr's bytes;
-    a kernel that fails it is not used.
+    `check(kernel)` returns whether each of the kernel's pieces gives what
+    its namesake in `numerics.REFERENCE` gives; a kernel that fails it is
+    not used.
     """
     try:
         import _cffi_backend
@@ -192,10 +302,7 @@ def load(check, source: Path = SOURCE, flags=FLAGS):
         address = _scipy_i1_address()
     except (ImportError, AttributeError, KeyError, ValueError) as exc:
         return None, f"python: scipy's i1 is not available ({exc!r})"
-    lib = module.lib
-    kernel = Kernel(module.ffi, lib, module.ffi.cast("bessel_i1", address),
-                    module.ffi.new("uint64_t[]", _pow10_table(
-                        lib.POW10_K_MIN, lib.POW10_K_MAX)))
+    kernel = Kernel(module, address)
     if not check(kernel):
         return None, ("python: the compiled kernel does not reproduce the "
                       "Python and numpy code's bits or repr's bytes")

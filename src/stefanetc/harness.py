@@ -361,27 +361,12 @@ def _fmt(value) -> str:
 _SERIES_ROWS_PER_WRITE = 1024
 
 
-def _format_rows(rows: np.ndarray) -> bytes:
+def _format_rows(rows: np.ndarray, buf: bytearray) -> bytes:
     """The CSV lines of a 2-D float array: the repr of each value, "," between
-    the values of a row and "\r\n" after each row."""
+    the values of a row and "\r\n" after each row.  `numerics.REFERENCE`'s
+    piece; `buf`, which the compiled piece writes into, is not used."""
     return "".join(",".join(map(repr, row)) + "\r\n"
                    for row in rows.tolist()).encode("ascii")
-
-
-def _format_rows_compiled(kernel, rows: np.ndarray, buf: bytearray):
-    """`_format_rows(rows)` by the compiled formatter, written into `buf`,
-    which it first grows to what `rows` may need; a view of `buf` that holds
-    until the next call."""
-    rows = np.ascontiguousarray(rows, dtype=float)
-    count, cols = rows.shape
-    need = count * (cols * (kernel.lib.REPR_MAX + 1) + 2)
-    if len(buf) < need:
-        buf.extend(bytes(need - len(buf)))
-    size = kernel.lib.format_rows(count, cols,
-                                  kernel.ffi.from_buffer("double[]", rows),
-                                  kernel.pow10,
-                                  kernel.ffi.from_buffer("char[]", buf))
-    return memoryview(buf)[:size]
 
 
 def emit_outputs(result: ScenarioResult, directory: str | Path) -> list[Path]:
@@ -390,10 +375,9 @@ def emit_outputs(result: ScenarioResult, directory: str | Path) -> list[Path]:
 
     Outputs are byte-stable for identical configs (fixed column order, repr
     floats, no timestamps).  series.csv is streamed in slices of
-    _SERIES_ROWS_PER_WRITE rows, so no copy of its whole text is held.  With
-    the compiled kernel loaded, each slice is formatted by one call of its
-    formatter, which writes repr's bytes, into one buffer reused across the
-    slices; otherwise by repr itself.
+    _SERIES_ROWS_PER_WRITE rows, so no copy of its whole text is held, each
+    by one call of the `format_rows` piece into one buffer reused across
+    the slices.
     """
     directory = Path(directory)
     try:
@@ -403,14 +387,13 @@ def emit_outputs(result: ScenarioResult, directory: str | Path) -> list[Path]:
         series_path = directory / "series.csv"
         columns = [np.asarray(result.series[c], dtype=float)
                    for c in SERIES_COLUMNS]
-        kernel, buf = numerics._kernel, bytearray()
+        format_rows, buf = numerics._kernel.format_rows, bytearray()
         with series_path.open("wb") as out:
             out.write((",".join(SERIES_COLUMNS) + "\r\n").encode("ascii"))
             for start in range(0, len(columns[0]), _SERIES_ROWS_PER_WRITE):
                 stop = start + _SERIES_ROWS_PER_WRITE
                 rows = np.column_stack([col[start:stop] for col in columns])
-                out.write(_format_rows(rows) if kernel is None
-                          else _format_rows_compiled(kernel, rows, buf))
+                out.write(format_rows(rows, buf))
         written.append(series_path)
 
         events_path = directory / "events.csv"

@@ -1,40 +1,34 @@
 """Special functions and low-level numerical kernels.
 
-Everything here is stateless and accepts scalars or numpy arrays; the Thomas
-path below is fixed at import.  The grid convention throughout the package:
-profiles live on a uniform grid of the immobilized coordinate xi in [0, 1]
-with n nodes and spacing h = 1/(n-1); a physical integral over [0, s] is s
-times the unit-interval integral.
+Everything here is stateless and accepts scalars or numpy arrays.  The grid
+convention throughout the package: profiles live on a uniform grid of the
+immobilized coordinate xi in [0, 1] with n nodes and spacing h = 1/(n-1); a
+physical integral over [0, s] is s times the unit-interval integral.
 
-The Thomas factorization and substitution of the plant's diffusion matrix,
-and the per-node arithmetic of a closed-loop step (the right-hand side of
-`plant.advance_profile`, the observer gain with the influence right-hand
-side, and the Sherman-Morrison update of `observer.step_observer` with the
-trapezoid of its square), run as a compiled kernel, `_thomas.c`.  Its
-results have the bits of the Python loops below (`_factor_loops`,
-`_solve_loops`) and of the numpy code in `plant` and `observer`: the same
-IEEE operations in the same order, built with -O2 -ffp-contract=off
--fno-fast-math and no -march.  -ffp-contract=off matters: a fused
-multiply-add rounds a - b * c once instead of twice, and such last-bit
-changes per solve move the closed loop's m past the benchmark's 1e-9 gate.
-The gain's Bessel function is scipy's own i1, which the kernel calls
-through the C function scipy.special.cython_special exports.  The first
-import builds the kernel in a child process, about 0.8 s, into
-$XDG_CACHE_HOME/stefanetc (or ~/.cache/stefanetc).  Every import then
-loads it (`load_kernel`, which the package's __init__ calls once `plant`
-and `observer` are defined) and uses it only if it reproduces those bits
-on fixed cases (`check_kernel`).  The kernel also formats the rows of
-series.csv for `harness.emit_outputs`, and the check holds that formatter
-to repr's bytes.  Where cffi, a C compiler or scipy's exported i1 is
-missing, the build fails, or the check does, the loops, the numpy code
-and repr run instead, with the same results.  `THOMAS_KERNEL` says which
-path runs.
+The per-node arithmetic of a closed-loop step and the formatting of
+series.csv are six pieces with one signature each: `factor(n, r)`,
+`solve(lower, ratios, pivots, rhs)`, `advance_rhs(u, s, sdot, q, dt, k, r)`,
+`observer_rhs(u_hat, s, sdot, q, dt, k, r, lam, alpha, slope)`,
+`observer_update(u_star, z, s, dt)` and `format_rows(rows, buf)`.
+`_kernel` holds one of two sets of them, chosen once at import: the
+compiled kernel `_thomas.Kernel`, or `REFERENCE`, the Python loops below
+and the numpy code of `plant`, `observer` and `harness`.  The compiled
+pieces do the same IEEE operations in the same order, built with -O2
+-ffp-contract=off -fno-fast-math and no -march, so each result has the
+reference's bits (-ffp-contract=off matters: a fused multiply-add rounds
+a - b * c once instead of twice, and such last-bit changes per solve move
+the closed loop's m past the benchmark's 1e-9 gate), and the formatter
+writes repr's bytes.  The first import builds the kernel in a child
+process, about 0.8 s, into $XDG_CACHE_HOME/stefanetc (or
+~/.cache/stefanetc); every import loads it and uses it only if it passes
+`check_kernel`.  `THOMAS_KERNEL` says which set runs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import types
 
 import numpy as np
 from scipy import special
@@ -132,33 +126,20 @@ def diffusion_factor(n: int, r: float):
     entry exceeds its row's off-diagonal sum by at least 1, and every pivot
     is above 1 + r, so none can vanish.
     """
-    if n < 3:
-        raise ValueError("the diffusion matrix needs n >= 3 nodes")
-    r = float(r)
-    if not (r > 0.0 and 1.0 + 2.0 * r < math.inf):
-        raise NumericalFailure(f"diffusion number r={r!r} outside (0, inf)")
-    if _kernel is None:
-        return _factor_loops(n, r)
-    return _factor_compiled(_kernel, n, r)
+    return _kernel.factor(n, r)
 
 
 def solve_tridiagonal(factor, rhs):
     """Forward and back substitution through the (lower, ratios, pivots)
     that `diffusion_factor` returns; returns the len(rhs) + 1 node profile,
     the solution and then the pinned interface value +0.0."""
-    lower, ratios, pivots = factor
-    x = np.ascontiguousarray(rhs, dtype=float)
-    if x.shape != pivots.shape or ratios.shape != (x.size - 1,):
-        raise ValueError("inconsistent tridiagonal band lengths")
-    if _kernel is None:
-        return _solve_loops(lower, ratios, pivots, x)
-    return _solve_compiled(_kernel, lower, ratios, pivots, x)
+    return _kernel.solve(*factor, rhs)
 
 
-# The Thomas loops in Python floats: the reference every compiled result is
-# held to, and the path taken where the kernel is not available.
+# The Thomas loops in Python floats: `REFERENCE`'s factor and solve.
 
 def _factor_loops(n, r):
+    r = _thomas.factor_args(n, r)
     lower = -r
     diag = 1.0 + 2.0 * r
     pivot = diag
@@ -174,7 +155,8 @@ def _factor_loops(n, r):
 
 
 def _solve_loops(lower, ratios, pivots, rhs):
-    ratios, pivots, x = ratios.tolist(), pivots.tolist(), rhs.tolist()
+    x = _thomas.bands(ratios, pivots, rhs).tolist()
+    ratios, pivots = ratios.tolist(), pivots.tolist()
     n = len(pivots)
     xi = x[0] = x[0] / pivots[0]
     for i in range(1, n):
@@ -185,150 +167,110 @@ def _solve_loops(lower, ratios, pivots, rhs):
     return np.array(x)
 
 
-# The same loops in C (`_thomas.c`), on the callers' checked sizes.
-
-def _factor_compiled(kernel, n, r):
-    ratios, pivots = np.empty(n - 2), np.empty(n - 1)
-    buf = kernel.ffi.from_buffer
-    kernel.lib.diffusion_factor(n - 1, r, buf("double[]", ratios),
-                                buf("double[]", pivots))
-    return -r, ratios, pivots
-
-
-def _solve_compiled(kernel, lower, ratios, pivots, rhs):
-    out = np.empty(rhs.size + 1)
-    buf = kernel.ffi.from_buffer
-    kernel.lib.solve_tridiagonal(rhs.size, lower, buf("double[]", ratios),
-                                 buf("double[]", pivots), buf("double[]", rhs),
-                                 buf("double[]", out))
-    return out
-
-
-def _reproduces_loops(kernel) -> bool:
-    """Whether `kernel` gives the bits of the Python loops on fixed cases:
-    n from 3 to 400, diffusion numbers over six decades, and right-hand
-    sides of generic floats, for n > 20 also with signed zeros and
-    subnormals, and with infinities and a NaN.  No random generator: a
-    check at every import should not touch code the run never uses."""
+def _check_cases():
+    """The (piece, arguments) cases of `check_kernel`.  No random generator:
+    a check at every import should not touch code the run never uses."""
+    # The Thomas loops: n from 3 to 400, diffusion numbers over six
+    # decades, and right-hand sides of generic floats, for n > 20 also with
+    # signed zeros and subnormals, and with infinities and a NaN.
     specials = ([0.0, -0.0, 5e-324, -2.5e-310], [math.inf, -math.inf, math.nan])
     for n in (3, 4, 5, 21, 41, 161, 400):
         for r in (1.3e-3, 0.37, 7.1, 913.0):
-            want = _factor_loops(n, r)
-            got = _factor_compiled(kernel, n, r)
-            if any(a.tobytes() != b.tobytes()
-                   for a, b in zip(want[1:], got[1:])):
-                return False
+            yield "factor", (n, r)
+            factor = _factor_loops(n, r)
             rhs = np.sin(r + np.arange(3.0 * (n - 1))).reshape(3, n - 1)
             if n > 20:
                 for row, special in zip(rhs[1:], specials):
                     row[3::n // 4][:len(special)] = special
             for row in rhs:
-                if (_solve_loops(*want, row).tobytes()
-                        != _solve_compiled(kernel, *got, row).tobytes()):
-                    return False
-    return True
-
-
-def _reproduces_step(kernel) -> bool:
-    """Whether `kernel` gives the bits of the numpy step on fixed cases: the
-    plant's right-hand side at n from 3 to 400 with sdot of both signs and
-    both zeros, the observer's at gains all below, across and above the
-    series cut and beyond the Bessel range, and the Sherman-Morrison update
-    on generic, singular and non-finite profiles; profiles with signed
-    zeros; the same exception where the numpy code raises."""
-    from . import observer, plant
-
-    if (kernel.lib.BESSEL_Z_MAX, kernel.lib.RATIO_SERIES_CUT) \
-            != (BESSEL_Z_MAX, _RATIO_SERIES_CUT):
-        return False
-
-    def outcome(f, *args):
-        try:
-            out = f(*args)
-        except (ValueError, NumericalFailure) as exc:
-            return type(exc), str(exc)
-        return [np.asarray(part).tobytes() for part in out]
-
-    def observer_rhs(u, sdot, factor, lam):
-        p = observer.observer_gain(unit_grid(u.size) * s, s, lam, alpha)
-        return (plant.advance_rhs(u, s, sdot, q, dt, k, -factor[0],
-                                  p * slope), observer.influence_rhs(p, dt))
-
-    s, q, dt, k, alpha, slope = 0.35, 2.9, 0.37, 2.2e-3, 1.3e-3, -41.0
+                yield "solve", (*factor, row)
+    # The step: the plant's right-hand side at n from 3 to 400 with sdot of
+    # both signs and both zeros, the observer's with gains all below,
+    # across and above the series cut and beyond the Bessel range, and the
+    # Sherman-Morrison update on generic, singular, non-finite and
+    # mismatched profiles; profiles with signed zeros.
+    s, q, dt, k, r, alpha, slope = 0.35, 2.9, 0.37, 2.2e-3, 0.9, 1.3e-3, -41.0
     for n in (3, 4, 21, 161, 400):
         u = np.sin(0.3 + np.arange(n))
         u[1::7], u[-1] = -0.0, 0.0
-        factor = _factor_loops(n, 0.9)
         # Each sdot with a gain whose w = lam (s^2 - x^2) / alpha starts at
         # w0.
         for sdot, w0 in zip((2.7e-4, -3.1e-4, 0.0, -0.0),
                             (5e-4, 3e-3, 40.0, 6e5)):
-            if (outcome(lambda: [plant.advance_rhs(u, s, sdot, q, dt, k,
-                                                   -factor[0])])
-                    != outcome(lambda: [plant._advance_rhs_compiled(
-                        kernel, u, s, sdot, q, dt, k, factor)])):
-                return False
-            lam = w0 * alpha / (s * s)
-            if (outcome(observer_rhs, u, sdot, factor, lam)
-                    != outcome(observer._observer_rhs_compiled, kernel, u, s,
-                               sdot, q, dt, k, factor, lam, alpha, slope)):
-                return False
-        h = 1.0 / (n - 1)
+            yield "advance_rhs", (u, s, sdot, q, dt, k, r)
+            yield "observer_rhs", (u, s, sdot, q, dt, k, r,
+                                   w0 * alpha / (s * s), alpha, slope)
         u_star = np.cos(0.2 + np.arange(n))
         z = 0.01 * np.sin(1.1 + 0.5 * np.arange(n))
         u_star[-1] = z[-1] = 0.0
         singular, infinite = z.copy(), u_star.copy()
-        singular[-2] = h * s / dt
+        singular[-2] = 1.0 / (n - 1) * s / dt
         infinite[0] = math.inf
-        for a, b in ((u_star, z), (u_star, singular), (infinite, z)):
-            if (outcome(observer.sherman_morrison, a, b, s, dt)
-                    != outcome(observer._sherman_morrison_compiled, kernel,
-                               a, b, s, dt)):
-                return False
-    return True
-
-
-def _reproduces_repr(kernel) -> bool:
-    """Whether `kernel`'s formatter writes the bytes of `harness`'s repr
-    writer on fixed cases: every power of two, the neighbours of every 16th,
-    the first 300 subnormals, the powers of ten, both sides of the switches
-    to exponent notation at 1e-4 and 1e16 with both signs, and +-0, +-inf
-    and NaNs of both signs; rows of 1 to 632 values.  Not every neighbour
-    of every power of two: repr takes about 1 us for each 17-digit one."""
-    from . import harness
-
+        for a, b in ((u_star, z), (u_star, singular), (infinite, z),
+                     (u_star, z[1:])):
+            yield "observer_update", (a, b, s, dt)
+    # The formatter: every power of two, the neighbours of every 16th, the
+    # first 300 subnormals, the powers of ten, both sides of the switches
+    # to exponent notation at 1e-4 and 1e16 with both signs, and +-0, +-inf
+    # and NaNs of both signs; rows of 1 to 632 values.  Not every neighbour
+    # of every power of two: repr takes about 1 us for each 17-digit one.
     p = np.ldexp(1.0, np.arange(-1074, 1024))
     edges = np.array([1e-4, 1e-5, 1e15, 1e16, 1e17, 9999999999999998.0])
     edges = np.concatenate((edges, np.nextafter(edges, 0.0),
                             np.nextafter(edges, math.inf)))
-    cases = (
-        p.reshape(-1, 2),
-        np.column_stack((np.nextafter(p[::16], 0.0),
-                         np.nextafter(p[::16], math.inf))),
-        np.arange(1.0, 301.0).reshape(-1, 5) * 5e-324,
-        np.array([[float(f"1e{k}") for k in range(-323, 309)]]),
-        np.concatenate((edges, -edges)).reshape(-1, 1),
-        np.array([[0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]]))
     buf = bytearray()
-    return all(bytes(harness._format_rows_compiled(kernel, rows, buf))
-               == harness._format_rows(rows) for rows in cases)
+    for rows in (
+            p.reshape(-1, 2),
+            np.column_stack((np.nextafter(p[::16], 0.0),
+                             np.nextafter(p[::16], math.inf))),
+            np.arange(1.0, 301.0).reshape(-1, 5) * 5e-324,
+            np.array([[float(f"1e{k}") for k in range(-323, 309)]]),
+            np.concatenate((edges, -edges)).reshape(-1, 1),
+            np.array([[0.0, -0.0, math.inf, -math.inf, math.nan,
+                       -math.nan]])):
+        yield "format_rows", (rows, buf)
 
 
-# Which path the Thomas functions and the step's per-node arithmetic take:
-# "compiled" when the kernel built, loaded, found scipy's i1 and passed the
-# check, else "python: " and the reason.  The package's __init__ calls
-# `load_kernel` once the plant and observer code the check compares against
-# is defined.
-_kernel, THOMAS_KERNEL = None, "python: the kernel is not loaded yet"
+def _outcome(piece, args):
+    """The bytes of what `piece(*args)` returns, of each part of a tuple in
+    turn, or the type and message of the exception it raises."""
+    try:
+        result = piece(*args)
+    except (ValueError, NumericalFailure) as exc:
+        return type(exc), str(exc)
+    return b"".join(part if isinstance(part, (bytes, memoryview))
+                    else np.asarray(part).tobytes()
+                    for part in (result if isinstance(result, tuple)
+                                 else (result,)))
 
 
 def check_kernel(kernel) -> bool:
-    """The load-time check: whether `kernel` reproduces the Thomas loops and
-    the numpy step bit for bit, and repr byte for byte."""
-    return (_reproduces_loops(kernel) and _reproduces_step(kernel)
-            and _reproduces_repr(kernel))
+    """The load-time check: whether `kernel`'s C constants are the Python
+    ones and each of its pieces, on every case of `_check_cases`, gives the
+    outcome of its namesake in `REFERENCE`."""
+    return kernel.constants == (BESSEL_Z_MAX, _RATIO_SERIES_CUT) and all(
+        _outcome(getattr(kernel, name), args)
+        == _outcome(getattr(REFERENCE, name), args)
+        for name, args in _check_cases())
+
+
+# The set of pieces the step and `harness.emit_outputs` call: the kernel
+# when it built, loaded, found scipy's i1 and passed the check, and
+# THOMAS_KERNEL "compiled"; else REFERENCE, and "python: " and the reason.
+# The package's __init__ calls `load_kernel` once the plant, observer and
+# harness code that REFERENCE holds is defined.
+REFERENCE = _kernel = None
+THOMAS_KERNEL = "python: the kernel is not loaded yet"
 
 
 def load_kernel() -> None:
-    global _kernel, THOMAS_KERNEL
-    _kernel, THOMAS_KERNEL = _thomas.load(check_kernel)
+    global REFERENCE, _kernel, THOMAS_KERNEL
+    from . import harness, observer, plant
+
+    REFERENCE = types.SimpleNamespace(
+        factor=_factor_loops, solve=_solve_loops,
+        advance_rhs=plant.advance_rhs, observer_rhs=observer.observer_rhs,
+        observer_update=observer.sherman_morrison,
+        format_rows=harness._format_rows)
+    kernel, THOMAS_KERNEL = _thomas.load(check_kernel)
+    _kernel = REFERENCE if kernel is None else kernel

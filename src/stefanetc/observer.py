@@ -5,15 +5,12 @@ output-injection source p(x, s) * (T_x(s,t) - That_x(s,t)), where the plant
 slope T_x(s,t) = -sdot/beta comes from the interface-velocity measurement.
 The observer shares the true domain: its step takes the plant's s and sdot.
 
-The step's arithmetic is numpy: `observer_gain`, `advance_profile` under the
-injection source, `influence_profile` and `sherman_morrison`.  Where the
-compiled kernel is loaded (`numerics.THOMAS_KERNEL`), `step_observer` makes
-two C calls with the same bits instead: one forms the gain, with scipy's i1
-reached through scipy.special.cython_special, and both right-hand sides;
-the other the Sherman-Morrison update, its finiteness check and the
-trapezoid of its square.  The two solves between them are
-`plant.solve_tridiagonal` on both paths, and each failure raises the same
-exception with the same message on both.
+The step forms its two right-hand sides with the `observer_rhs` piece of
+`numerics._kernel` (the gain, the base step under the injection source
+and the influence right-hand side), solves both through
+`plant.solve_tridiagonal`, and updates the profile with its
+`observer_update` piece.  `observer_rhs` and `sherman_morrison` are those
+pieces in numpy, the ones `numerics.REFERENCE` holds.
 """
 
 from __future__ import annotations
@@ -24,10 +21,12 @@ import numpy as np
 from scipy import special
 
 from . import numerics, plant
+from ._thomas import profile
 from .errors import NumericalFailure
 from .numerics import (BESSEL_Z_MAX, _RATIO_SERIES_CUT, _ratio_series,
                        trapezoid, unit_grid)
-from .plant import advance_profile
+# Not called here: perfbench's tracer binds `observer.advance_profile`.
+from .plant import advance_profile  # noqa: F401
 
 BESSEL_DOMAIN = f"Bessel argument outside [0, {BESSEL_Z_MAX:g}]"
 SINGULAR = "singular injection correction"
@@ -81,27 +80,28 @@ def error_slope(u: np.ndarray, u_hat: np.ndarray, s: float) -> float:
             - (u.item(-2) - u_hat.item(-2))) / (h * s)
 
 
-def influence_rhs(p: np.ndarray, dt: float) -> np.ndarray:
-    """The right-hand side of `influence_profile`.
+def observer_rhs(u_hat, s, sdot, q, dt, k, r, lam, alpha, slope):
+    """The right-hand sides of the base and influence solves, in numpy:
+    `numerics.REFERENCE`'s piece.
 
-    It is that of `advance_profile` of a zero profile under zero flux and
-    the source p/dt, the source term dt (p/dt) alone: that expression is
-    kept, so z has the bits of that call.
+    The base one is `plant.forced_rhs` of u_hat under the injection
+    source p slope, p the `observer_gain` on the grid.  The influence one,
+    of A z = p, is that of a zero profile under zero flux and the source
+    p/dt, the term dt (p/dt) alone: that expression is kept, so z has the
+    bits of that step.
     """
-    return dt * (p[:-1] / dt)
-
-
-def influence_profile(p: np.ndarray, dt: float, factor) -> np.ndarray:
-    """The profile z with A z = p of the injection's Sherman-Morrison update,
-    A the step's implicit matrix (`factor`), and z(1) = 0."""
-    return plant.solve_tridiagonal(factor, influence_rhs(p, dt))
+    u_hat = profile(u_hat)
+    p = observer_gain(unit_grid(u_hat.size) * s, s, lam, alpha)
+    return (plant.forced_rhs(u_hat, s, sdot, q, dt, k, r, p * slope),
+            dt * (p[:-1] / dt))
 
 
 def sherman_morrison(u_star, z, s: float, dt: float):
     """The new observer profile u* - z dt w.u* / (1 + dt w.z), w.v the
     `boundary_slope` of v, and its `trapezoid` of the square over s, in
-    numpy: the reference of the kernel's `observer_update` and the path
-    where it is not loaded."""
+    numpy: `numerics.REFERENCE`'s `observer_update` piece."""
+    u_star = profile(u_star)
+    z = profile(z, u_star)
     w_u_star = boundary_slope(u_star, s)
     w_z = boundary_slope(z, s)
     denom = 1.0 + dt * w_z
@@ -111,8 +111,8 @@ def sherman_morrison(u_star, z, s: float, dt: float):
     u_hat_new = u_star - z * (dt * w_u_star / denom)
     if not np.isfinite(u_hat_new).all():
         raise NumericalFailure(NON_FINITE)
-    # The square of a finite profile may overflow to inf, which the kernel
-    # passes on without a warning; so does this path.
+    # The square of a finite profile may overflow to inf, which the
+    # compiled piece passes on without a warning; so does this one.
     with np.errstate(over="ignore"):
         return u_hat_new, trapezoid(u_hat_new * u_hat_new, s)
 
@@ -139,63 +139,16 @@ def step_observer(u_hat, s: float, sdot: float, phys, lam: float, q: float,
     `boundary_slope`; w.z > 0 for it, so the update never becomes singular.
     Both solves use `factor`, the step's `plant.implicit_factor`, which the
     paired plant step shares.
-
-    Where the compiled kernel is loaded (`numerics.THOMAS_KERNEL`), it forms
-    the gain and both right-hand sides in one call and the update and its
-    square's trapezoid in another, with the bits of the numpy code; the two
-    solves stay here.
     """
     kernel = numerics._kernel
-    if kernel is not None:
-        rhs = _observer_rhs_compiled(kernel, u_hat, s, sdot, q, dt, phys.k,
-                                     factor, lam, phys.alpha, measured_slope)
-        # Base solve A u* = rhs + dt p measured_slope, influence solve A z = p.
-        return _sherman_morrison_compiled(
-            kernel, plant.solve_tridiagonal(factor, rhs[0]),
-            plant.solve_tridiagonal(factor, rhs[1]), s, dt)
-
-    n = u_hat.size
-    p = observer_gain(unit_grid(n) * s, s, lam, phys.alpha)
-    # Base solve: A u* = rhs + dt p measured_slope.
-    u_star = advance_profile(u_hat, s, sdot, q, dt, phys.k, factor,
-                             source=p * measured_slope)
-    # Influence solve: A z = p.
-    z = influence_profile(p, dt, factor)
+    rhs = kernel.observer_rhs(u_hat, s, sdot, q, dt, phys.k, -factor[0], lam,
+                              phys.alpha, measured_slope)
+    # Base solve A u* = rhs + dt p measured_slope, influence solve A z = p;
     # u_new solves (A + dt p w^T) u_new = rhs + dt p measured_slope, with
     # w^T u the feedback slope.
-    return sherman_morrison(u_star, z, s, dt)
-
-
-def _observer_rhs_compiled(kernel, u_hat, s, sdot, q, dt, k, factor, lam,
-                           alpha, measured_slope):
-    """The (2, n - 1) right-hand sides of the base and influence solves,
-    `advance_rhs` under the source p measured_slope and `influence_rhs`,
-    by the kernel."""
-    u_hat = np.ascontiguousarray(u_hat, dtype=float)
-    if u_hat.shape != (factor[2].size + 1,):
-        raise ValueError("inconsistent tridiagonal band lengths")
-    rhs = np.empty((2, u_hat.size - 1))
-    buf = kernel.ffi.from_buffer
-    if kernel.lib.observer_rhs(u_hat.size, buf("double[]", u_hat), s, sdot,
-                               q, dt, k, -factor[0], lam, alpha,
-                               measured_slope, kernel.i1,
-                               buf("double[]", rhs)):
-        raise ValueError(BESSEL_DOMAIN)
-    return rhs
-
-
-def _sherman_morrison_compiled(kernel, u_star, z, s, dt):
-    """`sherman_morrison` by the kernel, on two profiles of one size."""
-    out = np.empty(u_star.size)
-    norm_sq = kernel.ffi.new("double *")
-    buf = kernel.ffi.from_buffer
-    failed = kernel.lib.observer_update(u_star.size, s, dt,
-                                        buf("double[]", u_star),
-                                        buf("double[]", z),
-                                        buf("double[]", out), norm_sq)
-    if failed:
-        raise NumericalFailure(SINGULAR if failed == 1 else NON_FINITE)
-    return out, norm_sq[0]
+    return kernel.observer_update(plant.solve_tridiagonal(factor, rhs[0]),
+                                  plant.solve_tridiagonal(factor, rhs[1]),
+                                  s, dt)
 
 
 def error_norms(err: np.ndarray, s):

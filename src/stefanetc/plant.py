@@ -15,11 +15,6 @@ The implicit matrix depends on the old-level s only, so the plant solve and both
 observer solves of a step share one closed-form factorization
 (`implicit_factor`), passed to each as `factor`, which carries r; the solve
 returns the profile with its pinned interface value.
-
-`advance_rhs` forms the step's right-hand side in numpy.  Where the
-compiled kernel is loaded (`numerics.THOMAS_KERNEL`), `step_plant` forms it
-in C with the same bits instead, so `advance_profile` runs only where the
-kernel is not loaded; the solve is `solve_tridiagonal` on both paths.
 """
 
 from __future__ import annotations
@@ -29,6 +24,7 @@ import math
 import numpy as np
 
 from . import numerics
+from ._thomas import profile
 from .errors import NumericalFailure, ValidityBreach
 from .numerics import diffusion_factor, solve_tridiagonal, unit_grid
 
@@ -70,25 +66,29 @@ def implicit_factor(s: float, dt: float, alpha: float, n: int):
     return diffusion_factor(n, alpha * dt / (s * s * h * h))
 
 
-def advance_profile(u, s, sdot, q, dt, k, factor, source=None):
+def advance_profile(u, s, sdot, q, dt, k, factor):
     """One semi-implicit step of the immobilized PDE, returning the new profile.
 
     Diffusion is implicit with s frozen at the old level; the advection term
-    xi (sdot/s) u_xi is explicit and upwinded; `source` (if given) is an
-    explicit volumetric term evaluated at the old level.  Boundary conditions:
+    xi (sdot/s) u_xi is explicit and upwinded.  Boundary conditions:
     second-order ghost-node Neumann u_xi(0) = -s q / k, Dirichlet u(1) = 0.
-    `factor` is the step's `implicit_factor(s, dt, alpha, n)`.
+    `factor` is the step's `implicit_factor(s, dt, alpha, n)`, whose one
+    band value is -r; the new profile has the pinned interface value.
     """
-    # The new profile, with the pinned interface value in place.  The
-    # factor's one band value is -r.
-    return solve_tridiagonal(
-        factor, advance_rhs(u, s, sdot, q, dt, k, -factor[0], source))
+    return solve_tridiagonal(factor, numerics._kernel.advance_rhs(
+        u, s, sdot, q, dt, k, -factor[0]))
 
 
-def advance_rhs(u, s, sdot, q, dt, k, r, source=None):
+def advance_rhs(u, s, sdot, q, dt, k, r):
     """The right-hand side of `advance_profile` at diffusion number r, in
-    numpy: the reference of the kernel's `advance_rhs` and the path where
-    it is not loaded."""
+    numpy: `numerics.REFERENCE`'s piece."""
+    return forced_rhs(u, s, sdot, q, dt, k, r, None)
+
+
+def forced_rhs(u, s, sdot, q, dt, k, r, source):
+    """`advance_rhs` under `source`, an explicit volumetric term evaluated
+    at the old level, or None."""
+    u = profile(u)
     n = u.size
     h = 1.0 / (n - 1)
 
@@ -112,39 +112,19 @@ def advance_rhs(u, s, sdot, q, dt, k, r, source=None):
     return rhs
 
 
-def _advance_rhs_compiled(kernel, u, s, sdot, q, dt, k, factor):
-    """`advance_rhs` of the profile u under no source, by the kernel."""
-    u = np.ascontiguousarray(u, dtype=float)
-    if u.shape != (factor[2].size + 1,):
-        raise ValueError("inconsistent tridiagonal band lengths")
-    rhs = np.empty(u.size - 1)
-    buf = kernel.ffi.from_buffer
-    kernel.lib.advance_rhs(u.size, buf("double[]", u), s, sdot, q, dt, k,
-                           -factor[0], kernel.ffi.NULL, 0.0,
-                           buf("double[]", rhs))
-    return rhs
-
-
 def step_plant(u, s: float, sdot: float, phys, q: float, dt: float,
                factor) -> tuple[np.ndarray, float, float]:
     """Advance the plant (u, s, sdot) one step under a held boundary heat
     flux q and return the new (u, s, sdot).
 
-    `factor` is the step's `implicit_factor`.  Where the compiled kernel
-    is loaded (`numerics.THOMAS_KERNEL`), it forms the right-hand side of
-    `advance_profile` with the same bits, and the step solves it here.
+    `factor` is the step's `implicit_factor`.
     """
     if not math.isfinite(q):
         raise NumericalFailure("non-finite input q")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    kernel = numerics._kernel
-    if kernel is None:
-        u_new = advance_profile(u, s, sdot, q, dt, phys.k, factor)
-    else:
-        u_new = solve_tridiagonal(factor, _advance_rhs_compiled(
-            kernel, u, s, sdot, q, dt, phys.k, factor))
+    u_new = advance_profile(u, s, sdot, q, dt, phys.k, factor)
     if not np.isfinite(u_new).all():
         raise NumericalFailure("plant profile became non-finite")
 

@@ -1,8 +1,8 @@
 """Shared fixtures: the default paraffin configuration and helpers for
 building modified copies by textual substitution.  Substitution edits the
 config text itself; `config.override`, which the sweep verb uses, rebuilds
-a parsed config instead.  `thomas_paths` lists the kernel paths a test
-runs on both of.  The repository root goes on the import path, so
+a parsed config instead.  `thomas_paths` lists the sets of pieces a test
+runs on each of.  The repository root goes on the import path, so
 that the acceptance suite can read the benchmark's workload inputs and
 correctness gate from `perfbench`.
 
@@ -34,10 +34,12 @@ with warnings.catch_warnings():
 
 
 def thomas_paths():
-    """The kernel values `numerics`, the step and `emit_outputs` dispatch on:
-    the compiled kernel, when this process loaded it, and None, the Python
+    """The sets of pieces `numerics._kernel` may hold: the compiled kernel,
+    when this process loaded it, and `numerics.REFERENCE`, the Python
     loops, the numpy step and repr."""
-    return [None] if numerics._kernel is None else [numerics._kernel, None]
+    if numerics._kernel is numerics.REFERENCE:
+        return [numerics.REFERENCE]
+    return [numerics._kernel, numerics.REFERENCE]
 
 
 @pytest.fixture(scope="session")

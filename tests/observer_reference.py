@@ -40,11 +40,18 @@ def observer_gain(x, s, lam, alpha):
     return float(out) if out.ndim == 0 else out
 
 
+def forced_profile(u, s, sdot, q, dt, k, factor, source):
+    """`plant.advance_profile` under an explicit source: the numpy
+    right-hand side with that source, solved through `factor`."""
+    return plant.solve_tridiagonal(factor, plant.forced_rhs(
+        u, s, sdot, q, dt, k, -factor[0], source))
+
+
 def influence_profile(p, s, dt, k, factor):
-    """The Sherman-Morrison influence profile z: `plant.advance_profile` of
-    a zero profile under zero flux and the source p/dt."""
-    return plant.advance_profile(np.zeros(p.size), s, 0.0, 0.0, dt, k,
-                                 source=p / dt, factor=factor)
+    """The Sherman-Morrison influence profile z: the step of a zero profile
+    under zero flux and the source p/dt."""
+    return forced_profile(np.zeros(p.size), s, 0.0, 0.0, dt, k, factor,
+                          p / dt)
 
 
 def step_observer(u_hat, s, sdot, phys, lam, q, dt, measured_slope, factor):
@@ -52,8 +59,8 @@ def step_observer(u_hat, s, sdot, phys, lam, q, dt, measured_slope, factor):
     general gain, `influence_profile` and slopes taken on arrays."""
     n = u_hat.size
     p = observer_gain(unit_grid(n) * s, s, lam, phys.alpha)
-    u_star = plant.advance_profile(u_hat, s, sdot, q, dt, phys.k,
-                                   source=p * measured_slope, factor=factor)
+    u_star = forced_profile(u_hat, s, sdot, q, dt, phys.k, factor,
+                            p * measured_slope)
     z = influence_profile(p, s, dt, phys.k, factor)
     h = 1.0 / (n - 1)
     w_u_star = (u_star[..., -1] - u_star[..., -2]) / (h * s)

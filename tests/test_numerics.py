@@ -5,6 +5,7 @@ defining sums, so the library routines are tested against something other
 than themselves.
 """
 
+import inspect
 import math
 import platform
 import re
@@ -274,8 +275,14 @@ class TestTridiagonal:
     def test_rejects_bad_lengths(self):
         for kernel in thomas_paths():
             with mock.patch.object(numerics, "_kernel", kernel):
+                lower, ratios, pivots = diffusion_factor(4, 0.5)
                 with pytest.raises(ValueError):
-                    solve_tridiagonal(diffusion_factor(4, 0.5), [1.0, 1.0])
+                    solve_tridiagonal((lower, ratios, pivots), [1.0, 1.0])
+                # Bands of 4-byte floats, which C would read past their end.
+                for bad in ((lower, ratios.astype(np.float32), pivots),
+                            (lower, ratios, pivots.astype(np.float32))):
+                    with pytest.raises(ValueError):
+                        solve_tridiagonal(bad, [1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("n", [3, 4, 21, 161, 400])
     def test_special_right_hand_sides_match_reference(self, n):
@@ -348,8 +355,8 @@ def host_has_fma() -> bool:
 
 
 def short_run(kernel, cfg, directory):
-    """Series and events of a 200 s run of `cfg` on the given Thomas path,
-    and the bytes of each file it emits into `directory` on that path."""
+    """Series and events of a 200 s run of `cfg` on the given set of
+    pieces, and the bytes of each file it emits into `directory` on it."""
     with mock.patch.object(numerics, "_kernel", kernel):
         result = harness.run_scenario(
             config.override(cfg, "scheme.horizon", 200.0))
@@ -358,7 +365,7 @@ def short_run(kernel, cfg, directory):
             result.events, {path.name: path.read_bytes() for path in written})
 
 
-needs_kernel = pytest.mark.skipif(numerics._kernel is None,
+needs_kernel = pytest.mark.skipif(numerics._kernel is numerics.REFERENCE,
                                   reason=numerics.THOMAS_KERNEL)
 
 
@@ -446,7 +453,8 @@ class TestThomasKernel:
         assert kernel is None and status.startswith(expect), status
         assert not [p for p in (tmp_path / "cache" / "stefanetc").iterdir()
                     if p.name.startswith(".build-")]
-        assert short_run(kernel, default_cfg, tmp_path / "fallback") \
+        assert short_run(numerics.REFERENCE, default_cfg,
+                         tmp_path / "fallback") \
             == short_run(numerics._kernel, default_cfg, tmp_path / "compiled")
 
     def test_missing_cffi_or_cache_falls_back(self, monkeypatch, tmp_path):
@@ -461,15 +469,15 @@ class TestThomasKernel:
 
     def test_path_is_reported(self):
         assert (numerics.THOMAS_KERNEL == "compiled") \
-            == (numerics._kernel is not None)
-        if numerics._kernel is None:
+            == (numerics._kernel is not numerics.REFERENCE)
+        if numerics._kernel is numerics.REFERENCE:
             assert numerics.THOMAS_KERNEL.startswith("python: ")
 
 
 def compiled_csv(values) -> bytes:
     """The compiled formatter's CSV text of a 2-D float array."""
-    return bytes(harness._format_rows_compiled(
-        numerics._kernel, np.asarray(values, dtype=float), bytearray()))
+    return bytes(numerics._kernel.format_rows(
+        np.asarray(values, dtype=float), bytearray()))
 
 
 def repr_csv(values) -> bytes:
@@ -563,48 +571,39 @@ step_inputs = dict(
 
 
 class TestStepKernel:
-    """The compiled pieces of the step against the numpy code they replace,
-    bit for bit, and the step on both paths.  Overflow warnings are
-    ignored: they change no value, and the extreme gains overflow."""
+    """The compiled pieces of the step against the reference pieces, bit
+    for bit, and the step on both sets.  Overflow warnings are ignored:
+    they change no value, and the extreme gains overflow."""
 
     @needs_kernel
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(**step_inputs)
     def test_pieces_match_numpy(self, n, s, sdot, q, dt, w0, slope, seed):
-        kernel, k, alpha = numerics._kernel, PHYS.k, PHYS.alpha
+        compiled, k, alpha = numerics._kernel, PHYS.k, PHYS.alpha
         rng = np.random.default_rng(seed)
         u = profile(rng, n, 10.0)
-        factor = plant.implicit_factor(s, dt, alpha, n)
-        r = -factor[0]
+        r = -plant.implicit_factor(s, dt, alpha, n)[0]
         lam = w0 * alpha / (s * s)
 
-        def numpy_rhs(dt):
-            p = observer_gain(numerics.unit_grid(n) * s, s, lam, alpha)
-            return (plant.advance_rhs(u, s, sdot, q, dt, k, r, p * slope),
-                    observer.influence_rhs(p, dt))
-
-        def compiled_rhs(dt):
-            return observer._observer_rhs_compiled(kernel, u, s, sdot, q, dt,
-                                                   k, factor, lam, alpha,
-                                                   slope)
+        def assert_same(name, *args):
+            assert outcome(getattr(compiled, name), *args) \
+                == outcome(getattr(numerics.REFERENCE, name), *args), name
 
         with np.errstate(over="ignore", invalid="ignore"):
             # The plant's right-hand side: advection, ghost node.
-            assert outcome(lambda: [plant._advance_rhs_compiled(
-                kernel, u, s, sdot, q, dt, k, factor)]) \
-                == outcome(lambda: [plant.advance_rhs(u, s, sdot, q, dt, k,
-                                                      r)])
+            assert_same("advance_rhs", u, s, sdot, q, dt, k, r)
             # The observer's: the gain in the source and in dt (p / dt).
-            assert outcome(compiled_rhs, dt) == outcome(numpy_rhs, dt)
+            assert_same("observer_rhs", u, s, sdot, q, dt, k, r, lam, alpha,
+                        slope)
             # At dt = 1 the influence right-hand side is the gain itself.
             if w0 <= BESSEL_Z_MAX ** 2:
-                assert compiled_rhs(1.0)[1].tobytes() == observer_gain(
-                    numerics.unit_grid(n) * s, s, lam, alpha)[:-1].tobytes()
+                assert compiled.observer_rhs(
+                    u, s, sdot, q, 1.0, k, r, lam, alpha, slope)[1].tobytes() \
+                    == observer_gain(numerics.unit_grid(n) * s, s, lam,
+                                     alpha)[:-1].tobytes()
             # The Sherman-Morrison update and its square's trapezoid.
             u_star, z = profile(rng, n, 10.0), profile(rng, n, 1.0)
-            assert outcome(observer._sherman_morrison_compiled, kernel,
-                           u_star, z, s, dt) \
-                == outcome(observer.sherman_morrison, u_star, z, s, dt)
+            assert_same("observer_update", u_star, z, s, dt)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(**step_inputs)
@@ -682,6 +681,51 @@ class TestStepKernel:
         assert raised[0][0] is kind and raised[0][1].startswith(message), \
             raised
         assert raised[1:] == raised[:-1]
+
+
+class TestSeam:
+    """The two sets of pieces `numerics._kernel` holds: one signature per
+    piece, and the same size checks, made before any arithmetic."""
+
+    def test_sets_have_one_signature_per_piece(self):
+        pieces = vars(numerics.REFERENCE)
+        assert list(pieces) == ["factor", "solve", "advance_rhs",
+                                "observer_rhs", "observer_update",
+                                "format_rows"]
+        for name, piece in pieces.items():
+            assert list(inspect.signature(getattr(_thomas.Kernel, name))
+                        .parameters)[1:] \
+                == list(inspect.signature(piece).parameters), name
+        assert thomas_paths()[-1] is numerics.REFERENCE
+        assert numerics._kernel in thomas_paths()
+
+    def test_update_rejects_profiles_of_two_lengths(self):
+        # The compiled update reads z at u_star's length, so both sets raise
+        # one ValueError, before any arithmetic, for any pair of profiles
+        # that are not 1-D, of one length and of 2 nodes or more.
+        u_star, z = np.cos(np.arange(21.0)), 0.01 * np.sin(np.arange(21.0))
+        u_star[-1] = z[-1] = 0.0
+        for a, b in ((u_star, z[:-1]), (u_star[:-6], z), (u_star[:1], z[:1]),
+                     (u_star[:-1].reshape(4, 5), z[:-1].reshape(4, 5))):
+            raised = [outcome(kernel.observer_update, a, b, 0.3, 0.5)
+                      for kernel in thomas_paths()]
+            assert raised[0][0] is ValueError and "one length" in raised[0][1]
+            assert raised[1:] == raised[:-1]
+
+    def test_pieces_reject_short_profiles_alike(self):
+        # Each piece that reads a profile checks it on both sets, so the
+        # compiled one never passes C a pointer past the end of an array.
+        for u in (np.zeros(1), np.zeros(0), np.zeros((2, 3))):
+            raised = [(outcome(kernel.advance_rhs, u, 0.3, 1e-4, 1.0, 0.5,
+                               PHYS.k, 0.7),
+                       outcome(kernel.observer_rhs, u, 0.3, 1e-4, 1.0, 0.5,
+                               PHYS.k, 0.7, 0.1, PHYS.alpha, -2.0))
+                      for kernel in thomas_paths()]
+            assert raised[0][0][0] is ValueError, raised
+            assert raised[1:] == raised[:-1]
+        for kernel in thomas_paths():
+            with pytest.raises(ValueError, match="n >= 3"):
+                kernel.factor(2, 0.5)
 
 
 class TestValueErrorAudit:
