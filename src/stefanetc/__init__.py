@@ -15,12 +15,6 @@ from .params import (ControllerConfig, InitialData, PhysicalParams,
                      TriggerConfig, TriggerDerived, derive_physical,
                      derive_trigger, validate_initial_data)
 
-from . import numerics
-
-# After the imports above, which define the plant and observer code that the
-# kernel's load-time check compares against.
-numerics.load_kernel()
-
 __version__ = "0.1.0"
 
 __all__ = [

@@ -150,11 +150,18 @@ def _scipy_i1_address() -> int:
 
 # The size checks each piece of both sets makes before any arithmetic, so
 # that both raise the same exception on the same input and the compiled
-# set passes no pointer past the end of an array.
+# set passes no pointer past the end of an array, and the messages of the
+# step's failures that both raise.
+
+SINGULAR = "singular injection correction"
+NON_FINITE = "observer profile became non-finite"
+# Formatted with the set's largest Bessel argument.
+BESSEL_DOMAIN = "Bessel argument outside [0, {:g}]"
+
 
 def factor_args(n: int, r) -> float:
     """r as a float, for a diffusion matrix of n >= 3 nodes and a diffusion
-    number r with r > 0 and 1 + 2r finite (`numerics.diffusion_factor`)."""
+    number r with r > 0 and 1 + 2r finite (the `factor` piece)."""
     if n < 3:
         raise ValueError("the diffusion matrix needs n >= 3 nodes")
     r = float(r)
@@ -228,8 +235,7 @@ class Kernel:
         if self.lib.observer_rhs(u_hat.size, buf("double[]", u_hat), s, sdot,
                                  q, dt, k, r, lam, alpha, slope, self.i1,
                                  buf("double[]", rhs)):
-            from .observer import BESSEL_DOMAIN
-            raise ValueError(BESSEL_DOMAIN)
+            raise ValueError(BESSEL_DOMAIN.format(self.lib.BESSEL_Z_MAX))
         return rhs
 
     def observer_update(self, u_star, z, s, dt):
@@ -243,7 +249,6 @@ class Kernel:
                                           buf("double[]", z),
                                           buf("double[]", out), norm_sq)
         if failed:
-            from .observer import NON_FINITE, SINGULAR
             raise NumericalFailure(SINGULAR if failed == 1 else NON_FINITE)
         return out, norm_sq[0]
 

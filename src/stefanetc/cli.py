@@ -7,9 +7,9 @@ Verbs:
     compare   sweep scenario.kind over a list of kinds
     sweep     re-run a scenario over a list of values for one config key
 
-Exit codes: 0 success, 1 configuration or file error, 2 validity breach
-during a run.  Every verb that runs reports a breach on one stderr line,
-with the time of its breach record.
+Exit codes: 0 success, 1 configuration, file or memory error, 2 validity
+breach during a run.  Every verb that runs reports a breach on one stderr
+line, with the time of its breach record.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def main(argv=None) -> int:
     except (ValidityBreach, NumericalFailure) as exc:
         print(f"validity breach: {exc.condition}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

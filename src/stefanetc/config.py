@@ -69,10 +69,6 @@ def _parser() -> configparser.ConfigParser:
     return cp
 
 
-def _get(sec: dict, key: str, default=None):
-    return sec[key] if key in sec else default
-
-
 def _number(raw: str, name: str) -> float:
     # No key gives nan or inf a meaning; "auto" is how a value is left unset.
     try:
@@ -85,7 +81,7 @@ def _number(raw: str, name: str) -> float:
 
 
 def _float(sec: dict, section: str, key: str, default=None) -> float:
-    raw = _get(sec, key)
+    raw = sec.get(key)
     if raw is None:
         if default is None:
             raise ConfigurationError(f"missing required key {section}.{key}")
@@ -94,14 +90,14 @@ def _float(sec: dict, section: str, key: str, default=None) -> float:
 
 
 def _float_or_auto(sec: dict, section: str, key: str) -> float | None:
-    raw = _get(sec, key, "auto")
+    raw = sec.get(key, "auto")
     if str(raw).strip().lower() == "auto":
         return None
     return _float(sec, section, key)
 
 
 def _bool(sec: dict, section: str, key: str, default: bool) -> bool:
-    raw = _get(sec, key)
+    raw = sec.get(key)
     if raw is None:
         return default
     val = str(raw).strip().lower()
@@ -113,13 +109,13 @@ def _bool(sec: dict, section: str, key: str, default: bool) -> bool:
 
 
 def _profile(sec: dict, which: str, x: np.ndarray, s0: float, Tm: float) -> np.ndarray:
-    kind = _get(sec, f"{which}_kind", "linear").strip().lower()
+    kind = sec.get(f"{which}_kind", "linear").strip().lower()
     if kind == "linear":
         amp = _float(sec, "initial", f"{which}_amplitude")
         return Tm + amp * (1.0 - x / s0)
     if kind == "samples":
         name = f"initial.{which}_samples"
-        raw = _get(sec, f"{which}_samples")
+        raw = sec.get(f"{which}_samples")
         if raw is None:
             raise ConfigurationError(f"{name} required for kind=samples")
         vals = np.array([_number(v, name) for v in raw.replace(",", " ").split()])
@@ -213,14 +209,14 @@ def _build(raw: dict[str, dict[str, str]]) -> ScenarioConfig:
             raise ConfigurationError(f"scheme.{key} must be positive")
 
     scsec = raw.get("scenario", {})
-    kind = _get(scsec, "kind", ScenarioSection.kind).strip().lower()
+    kind = scsec.get("kind", ScenarioSection.kind).strip().lower()
     if kind not in SCENARIO_KINDS:
         raise ConfigurationError(
             f"scenario.kind={kind!r} not in {SCENARIO_KINDS}")
     scenario = ScenarioSection(
         kind=kind,
         period=_float(scsec, "scenario", "period", ScenarioSection.period),
-        output_dir=_get(scsec, "output_dir", ScenarioSection.output_dir),
+        output_dir=scsec.get("output_dir", ScenarioSection.output_dir),
         unsafe=_bool(scsec, "scenario", "unsafe", ScenarioSection.unsafe),
         allow_coarse_dt=_bool(scsec, "scenario", "allow_coarse_dt",
                               ScenarioSection.allow_coarse_dt))

@@ -38,8 +38,8 @@ import warnings
 
 import numpy as np
 
-from .numerics import ratio_J1_sqrt, simpson, trapezoid, unit_grid
-from .observer import observer_gain
+from .numerics import (observer_gain, ratio_J1_sqrt, simpson, trapezoid,
+                       unit_grid)
 
 
 def phi_kernel(x, c: float, beta: float, epsilon: float):

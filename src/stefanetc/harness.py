@@ -361,14 +361,6 @@ def _fmt(value) -> str:
 _SERIES_ROWS_PER_WRITE = 1024
 
 
-def _format_rows(rows: np.ndarray, buf: bytearray) -> bytes:
-    """The CSV lines of a 2-D float array: the repr of each value, "," between
-    the values of a row and "\r\n" after each row.  `numerics.REFERENCE`'s
-    piece; `buf`, which the compiled piece writes into, is not used."""
-    return "".join(",".join(map(repr, row)) + "\r\n"
-                   for row in rows.tolist()).encode("ascii")
-
-
 def emit_outputs(result: ScenarioResult, directory: str | Path) -> list[Path]:
     """Write series.csv, events.csv, derivation_report.txt, summary.json and
     config.cfg.

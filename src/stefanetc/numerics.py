@@ -1,29 +1,30 @@
-"""Special functions and low-level numerical kernels.
+"""Special functions, quadrature, and both sets of the step's kernel.
 
-Everything here is stateless and accepts scalars or numpy arrays.  The grid
-convention throughout the package: profiles live on a uniform grid of the
-immobilized coordinate xi in [0, 1] with n nodes and spacing h = 1/(n-1); a
-physical integral over [0, s] is s times the unit-interval integral.
+The helpers here (`ratio_J1_sqrt`, `unit_grid`, `trapezoid`, `simpson`)
+accept scalars or numpy arrays.  The grid convention throughout the
+package: profiles live on a uniform grid of the immobilized coordinate xi
+in [0, 1] with n nodes and spacing h = 1/(n-1); a physical integral over
+[0, s] is s times the unit-interval integral.
 
 The per-node arithmetic of a closed-loop step and the formatting of
 series.csv are six pieces with one signature each: `factor(n, r)`,
 `solve(lower, ratios, pivots, rhs)`, `advance_rhs(u, s, sdot, q, dt, k, r)`,
 `observer_rhs(u_hat, s, sdot, q, dt, k, r, lam, alpha, slope)`,
 `observer_update(u_star, z, s, dt)` and `format_rows(rows, buf)`.
-`_kernel` holds one of two sets of them, chosen once at import: the
-compiled kernel `_thomas.Kernel`, or `REFERENCE`, the Python loops below
-and the numpy code of `plant`, `observer` and `harness`.  The compiled
-pieces do the same IEEE operations in the same order, built with -O2
--ffp-contract=off -fno-fast-math and no -march, so each result has the
-reference's bits (-ffp-contract=off matters: a fused multiply-add rounds
-a - b * c once instead of twice, and such last-bit changes per solve move
-the closed loop's m past the benchmark's 1e-9 gate), and the formatter
-writes repr's bytes.  The first import builds the kernel in a child
-process, about 0.8 s, into $XDG_CACHE_HOME/stefanetc (or
-~/.cache/stefanetc); every import loads it and uses it only if it passes
-`check_kernel`.  `THOMAS_KERNEL` says which set runs.
+`REFERENCE` is the set of them in Python and numpy, defined below with the
+observer gain and the interface slope they use; `_thomas.Kernel` is the
+compiled set.  `_kernel` holds one of the two, chosen once at the end of
+this module's import.  The compiled pieces do the same IEEE operations in
+the same order, built with -O2 -ffp-contract=off -fno-fast-math and no
+-march, so each result has the reference's bits (-ffp-contract=off
+matters: a fused multiply-add rounds a - b * c once instead of twice, and
+such last-bit changes per solve move the closed loop's m past the
+benchmark's 1e-9 gate), and the formatter writes repr's bytes.  The first
+import builds the kernel in a child process, about 0.8 s, into
+$XDG_CACHE_HOME/stefanetc (or ~/.cache/stefanetc); every import loads it
+and uses it only if it passes `check_kernel`.  `THOMAS_KERNEL` says which
+set runs.
 """
-
 from __future__ import annotations
 
 import functools
@@ -34,6 +35,7 @@ import numpy as np
 from scipy import special
 
 from . import _thomas
+from ._thomas import BESSEL_DOMAIN, NON_FINITE, SINGULAR, profile
 from .errors import NumericalFailure
 
 # Largest Bessel argument accepted before exp(z) overflows double precision.
@@ -110,7 +112,17 @@ def simpson(values, length: float) -> float:
     return float(length * total)
 
 
-def diffusion_factor(n: int, r: float):
+def solve_tridiagonal(factor, rhs):
+    """Forward and back substitution through the (lower, ratios, pivots)
+    that the `factor` piece returns; returns the len(rhs) + 1 node profile,
+    the solution and then the pinned interface value +0.0."""
+    return _kernel.solve(*factor, rhs)
+
+
+# The reference set: the Thomas loops in Python floats, and the step's
+# right-hand sides, update and series formatter in numpy.
+
+def _factor_loops(n, r):
     """Thomas factorization of the implicit diffusion matrix of the plant step.
 
     The matrix acts on the n - 1 unknowns u_0..u_{n-2}: -r below the
@@ -126,19 +138,6 @@ def diffusion_factor(n: int, r: float):
     entry exceeds its row's off-diagonal sum by at least 1, and every pivot
     is above 1 + r, so none can vanish.
     """
-    return _kernel.factor(n, r)
-
-
-def solve_tridiagonal(factor, rhs):
-    """Forward and back substitution through the (lower, ratios, pivots)
-    that `diffusion_factor` returns; returns the len(rhs) + 1 node profile,
-    the solution and then the pinned interface value +0.0."""
-    return _kernel.solve(*factor, rhs)
-
-
-# The Thomas loops in Python floats: `REFERENCE`'s factor and solve.
-
-def _factor_loops(n, r):
     r = _thomas.factor_args(n, r)
     lower = -r
     diag = 1.0 + 2.0 * r
@@ -165,6 +164,123 @@ def _solve_loops(lower, ratios, pivots, rhs):
         xi = x[i] = x[i] - ratios[i] * xi
     x.append(0.0)
     return np.array(x)
+
+
+def advance_rhs(u, s, sdot, q, dt, k, r):
+    """The right-hand side of `plant.advance_profile` at diffusion number r."""
+    return forced_rhs(u, s, sdot, q, dt, k, r, None)
+
+
+def forced_rhs(u, s, sdot, q, dt, k, r, source):
+    """`advance_rhs` under `source`, an explicit volumetric term evaluated
+    at the old level, or None."""
+    u = profile(u)
+    n = u.size
+    h = 1.0 / (n - 1)
+
+    # Upwinded advection on the interior nodes: a = xi sdot/s has the sign of
+    # sdot there, so sdot >= 0 takes the forward difference; it vanishes at
+    # both ends.
+    a = unit_grid(n)[1:-1] * (sdot / s)
+    inner = u[1:-1]
+    adv = np.zeros(n - 1)
+    if sdot >= 0.0:
+        adv[1:] = a * ((u[2:] - inner) / h)
+    else:
+        adv[1:] = a * ((inner - u[:-2]) / h)
+
+    rhs = u[:-1] + dt * adv
+    if source is not None:
+        rhs += dt * source[:-1]
+    # Ghost node for the flux condition folds into the first row.
+    g = -s * q / k
+    rhs[0] -= 2.0 * r * h * g
+    return rhs
+
+
+def observer_gain(x, s: float, lam: float, alpha: float):
+    """Output-injection gain p(x, s) = -lam s I1(z)/z, z = sqrt(lam (s^2-x^2)/alpha).
+
+    Continuous at x = s with value -lam s / 2.  x is an ascending array on
+    [0, s], as the grids xi s are.
+    The argument w = lam (s^2 - x^2)/alpha then never increases along x:
+    its first entry is the largest, so the domain check reads that one, and
+    the entries below the series cut (at least the node x = s, where w = 0)
+    form a tail.  The head takes the Bessel quotient, the tail the power
+    series in Python floats; every entry has the bits of its own branch.
+    """
+    w = lam * (s * s - x * x) / alpha
+    if w.size and math.sqrt(max(w.item(0), 0.0)) > BESSEL_Z_MAX:
+        raise ValueError(BESSEL_DOMAIN.format(BESSEL_Z_MAX))
+    out = np.empty(w.size)
+    head = w.size
+    while head and (v := w.item(head - 1)) < _RATIO_SERIES_CUT:
+        head -= 1
+        out[head] = _ratio_series(max(v, 0.0), 1.0)
+    z = np.sqrt(w[:head])
+    quotient = special.i1(z, out=out[:head])
+    quotient /= z
+    out *= -lam * s
+    return out
+
+
+def boundary_slope(values: np.ndarray, s: float) -> float:
+    """Physical interface slope: first-order one-sided difference over h*s,
+    read from the profile's two end values as `plant.interface_velocity`
+    reads them.
+
+    This is the same functional the plant's interface velocity uses, which is
+    what makes the discrete observer-error dynamics homogeneous (an error
+    initialized at zero stays at roundoff level), and it is the only one-sided
+    variant that keeps the injection feedback dissipative on coarse grids.
+    """
+    h = 1.0 / (values.size - 1)
+    return (values.item(-1) - values.item(-2)) / (h * s)
+
+
+def observer_rhs(u_hat, s, sdot, q, dt, k, r, lam, alpha, slope):
+    """The right-hand sides of the base and influence solves of
+    `observer.step_observer`.
+
+    The base one is `forced_rhs` of u_hat under the injection source
+    p slope, p the `observer_gain` on the grid.  The influence one, of
+    A z = p, is that of a zero profile under zero flux and the source p/dt,
+    the term dt (p/dt) alone: that expression is kept, so z has the bits of
+    that step.
+    """
+    u_hat = profile(u_hat)
+    p = observer_gain(unit_grid(u_hat.size) * s, s, lam, alpha)
+    return (forced_rhs(u_hat, s, sdot, q, dt, k, r, p * slope),
+            dt * (p[:-1] / dt))
+
+
+def sherman_morrison(u_star, z, s: float, dt: float):
+    """The new observer profile u* - z dt w.u* / (1 + dt w.z), w.v the
+    `boundary_slope` of v, and its `trapezoid` of the square over s: the
+    `observer_update` piece."""
+    u_star = profile(u_star)
+    z = profile(z, u_star)
+    w_u_star = boundary_slope(u_star, s)
+    w_z = boundary_slope(z, s)
+    denom = 1.0 + dt * w_z
+    if abs(denom) < 1e-14:
+        raise NumericalFailure(SINGULAR)
+    # u* and z end in +0.0, and so does u* - z c for every finite c.
+    u_hat_new = u_star - z * (dt * w_u_star / denom)
+    if not np.isfinite(u_hat_new).all():
+        raise NumericalFailure(NON_FINITE)
+    # The square of a finite profile may overflow to inf, which the
+    # compiled piece passes on without a warning; so does this one.
+    with np.errstate(over="ignore"):
+        return u_hat_new, trapezoid(u_hat_new * u_hat_new, s)
+
+
+def _format_rows(rows: np.ndarray, buf: bytearray) -> bytes:
+    """The CSV lines of a 2-D float array: the repr of each value, "," between
+    the values of a row and "\r\n" after each row; `buf`, which the compiled
+    piece writes into, is not used."""
+    return "".join(",".join(map(repr, row)) + "\r\n"
+                   for row in rows.tolist()).encode("ascii")
 
 
 def _check_cases():
@@ -254,23 +370,14 @@ def check_kernel(kernel) -> bool:
         for name, args in _check_cases())
 
 
+REFERENCE = types.SimpleNamespace(
+    factor=_factor_loops, solve=_solve_loops, advance_rhs=advance_rhs,
+    observer_rhs=observer_rhs, observer_update=sherman_morrison,
+    format_rows=_format_rows)
+
 # The set of pieces the step and `harness.emit_outputs` call: the kernel
 # when it built, loaded, found scipy's i1 and passed the check, and
 # THOMAS_KERNEL "compiled"; else REFERENCE, and "python: " and the reason.
-# The package's __init__ calls `load_kernel` once the plant, observer and
-# harness code that REFERENCE holds is defined.
-REFERENCE = _kernel = None
-THOMAS_KERNEL = "python: the kernel is not loaded yet"
-
-
-def load_kernel() -> None:
-    global REFERENCE, _kernel, THOMAS_KERNEL
-    from . import harness, observer, plant
-
-    REFERENCE = types.SimpleNamespace(
-        factor=_factor_loops, solve=_solve_loops,
-        advance_rhs=plant.advance_rhs, observer_rhs=observer.observer_rhs,
-        observer_update=observer.sherman_morrison,
-        format_rows=harness._format_rows)
-    kernel, THOMAS_KERNEL = _thomas.load(check_kernel)
-    _kernel = REFERENCE if kernel is None else kernel
+_kernel, THOMAS_KERNEL = _thomas.load(check_kernel)
+if _kernel is None:
+    _kernel = REFERENCE

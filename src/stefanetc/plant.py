@@ -15,6 +15,12 @@ The implicit matrix depends on the old-level s only, so the plant solve and both
 observer solves of a step share one closed-form factorization
 (`implicit_factor`), passed to each as `factor`, which carries r; the solve
 returns the profile with its pinned interface value.
+
+This module holds the step's physics around the kernel: the initial map,
+the interface velocity, the diffusion number of the step, and the plant
+step with its validity checks.  The factorization, the right-hand side
+and the solve are pieces of `numerics._kernel`; their reference forms,
+`advance_rhs` and `forced_rhs` among them, live in `numerics`.
 """
 
 from __future__ import annotations
@@ -24,9 +30,8 @@ import math
 import numpy as np
 
 from . import numerics
-from ._thomas import profile
 from .errors import NumericalFailure, ValidityBreach
-from .numerics import diffusion_factor, solve_tridiagonal, unit_grid
+from .numerics import solve_tridiagonal, unit_grid
 
 
 def immobilize(T0, s0: float, phys, n: int) -> np.ndarray:
@@ -59,11 +64,11 @@ def interface_velocity(u: np.ndarray, s: float, beta: float) -> float:
 
 
 def implicit_factor(s: float, dt: float, alpha: float, n: int):
-    """`diffusion_factor` of the step from interface position s, at the
+    """The `factor` piece of the step from interface position s, at the
     diffusion number r = alpha dt / (s h)^2: the one factorization the plant
     solve and both observer solves of that step use."""
     h = 1.0 / (n - 1)
-    return diffusion_factor(n, alpha * dt / (s * s * h * h))
+    return numerics._kernel.factor(n, alpha * dt / (s * s * h * h))
 
 
 def advance_profile(u, s, sdot, q, dt, k, factor):
@@ -77,39 +82,6 @@ def advance_profile(u, s, sdot, q, dt, k, factor):
     """
     return solve_tridiagonal(factor, numerics._kernel.advance_rhs(
         u, s, sdot, q, dt, k, -factor[0]))
-
-
-def advance_rhs(u, s, sdot, q, dt, k, r):
-    """The right-hand side of `advance_profile` at diffusion number r, in
-    numpy: `numerics.REFERENCE`'s piece."""
-    return forced_rhs(u, s, sdot, q, dt, k, r, None)
-
-
-def forced_rhs(u, s, sdot, q, dt, k, r, source):
-    """`advance_rhs` under `source`, an explicit volumetric term evaluated
-    at the old level, or None."""
-    u = profile(u)
-    n = u.size
-    h = 1.0 / (n - 1)
-
-    # Upwinded advection on the interior nodes: a = xi sdot/s has the sign of
-    # sdot there, so sdot >= 0 takes the forward difference; it vanishes at
-    # both ends.
-    a = unit_grid(n)[1:-1] * (sdot / s)
-    inner = u[1:-1]
-    adv = np.zeros(n - 1)
-    if sdot >= 0.0:
-        adv[1:] = a * ((u[2:] - inner) / h)
-    else:
-        adv[1:] = a * ((inner - u[:-2]) / h)
-
-    rhs = u[:-1] + dt * adv
-    if source is not None:
-        rhs += dt * source[:-1]
-    # Ghost node for the flux condition folds into the first row.
-    g = -s * q / k
-    rhs[0] -= 2.0 * r * h * g
-    return rhs
 
 
 def step_plant(u, s: float, sdot: float, phys, q: float, dt: float,

@@ -1,5 +1,5 @@
 """The observer step in its general form: the bitwise reference for
-`observer.observer_gain`, which reads its argument off an ascending grid,
+`numerics.observer_gain`, which reads its argument off an ascending grid,
 and for `observer.step_observer`, which takes its influence solve straight
 from the gain and its interface slopes from end values.
 
@@ -43,7 +43,7 @@ def observer_gain(x, s, lam, alpha):
 def forced_profile(u, s, sdot, q, dt, k, factor, source):
     """`plant.advance_profile` under an explicit source: the numpy
     right-hand side with that source, solved through `factor`."""
-    return plant.solve_tridiagonal(factor, plant.forced_rhs(
+    return plant.solve_tridiagonal(factor, numerics.forced_rhs(
         u, s, sdot, q, dt, k, -factor[0], source))
 
 

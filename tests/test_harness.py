@@ -506,6 +506,20 @@ class TestCli:
         bad.write_text("[physical]\nk = -1\n")
         assert cli.main(["validate", "--config", str(bad)]) == 1
 
+    def test_unallocatable_grid_is_one_line_exit_1(self, default_text,
+                                                   tmp_path, capsys):
+        # 1e15 nodes need petabytes, so the first grid allocation fails at
+        # once; the command ends with exit 1 and one stderr line.
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(variant_text(default_text,
+                                         [("n = 21", "n = 1e15")]))
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--output", str(tmp_path / "out")]) == 1
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        assert line.startswith("error: Unable to allocate")
+        assert out == ""
+
     def test_non_finite_n_is_configuration_error(self, default_text,
                                                  tmp_path):
         # Out of process, so an escaping exception shows as a traceback.

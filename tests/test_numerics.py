@@ -29,10 +29,8 @@ from stefanetc import (_thomas, config, harness, numerics, observer, params,
                        plant)
 from stefanetc.errors import (ConfigurationError, NumericalFailure,
                               ValidityBreach)
-from stefanetc.numerics import (BESSEL_Z_MAX, diffusion_factor,
-                                ratio_J1_sqrt, simpson, solve_tridiagonal,
-                                trapezoid)
-from stefanetc.observer import observer_gain
+from stefanetc.numerics import (BESSEL_Z_MAX, observer_gain, ratio_J1_sqrt,
+                                simpson, solve_tridiagonal, trapezoid)
 from conftest import thomas_paths
 from observer_reference import ratio_I1_sqrt
 from tridiagonal_reference import diffusion_bands, thomas_factor, thomas_solve
@@ -246,7 +244,7 @@ class TestTridiagonal:
         rhs = rng.uniform(-1.0, 1.0, (4, n - 1))
         for kernel in thomas_paths():
             with mock.patch.object(numerics, "_kernel", kernel):
-                factor = diffusion_factor(n, r)
+                factor = numerics._kernel.factor(n, r)
                 for row, expected in zip(rhs, np.linalg.solve(M, rhs.T).T):
                     got = solve_tridiagonal(factor, row)
                     assert np.allclose(got[:-1], expected, rtol=1e-12,
@@ -268,14 +266,14 @@ class TestTridiagonal:
                           -math.inf, 1e308):
                     with pytest.raises(NumericalFailure,
                                        match="diffusion number"):
-                        diffusion_factor(21, r)
+                        numerics._kernel.factor(21, r)
                 with pytest.raises(ValueError, match="n >= 3"):
-                    diffusion_factor(2, 0.5)
+                    numerics._kernel.factor(2, 0.5)
 
     def test_rejects_bad_lengths(self):
         for kernel in thomas_paths():
             with mock.patch.object(numerics, "_kernel", kernel):
-                lower, ratios, pivots = diffusion_factor(4, 0.5)
+                lower, ratios, pivots = numerics._kernel.factor(4, 0.5)
                 with pytest.raises(ValueError):
                     solve_tridiagonal((lower, ratios, pivots), [1.0, 1.0])
                 # Bands of 4-byte floats, which C would read past their end.
@@ -307,7 +305,7 @@ class TestTridiagonal:
             reference = thomas_factor(*diffusion_bands(n, r))
             for kernel in thomas_paths():
                 with mock.patch.object(numerics, "_kernel", kernel):
-                    factor = diffusion_factor(n, r)
+                    factor = numerics._kernel.factor(n, r)
                     for rhs in cases:
                         profile = solve_tridiagonal(factor, rhs)
                         assert profile[:-1].tobytes() \
@@ -331,7 +329,7 @@ class TestDiffusionFactor:
         expected = np.linalg.solve(M, rhs)
         for kernel in thomas_paths():
             with mock.patch.object(numerics, "_kernel", kernel):
-                lower, ratios, pivots = diffusion_factor(n, r)
+                lower, ratios, pivots = numerics._kernel.factor(n, r)
                 profile = solve_tridiagonal((lower, ratios, pivots), rhs)
             assert ratios.dtype == pivots.dtype == np.float64
             assert (tuple(ratios.tolist()), tuple(pivots.tolist())) \
@@ -696,6 +694,8 @@ class TestSeam:
             assert list(inspect.signature(getattr(_thomas.Kernel, name))
                         .parameters)[1:] \
                 == list(inspect.signature(piece).parameters), name
+            # The reference set has one home, beside its check.
+            assert piece.__module__ == "stefanetc.numerics", name
         assert thomas_paths()[-1] is numerics.REFERENCE
         assert numerics._kernel in thomas_paths()
 

@@ -80,23 +80,23 @@ def run_pair(pstate, u_hat, q, steps, dt=0.5, lam=LAM):
 class TestGain:
     def test_value_at_interface(self):
         # Removable singularity: p(s, s) = -lam s / 2.
-        [p] = observer.observer_gain(np.array([0.7]), 0.7, LAM, PHYS.alpha)
+        [p] = numerics.observer_gain(np.array([0.7]), 0.7, LAM, PHYS.alpha)
         assert p == pytest.approx(-LAM * 0.7 / 2.0, rel=1e-12)
 
     def test_closed_form_interior(self):
         s, x = 1.5, 0.4
         z = math.sqrt(LAM * (s * s - x * x) / PHYS.alpha)
         expected = -LAM * s * special.i1(z) / z
-        [p] = observer.observer_gain(np.array([x]), s, LAM, PHYS.alpha)
+        [p] = numerics.observer_gain(np.array([x]), s, LAM, PHYS.alpha)
         assert p == pytest.approx(expected, rel=1e-12)
 
     def test_zero_gain(self):
-        [p] = observer.observer_gain(np.array([0.2]), 0.5, 0.0, PHYS.alpha)
+        [p] = numerics.observer_gain(np.array([0.2]), 0.5, 0.0, PHYS.alpha)
         assert p == 0.0
 
     def test_nonpositive_everywhere(self):
         x = np.linspace(0.0, 2.0, 50)
-        assert np.all(observer.observer_gain(x, 2.0, LAM, PHYS.alpha) < 0.0)
+        assert np.all(numerics.observer_gain(x, 2.0, LAM, PHYS.alpha) < 0.0)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(grid_sizes, positions, gain_fractions)
@@ -105,10 +105,10 @@ class TestGain:
         # gain has the bits of the general two-branch form.
         lam = frac * LAM_MAX
         x = numerics.unit_grid(n) * s
-        got = observer.observer_gain(x, s, lam, PHYS.alpha)
+        got = numerics.observer_gain(x, s, lam, PHYS.alpha)
         assert bits(got) == bits(reference.observer_gain(x, s, lam, PHYS.alpha))
         for xi, entry in zip(x.tolist(), got.tolist()):
-            [scalar] = observer.observer_gain(np.array([xi]), s, lam,
+            [scalar] = numerics.observer_gain(np.array([xi]), s, lam,
                                               PHYS.alpha)
             assert isinstance(scalar, float)
             assert bits(scalar) == bits(entry) \
@@ -121,9 +121,9 @@ class TestGain:
         lam = float(np.nextafter(LAM_MAX, math.inf))
         for x in (numerics.unit_grid(21) * PHYS.L,
                   numerics.unit_grid(1025) * PHYS.L, np.zeros(1)):
-            observer.observer_gain(x, PHYS.L, LAM_MAX, PHYS.alpha)
+            numerics.observer_gain(x, PHYS.L, LAM_MAX, PHYS.alpha)
             with pytest.raises(ValueError, match="Bessel argument"):
-                observer.observer_gain(x, PHYS.L, lam, PHYS.alpha)
+                numerics.observer_gain(x, PHYS.L, lam, PHYS.alpha)
             with pytest.raises(ValueError, match="Bessel argument"):
                 reference.observer_gain(x, PHYS.L, lam, PHYS.alpha)
 
@@ -138,7 +138,7 @@ class TestGain:
         x = numerics.unit_grid(n) * s
         w = LAM * (s * s - x * x) / PHYS.alpha
         assert np.count_nonzero(w < numerics._RATIO_SERIES_CUT) == tail
-        assert bits(observer.observer_gain(x, s, LAM, PHYS.alpha)) \
+        assert bits(numerics.observer_gain(x, s, LAM, PHYS.alpha)) \
             == bits(reference.observer_gain(x, s, LAM, PHYS.alpha))
 
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -147,7 +147,7 @@ class TestGain:
         # f_max's quadrature grids xi L at s = L.
         lam = frac * LAM_MAX
         x = numerics.unit_grid(points) * PHYS.L
-        assert bits(observer.observer_gain(x, PHYS.L, lam, PHYS.alpha)) \
+        assert bits(numerics.observer_gain(x, PHYS.L, lam, PHYS.alpha)) \
             == bits(reference.observer_gain(x, PHYS.L, lam, PHYS.alpha))
 
 
@@ -156,7 +156,7 @@ class TestBoundarySlope:
         # Shared stencil with the plant: sdot = -beta * slope.
         u = np.linspace(1.0, 0.0, 21) ** 2
         s = 0.3
-        slope = observer.boundary_slope(u, s)
+        slope = numerics.boundary_slope(u, s)
         assert plant.interface_velocity(u, s, PHYS.beta) == pytest.approx(
             -PHYS.beta * slope, rel=1e-14)
 
@@ -170,7 +170,7 @@ class TestBoundarySlope:
         err = u - u_hat
         assert bits(observer.error_slope(u, u_hat, s)) \
             == bits((err[..., -1] - err[..., -2]) / (h * s))
-        assert bits(observer.boundary_slope(u, s)) \
+        assert bits(numerics.boundary_slope(u, s)) \
             == bits((u[..., -1] - u[..., -2]) / (h * s))
 
 
@@ -214,7 +214,7 @@ class TestStep:
     def test_influence_profile_matches_advance_profile(self, n, s, frac, dt):
         # The influence solve of the observer_rhs piece, on both sets.
         lam = frac * LAM_MAX
-        p = observer.observer_gain(numerics.unit_grid(n) * s, s, lam,
+        p = numerics.observer_gain(numerics.unit_grid(n) * s, s, lam,
                                    PHYS.alpha)
         factor = plant.implicit_factor(s, dt, PHYS.alpha, n)
         expected = reference.influence_profile(p, s, dt, PHYS.k, factor)
@@ -252,12 +252,13 @@ class TestStep:
         # The plant step and both observer solves share one tridiagonal
         # matrix, so a step of the closed loop factors it once.
         calls = []
+        factor = numerics._kernel.factor
 
         def counting_factor(*args):
             calls.append(1)
-            return numerics.diffusion_factor(*args)
+            return factor(*args)
 
-        monkeypatch.setattr(plant, "diffusion_factor", counting_factor)
+        monkeypatch.setattr(numerics._kernel, "factor", counting_factor)
         loop = harness.ClosedLoop(
             default_cfg, params.derive_trigger(default_cfg.phys,
                                                default_cfg.ctrl,
@@ -442,7 +443,7 @@ class TestErrorNorms:
         err = np.ones(21)
         err[-1] = 0.0
         norm = observer.error_norms(err, 2.0)
-        slope = observer.boundary_slope(err, 2.0)
+        slope = numerics.boundary_slope(err, 2.0)
         # err^2 = 1 except 0 at the last node: the s-scaled trapezoid sum is
         # s h (0.5 + 19 + 0) = s (1 - h/2).
         h = 0.05

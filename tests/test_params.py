@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from stefanetc import cli, config, harness, params
 from stefanetc.errors import ConfigurationError
-from stefanetc.observer import observer_gain
+from stefanetc.numerics import observer_gain
 
 # Frozen oracle values for the shipped paraffin configuration (cm-s-degC-J).
 PARAFFIN = dict(k=0.00220, rho=7.90e-4, cp=2380.0, dH=2.10e5, L=3.0, Tm=37.0)

@@ -1,8 +1,8 @@
 """Reference Thomas algorithm for general tridiagonal bands.
 
 Only the tests call these.  The package factors one matrix, the plant's
-implicit diffusion matrix, by the closed-form recurrence of
-`stefanetc.numerics.diffusion_factor`; this is the general factorization it
+implicit diffusion matrix, by the closed-form recurrence of the `factor`
+piece in `stefanetc.numerics`; this is the general factorization it
 replaced, kept to check it on the same bands, with its band-length,
 dominance and zero-pivot checks.
 """
