@@ -1,9 +1,10 @@
-/* The per-node arithmetic of a closed-loop step, in the operation order of
- * the Python and numpy code it replaces: the Thomas factorization and
- * substitution (`stefanetc.numerics`), the right-hand side of
- * `plant.advance_profile`, the observer gain of `observer.observer_gain`
- * with the influence right-hand side, and the Sherman-Morrison update of
- * `observer.step_observer` with the trapezoid of its square.  Built with
+/* The per-node arithmetic of a closed-loop step and of its monitor, in the
+ * operation order of the Python and numpy code of `stefanetc.numerics` it
+ * replaces: the Thomas factorization and substitution, the right-hand side
+ * of `plant.advance_profile`, the observer gain `observer_gain` with the
+ * influence right-hand side, the Sherman-Morrison update of
+ * `observer.step_observer` with the trapezoid of its square, and the
+ * series path of the inverse error transform.  Built with
  * -ffp-contract=off and -fno-fast-math, each expression is one IEEE double
  * operation per operator, evaluated as written, so every result has the
  * bits of that code: no a - b * c is fused into one rounding, and nothing
@@ -206,6 +207,117 @@ int observer_update(long n, double s, double dt, const double *u_star,
         return 2;
     *norm_sq = s * pairwise_sum(out, 0, n - 1, h);
     return 0;
+}
+
+/* numerics.SERIES_ORDERS and numerics.TOP_ORDER_TERMS; the load-time check
+ * compares them with the Python values. */
+static const int SERIES_ORDERS = 16;
+static const int TOP_ORDER_TERMS = 12;
+
+/* Two rows of the series path side by side: each lane does the double
+ * operations of its own row, in GCC's and Clang's vector extension. */
+typedef double pair __attribute__((vector_size(16)));
+
+/* R_m(a) into r[m] for m = SERIES_ORDERS - 1 down to 0: the top two orders
+ * by Horner over the TOP_ORDER_TERMS x 2 coefficients c, row-major, then
+ * R_{m-1} = 2 (m+1) R_m - a R_{m+1}. */
+static void bessel_orders(pair a, const double *c, pair *r)
+{
+    pair top[2];
+    for (int col = 0; col < 2; col++) {
+        pair t = c[2 * (TOP_ORDER_TERMS - 1) + col] * a;
+        for (int j = TOP_ORDER_TERMS - 2; j > 0; j--) {
+            t = t + c[2 * j + col];
+            t = t * a;
+        }
+        top[col] = t + c[col];
+    }
+    pair rm = top[0], above = top[1];
+    r[SERIES_ORDERS - 1] = rm;
+    for (int m = SERIES_ORDERS - 1; m > 0; m--) {
+        pair next = 2.0 * (m + 1) * rm - a * above;
+        above = rm;
+        rm = next;
+        r[m - 1] = rm;
+    }
+}
+
+/* a + b; where `careful`, in a lane whose operands are both NaN, the
+ * first one quieted, as numpy's loops give it, whichever operand the
+ * compiler puts first. */
+static inline __attribute__((always_inline)) pair add(pair a, pair b,
+                                                      int careful)
+{
+    pair r = a + b;
+    if (careful)
+        for (int i = 0; i < 2; i++)
+            if (r[i] != r[i] && a[i] != a[i])
+                r[i] = a[i] + a[i];
+    return r;
+}
+
+/* The series path of rows u0 and u1 of n nodes with their s, into out0
+ * and out1 (which may be one row, written twice with the same values),
+ * node by node from the interface inwards; returns whether an output is
+ * NaN. */
+static inline __attribute__((always_inline)) int series_rows(
+    long n, const double *u0, const double *u1, pair s, double ratio,
+    const double *c, int careful, double *out0, double *out1)
+{
+    pair q = s / (double)(n - 1);
+    pair mu = ratio * (q * q);
+    pair scale = ratio * s * s / (double)(2 * (n - 1));
+    pair r[SERIES_ORDERS], g[SERIES_ORDERS], run[SERIES_ORDERS];
+    double d = (double)(n - 1);
+    pair a = d * d * mu;
+    pair v = 1.0 * (pair){u0[n - 1], u1[n - 1]};
+    int has_nan = 0;
+    bessel_orders(a, c, r);
+    for (int m = 0; m < SERIES_ORDERS; m++)
+        g[m] = v * r[m];
+    for (long i = n - 2; i >= 0; i--) {
+        d = (double)i;
+        a = d * d * mu;
+        v = (double)i * (1.0 / (n - 1)) * (pair){u0[i], u1[i]};
+        bessel_orders(a, c, r);
+        pair half_b = 0.5 * a;
+        pair acc = {0.0, 0.0};
+        for (int m = SERIES_ORDERS - 1; m >= 0; m--) {
+            pair gm = v * r[m];
+            pair sum = add(gm, g[m], careful);
+            g[m] = gm;
+            run[m] = i == n - 2 ? sum : add(run[m], sum, careful);
+            acc = add(acc * (half_b / (double)(m + 1)), run[m], careful);
+        }
+        acc = acc * scale;
+        out0[i] = acc[0];
+        out1[i] = acc[1];
+        has_nan |= acc[0] != acc[0] || acc[1] != acc[1];
+    }
+    out0[n - 1] = 0.0 * scale[0];
+    out1[n - 1] = 0.0 * scale[1];
+    return has_nan;
+}
+
+/* numerics._series_integral of the k x n stack u, row-major, and the k
+ * values of s, into out, two rows at a time (the last of an odd k twice):
+ * at node i, a = i^2 (lam/alpha) (s/(n-1))^2 and v = xi u, each order's
+ * g = v R_m(a), the neighbour sums of g and their running sums from the
+ * interface, combined over the orders by Horner with the factors
+ * (a/2)/(m+1), then the row's scale.  A pair with a NaN output is done
+ * again with the NaN operands in numpy's order. */
+void series_integral(long k, long n, const double *u, const double *s,
+                     double lam, double alpha, const double *c, double *out)
+{
+    double ratio = lam / alpha;
+    for (long j = 0; j < k; j += 2) {
+        long j1 = j + 1 < k ? j + 1 : j;
+        const double *u0 = u + j * n, *u1 = u + j1 * n;
+        double *out0 = out + j * n, *out1 = out + j1 * n;
+        pair sj = {s[j], s[j1]};
+        if (series_rows(n, u0, u1, sj, ratio, c, 0, out0, out1))
+            series_rows(n, u0, u1, sj, ratio, c, 1, out0, out1);
+    }
 }
 
 /* Python's repr of a double, by Schubfach (R. Giulietti, "The Schubfach

@@ -1,6 +1,7 @@
-"""Build, cache and load the compiled kernel of the step and of the series
-formatter, `_thomas.c`, and wrap it as `Kernel`, the compiled set of the
-six pieces that `numerics.REFERENCE` holds in Python and numpy.
+"""Build, cache and load the compiled kernel of the step, of the monitor's
+series path and of the series formatter, `_thomas.c`, and wrap it as
+`Kernel`, the compiled set of the seven pieces that `numerics.REFERENCE`
+holds in Python and numpy.
 
 `load(check)` returns ``(Kernel, "compiled")`` when the kernel builds, loads,
 finds scipy's i1 and passes `check`, else ``(None, "python: <reason>")``; it
@@ -54,6 +55,10 @@ int observer_rhs(long n, const double *u_hat, double s, double sdot,
                  double alpha, double slope, bessel_i1 i1, double *rhs);
 int observer_update(long n, double s, double dt, const double *u_star,
                     const double *z, double *out, double *norm_sq);
+static const int SERIES_ORDERS;
+static const int TOP_ORDER_TERMS;
+void series_integral(long k, long n, const double *u, const double *s,
+                     double lam, double alpha, const double *c, double *out);
 static const int POW10_K_MIN;
 static const int POW10_K_MAX;
 static const int REPR_MAX;
@@ -80,6 +85,16 @@ def _pow10_table(k_min: int, k_max: int) -> list[int]:
             g = (1 << -r) // 10 ** k + 1
         table += [g >> 63, g & ((1 << 63) - 1)]
     return table
+
+
+def top_order_coefficients(orders: int, terms: int) -> list[float]:
+    """The power series coefficients (-1)^k / (2^{m+1} 4^k k! (m+k+1)!) of
+    R_m for k from 0 to terms - 1, m = orders - 1 and orders, each the
+    exactly rounded quotient of exact integers, row-major: for each k the
+    pair for the two m."""
+    return [(-1) ** k / (2 ** (m + 1) * 4 ** k * math.factorial(k)
+                         * math.factorial(m + k + 1))
+            for k in range(terms) for m in (orders - 1, orders)]
 
 
 BUILD_TIMEOUT_S = 300.0
@@ -180,6 +195,19 @@ def bands(ratios, pivots, rhs):
     return x
 
 
+def series_args(u_tilde, s):
+    """u_tilde as a contiguous float64 (k, n) stack with n >= 2, and s as a
+    contiguous float64 array of its k values (the `series_integral`
+    piece)."""
+    u_tilde = np.ascontiguousarray(u_tilde, dtype=float)
+    s = np.ascontiguousarray(s, dtype=float)
+    if u_tilde.ndim != 2 or u_tilde.shape[1] < 2 \
+            or s.shape != u_tilde.shape[:1]:
+        raise ValueError("the series path needs a (k, n) stack with n >= 2 "
+                         "and k values of s")
+    return u_tilde, s
+
+
 def profile(u, like=None):
     """u as a contiguous float64 profile: 1-D, of at least 2 nodes, and of
     the length of the profile `like` where one is given."""
@@ -191,32 +219,44 @@ def profile(u, like=None):
 
 
 class Kernel:
-    """The compiled set of the six pieces.  Each method has the signature
+    """The compiled set of the seven pieces.  Each method has the signature
     of its namesake in `numerics.REFERENCE`, makes its size checks, and
     returns its bits or raises its exception with its message."""
 
     def __init__(self, module, i1_address: int):
         self.ffi, self.lib = module.ffi, module.lib
-        # The C copies of numerics.BESSEL_Z_MAX and _RATIO_SERIES_CUT.
-        self.constants = (self.lib.BESSEL_Z_MAX, self.lib.RATIO_SERIES_CUT)
+        # The C copies of numerics.BESSEL_Z_MAX, _RATIO_SERIES_CUT,
+        # SERIES_ORDERS and TOP_ORDER_TERMS.
+        self.constants = (self.lib.BESSEL_Z_MAX, self.lib.RATIO_SERIES_CUT,
+                          self.lib.SERIES_ORDERS, self.lib.TOP_ORDER_TERMS)
         self.i1 = self.ffi.cast("bessel_i1", i1_address)
         self.pow10 = self.ffi.new("uint64_t[]", _pow10_table(
             self.lib.POW10_K_MIN, self.lib.POW10_K_MAX))
+        self.top_order = self.ffi.new("double[]", top_order_coefficients(
+            self.lib.SERIES_ORDERS, self.lib.TOP_ORDER_TERMS))
+        # The last factor's bands with their cdata, which `solve` reuses
+        # when it is passed those same arrays, and the cell `observer_update`
+        # writes its norm into.
+        self._bands = (None, None, None, None)
+        self._norm_sq = self.ffi.new("double *")
 
     def factor(self, n, r):
         r = factor_args(n, r)
         ratios, pivots = np.empty(n - 2), np.empty(n - 1)
         buf = self.ffi.from_buffer
-        self.lib.diffusion_factor(n - 1, r, buf("double[]", ratios),
-                                  buf("double[]", pivots))
+        self._bands = (ratios, pivots, buf("double[]", ratios),
+                       buf("double[]", pivots))
+        self.lib.diffusion_factor(n - 1, r, *self._bands[2:])
         return -r, ratios, pivots
 
     def solve(self, lower, ratios, pivots, rhs):
         rhs = bands(ratios, pivots, rhs)
         out = np.empty(rhs.size + 1)
         buf = self.ffi.from_buffer
-        self.lib.solve_tridiagonal(rhs.size, lower, buf("double[]", ratios),
-                                   buf("double[]", pivots),
+        held_ratios, held_pivots, *cdata = self._bands
+        if ratios is not held_ratios or pivots is not held_pivots:
+            cdata = buf("double[]", ratios), buf("double[]", pivots)
+        self.lib.solve_tridiagonal(rhs.size, lower, *cdata,
                                    buf("double[]", rhs), buf("double[]", out))
         return out
 
@@ -242,15 +282,23 @@ class Kernel:
         u_star = profile(u_star)
         z = profile(z, u_star)
         out = np.empty(u_star.size)
-        norm_sq = self.ffi.new("double *")
         buf = self.ffi.from_buffer
         failed = self.lib.observer_update(u_star.size, s, dt,
                                           buf("double[]", u_star),
                                           buf("double[]", z),
-                                          buf("double[]", out), norm_sq)
+                                          buf("double[]", out), self._norm_sq)
         if failed:
             raise NumericalFailure(SINGULAR if failed == 1 else NON_FINITE)
-        return out, norm_sq[0]
+        return out, self._norm_sq[0]
+
+    def series_integral(self, u_tilde, s, lam, alpha):
+        u_tilde, s = series_args(u_tilde, s)
+        out = np.empty(u_tilde.shape)
+        buf = self.ffi.from_buffer
+        self.lib.series_integral(*u_tilde.shape, buf("double[]", u_tilde),
+                                 buf("double[]", s), lam, alpha,
+                                 self.top_order, buf("double[]", out))
+        return out
 
     def format_rows(self, rows, buf):
         """The text of `rows`, written into `buf` (first grown to what

@@ -13,13 +13,15 @@ The monitors take (K, n) stacks of K instants with length-K s (and X, m);
 each row has the bits of a one-row stack.  The controller transform's kernel
 phi is affine, so its Volterra integral is two right-cumulative trapezoid
 sums: O(n) per row.  The inverse error transform takes one of two paths
-per row, chosen by where the series converges.  A row with
-z = sqrt(lam/alpha) s below the first zero of J1 takes the series path:
-the multiplication theorem splits the Bessel ratio at j^2 - i^2 into
-SERIES_ORDERS products of powers of i^2 and Bessel functions of j^2, so
-the integral is that many right-cumulative trapezoid sums combined by
-Horner, O(SERIES_ORDERS n) per row, with no Bessel function per grid
-entry.  Every other row takes the gathered kernel, the only path that
+per row, chosen here by where the series converges.  A row with
+z = sqrt(lam/alpha) s below the first zero of J1 takes the series path,
+the `series_integral` piece of `numerics._kernel` (its reference and
+constants live in `numerics`): the multiplication theorem splits the
+Bessel ratio at j^2 - i^2 into SERIES_ORDERS products of powers of i^2
+and Bessel functions of j^2, so the integral is that many
+right-cumulative trapezoid sums combined by Horner, O(SERIES_ORDERS n)
+per row, with no Bessel function per grid entry.  Every other row takes
+the gathered kernel, in numpy here, the only path that
 holds at z >= j_{1,1}: its Bessel ratio depends on (x_i, y_j) only through
 j^2 - i^2 on the xi-grid, so it is evaluated once per distinct value of
 max(j^2 - i^2, 0) and gathered onto the n x n grid, in chunks of at most
@@ -38,8 +40,9 @@ import warnings
 
 import numpy as np
 
-from .numerics import (observer_gain, ratio_J1_sqrt, simpson, trapezoid,
-                       unit_grid)
+from . import numerics
+from .numerics import (J1_FIRST_ZERO, observer_gain, ratio_J1_sqrt, simpson,
+                       trapezoid, unit_grid)
 
 
 def phi_kernel(x, c: float, beta: float, epsilon: float):
@@ -115,82 +118,6 @@ def _gathered_integral(u_tilde: np.ndarray, s: np.ndarray, lam: float,
     return out
 
 
-# The first positive zero j_{1,1} of J1.
-J1_FIRST_ZERO = 3.8317059702075125
-
-# The series path.  With a = c j^2, b = c i^2 and c = (lam/alpha)(s h)^2,
-# Taylor's theorem in a, with d/da R_m(a) = -R_{m+1}(a)/2, is the
-# multiplication theorem (DLMF 10.23.1):
-#     J1(sqrt(a - b))/sqrt(a - b) = sum_m (b/2)^m/m! R_m(a),
-#     R_m(a) = J_{m+1}(sqrt a)/sqrt(a)^{m+1}.
-# |J_nu(x)| <= (x/2)^nu/nu! gives 0 <= R_m(a) <= 1/(2^{m+1} (m+1)!) for
-# sqrt(a) < j_{1,1} (below every j_{m+1,1}), and b <= z^2 with
-# z = sqrt(lam/alpha) s, so term m is at most (z^2/4)^m/(2 m! (m+1)!).  At
-# z = J1_FIRST_ZERO term 16 is 7.3e-20 and the terms then fall by a factor
-# of at least 80, so the SERIES_ORDERS = 16 orders m = 0..15 leave out less
-# than 2^-58 of the diagonal's 1/2 (term 15, 5.4e-18, is not).
-SERIES_ORDERS = 16
-# R_15 and R_16 by their power series 2^{-m-1} sum_k (-a/4)^k/(k! (m+k+1)!).
-# For a < J1_FIRST_ZERO^2 its terms alternate and fall, so the first left
-# out bounds the error: with TOP_ORDER_TERMS = 12 it is below 2^-58 of the
-# first term (8.6e-19 for R_15; 11 terms leave 7.8e-17).
-TOP_ORDER_TERMS = 12
-_TOP_ORDER_COEFFICIENTS = np.array([
-    [(-1) ** k / (2 ** (m + 1) * 4 ** k * math.factorial(k)
-                  * math.factorial(m + k + 1))
-     for m in (SERIES_ORDERS - 1, SERIES_ORDERS)]
-    for k in range(TOP_ORDER_TERMS)])
-
-
-def _bessel_orders(a: np.ndarray):
-    """R_m(a) = J_{m+1}(sqrt a)/sqrt(a)^{m+1} for m = SERIES_ORDERS - 1 down
-    to 0, elementwise over 0 <= a < J1_FIRST_ZERO^2: the top two orders by
-    their power series, the others by the downward recurrence
-    R_{m-1} = 2 (m+1) R_m - a R_{m+1}."""
-    coefficients = _TOP_ORDER_COEFFICIENTS.reshape(
-        TOP_ORDER_TERMS, 2, *(1,) * a.ndim)
-    top = coefficients[-1] * a
-    for coefficient in coefficients[-2:0:-1]:
-        top += coefficient
-        top *= a
-    top += coefficients[0]
-    r, above = top
-    yield r
-    for m in range(SERIES_ORDERS - 1, 0, -1):
-        r, above = 2.0 * (m + 1) * r - a * above, r
-        yield r
-
-
-def _series_integral(u_tilde: np.ndarray, s: np.ndarray, lam: float,
-                     alpha: float) -> np.ndarray:
-    """int_{x_i}^{s} Q(x_i, y) u_tilde(y) dy of a (k, n) stack whose rows
-    have sqrt(lam/alpha) s < J1_FIRST_ZERO, by the series above: row i is
-    (lam/alpha) s^2 h sum_m (b_i/2)^m/m! T_m(i), with T_m the
-    right-cumulative trapezoid sums of xi u_tilde R_m(a), summed over m by
-    Horner.  Elementwise ops and per-row cumulative sums only:
-    O(SERIES_ORDERS n) per row.
-    """
-    k, n = u_tilde.shape
-    # Node-major, from the interface inwards: row l of these (n, k) arrays
-    # is node n - 1 - l, so the sums from the interface are accumulations
-    # down axis 0, and row l of those is node n - 2 - l.
-    a = np.arange(n - 1.0, -1.0, -1.0)[:, None] ** 2 \
-        * ((lam / alpha) * (s / (n - 1)) ** 2)
-    v = np.multiply(unit_grid(n)[::-1, None], u_tilde.T[::-1], order="C")
-    half_b = 0.5 * a[1:]
-    g, sums, acc = np.empty((n, k)), np.empty((n - 1, k)), np.zeros((n - 1, k))
-    for m, r in zip(range(SERIES_ORDERS - 1, -1, -1), _bessel_orders(a)):
-        np.multiply(v, r, out=g)
-        np.add(g[1:], g[:-1], out=sums)
-        np.add.accumulate(sums, axis=0, out=sums)
-        acc *= half_b / (m + 1)
-        acc += sums
-    out = np.zeros((k, n))
-    out[:, -2::-1] = acc.T
-    out *= ((lam / alpha) * s * s / (2 * (n - 1)))[:, None]
-    return out
-
-
 def transform_error_inverse(u_tilde: np.ndarray, s: np.ndarray, lam: float,
                             alpha: float) -> np.ndarray:
     """w_tilde(x) = u_tilde(x) - int_x^s Q(x,y) u_tilde(y) dy on the xi-grid,
@@ -204,7 +131,7 @@ def transform_error_inverse(u_tilde: np.ndarray, s: np.ndarray, lam: float,
     """
     series = math.sqrt(lam / alpha) * s < J1_FIRST_ZERO
     integral = np.empty(u_tilde.shape)
-    for rows, path in ((series, _series_integral),
+    for rows, path in ((series, numerics._kernel.series_integral),
                        (~series, _gathered_integral)):
         if rows.any():
             integral[rows] = path(u_tilde[rows], s[rows], lam, alpha)

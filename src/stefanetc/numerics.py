@@ -6,24 +6,27 @@ package: profiles live on a uniform grid of the immobilized coordinate xi
 in [0, 1] with n nodes and spacing h = 1/(n-1); a physical integral over
 [0, s] is s times the unit-interval integral.
 
-The per-node arithmetic of a closed-loop step and the formatting of
-series.csv are six pieces with one signature each: `factor(n, r)`,
+The per-node arithmetic of a closed-loop step, the formatting of
+series.csv and the series path of the inverse error transform are seven
+pieces with one signature each: `factor(n, r)`,
 `solve(lower, ratios, pivots, rhs)`, `advance_rhs(u, s, sdot, q, dt, k, r)`,
 `observer_rhs(u_hat, s, sdot, q, dt, k, r, lam, alpha, slope)`,
-`observer_update(u_star, z, s, dt)` and `format_rows(rows, buf)`.
-`REFERENCE` is the set of them in Python and numpy, defined below with the
-observer gain and the interface slope they use; `_thomas.Kernel` is the
-compiled set.  `_kernel` holds one of the two, chosen once at the end of
+`observer_update(u_star, z, s, dt)`, `format_rows(rows, buf)` and
+`series_integral(u_tilde, s, lam, alpha)`.  `REFERENCE` is the set of them
+in Python and numpy, defined below with the observer gain, the interface
+slope and the series constants they use; `_thomas.Kernel` is the compiled
+set.  `_kernel` holds one of the two, chosen once at the end of
 this module's import.  The compiled pieces do the same IEEE operations in
 the same order, built with -O2 -ffp-contract=off -fno-fast-math and no
 -march, so each result has the reference's bits (-ffp-contract=off
 matters: a fused multiply-add rounds a - b * c once instead of twice, and
 such last-bit changes per solve move the closed loop's m past the
-benchmark's 1e-9 gate), and the formatter writes repr's bytes.  The first
-import builds the kernel in a child process, about 0.8 s, into
-$XDG_CACHE_HOME/stefanetc (or ~/.cache/stefanetc); every import loads it
-and uses it only if it passes `check_kernel`.  `THOMAS_KERNEL` says which
-set runs.
+benchmark's 1e-9 gate), and the formatter writes repr's bytes.  The
+compiled series path runs two rows at a time in the lanes of a vector,
+each lane doing its own row's operations.  The first import builds the
+kernel in a child process, about 0.8 s, into $XDG_CACHE_HOME/stefanetc (or
+~/.cache/stefanetc); every import loads it and uses it only if it passes
+`check_kernel`.  `THOMAS_KERNEL` says which set runs.
 """
 from __future__ import annotations
 
@@ -275,6 +278,82 @@ def sherman_morrison(u_star, z, s: float, dt: float):
         return u_hat_new, trapezoid(u_hat_new * u_hat_new, s)
 
 
+# The first positive zero j_{1,1} of J1.
+J1_FIRST_ZERO = 3.8317059702075125
+
+# The series path of `diagnostics.transform_error_inverse`.  With a = c j^2,
+# b = c i^2 and c = (lam/alpha)(s h)^2, Taylor's theorem in a, with
+# d/da R_m(a) = -R_{m+1}(a)/2, is the multiplication theorem (DLMF 10.23.1):
+#     J1(sqrt(a - b))/sqrt(a - b) = sum_m (b/2)^m/m! R_m(a),
+#     R_m(a) = J_{m+1}(sqrt a)/sqrt(a)^{m+1}.
+# |J_nu(x)| <= (x/2)^nu/nu! gives 0 <= R_m(a) <= 1/(2^{m+1} (m+1)!) for
+# sqrt(a) < j_{1,1} (below every j_{m+1,1}), and b <= z^2 with
+# z = sqrt(lam/alpha) s, so term m is at most (z^2/4)^m/(2 m! (m+1)!).  At
+# z = J1_FIRST_ZERO term 16 is 7.3e-20 and the terms then fall by a factor
+# of at least 80, so the SERIES_ORDERS = 16 orders m = 0..15 leave out less
+# than 2^-58 of the diagonal's 1/2 (term 15, 5.4e-18, is not).
+SERIES_ORDERS = 16
+# R_15 and R_16 by their power series 2^{-m-1} sum_k (-a/4)^k/(k! (m+k+1)!).
+# For a < J1_FIRST_ZERO^2 its terms alternate and fall, so the first left
+# out bounds the error: with TOP_ORDER_TERMS = 12 it is below 2^-58 of the
+# first term (8.6e-19 for R_15; 11 terms leave 7.8e-17).
+TOP_ORDER_TERMS = 12
+_TOP_ORDER_COEFFICIENTS = np.reshape(_thomas.top_order_coefficients(
+    SERIES_ORDERS, TOP_ORDER_TERMS), (TOP_ORDER_TERMS, 2))
+
+
+def _bessel_orders(a: np.ndarray):
+    """R_m(a) = J_{m+1}(sqrt a)/sqrt(a)^{m+1} for m = SERIES_ORDERS - 1 down
+    to 0, elementwise over 0 <= a < J1_FIRST_ZERO^2: the top two orders by
+    their power series, the others by the downward recurrence
+    R_{m-1} = 2 (m+1) R_m - a R_{m+1}."""
+    coefficients = _TOP_ORDER_COEFFICIENTS.reshape(
+        TOP_ORDER_TERMS, 2, *(1,) * a.ndim)
+    top = coefficients[-1] * a
+    for coefficient in coefficients[-2:0:-1]:
+        top += coefficient
+        top *= a
+    top += coefficients[0]
+    r, above = top
+    yield r
+    for m in range(SERIES_ORDERS - 1, 0, -1):
+        r, above = 2.0 * (m + 1) * r - a * above, r
+        yield r
+
+
+def _series_integral(u_tilde, s, lam, alpha):
+    """int_{x_i}^{s} Q(x_i, y) u_tilde(y) dy of a (k, n) stack whose rows
+    have sqrt(lam/alpha) s < J1_FIRST_ZERO, by the series above: row i is
+    (lam/alpha) s^2 h sum_m (b_i/2)^m/m! T_m(i), with T_m the
+    right-cumulative trapezoid sums of xi u_tilde R_m(a), summed over m by
+    Horner.  Elementwise ops and per-row cumulative sums only:
+    O(SERIES_ORDERS n) per row.  The `series_integral` piece; like the
+    compiled one, it passes on infinities and NaNs without a warning.
+    """
+    u_tilde, s = _thomas.series_args(u_tilde, s)
+    k, n = u_tilde.shape
+    # Node-major, from the interface inwards: row l of these (n, k) arrays
+    # is node n - 1 - l, so the sums from the interface are accumulations
+    # down axis 0, and row l of those is node n - 2 - l.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.arange(n - 1.0, -1.0, -1.0)[:, None] ** 2 \
+            * ((lam / alpha) * (s / (n - 1)) ** 2)
+        v = np.multiply(unit_grid(n)[::-1, None], u_tilde.T[::-1], order="C")
+        half_b = 0.5 * a[1:]
+        g, sums = np.empty((n, k)), np.empty((n - 1, k))
+        acc = np.zeros((n - 1, k))
+        for m, r in zip(range(SERIES_ORDERS - 1, -1, -1), _bessel_orders(a)):
+            np.multiply(v, r, out=g)
+            np.add(g[1:], g[:-1], out=sums)
+            np.add.accumulate(sums, axis=0, out=sums)
+            acc *= half_b / (m + 1)
+            acc += sums
+        out = np.zeros((k, n))
+        out[:, -2::-1] = acc.T
+        out *= ((lam / alpha) * s * s / (2 * (n - 1)))[:, None]
+    return out
+
+
 def _format_rows(rows: np.ndarray, buf: bytearray) -> bytes:
     """The CSV lines of a 2-D float array: the repr of each value, "," between
     the values of a row and "\r\n" after each row; `buf`, which the compiled
@@ -325,6 +404,25 @@ def _check_cases():
         for a, b in ((u_star, z), (u_star, singular), (infinite, z),
                      (u_star, z[1:])):
             yield "observer_update", (a, b, s, dt)
+    # The series path: stacks of n from 2 to 400 and an odd number of
+    # rows, whose s are 0, tiny, mid-range and one ulp below the edge
+    # sqrt(lam/alpha) s = J1_FIRST_ZERO, two of them with signed zeros and
+    # subnormals, and with a huge value, infinities and a NaN; and stacks
+    # of the wrong shapes.
+    lam = 0.09
+    edge = np.nextafter(J1_FIRST_ZERO / math.sqrt(lam / alpha), 0.0)
+    s = np.array([0.0, 1e-300, 0.3 * edge, edge, 0.3 * edge, edge,
+                  0.7 * edge])
+    specials = ([-0.0, 0.0, 5e-324, -2.5e-310],
+                [1e300, math.inf, -math.inf, math.nan])
+    for n in (2, 3, 4, 21, 161, 400):
+        u = np.sin(0.7 + np.arange(7.0 * n)).reshape(7, n)
+        for row, special in zip(u[4:], specials):
+            np.put(row, range(n - 1, -1, -3)[:4], special)
+        yield "series_integral", (u, s, lam, alpha)
+    for u, s in ((np.zeros((2, 1)), np.zeros(2)), (np.zeros(3), np.zeros(1)),
+                 (np.zeros((2, 3)), np.zeros(3))):
+        yield "series_integral", (u, s, lam, alpha)
     # The formatter: every power of two, the neighbours of every 16th, the
     # first 300 subnormals, the powers of ten, both sides of the switches
     # to exponent notation at 1e-4 and 1e16 with both signs, and +-0, +-inf
@@ -364,7 +462,8 @@ def check_kernel(kernel) -> bool:
     """The load-time check: whether `kernel`'s C constants are the Python
     ones and each of its pieces, on every case of `_check_cases`, gives the
     outcome of its namesake in `REFERENCE`."""
-    return kernel.constants == (BESSEL_Z_MAX, _RATIO_SERIES_CUT) and all(
+    return kernel.constants == (BESSEL_Z_MAX, _RATIO_SERIES_CUT,
+                                SERIES_ORDERS, TOP_ORDER_TERMS) and all(
         _outcome(getattr(kernel, name), args)
         == _outcome(getattr(REFERENCE, name), args)
         for name, args in _check_cases())
@@ -373,7 +472,7 @@ def check_kernel(kernel) -> bool:
 REFERENCE = types.SimpleNamespace(
     factor=_factor_loops, solve=_solve_loops, advance_rhs=advance_rhs,
     observer_rhs=observer_rhs, observer_update=sherman_morrison,
-    format_rows=_format_rows)
+    format_rows=_format_rows, series_integral=_series_integral)
 
 # The set of pieces the step and `harness.emit_outputs` call: the kernel
 # when it built, loaded, found scipy's i1 and passed the check, and

@@ -5,7 +5,8 @@ against a hand-integrated case and a reference search over s, the
 Lyapunov functional at rest, the monitor transforms against their
 full-matrix forms, the inverse kernel against mpmath and its weights below
 the diagonal, the series path's multiplication theorem against mpmath, its
-truncation constants against their bound and its row rule, and stacked
+truncation constants against their bound, its row rule and its compiled
+piece against numpy's, and stacked
 monitor calls against one-row stacks and the fused quadratures against
 separate calls."""
 
@@ -23,7 +24,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import special
 
 from stefanetc import diagnostics as dg
-from stefanetc import harness, params
+from stefanetc import harness, numerics, params
 from stefanetc.numerics import ratio_J1_sqrt, simpson, trapezoid, unit_grid
 from stefanetc.observer import error_norms
 from stefanetc.errors import ConfigurationError
@@ -490,7 +491,7 @@ class TestSeriesPath:
         # term left out is below 2^-58 of the first, and one term fewer is
         # not.  Their coefficients are the exactly rounded rationals.
         q = Fraction(dg.J1_FIRST_ZERO) ** 2 / 4
-        orders, terms = dg.SERIES_ORDERS, dg.TOP_ORDER_TERMS
+        orders, terms = numerics.SERIES_ORDERS, numerics.TOP_ORDER_TERMS
         bound = Fraction(1, 2 ** 58)
 
         def term(m):
@@ -509,7 +510,8 @@ class TestSeriesPath:
             for k in range(terms):
                 exact = Fraction((-1) ** k, 2 ** (m + 1) * 4 ** k
                                  * math.factorial(k) * math.factorial(m + k + 1))
-                assert dg._TOP_ORDER_COEFFICIENTS[k, column] == float(exact)
+                assert numerics._TOP_ORDER_COEFFICIENTS[k, column] \
+                    == float(exact)
         assert left_out(orders - 1, terms - 1) >= bound
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -524,8 +526,8 @@ class TestSeriesPath:
         a = a_frac * z * z
         b = b_frac * a
         total = 0.0
-        for m, r in zip(range(dg.SERIES_ORDERS - 1, -1, -1),
-                        dg._bessel_orders(np.array(a))):
+        for m, r in zip(range(numerics.SERIES_ORDERS - 1, -1, -1),
+                        numerics._bessel_orders(np.array(a))):
             scale = 1.0 / (2 ** (m + 1) * math.factorial(m + 1))
             assert abs(float(r) - exact_order(m, a)) <= SERIES_TOL * scale, m
             total = float(r) + (b / 2) / (m + 1) * total
@@ -558,16 +560,38 @@ class TestSeriesPath:
         below = math.sqrt(LAM / ALPHA) * s < dg.J1_FIRST_ZERO
         assert below.tolist() == [False, False, True, False, True, False]
         taken = {}
-        for name in ("_series_integral", "_gathered_integral"):
-            def record(u, s_rows, *args, path=getattr(dg, name), name=name):
+        for owner, name in ((numerics._kernel, "series_integral"),
+                            (dg, "_gathered_integral")):
+            def record(u, s_rows, *args, path=getattr(owner, name),
+                       name=name):
                 taken.setdefault(name, []).extend(s_rows.tolist())
                 return path(u, s_rows, *args)
-            monkeypatch.setattr(dg, name, record)
+            monkeypatch.setattr(owner, name, record)
         E = np.random.default_rng(n).uniform(-50.0, 50.0, (s.size, n))
         stacked = dg.transform_error_inverse(E, s, LAM, ALPHA)
-        expected = {"_series_integral": s[below].tolist(),
+        expected = {"series_integral": s[below].tolist(),
                     "_gathered_integral": s[~below].tolist()}
         assert taken == {k: v for k, v in expected.items() if v}
         rows = [dg.transform_error_inverse(E[r:r + 1], s[r:r + 1], LAM, ALPHA)
                 for r in range(s.size)]
         assert same_bits(stacked, np.concatenate(rows))
+
+    @pytest.mark.skipif(numerics._kernel is numerics.REFERENCE,
+                        reason=numerics.THOMAS_KERNEL)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 400), st.integers(1, 8).flatmap(
+        lambda k: arrays(np.float64, k,
+                         elements=st.floats(0.0, S_J11, exclude_max=True))),
+           st.integers(0, 2 ** 32 - 1))
+    def test_compiled_series_matches_reference(self, n, s, seed):
+        # The compiled series piece against numpy's, byte for byte, on
+        # stacks of values of both signs from 1e-300 to 1e300 with signed
+        # zeros and subnormals among them.
+        rng = np.random.default_rng(seed)
+        shape = (s.size, n)
+        u = rng.choice((-1.0, 1.0), shape) * 10.0 ** rng.uniform(-300.0, 300.0,
+                                                                 shape)
+        u.reshape(-1)[rng.integers(0, u.size, 4)] = (0.0, -0.0, 5e-324,
+                                                     -2.5e-310)
+        assert numerics._kernel.series_integral(u, s, LAM, ALPHA).tobytes() \
+            == numerics.REFERENCE.series_integral(u, s, LAM, ALPHA).tobytes()

@@ -121,7 +121,7 @@ class TestRunScenario:
             passes, chunks, series = [], [], []
             monitor_columns = harness._monitor_columns
             volterra_weights = diagnostics._volterra_weights
-            series_integral = diagnostics._series_integral
+            series_integral = numerics._kernel.series_integral
 
             def count_pass(U, *args, **kwargs):
                 passes.append(len(U))
@@ -138,7 +138,8 @@ class TestRunScenario:
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "_monitor_columns", count_pass)
                 patch.setattr(diagnostics, "_volterra_weights", count_chunk)
-                patch.setattr(diagnostics, "_series_integral", count_series)
+                patch.setattr(numerics._kernel, "series_integral",
+                              count_series)
                 result = harness.run_scenario(cfg)
             return result, set(passes), set(chunks), set(series)
 

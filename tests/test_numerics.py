@@ -414,6 +414,14 @@ class TestThomasKernel:
         "exponent_at_1e15": ("&& decpt <= 16)", "&& decpt <= 15)"),
         # Java's two-digit minimum: 10 x 5e-324 as 4.9e-323, not 5e-323.
         "java_two_digits": ("if (s >= 10) {", "if (s >= 100) {"),
+        # The series path's Horner factor (a/2)/(m+1) as a multiply by the
+        # reciprocal of m + 1.
+        "series_reciprocal": ("half_b / (double)(m + 1)",
+                              "half_b * (1.0 / (m + 1))"),
+        # The top orders' power series one term short.
+        "horner_short": ("j > 0; j--", "j > 1; j--"),
+        # The downward recurrence's 2 (m+1) as 2 m.
+        "recurrence_2m": ("2.0 * (m + 1) * rm", "2.0 * m * rm"),
     }
 
     @needs_kernel
@@ -689,7 +697,7 @@ class TestSeam:
         pieces = vars(numerics.REFERENCE)
         assert list(pieces) == ["factor", "solve", "advance_rhs",
                                 "observer_rhs", "observer_update",
-                                "format_rows"]
+                                "format_rows", "series_integral"]
         for name, piece in pieces.items():
             assert list(inspect.signature(getattr(_thomas.Kernel, name))
                         .parameters)[1:] \
@@ -726,6 +734,17 @@ class TestSeam:
         for kernel in thomas_paths():
             with pytest.raises(ValueError, match="n >= 3"):
                 kernel.factor(2, 0.5)
+
+    def test_series_rejects_bad_stacks_alike(self):
+        # Both sets check the stack's shape and s's length before any
+        # arithmetic and raise one ValueError.
+        for u, s in ((np.zeros((2, 1)), np.zeros(2)), (np.zeros(3), np.zeros(1)),
+                     (np.zeros((2, 3)), np.zeros(3)),
+                     (np.zeros((2, 3)), np.zeros((2, 1)))):
+            raised = [outcome(kernel.series_integral, u, s, 0.1, PHYS.alpha)
+                      for kernel in thomas_paths()]
+            assert raised[0][0] is ValueError and "series path" in raised[0][1]
+            assert raised[1:] == raised[:-1]
 
 
 class TestValueErrorAudit:
