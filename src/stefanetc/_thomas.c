@@ -3,8 +3,9 @@
  * replaces: the Thomas factorization and substitution, the right-hand side
  * of `plant.advance_profile`, the observer gain `observer_gain` with the
  * influence right-hand side, the Sherman-Morrison update of
- * `observer.step_observer` with the trapezoid of its square, and the
- * series path of the inverse error transform.  Built with
+ * `observer.step_observer` with the trapezoids of it and of its square,
+ * the series path of the inverse error transform, and the monitor rows'
+ * trapezoids, controller transform and Lyapunov values.  Built with
  * -ffp-contract=off and -fno-fast-math, each expression is one IEEE double
  * operation per operator, evaluated as written, so every result has the
  * bits of that code: no a - b * c is fused into one rounding, and nothing
@@ -147,49 +148,55 @@ int observer_rhs(long n, const double *u_hat, double s, double sdot,
     return 0;
 }
 
-/* The trapezoid term h (y_{i+1}^2 + y_i^2) / 2. */
-static double square_term(const double *y, long i, double h)
+/* The trapezoid term h (y_{i+1}^2 + y_i^2) / 2 of the squares of y where
+ * `squared`, else h (y_{i+1} + y_i) / 2 of y itself. */
+static double trapezoid_term(const double *y, long i, double h, int squared)
 {
-    return h * (y[i + 1] * y[i + 1] + y[i] * y[i]) / 2.0;
+    if (squared)
+        return h * (y[i + 1] * y[i + 1] + y[i] * y[i]) / 2.0;
+    return h * (y[i + 1] + y[i]) / 2.0;
 }
 
 /* The sum of the m terms from i, in numpy's pairwise order: one
  * accumulator below 8 terms, 8 up to 128, and above that the halves split
  * at m / 2 rounded down to a multiple of 8. */
-static double pairwise_sum(const double *y, long i, long m, double h)
+static double pairwise_sum(const double *y, long i, long m, double h,
+                           int squared)
 {
     if (m < 8) {
         double sum = -0.0;
         for (long j = 0; j < m; j++)
-            sum += square_term(y, i + j, h);
+            sum += trapezoid_term(y, i + j, h, squared);
         return sum;
     }
     if (m <= 128) {
         double r[8];
         long j;
         for (j = 0; j < 8; j++)
-            r[j] = square_term(y, i + j, h);
+            r[j] = trapezoid_term(y, i + j, h, squared);
         for (j = 8; j < m - m % 8; j += 8)
             for (long l = 0; l < 8; l++)
-                r[l] += square_term(y, i + j + l, h);
+                r[l] += trapezoid_term(y, i + j + l, h, squared);
         double sum = ((r[0] + r[1]) + (r[2] + r[3]))
                      + ((r[4] + r[5]) + (r[6] + r[7]));
         for (; j < m; j++)
-            sum += square_term(y, i + j, h);
+            sum += trapezoid_term(y, i + j, h, squared);
         return sum;
     }
     long half = m / 2;
     half -= half % 8;
-    return pairwise_sum(y, i, half, h) + pairwise_sum(y, i + half, m - half, h);
+    return pairwise_sum(y, i, half, h, squared)
+           + pairwise_sum(y, i + half, m - half, h, squared);
 }
 
 /* The Sherman-Morrison update u_hat = u_star - z (dt w.u_star / (1 + dt
  * w.z)) of the n-node profiles, w.v the first-order interface slope
- * (v_{n-1} - v_{n-2}) / (h s), into out, and trapezoid(u_hat^2, s) into
- * norm_sq.  Returns 1 where |1 + dt w.z| < 1e-14, and 2 where an entry of
- * u_hat is not finite, each with norm_sq unwritten. */
+ * (v_{n-1} - v_{n-2}) / (h s), into out; trapezoid(u_hat^2, s) into
+ * sums[0] and the unit-interval trapezoid sum of u_hat into sums[1].
+ * Returns 1 where |1 + dt w.z| < 1e-14, and 2 where an entry of u_hat is
+ * not finite, each with sums unwritten. */
 int observer_update(long n, double s, double dt, const double *u_star,
-                    const double *z, double *out, double *norm_sq)
+                    const double *z, double *out, double *sums)
 {
     double h = 1.0 / (n - 1);
     double w_u_star = (u_star[n - 1] - u_star[n - 2]) / (h * s);
@@ -205,7 +212,95 @@ int observer_update(long n, double s, double dt, const double *u_star,
     }
     if (!finite)
         return 2;
-    *norm_sq = s * pairwise_sum(out, 0, n - 1, h);
+    sums[0] = s * pairwise_sum(out, 0, n - 1, h, 1);
+    sums[1] = pairwise_sum(out, 0, n - 1, h, 0);
+    return 0;
+}
+
+/* Whether the m values from v are all finite. */
+static int all_finite(long m, const double *v)
+{
+    for (long i = 0; i < m; i++)
+        if (!isfinite(v[i]))
+            return 0;
+    return 1;
+}
+
+/* numerics._lyapunov_rows of the k x n stacks u, u_hat and w_tilde,
+ * row-major, and the k values of s and m, into out, k values for each of
+ * ||u||^2, ||w_tilde||^2, int u, V1, V and W in turn; work holds 2 n
+ * doubles.  Per row: the three trapezoids; the controller transform w_hat
+ * node by node from the interface inwards, its running sums T0 of u_hat
+ * and T1 of x u_hat taking each panel (v_{j+1} + v_j); np.gradient's
+ * slope of w_tilde over s; their squares' trapezoids, V1, V = A V1 + m
+ * and W = V exp(-xi s).  Returns 1, with nothing written, where an entry
+ * of the stacks, s or m is not finite, and 2 where exp overflows, which
+ * Python's math.exp raises. */
+int lyapunov_rows(long k, long n, const double *u, const double *u_hat,
+                  const double *w_tilde, const double *s, const double *m,
+                  double s_r, double epsilon, double alpha, double beta,
+                  double c, double A, double B, double xi, double *work,
+                  double *out)
+{
+    if (!(all_finite(k * n, u) && all_finite(k * n, u_hat)
+          && all_finite(k * n, w_tilde) && all_finite(k, s)
+          && all_finite(k, m)))
+        return 1;
+    double h = 1.0 / (n - 1);
+    double c_beta = c / beta, beta_alpha = beta / alpha;
+    double weight_X = epsilon * alpha / (2.0 * beta);
+    double half_B = 0.5 * B;
+    double *w_hat = work, *slope = work + n;
+    for (long r = 0; r < k; r++) {
+        const double *ur = u + r * n, *vr = u_hat + r * n;
+        const double *wr = w_tilde + r * n;
+        double sr = s[r];
+        double X = sr - s_r;
+        double scale = sr / (double)(2 * (n - 1));
+        double t0 = 0.0, t1 = 0.0, above = 0.0, x_above = 0.0;
+        for (long j = n - 1; j >= 0; j--) {
+            double x = (j == n - 1 ? 1.0 : (double)j * h) * sr;
+            double v = vr[j], x_v = x * v;
+            if (j == n - 2) {
+                t0 = above + v;
+                t1 = x_above + x_v;
+            } else if (j < n - 2) {
+                t0 = t0 + (above + v);
+                t1 = t1 + (x_above + x_v);
+            }
+            above = v;
+            x_above = x_v;
+            double integral = (c_beta * x - epsilon) * (t0 * scale)
+                              - c_beta * (t1 * scale);
+            w_hat[j] = v - beta_alpha * integral
+                       - (c_beta * (x - sr) - epsilon) * X;
+        }
+        for (long j = 1; j < n - 1; j++)
+            slope[j] = (wr[j + 1] - wr[j - 1]) / (2.0 * h);
+        slope[0] = (wr[1] - wr[0]) / h;
+        slope[n - 1] = (wr[n - 1] - wr[n - 2]) / h;
+        for (long j = 0; j < n; j++)
+            slope[j] /= sr;
+        double u_sq = sr * pairwise_sum(ur, 0, n - 1, h, 1);
+        double w_sq = sr * pairwise_sum(wr, 0, n - 1, h, 1);
+        double u_int = sr * pairwise_sum(ur, 0, n - 1, h, 0);
+        double hat_sq = sr * pairwise_sum(w_hat, 0, n - 1, h, 1);
+        double slope_sq = sr * pairwise_sum(slope, 0, n - 1, h, 1);
+        double V1 = 0.5 * hat_sq + weight_X * X * X + 0.5 * w_sq
+                    + half_B * slope_sq;
+        double V = A * V1 + m[r];
+        double arg = -xi * sr;
+        double decay = exp(arg);
+        if (isinf(decay) && isfinite(arg))
+            return 2;
+        double *o = out + r;
+        o[0] = u_sq;
+        o[k] = w_sq;
+        o[2 * k] = u_int;
+        o[3 * k] = V1;
+        o[4 * k] = V;
+        o[5 * k] = V * decay;
+    }
     return 0;
 }
 

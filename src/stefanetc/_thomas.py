@@ -1,7 +1,7 @@
 """Build, cache and load the compiled kernel of the step, of the monitor's
-series path and of the series formatter, `_thomas.c`, and wrap it as
-`Kernel`, the compiled set of the seven pieces that `numerics.REFERENCE`
-holds in Python and numpy.
+series path and Lyapunov rows and of the series formatter, `_thomas.c`, and
+wrap it as `Kernel`, the compiled set of the eight pieces that
+`numerics.REFERENCE` holds in Python and numpy.
 
 `load(check)` returns ``(Kernel, "compiled")`` when the kernel builds, loads,
 finds scipy's i1 and passes `check`, else ``(None, "python: <reason>")``; it
@@ -54,11 +54,16 @@ int observer_rhs(long n, const double *u_hat, double s, double sdot,
                  double q, double dt, double k, double r, double lam,
                  double alpha, double slope, bessel_i1 i1, double *rhs);
 int observer_update(long n, double s, double dt, const double *u_star,
-                    const double *z, double *out, double *norm_sq);
+                    const double *z, double *out, double *sums);
 static const int SERIES_ORDERS;
 static const int TOP_ORDER_TERMS;
 void series_integral(long k, long n, const double *u, const double *s,
                      double lam, double alpha, const double *c, double *out);
+int lyapunov_rows(long k, long n, const double *u, const double *u_hat,
+                  const double *w_tilde, const double *s, const double *m,
+                  double s_r, double epsilon, double alpha, double beta,
+                  double c, double A, double B, double xi, double *work,
+                  double *out);
 static const int POW10_K_MIN;
 static const int POW10_K_MAX;
 static const int REPR_MAX;
@@ -170,6 +175,7 @@ def _scipy_i1_address() -> int:
 
 SINGULAR = "singular injection correction"
 NON_FINITE = "observer profile became non-finite"
+NON_FINITE_ROWS = "the monitor rows need finite stacks, s, m and weights"
 # Formatted with the set's largest Bessel argument.
 BESSEL_DOMAIN = "Bessel argument outside [0, {:g}]"
 
@@ -208,6 +214,24 @@ def series_args(u_tilde, s):
     return u_tilde, s
 
 
+def lyapunov_args(u, u_hat, w_tilde, s, m, weights):
+    """u, u_hat and w_tilde as contiguous float64 (k, n) stacks of one
+    shape with n >= 2, and s and m as contiguous float64 arrays of their k
+    values (the `lyapunov_rows` piece); raises ValueError where one of the
+    eight scalar `weights` is not finite."""
+    stacks = [np.ascontiguousarray(a, dtype=float) for a in (u, u_hat,
+                                                             w_tilde, s, m)]
+    shape = stacks[0].shape
+    if len(shape) != 2 or shape[1] < 2 \
+            or any(a.shape != shape for a in stacks[1:3]) \
+            or any(a.shape != shape[:1] for a in stacks[3:]):
+        raise ValueError("the monitor rows need (k, n) stacks of one shape "
+                         "with n >= 2 and k values of s and m")
+    if not all(map(math.isfinite, weights)):
+        raise ValueError(NON_FINITE_ROWS)
+    return stacks
+
+
 def profile(u, like=None):
     """u as a contiguous float64 profile: 1-D, of at least 2 nodes, and of
     the length of the profile `like` where one is given."""
@@ -219,7 +243,7 @@ def profile(u, like=None):
 
 
 class Kernel:
-    """The compiled set of the seven pieces.  Each method has the signature
+    """The compiled set of the eight pieces.  Each method has the signature
     of its namesake in `numerics.REFERENCE`, makes its size checks, and
     returns its bits or raises its exception with its message."""
 
@@ -235,10 +259,10 @@ class Kernel:
         self.top_order = self.ffi.new("double[]", top_order_coefficients(
             self.lib.SERIES_ORDERS, self.lib.TOP_ORDER_TERMS))
         # The last factor's bands with their cdata, which `solve` reuses
-        # when it is passed those same arrays, and the cell `observer_update`
-        # writes its norm into.
+        # when it is passed those same arrays, and the cells `observer_update`
+        # writes its two trapezoid sums into.
         self._bands = (None, None, None, None)
-        self._norm_sq = self.ffi.new("double *")
+        self._sums = self.ffi.new("double[2]")
 
     def factor(self, n, r):
         r = factor_args(n, r)
@@ -286,10 +310,10 @@ class Kernel:
         failed = self.lib.observer_update(u_star.size, s, dt,
                                           buf("double[]", u_star),
                                           buf("double[]", z),
-                                          buf("double[]", out), self._norm_sq)
+                                          buf("double[]", out), self._sums)
         if failed:
             raise NumericalFailure(SINGULAR if failed == 1 else NON_FINITE)
-        return out, self._norm_sq[0]
+        return out, self._sums[0], self._sums[1]
 
     def series_integral(self, u_tilde, s, lam, alpha):
         u_tilde, s = series_args(u_tilde, s)
@@ -298,6 +322,22 @@ class Kernel:
         self.lib.series_integral(*u_tilde.shape, buf("double[]", u_tilde),
                                  buf("double[]", s), lam, alpha,
                                  self.top_order, buf("double[]", out))
+        return out
+
+    def lyapunov_rows(self, u, u_hat, w_tilde, s, m, s_r, epsilon, alpha,
+                      beta, c, A, B, xi):
+        weights = (s_r, epsilon, alpha, beta, c, A, B, xi)
+        stacks = lyapunov_args(u, u_hat, w_tilde, s, m, weights)
+        k, n = stacks[0].shape
+        work, out = np.empty(2 * n), np.empty((6, k))
+        buf = self.ffi.from_buffer
+        failed = self.lib.lyapunov_rows(
+            k, n, *(buf("double[]", a) for a in stacks), *weights,
+            buf("double[]", work), buf("double[]", out))
+        if failed == 1:
+            raise ValueError(NON_FINITE_ROWS)
+        if failed:
+            raise OverflowError("math range error")
         return out
 
     def format_rows(self, rows, buf):

@@ -7,7 +7,12 @@ The continuous law drives the interface to the setpoint s_r:
 Event-triggered and periodic modes apply it in zero-order-hold fashion; the
 "continuous" baseline is a ZOH at every solver step, the finest rate a
 discrete simulator can realize.  The law takes the integral and X that the
-supervision of an instant has measured, so u_hat is integrated once there.
+supervision of an instant has measured.  That integral is folded into the
+observer step: its update returns the unit-interval trapezoid sum of the
+new u_hat, and the supervision multiplies it by s, which has the bits of
+`integral_u_hat(u_hat, s)`, since the trapezoid multiplies by the length
+last.  So `integral_u_hat` itself runs once per run, on the initial
+profile.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from .numerics import trapezoid
 
 
 def integral_u_hat(u_hat: np.ndarray, s: float) -> float:
-    """Physical integral of the observer temperature error over [0, s]."""
+    """Physical integral of the observer temperature error over [0, s];
+    at s = 1.0, its unit-interval trapezoid sum."""
     return trapezoid(u_hat, s)
 
 

@@ -12,10 +12,15 @@ of them feeds the closed loop, and nothing the loop uses is computed here.
 The monitors take (K, n) stacks of K instants with length-K s (and X, m);
 each row has the bits of a one-row stack.  The controller transform's kernel
 phi is affine, so its Volterra integral is two right-cumulative trapezoid
-sums: O(n) per row.  The inverse error transform takes one of two paths
-per row, chosen here by where the series converges.  A row with
-z = sqrt(lam/alpha) s below the first zero of J1 takes the series path,
-the `series_integral` piece of `numerics._kernel` (its reference and
+sums: O(n) per row.  It lives in `numerics`, beside the reference of the
+`lyapunov_rows` piece that applies it, and is bound here for `f_kernel`;
+`lyapunov_values` is one call of that piece of `numerics._kernel`, the
+last of the seam's eight, which returns the monitor pass's trapezoids and
+Lyapunov values after the inverse error transform.  The inverse error
+transform takes one of two paths per row, chosen here by where the series
+converges.  A row with z = sqrt(lam/alpha) s below the first zero of J1
+takes the series path, the `series_integral` piece of `numerics._kernel`
+(its reference and
 constants live in `numerics`): the multiplication theorem splits the
 Bessel ratio at j^2 - i^2 into SERIES_ORDERS products of powers of i^2
 and Bessel functions of j^2, so the integral is that many
@@ -42,12 +47,7 @@ import numpy as np
 
 from . import numerics
 from .numerics import (J1_FIRST_ZERO, observer_gain, ratio_J1_sqrt, simpson,
-                       trapezoid, unit_grid)
-
-
-def phi_kernel(x, c: float, beta: float, epsilon: float):
-    """Direct controller-transform kernel phi(x) = (c/beta) x - epsilon."""
-    return (c / beta) * np.asarray(x, dtype=float) - epsilon
+                       transform_controller_direct, unit_grid)
 
 
 # Bound on the entries of one (k, n, n) Volterra matrix stack: the inverse
@@ -138,30 +138,6 @@ def transform_error_inverse(u_tilde: np.ndarray, s: np.ndarray, lam: float,
     return u_tilde - integral
 
 
-def transform_controller_direct(u_hat: np.ndarray, X: np.ndarray,
-                                s: np.ndarray, epsilon: float, alpha: float,
-                                beta: float, c: float) -> np.ndarray:
-    """w_hat = u_hat - (beta/alpha) int_x^s phi(x-y) u_hat dy - phi(x-s) X,
-    for a (K, n) stack u_hat and length-K X and s.
-
-    phi(x - y) = ((c/beta) x - epsilon) - (c/beta) y is affine, so the
-    trapezoid sum of the integral is ((c/beta) x - epsilon) T0 - (c/beta)
-    T1, with T0 and T1 the right-cumulative trapezoid sums of u_hat and
-    y u_hat: O(n) per row.
-    """
-    n = u_hat.shape[1]
-    x = unit_grid(n) * s[:, None]
-    # Panels (v_j + v_{j+1}) summed from the interface inwards; the last
-    # node (x = s) has an empty integral.
-    v = np.stack((u_hat, x * u_hat))
-    T = np.zeros(v.shape)
-    T[..., :-1] = np.cumsum(v[..., :0:-1] + v[..., -2::-1], axis=-1)[..., ::-1]
-    T *= (s / (2 * (n - 1)))[:, None]
-    integral = ((c / beta) * x - epsilon) * T[0] - (c / beta) * T[1]
-    return u_hat - (beta / alpha) * integral \
-        - phi_kernel(x - s[:, None], c, beta, epsilon) * X[:, None]
-
-
 def f_kernel(n: int, s: float, lam: float, alpha: float, beta: float,
              c: float, epsilon: float) -> np.ndarray:
     """Forcing kernel f(x,s) = p - (beta/alpha) int_x^s phi(x-y) p dy + beta phi(x-s)
@@ -213,36 +189,16 @@ def f_max(L: float, lam: float, alpha: float, beta: float, c: float,
     return fine
 
 
-def lyapunov_values(w_tilde: np.ndarray, tilde_sq: np.ndarray,
-                    u_hat: np.ndarray, s: np.ndarray, m: np.ndarray,
-                    s_r: float, epsilon: float, phys, c: float, derived):
-    """(V1, V, W) from (K, n) stacks of the transformed observer error
-    w_tilde (see `transform_error_inverse`) and the observer profile u_hat,
-    length-K tilde_sq = trapezoid(w_tilde^2, s), which the monitor pass
-    integrates once for ||w_tilde|| and V1, and length-K s and m, with the
-    weights A, B and xi of `derived` (a `params.TriggerDerived`): V = A V1 +
-    m and W = V e^{-xi s}, three length-K arrays.
+def lyapunov_values(U: np.ndarray, U_hat: np.ndarray, w_tilde: np.ndarray,
+                    s: np.ndarray, m: np.ndarray, s_r: float, epsilon: float,
+                    phys, c: float, derived) -> np.ndarray:
+    """(||u||^2, ||w_tilde||^2, int u, V1, V, W) over [0, s] from (K, n)
+    stacks of the plant profile U, the observer profile U_hat and the
+    transformed observer error w_tilde (see `transform_error_inverse`),
+    and length-K s and m, with the weights A, B and xi of `derived` (a
+    `params.TriggerDerived`): V = A V1 + m and W = V e^{-xi s}, a (6, K)
+    array from one call of the `lyapunov_rows` piece of `numerics._kernel`.
     """
-    X = s - s_r
-    w_hat = transform_controller_direct(u_hat, X, s, epsilon, phys.alpha,
-                                        phys.beta, c)
-    # np.gradient(w_tilde, h, axis=-1)'s own expressions (edge order 1),
-    # over s for the physical slope.
-    h = 1.0 / (w_tilde.shape[1] - 1)
-    slope = np.empty(w_tilde.shape)
-    slope[:, 1:-1] = (w_tilde[:, 2:] - w_tilde[:, :-2]) / (2.0 * h)
-    slope[:, 0] = (w_tilde[:, 1] - w_tilde[:, 0]) / h
-    slope[:, -1] = (w_tilde[:, -1] - w_tilde[:, -2]) / h
-    slope /= s[:, None]
-    # One quadrature for the two integrands.
-    squares = np.stack((w_hat, slope))
-    squares *= squares
-    hat_sq, slope_sq = trapezoid(squares, s)
-    V1 = 0.5 * hat_sq \
-        + epsilon * phys.alpha / (2.0 * phys.beta) * X * X \
-        + 0.5 * tilde_sq \
-        + 0.5 * derived.B * slope_sq
-    V = derived.A * V1 + m
-    # math.exp per row: np.exp does not give the same bits.
-    W = V * np.array([math.exp(-derived.xi * si) for si in s.tolist()])
-    return V1, V, W
+    return numerics._kernel.lyapunov_rows(
+        U, U_hat, w_tilde, s, m, s_r, epsilon, phys.alpha, phys.beta, c,
+        derived.A, derived.B, derived.xi)

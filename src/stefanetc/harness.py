@@ -17,7 +17,17 @@ a path per row: a row whose sqrt(lam/alpha) s is below the first zero of J1
 takes the O(n) series path, and every other row the O(n^2) gathered kernel,
 on chunks of at most diagnostics.MONITOR_STACK_ENTRIES // n^2 of those
 rows, so the number of buffered rows and the size of the kernel stack are
-set apart.  Every row is bitwise the value a pass per step would give.
+set apart.  After the inverse transform, one call of the `lyapunov_rows`
+piece (`diagnostics.lyapunov_values`) gives each row's norms, energy
+integral and Lyapunov values.  Every row is bitwise the value a pass per
+step would give.
+
+The integral of u_hat that the feedback law and the trigger read comes
+out of the observer update: its `observer_update` piece returns the
+unit-interval trapezoid sum of the new profile, and `supervise` scales it
+by s, which has the bits of `trapezoid(u_hat, s)`, since the trapezoid
+multiplies by the length last.  Only `start` integrates u_hat itself.
+
 Validity breaches end the run with a structured record, which carries the
 loop's state at the breach, instead of an exception escaping.
 """
@@ -88,9 +98,9 @@ class ScenarioResult:
 class ClosedLoop:
     """The feedback state of one run and the constants it is stepped with.
 
-    The state is the plant's u, s and sdot, the observer's u_hat, m, the
-    held input q_j, the last event time t_j, the event snapshot and the
-    run's one clock t.
+    The state is the plant's u, s and sdot, the observer's u_hat with its
+    unit-interval trapezoid sum, m, the held input q_j, the last event time
+    t_j, the event snapshot and the run's one clock t.
     `start` immobilizes the initial data.  Then, per step, `supervise`
     takes the decision at the current instant and returns its row of
     FEEDBACK_COLUMNS, and `step` advances to the next instant, with one
@@ -115,7 +125,7 @@ class ClosedLoop:
 
         self.t = 0.0
         self.u = self.u_hat = None
-        self.s = self.sdot = math.nan
+        self.s = self.sdot = self.u_hat_sum = math.nan
         self.m, self.q_j, self.t_j = trig.m0, math.nan, 0.0
         self.snapshot: trigger.Snapshot | None = None
         self.events: list[trigger.EventRecord] = []
@@ -129,15 +139,16 @@ class ClosedLoop:
         self.u = plant.immobilize(init.T0, s, phys, n)
         self.u_hat = plant.immobilize(init.T0_hat, s, phys, n)
         self.s, self.sdot = s, plant.interface_velocity(self.u, s, self.beta)
+        self.u_hat_sum = control.integral_u_hat(self.u_hat, 1.0)
         # The snapshot starts at the t = 0 values, so d = 0 at the initial event.
-        self.snapshot = trigger.Snapshot(
-            integral_u_hat=control.integral_u_hat(self.u_hat, s), X=s - self.s_r)
+        self.snapshot = trigger.Snapshot(integral_u_hat=s * self.u_hat_sum,
+                                         X=s - self.s_r)
 
     def supervise(self) -> tuple:
         """Measure, decide on an event and update the held input at t."""
         t, u, u_hat, s, sdot = self.t, self.u, self.u_hat, self.s, self.sdot
         X = s - self.s_r
-        integral = control.integral_u_hat(u_hat, s)
+        integral = s * self.u_hat_sum
         d = trigger.deviation(integral, X, self.snapshot, self.c, self.alpha,
                               self.beta)
 
@@ -180,7 +191,7 @@ class ClosedLoop:
         factor = plant.implicit_factor(s, dt, self.alpha, self.n)
         u, s_new, sdot_new = plant.step_plant(self.u, s, sdot, phys, q_j, dt,
                                               factor)
-        u_hat, u_hat_sq = observer.step_observer(
+        u_hat, u_hat_sq, u_hat_sum = observer.step_observer(
             self.u_hat, s, sdot, phys, self.lam, q_j, dt, -sdot_new / self.beta,
             factor)
         if self.period is None:
@@ -188,7 +199,8 @@ class ClosedLoop:
             self.m = trigger.step_m(self.m, d, max(u_hat_sq, 0.0), X * X,
                                     err_slope * err_slope, self.eta,
                                     *self.weights, dt)
-        self.u, self.u_hat, self.s, self.sdot = u, u_hat, s_new, sdot_new
+        self.u, self.u_hat, self.u_hat_sum = u, u_hat, u_hat_sum
+        self.s, self.sdot = s_new, sdot_new
 
     def breach_record(self, exc: ValidityBreach | NumericalFailure) -> BreachRecord:
         return BreachRecord(
@@ -216,12 +228,9 @@ def _monitor_columns(U, E, U_hat, feedback, cfg, derived):
     s, m, d = feedback["s"], feedback["m"], feedback["d"]
     err_norm = observer.error_norms(E, s)
     w_tilde = diagnostics.transform_error_inverse(E, s, ctrl.lam, phys.alpha)
-    # One quadrature for the two squared norms and the energy.
-    u_sq, w_tilde_sq, u_int = numerics.trapezoid(
-        np.stack((U * U, w_tilde * w_tilde, U)), s)
-    V1, V, W = diagnostics.lyapunov_values(w_tilde, w_tilde_sq, U_hat, s, m,
-                                           ctrl.s_r, ctrl.epsilon, phys,
-                                           ctrl.c, derived)
+    u_sq, w_tilde_sq, u_int, V1, V, W = diagnostics.lyapunov_values(
+        U, U_hat, w_tilde, s, m, ctrl.s_r, ctrl.epsilon, phys, ctrl.c,
+        derived)
     return {"T0_boundary": phys.Tm + U[:, 0], "d_squared": d * d,
             "gamma_m": cfg.trig.gamma * m,
             "norm_T_Tm": np.sqrt(np.maximum(u_sq, 0.0)),

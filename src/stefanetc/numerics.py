@@ -7,14 +7,17 @@ in [0, 1] with n nodes and spacing h = 1/(n-1); a physical integral over
 [0, s] is s times the unit-interval integral.
 
 The per-node arithmetic of a closed-loop step, the formatting of
-series.csv and the series path of the inverse error transform are seven
-pieces with one signature each: `factor(n, r)`,
-`solve(lower, ratios, pivots, rhs)`, `advance_rhs(u, s, sdot, q, dt, k, r)`,
+series.csv, the series path of the inverse error transform and the
+monitor rows' Lyapunov values are eight pieces with one signature each:
+`factor(n, r)`, `solve(lower, ratios, pivots, rhs)`,
+`advance_rhs(u, s, sdot, q, dt, k, r)`,
 `observer_rhs(u_hat, s, sdot, q, dt, k, r, lam, alpha, slope)`,
-`observer_update(u_star, z, s, dt)`, `format_rows(rows, buf)` and
-`series_integral(u_tilde, s, lam, alpha)`.  `REFERENCE` is the set of them
-in Python and numpy, defined below with the observer gain, the interface
-slope and the series constants they use; `_thomas.Kernel` is the compiled
+`observer_update(u_star, z, s, dt)`, `format_rows(rows, buf)`,
+`series_integral(u_tilde, s, lam, alpha)` and
+`lyapunov_rows(u, u_hat, w_tilde, s, m, s_r, epsilon, alpha, beta, c, A,
+B, xi)`.  `REFERENCE` is the set of them in Python and numpy, defined
+below with the observer gain, the interface slope, the series constants
+and the controller transform they use; `_thomas.Kernel` is the compiled
 set.  `_kernel` holds one of the two, chosen once at the end of
 this module's import.  The compiled pieces do the same IEEE operations in
 the same order, built with -O2 -ffp-contract=off -fno-fast-math and no
@@ -38,7 +41,8 @@ import numpy as np
 from scipy import special
 
 from . import _thomas
-from ._thomas import BESSEL_DOMAIN, NON_FINITE, SINGULAR, profile
+from ._thomas import (BESSEL_DOMAIN, NON_FINITE, NON_FINITE_ROWS, SINGULAR,
+                      profile)
 from .errors import NumericalFailure
 
 # Largest Bessel argument accepted before exp(z) overflows double precision.
@@ -259,8 +263,9 @@ def observer_rhs(u_hat, s, sdot, q, dt, k, r, lam, alpha, slope):
 
 def sherman_morrison(u_star, z, s: float, dt: float):
     """The new observer profile u* - z dt w.u* / (1 + dt w.z), w.v the
-    `boundary_slope` of v, and its `trapezoid` of the square over s: the
-    `observer_update` piece."""
+    `boundary_slope` of v, its `trapezoid` of the square over s and its
+    `trapezoid` over the unit interval, whose product with s has the bits
+    of its `trapezoid` over s: the `observer_update` piece."""
     u_star = profile(u_star)
     z = profile(z, u_star)
     w_u_star = boundary_slope(u_star, s)
@@ -272,10 +277,12 @@ def sherman_morrison(u_star, z, s: float, dt: float):
     u_hat_new = u_star - z * (dt * w_u_star / denom)
     if not np.isfinite(u_hat_new).all():
         raise NumericalFailure(NON_FINITE)
-    # The square of a finite profile may overflow to inf, which the
-    # compiled piece passes on without a warning; so does this one.
-    with np.errstate(over="ignore"):
-        return u_hat_new, trapezoid(u_hat_new * u_hat_new, s)
+    # The square of a finite profile, and its sums, may overflow to inf, and
+    # a sum may meet infinities of both signs, which the compiled piece
+    # passes on without a warning; so does this one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (u_hat_new, trapezoid(u_hat_new * u_hat_new, s),
+                trapezoid(u_hat_new, 1.0))
 
 
 # The first positive zero j_{1,1} of J1.
@@ -354,6 +361,80 @@ def _series_integral(u_tilde, s, lam, alpha):
     return out
 
 
+def phi_kernel(x, c: float, beta: float, epsilon: float):
+    """Direct controller-transform kernel phi(x) = (c/beta) x - epsilon."""
+    return (c / beta) * np.asarray(x, dtype=float) - epsilon
+
+
+def transform_controller_direct(u_hat: np.ndarray, X: np.ndarray,
+                                s: np.ndarray, epsilon: float, alpha: float,
+                                beta: float, c: float) -> np.ndarray:
+    """w_hat = u_hat - (beta/alpha) int_x^s phi(x-y) u_hat dy - phi(x-s) X,
+    for a (K, n) stack u_hat and length-K X and s.
+
+    phi(x - y) = ((c/beta) x - epsilon) - (c/beta) y is affine, so the
+    trapezoid sum of the integral is ((c/beta) x - epsilon) T0 - (c/beta)
+    T1, with T0 and T1 the right-cumulative trapezoid sums of u_hat and
+    y u_hat: O(n) per row.
+    """
+    n = u_hat.shape[1]
+    x = unit_grid(n) * s[:, None]
+    # Panels (v_j + v_{j+1}) summed from the interface inwards; the last
+    # node (x = s) has an empty integral.
+    v = np.stack((u_hat, x * u_hat))
+    T = np.zeros(v.shape)
+    T[..., :-1] = np.cumsum(v[..., :0:-1] + v[..., -2::-1], axis=-1)[..., ::-1]
+    T *= (s / (2 * (n - 1)))[:, None]
+    integral = ((c / beta) * x - epsilon) * T[0] - (c / beta) * T[1]
+    return u_hat - (beta / alpha) * integral \
+        - phi_kernel(x - s[:, None], c, beta, epsilon) * X[:, None]
+
+
+def _lyapunov_rows(u, u_hat, w_tilde, s, m, s_r, epsilon, alpha, beta, c,
+                   A, B, xi):
+    """The monitor columns of K rows after the inverse error transform,
+    from (K, n) stacks of u, u_hat and w_tilde and length-K s and m: a
+    (6, K) array of ||u||^2, ||w_tilde||^2 and int u over [0, s], V1,
+    V = A V1 + m and W = V e^{-xi s}, with X = s - s_r, w_hat the
+    `transform_controller_direct` of u_hat and the weights A, B and xi of
+    a `params.TriggerDerived`.  The `lyapunov_rows` piece; like the
+    compiled one, it passes on infinities and NaNs without a warning, and
+    both reject non-finite input, whose NaNs the two would order apart.
+    """
+    weights = (s_r, epsilon, alpha, beta, c, A, B, xi)
+    u, u_hat, w_tilde, s, m = _thomas.lyapunov_args(u, u_hat, w_tilde, s, m,
+                                                    weights)
+    if not all(np.isfinite(a).all() for a in (u, u_hat, w_tilde, s, m)):
+        raise ValueError(NON_FINITE_ROWS)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # One quadrature for the two squared norms and the energy.
+        u_sq, tilde_sq, u_int = trapezoid(
+            np.stack((u * u, w_tilde * w_tilde, u)), s)
+        X = s - s_r
+        w_hat = transform_controller_direct(u_hat, X, s, epsilon, alpha,
+                                            beta, c)
+        # np.gradient(w_tilde, h, axis=-1)'s own expressions (edge order 1),
+        # over s for the physical slope.
+        h = 1.0 / (w_tilde.shape[1] - 1)
+        slope = np.empty(w_tilde.shape)
+        slope[:, 1:-1] = (w_tilde[:, 2:] - w_tilde[:, :-2]) / (2.0 * h)
+        slope[:, 0] = (w_tilde[:, 1] - w_tilde[:, 0]) / h
+        slope[:, -1] = (w_tilde[:, -1] - w_tilde[:, -2]) / h
+        slope /= s[:, None]
+        # One quadrature for the two integrands.
+        squares = np.stack((w_hat, slope))
+        squares *= squares
+        hat_sq, slope_sq = trapezoid(squares, s)
+        V1 = 0.5 * hat_sq \
+            + epsilon * alpha / (2.0 * beta) * X * X \
+            + 0.5 * tilde_sq \
+            + 0.5 * B * slope_sq
+        V = A * V1 + m
+        # math.exp per row: np.exp does not give the same bits.
+        W = V * np.array([math.exp(-xi * si) for si in s.tolist()])
+    return np.stack((u_sq, tilde_sq, u_int, V1, V, W))
+
+
 def _format_rows(rows: np.ndarray, buf: bytearray) -> bytes:
     """The CSV lines of a 2-D float array: the repr of each value, "," between
     the values of a row and "\r\n" after each row; `buf`, which the compiled
@@ -423,6 +504,43 @@ def _check_cases():
     for u, s in ((np.zeros((2, 1)), np.zeros(2)), (np.zeros(3), np.zeros(1)),
                  (np.zeros((2, 3)), np.zeros(3))):
         yield "series_integral", (u, s, lam, alpha)
+    # The monitor rows: stacks of n from 2 to 400 and an odd number of rows,
+    # whose s are 0, tiny and mid-range, with signed zeros, subnormals and
+    # +-1e300 in them, under weights (s_r, epsilon, alpha, beta, c, A, B,
+    # xi) where V1's slope term, its controller-transform term and its X
+    # term lead in turn; stacks, s, m and weights with a non-finite entry,
+    # an s whose e^{-xi s} overflows, and stacks of the wrong shapes.
+    weight_sets = ((2.0, 10.0, alpha, 0.25, 3e-4, 1.3, 7.9e4, 0.9),
+                   (1.1, 1e-3, 0.3, 1.9, 2.3, 1.1, 0.0, 0.2),
+                   (-37.0, 0.011, 3.0, 0.1, 1e-4, 0.9, 0.0, 0.4))
+    weights = weight_sets[0]
+    s = np.array([0.0, 1e-300, 1.7, 0.35, 2.9])
+    m = np.array([1e-4, 0.0, 2.5, 1e-300, 7.0])
+    specials = ([-0.0, 0.0, 5e-324, -2.5e-310], [1e300, -1e300, 1e300, 3.0])
+    for n in (2, 3, 21, 161, 400):
+        stacks = np.sin(0.4 + np.arange(15.0 * n)).reshape(3, 5, n)
+        for rows, special in zip((stacks[:, 1], stacks[:, 3]), specials):
+            for row in rows:
+                np.put(row, range(0, n, 2)[:4], special)
+        for case_weights in weight_sets:
+            yield "lyapunov_rows", (*stacks, s, m, *case_weights)
+    stacks = np.cos(np.arange(3 * 5 * 21.0)).reshape(3, 5, 21)
+    for i, value in enumerate((math.nan, math.inf, -math.inf)):
+        bad = stacks.copy()
+        bad[i, 2, 7] = value
+        yield "lyapunov_rows", (*bad, s, m, *weights)
+    for bad_s, bad_m, bad_weights in (
+            (np.where(s == 1.7, math.nan, s), m, weights),
+            (s, np.where(m == 2.5, math.inf, m), weights),
+            (s, m, weights[:6] + (math.inf,) + weights[7:]),
+            (np.where(s == 1.7, -1e3, s), m, weights)):
+        yield "lyapunov_rows", (*stacks, bad_s, bad_m, *bad_weights)
+    for u, u_hat, w_tilde, s_rows, m_rows in (
+            (*stacks[:, :, :1], s, m),
+            (stacks[0], stacks[1, :, 1:], stacks[2], s, m),
+            (*stacks, s[1:], m), (*stacks, s, m[:, None]),
+            (*stacks[:, 0], s[:1], m[:1])):
+        yield "lyapunov_rows", (u, u_hat, w_tilde, s_rows, m_rows, *weights)
     # The formatter: every power of two, the neighbours of every 16th, the
     # first 300 subnormals, the powers of ten, both sides of the switches
     # to exponent notation at 1e-4 and 1e16 with both signs, and +-0, +-inf
@@ -450,7 +568,7 @@ def _outcome(piece, args):
     turn, or the type and message of the exception it raises."""
     try:
         result = piece(*args)
-    except (ValueError, NumericalFailure) as exc:
+    except (ValueError, OverflowError, NumericalFailure) as exc:
         return type(exc), str(exc)
     return b"".join(part if isinstance(part, (bytes, memoryview))
                     else np.asarray(part).tobytes()
@@ -472,7 +590,8 @@ def check_kernel(kernel) -> bool:
 REFERENCE = types.SimpleNamespace(
     factor=_factor_loops, solve=_solve_loops, advance_rhs=advance_rhs,
     observer_rhs=observer_rhs, observer_update=sherman_morrison,
-    format_rows=_format_rows, series_integral=_series_integral)
+    format_rows=_format_rows, series_integral=_series_integral,
+    lyapunov_rows=_lyapunov_rows)
 
 # The set of pieces the step and `harness.emit_outputs` call: the kernel
 # when it built, loaded, found scipy's i1 and passed the check, and

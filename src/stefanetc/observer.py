@@ -35,8 +35,9 @@ def error_slope(u: np.ndarray, u_hat: np.ndarray, s: float) -> float:
 def step_observer(u_hat, s: float, sdot: float, phys, lam: float, q: float,
                   dt: float, measured_slope: float, factor):
     """Advance the observer profile u_hat one step, paired with the plant
-    step at the same dt, and return the new profile and
-    trapezoid(u_hat_new^2, s), the source of m.
+    step at the same dt, and return the new profile,
+    trapezoid(u_hat_new^2, s), the source of m, and trapezoid(u_hat_new,
+    1.0), whose product with the new s is the feedback law's integral.
 
     s and sdot are the measurements at the old time level; they drive the
     advection of the shared moving grid.  `measured_slope` is the freshest

@@ -191,11 +191,11 @@ class TestForcingKernel:
                 x = unit_grid(n) * L
                 p = np.abs(oracles.observer_gain(x, L, lam, alpha))
                 whole = (beta / alpha) * (
-                    np.abs(dg.phi_kernel(x, c, beta, eps))
+                    np.abs(numerics.phi_kernel(x, c, beta, eps))
                     * oracles.right_integral(p, x)[0]
                     + (c / beta) * oracles.right_integral(x * p, x)[0])
                 bound = TRANSFORM_RTOL * (
-                    p + whole + beta * np.abs(dg.phi_kernel(x - L, c, beta, eps)))
+                    p + whole + beta * np.abs(numerics.phi_kernel(x - L, c, beta, eps)))
                 ref = oracles.forcing_kernel(x, L, lam, alpha, beta, c, eps)
                 got = dg.f_kernel(n, L, lam, alpha, beta, c, eps)
                 assert (np.abs(got - ref) <= bound).all(), (n, L, lam)
@@ -233,12 +233,37 @@ class TestForcingKernel:
 class TestLyapunov:
     def test_rest_state_values(self, derived):
         m0 = 1e-4
-        (V1,), (V,), (W,) = dg.lyapunov_values(
-            np.zeros((1, 21)), np.zeros(1), np.zeros((1, 21)), np.array([2.0]),
-            np.array([m0]), 2.0, EPS, PHYS, C, derived)
+        *_, (V1,), (V,), (W,) = dg.lyapunov_values(
+            np.zeros((1, 21)), np.zeros((1, 21)), np.zeros((1, 21)),
+            np.array([2.0]), np.array([m0]), 2.0, EPS, PHYS, C, derived)
         assert V1 == 0.0
         assert V == m0
         assert W == pytest.approx(m0 * math.exp(-derived.xi * 2.0), rel=1e-12)
+
+    @pytest.mark.skipif(numerics._kernel is numerics.REFERENCE,
+                        reason=numerics.THOMAS_KERNEL)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 400), st.integers(1, 8).flatmap(
+        lambda k: arrays(np.float64, k, elements=st.floats(0.0, PHYS.L))),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_compiled_rows_match_reference(self, derived, n, s, wide, seed):
+        # The compiled monitor rows against numpy's, byte for byte, on
+        # stacks of values in [-50, 50] or of both signs from 1e-300 to
+        # 1e300, whose squares and sums overflow, with signed zeros and
+        # subnormals among them.
+        rng = np.random.default_rng(seed)
+        shape = (3, s.size, n)
+        stacks = rng.choice((-1.0, 1.0), shape) \
+            * 10.0 ** rng.uniform(-300.0, 300.0, shape) if wide \
+            else rng.uniform(-50.0, 50.0, shape)
+        stacks.reshape(-1)[rng.integers(0, stacks.size, 4)] = (
+            0.0, -0.0, 5e-324, -2.5e-310)
+        m = 10.0 ** rng.uniform(-8.0, 2.0, s.size)
+        args = (*stacks, s, m, 2.0, EPS, ALPHA, BETA, C, derived.A, derived.B,
+                derived.xi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert numerics._kernel.lyapunov_rows(*args).tobytes() \
+                == numerics.REFERENCE.lyapunov_rows(*args).tobytes()
 
     def test_weights_positive(self, derived):
         assert derived.B > 0.0 and derived.xi > 0.0
@@ -309,11 +334,10 @@ class TestStacks:
             dg.transform_controller_direct(U, X, s, EPS, ALPHA, BETA, C),
             [dg.transform_controller_direct(U[r], X[r], s[r], EPS, ALPHA,
                                             BETA, C) for r in rows])
-        stacked = dg.lyapunov_values(W, trapezoid(W * W, s), U, s, m, 2.0,
-                                     EPS, PHYS, C, derived)
-        singles = [dg.lyapunov_values(W[r], trapezoid(W[r] * W[r], s[r]),
-                                      U[r], s[r], m[r], 2.0, EPS, PHYS, C,
-                                      derived) for r in rows]
+        stacked = dg.lyapunov_values(E, U, W, s, m, 2.0, EPS, PHYS, C,
+                                     derived)
+        singles = [dg.lyapunov_values(E[r], U[r], W[r], s[r], m[r], 2.0, EPS,
+                                      PHYS, C, derived) for r in rows]
         for column, values in zip(stacked, zip(*singles)):
             assert same_bits(column, np.concatenate(values))
 
@@ -333,25 +357,25 @@ class TestStacks:
             got = oracles.error_inverse(e, si, LAM, ALPHA)
             assert (np.abs(got - reference) <= bound).all()
             X = si - 2.0
-            phi = np.triu(dg.phi_kernel(y[:, None] - y[None, :], C, BETA, EPS))
+            phi = np.triu(numerics.phi_kernel(y[:, None] - y[None, :], C, BETA, EPS))
             full = u - (BETA / ALPHA) * ((phi * weights) @ u) \
-                - dg.phi_kernel(y - si, C, BETA, EPS) * X
+                - numerics.phi_kernel(y - si, C, BETA, EPS) * X
             # The O(n) form sums ((c/beta) x - eps) u and (c/beta) y u apart.
-            split = np.abs(dg.phi_kernel(y, C, BETA, EPS))[:, None] \
+            split = np.abs(numerics.phi_kernel(y, C, BETA, EPS))[:, None] \
                 + (C / BETA) * y[None, :]
             bound = TRANSFORM_RTOL * (
                 np.abs(u) + (BETA / ALPHA) * ((split * weights) @ np.abs(u))
-                + np.abs(dg.phi_kernel(y - si, C, BETA, EPS) * X))
+                + np.abs(numerics.phi_kernel(y - si, C, BETA, EPS) * X))
             got = oracles.controller_direct(u, X, si, EPS, ALPHA, BETA, C)
             assert (np.abs(got - full) <= bound).all()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(monitor_stacks())
     def test_fused_quadratures_match_separate_calls(self, derived, stack):
-        # The monitor pass makes one trapezoid call for its three integrands,
-        # whose w_tilde^2 integral V1 shares, and lyapunov_values one for its
-        # two, with np.gradient's expressions written out; both must give
-        # the bits of the separate calls and of np.gradient.
+        # The monitor pass's `lyapunov_rows` piece sums the trapezoids of
+        # its five integrands, whose w_tilde^2 integral V1 shares, with
+        # np.gradient's expressions written out; it must give the bits of
+        # the separate calls and of np.gradient.
         U, E, W, s, m = stack
         X = s - 2.0
         w_hat = dg.transform_controller_direct(U, X, s, EPS, ALPHA, BETA, C)
@@ -360,9 +384,9 @@ class TestStacks:
             + EPS * ALPHA / (2.0 * BETA) * X * X \
             + 0.5 * trapezoid(W * W, s) \
             + 0.5 * derived.B * trapezoid(slope * slope, s)
-        got = dg.lyapunov_values(W, trapezoid(W * W, s), U, s, m, 2.0, EPS,
-                                 PHYS, C, derived)
-        assert same_bits(got[0], V1) and same_bits(got[1], derived.A * V1 + m)
+        *_, got_V1, got_V, _ = dg.lyapunov_values(E, U, W, s, m, 2.0, EPS,
+                                                  PHYS, C, derived)
+        assert same_bits(got_V1, V1) and same_bits(got_V, derived.A * V1 + m)
 
         # The logged-only columns, from the buffered rows, have the bits of
         # the Python floats the feedback row once held.

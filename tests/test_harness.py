@@ -281,6 +281,35 @@ class TestRunScenario:
         for key in ("s", "sdot", "m"):
             assert getattr(breach, key) == series[key][-1], key
 
+    def test_carried_integral_is_the_logged_profiles(self, default_cfg,
+                                                     monkeypatch):
+        # The integral of u_hat that each row logs, and the feedback law and
+        # the trigger read, is carried out of the observer update that made
+        # the row's profile: on each set it is the trapezoid of the row's
+        # own u_hat over the row's own s, bit for bit.
+        cfg = config.override(default_cfg, "scheme.horizon", 300.0)
+        s_at, integral_at = (harness.FEEDBACK_COLUMNS.index(name)
+                             for name in ("s", "integral_u_hat"))
+        log = harness._Recorder.log
+        for kernel in thomas_paths():
+            rows = []
+
+            def record(recorder, row, u, u_hat):
+                rows.append((row, u_hat))
+                return log(recorder, row, u, u_hat)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics, "_kernel", kernel)
+                patch.setattr(harness._Recorder, "log", record)
+                result = harness.run_scenario(cfg)
+            logged = np.array([row[integral_at] for row, _ in rows])
+            expected = np.array([numerics.trapezoid(u_hat, row[s_at])
+                                 for row, u_hat in rows])
+            assert logged.size == result.series["t"].size == 601
+            assert logged.tobytes() == expected.tobytes()
+            assert result.series["integral_u_hat"].tobytes() \
+                == logged.tobytes()
+
     def test_summary_recomputable_from_series(self, short_result):
         s = short_result.series["s"]
         assert short_result.summary["final_interface_gap"] == pytest.approx(

@@ -422,6 +422,15 @@ class TestThomasKernel:
         "horner_short": ("j > 0; j--", "j > 1; j--"),
         # The downward recurrence's 2 (m+1) as 2 m.
         "recurrence_2m": ("2.0 * (m + 1) * rm", "2.0 * m * rm"),
+        # The controller transform's running sum taking node j + 1, then
+        # node j, where numpy adds their panel.
+        "controller_regrouped": ("t0 = t0 + (above + v);",
+                                 "t0 = t0 + above + v;"),
+        # V1's term eps alpha / (2 beta) X^2 with X^2 formed first.
+        "weight_X_regrouped": ("weight_X * X * X", "weight_X * (X * X)"),
+        # W's decay e^{-xi s} taken once per stack, at its first row's s.
+        "decay_per_stack": ("double arg = -xi * sr;",
+                            "double arg = -xi * s[0];"),
     }
 
     @needs_kernel
@@ -543,7 +552,8 @@ def outcome(f, *args):
     of the failure it raises."""
     try:
         out = f(*args)
-    except (ValueError, NumericalFailure, ValidityBreach) as exc:
+    except (ValueError, OverflowError, NumericalFailure,
+            ValidityBreach) as exc:
         return type(exc), str(exc)
     return [np.asarray(part).tobytes() for part in out]
 
@@ -697,7 +707,8 @@ class TestSeam:
         pieces = vars(numerics.REFERENCE)
         assert list(pieces) == ["factor", "solve", "advance_rhs",
                                 "observer_rhs", "observer_update",
-                                "format_rows", "series_integral"]
+                                "format_rows", "series_integral",
+                                "lyapunov_rows"]
         for name, piece in pieces.items():
             assert list(inspect.signature(getattr(_thomas.Kernel, name))
                         .parameters)[1:] \
@@ -744,6 +755,37 @@ class TestSeam:
             raised = [outcome(kernel.series_integral, u, s, 0.1, PHYS.alpha)
                       for kernel in thomas_paths()]
             assert raised[0][0] is ValueError and "series path" in raised[0][1]
+            assert raised[1:] == raised[:-1]
+
+    def test_lyapunov_rows_reject_bad_input_alike(self):
+        # Both sets check the stacks' shapes and the lengths of s and m,
+        # then that the weights, the stacks, s and m are finite, and raise
+        # one ValueError; an e^{-xi s} that overflows raises math.exp's
+        # OverflowError on both.
+        stacks = np.sin(np.arange(3 * 4 * 5.0)).reshape(3, 4, 5)
+        s, m = np.array([0.3, 1.0, 2.0, 2.9]), np.full(4, 1e-3)
+        weights = [2.0, 10.0, PHYS.alpha, PHYS.beta, 3e-4, 1.2, 5e4, 0.5]
+        shapes = [(*stacks[:, :, :1], s, m), (*stacks[:, 0], s[:1], m[:1]),
+                  (stacks[0], stacks[1, :3], stacks[2], s, m),
+                  (*stacks, s[:3], m), (*stacks, s, np.ones((4, 1)))]
+        non_finite = [(*stacks, np.where(s == 1.0, math.inf, s), m),
+                      (*stacks, s, np.where(s == 1.0, -math.inf, m))]
+        for i in range(3):
+            bad = stacks.copy()
+            bad[i, 1, 2] = math.nan
+            non_finite.append((*bad, s, m))
+        cases = [(args, weights, "(k, n) stacks") for args in shapes]
+        cases += [(args, weights, "finite") for args in non_finite]
+        cases += [((*stacks, s, m), weights[:k] + [math.nan] + weights[k + 1:],
+                   "finite") for k in range(8)]
+        cases.append(((*stacks, np.where(s == 1.0, -2e3, s), m), weights,
+                      "math range error"))
+        for args, row_weights, message in cases:
+            raised = [outcome(kernel.lyapunov_rows, *args, *row_weights)
+                      for kernel in thomas_paths()]
+            assert message in raised[0][1], raised
+            assert raised[0][0] is (OverflowError if "range" in message
+                                    else ValueError)
             assert raised[1:] == raised[:-1]
 
 

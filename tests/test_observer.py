@@ -70,7 +70,7 @@ def run_pair(pstate, u_hat, q, steps, dt=0.5, lam=LAM):
         factor = plant.implicit_factor(s, dt, PHYS.alpha, u.size)
         u_new, s_new, sdot_new = plant.step_plant(u, s, sdot, PHYS, q, dt,
                                                   factor)
-        u_hat, _ = observer.step_observer(
+        u_hat, _, _ = observer.step_observer(
             u_hat, s, sdot, PHYS, lam, q, dt,
             measured_slope=-sdot_new / PHYS.beta, factor=factor)
         u, s, sdot = u_new, s_new, sdot_new
@@ -178,10 +178,9 @@ class TestStep:
     def test_zero_gain_is_open_loop_copy(self):
         u, s, sdot = linear_plant(1.0)
         factor = plant.implicit_factor(s, 0.5, PHYS.alpha, u.size)
-        stepped, _ = observer.step_observer(u.copy(), s, sdot, PHYS, 0.0,
-                                            1e-3, 0.5,
-                                            measured_slope=-sdot / PHYS.beta,
-                                            factor=factor)
+        stepped, _, _ = observer.step_observer(
+            u.copy(), s, sdot, PHYS, 0.0, 1e-3, 0.5,
+            measured_slope=-sdot / PHYS.beta, factor=factor)
         direct = plant.advance_profile(u, s, sdot, 1e-3, 0.5, PHYS.k, factor)
         assert np.allclose(stepped, direct, atol=1e-14)
 
@@ -203,10 +202,9 @@ class TestStep:
     def test_interface_value_pinned(self):
         u, s, sdot = linear_plant(1.0)
         factor = plant.implicit_factor(s, 0.5, PHYS.alpha, u.size)
-        stepped, _ = observer.step_observer(linear_plant(10.0)[0], s, sdot,
-                                            PHYS, LAM, 1e-3, 0.5,
-                                            measured_slope=-sdot / PHYS.beta,
-                                            factor=factor)
+        stepped, _, _ = observer.step_observer(
+            linear_plant(10.0)[0], s, sdot, PHYS, LAM, 1e-3, 0.5,
+            measured_slope=-sdot / PHYS.beta, factor=factor)
         assert stepped[-1] == 0.0
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -232,21 +230,22 @@ class TestStep:
                                        seed):
         # The whole observer step has the bits of the general form: the
         # general gain, the influence profile through advance_profile and
-        # the slopes taken on arrays; the square's trapezoid is that of
-        # the new profile.
+        # the slopes taken on arrays; the square's trapezoid and the
+        # unit-interval trapezoid are those of the new profile.
         lam = frac * LAM_MAX
         u_hat = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
         u_hat[-1] = 0.0
         factor = plant.implicit_factor(s, dt, PHYS.alpha, n)
-        got, got_sq = observer.step_observer(u_hat, s, sdot, PHYS, lam, q, dt,
-                                             measured_slope=slope,
-                                             factor=factor)
+        got, got_sq, got_sum = observer.step_observer(
+            u_hat, s, sdot, PHYS, lam, q, dt, measured_slope=slope,
+            factor=factor)
         expected = reference.step_observer(u_hat, s, sdot, PHYS, lam, q, dt,
                                            slope, factor)
         assert bits(got) == bits(expected)
         with np.errstate(over="ignore"):   # huge gains square to inf
             assert bits(got_sq) == bits(numerics.trapezoid(
                 expected * expected, s))
+            assert bits(got_sum) == bits(numerics.trapezoid(expected, 1.0))
 
     def test_one_factorization_per_step(self, monkeypatch, default_cfg):
         # The plant step and both observer solves share one tridiagonal
@@ -411,7 +410,7 @@ class TestErrorMap:
                                                   factor)
         except ValidityBreach:
             reject()
-        u_hat_new, _ = observer.step_observer(
+        u_hat_new, _, _ = observer.step_observer(
             u_hat, s, sdot, PHYS, lam, q, dt,
             measured_slope=-sdot_new / PHYS.beta, factor=factor)
         e = (u - u_hat)[:-1]

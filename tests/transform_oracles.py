@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from stefanetc import diagnostics
+from stefanetc import diagnostics, numerics
 from stefanetc.numerics import unit_grid
 
 from observer_reference import observer_gain, ratio_I1_sqrt
@@ -105,7 +105,7 @@ def forcing_kernel(x, s, lam, alpha, beta, c, epsilon):
     inner = ((c / beta) * x - epsilon) * right_integral(p, x) \
         - (c / beta) * right_integral(x * p, x)
     return p - (beta / alpha) * inner \
-        + beta * diagnostics.phi_kernel(x - s, c, beta, epsilon)
+        + beta * numerics.phi_kernel(x - s, c, beta, epsilon)
 
 
 # Grid points of the psi bound check over [0, L].

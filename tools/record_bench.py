@@ -25,6 +25,12 @@ Run from a git checkout of stefanetc.  The record holds:
   largest relative deviation from the unperturbed run of each event's q_j,
   the final s and the final m, the quantities perfbench's gate holds to
   its REL_TOL;
+- the monitor pass's two pieces: the µs per row of ``series_integral``
+  and ``lyapunov_rows`` on each set (the compiled one where this process
+  loaded it, and ``numerics.REFERENCE``) at n = 21 and 161, on seeded
+  stacks of the pass's own MONITOR_ROW_ENTRIES // n rows with the shipped
+  config's constants, in this process, best of PIECE_ROUNDS timings of
+  PIECE_CALLS calls;
 - the refinement ladder: the shipped config at n = 21/41/81/161 with dt
   halved each time (0.5 s down to 0.0625 s) and a 500 s horizon, run in one
   process with BLAS pinned to one thread, after a warm-up run, three rounds
@@ -50,6 +56,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -64,6 +71,9 @@ LADDER = ((21, 0.5), (41, 0.25), (81, 0.125), (161, 0.0625))
 LADDER_HORIZON_S = 500.0
 LADDER_ROUNDS = 3
 NOISE_RUNS = 4
+PIECE_SIZES = (21, 161)
+PIECE_ROUNDS = 7
+PIECE_CALLS = 20
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -228,6 +238,49 @@ def cffi_version() -> str | None:
     return _cffi_backend.__version__
 
 
+def piece_rows() -> dict:
+    """µs per row of the monitor pass's `series_integral` and
+    `lyapunov_rows` pieces, per set and grid size."""
+    import numpy as np
+
+    from stefanetc import config, harness, numerics, params
+
+    cfg = config.default_config()
+    phys, ctrl = cfg.phys, cfg.ctrl
+    derived = params.derive_trigger(phys, ctrl, cfg.trig)
+    sets = {"python": numerics.REFERENCE}
+    if numerics._kernel is not numerics.REFERENCE:
+        sets["compiled"] = numerics._kernel
+    # Every row below the series path's edge sqrt(lam/alpha) s = j_{1,1}.
+    edge = numerics.J1_FIRST_ZERO / math.sqrt(ctrl.lam / phys.alpha)
+    record = {}
+    for n in PIECE_SIZES:
+        k = harness.MONITOR_ROW_ENTRIES // n
+        rng = np.random.default_rng(n)
+        U, U_hat, w_tilde = rng.uniform(-10.0, 10.0, (3, k, n))
+        s = rng.uniform(0.05, 0.95, k) * min(edge, phys.L)
+        m = rng.uniform(1e-6, 1e-3, k)
+        calls = {
+            "series_integral": (U - U_hat, s, ctrl.lam, phys.alpha),
+            "lyapunov_rows": (U, U_hat, w_tilde, s, m, ctrl.s_r,
+                              ctrl.epsilon, phys.alpha, phys.beta, ctrl.c,
+                              derived.A, derived.B, derived.xi)}
+        for piece, args in calls.items():
+            entry = record.setdefault(piece, {}).setdefault(
+                str(n), {"rows": k})
+            for name, kernel in sets.items():
+                call = getattr(kernel, piece)
+                best = math.inf
+                for _ in range(PIECE_ROUNDS):
+                    t0 = time.perf_counter()
+                    for _ in range(PIECE_CALLS):
+                        call(*args)
+                    best = min(best, time.perf_counter() - t0)
+                entry[f"{name}_us_per_row"] = round(
+                    1e6 * best / (PIECE_CALLS * k), 3)
+    return record
+
+
 def ladder() -> list[dict]:
     """µs/step of the shipped config along the refinement ladder."""
     from stefanetc import config, harness
@@ -287,6 +340,7 @@ def main() -> int:
         record["workloads"][workload]["solve_noise"] = solve_noise(workload)
     source = timed["environment"]["source_sha256"]
     record["source_sha256"] = source
+    record["pieces"] = piece_rows()
     record["ladder"] = ladder()
     record["environment"] = {
         "python": platform.python_version(), "numpy": numpy.__version__,
