@@ -25,7 +25,8 @@ from scipy import special
 
 from stefanetc import diagnostics as dg
 from stefanetc import harness, numerics, params
-from stefanetc.numerics import ratio_J1_sqrt, simpson, trapezoid, unit_grid
+from stefanetc.numerics import (phi_kernel, ratio_J1_sqrt, simpson,
+                                trapezoid, unit_grid)
 from stefanetc.observer import error_norms
 from stefanetc.errors import ConfigurationError
 import transform_oracles as oracles
@@ -191,11 +192,11 @@ class TestForcingKernel:
                 x = unit_grid(n) * L
                 p = np.abs(oracles.observer_gain(x, L, lam, alpha))
                 whole = (beta / alpha) * (
-                    np.abs(numerics.phi_kernel(x, c, beta, eps))
+                    np.abs(phi_kernel(x, c, beta, eps))
                     * oracles.right_integral(p, x)[0]
                     + (c / beta) * oracles.right_integral(x * p, x)[0])
                 bound = TRANSFORM_RTOL * (
-                    p + whole + beta * np.abs(numerics.phi_kernel(x - L, c, beta, eps)))
+                    p + whole + beta * np.abs(phi_kernel(x - L, c, beta, eps)))
                 ref = oracles.forcing_kernel(x, L, lam, alpha, beta, c, eps)
                 got = dg.f_kernel(n, L, lam, alpha, beta, c, eps)
                 assert (np.abs(got - ref) <= bound).all(), (n, L, lam)
@@ -357,15 +358,15 @@ class TestStacks:
             got = oracles.error_inverse(e, si, LAM, ALPHA)
             assert (np.abs(got - reference) <= bound).all()
             X = si - 2.0
-            phi = np.triu(numerics.phi_kernel(y[:, None] - y[None, :], C, BETA, EPS))
+            phi = np.triu(phi_kernel(y[:, None] - y[None, :], C, BETA, EPS))
             full = u - (BETA / ALPHA) * ((phi * weights) @ u) \
-                - numerics.phi_kernel(y - si, C, BETA, EPS) * X
+                - phi_kernel(y - si, C, BETA, EPS) * X
             # The O(n) form sums ((c/beta) x - eps) u and (c/beta) y u apart.
-            split = np.abs(numerics.phi_kernel(y, C, BETA, EPS))[:, None] \
+            split = np.abs(phi_kernel(y, C, BETA, EPS))[:, None] \
                 + (C / BETA) * y[None, :]
             bound = TRANSFORM_RTOL * (
                 np.abs(u) + (BETA / ALPHA) * ((split * weights) @ np.abs(u))
-                + np.abs(numerics.phi_kernel(y - si, C, BETA, EPS) * X))
+                + np.abs(phi_kernel(y - si, C, BETA, EPS) * X))
             got = oracles.controller_direct(u, X, si, EPS, ALPHA, BETA, C)
             assert (np.abs(got - full) <= bound).all()
 
