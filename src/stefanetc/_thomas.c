@@ -5,7 +5,8 @@
  * influence right-hand side, the Sherman-Morrison update of
  * `observer.step_observer` with the trapezoids of it and of its square,
  * the series path of the inverse error transform, and the monitor rows'
- * trapezoids, controller transform and Lyapunov values.  Built with
+ * trapezoids, observer error norm, controller transform and Lyapunov
+ * values.  Built with
  * -ffp-contract=off and -fno-fast-math, each expression is one IEEE double
  * operation per operator, evaluated as written, so every result has the
  * bits of that code: no a - b * c is fused into one rounding, and nothing
@@ -228,8 +229,9 @@ static int all_finite(long m, const double *v)
 
 /* numerics._lyapunov_rows of the k x n stacks u, u_hat and w_tilde,
  * row-major, and the k values of s and m, into out, k values for each of
- * ||u||^2, ||w_tilde||^2, int u, V1, V and W in turn; work holds 2 n
- * doubles.  Per row: the three trapezoids; the controller transform w_hat
+ * ||u||^2, ||u - u_hat||^2, ||w_tilde||^2, int u, V1, V and W in turn;
+ * work holds 3 n doubles.  Per row: the four trapezoids, the error's of
+ * u - u_hat formed node by node; the controller transform w_hat
  * node by node from the interface inwards, its running sums T0 of u_hat
  * and T1 of x u_hat taking each panel (v_{j+1} + v_j); np.gradient's
  * slope of w_tilde over s; their squares' trapezoids, V1, V = A V1 + m
@@ -250,7 +252,7 @@ int lyapunov_rows(long k, long n, const double *u, const double *u_hat,
     double c_beta = c / beta, beta_alpha = beta / alpha;
     double weight_X = epsilon * alpha / (2.0 * beta);
     double half_B = 0.5 * B;
-    double *w_hat = work, *slope = work + n;
+    double *w_hat = work, *slope = work + n, *err = work + 2 * n;
     for (long r = 0; r < k; r++) {
         const double *ur = u + r * n, *vr = u_hat + r * n;
         const double *wr = w_tilde + r * n;
@@ -279,9 +281,12 @@ int lyapunov_rows(long k, long n, const double *u, const double *u_hat,
             slope[j] = (wr[j + 1] - wr[j - 1]) / (2.0 * h);
         slope[0] = (wr[1] - wr[0]) / h;
         slope[n - 1] = (wr[n - 1] - wr[n - 2]) / h;
-        for (long j = 0; j < n; j++)
+        for (long j = 0; j < n; j++) {
             slope[j] /= sr;
+            err[j] = ur[j] - vr[j];
+        }
         double u_sq = sr * pairwise_sum(ur, 0, n - 1, h, 1);
+        double err_sq = sr * pairwise_sum(err, 0, n - 1, h, 1);
         double w_sq = sr * pairwise_sum(wr, 0, n - 1, h, 1);
         double u_int = sr * pairwise_sum(ur, 0, n - 1, h, 0);
         double hat_sq = sr * pairwise_sum(w_hat, 0, n - 1, h, 1);
@@ -295,11 +300,12 @@ int lyapunov_rows(long k, long n, const double *u, const double *u_hat,
             return 2;
         double *o = out + r;
         o[0] = u_sq;
-        o[k] = w_sq;
-        o[2 * k] = u_int;
-        o[3 * k] = V1;
-        o[4 * k] = V;
-        o[5 * k] = V * decay;
+        o[k] = err_sq;
+        o[2 * k] = w_sq;
+        o[3 * k] = u_int;
+        o[4 * k] = V1;
+        o[5 * k] = V;
+        o[6 * k] = V * decay;
     }
     return 0;
 }

@@ -192,13 +192,14 @@ def factor_args(n: int, r) -> float:
 
 
 def bands(ratios, pivots, rhs):
-    """rhs as a contiguous float64 array with the band lengths of ratios
-    and pivots, float64 arrays too."""
+    """ratios, pivots and rhs as contiguous float64 arrays of one system's
+    band lengths: rhs converted, ratios and pivots float64 arrays already,
+    copied where they are strided."""
     x = np.ascontiguousarray(rhs, dtype=float)
     if (x.shape != pivots.shape or ratios.shape != (x.size - 1,)
             or ratios.dtype != float or pivots.dtype != float):
         raise ValueError("inconsistent tridiagonal band lengths")
-    return x
+    return np.ascontiguousarray(ratios), np.ascontiguousarray(pivots), x
 
 
 def series_args(u_tilde, s):
@@ -232,20 +233,63 @@ def lyapunov_args(u, u_hat, w_tilde, s, m, weights):
     return stacks
 
 
-def profile(u, like=None):
+def profile(u, size=None):
     """u as a contiguous float64 profile: 1-D, of at least 2 nodes, and of
-    the length of the profile `like` where one is given."""
+    `size` nodes where that is given."""
     u = np.ascontiguousarray(u, dtype=float)
-    if u.ndim != 1 or u.size < 2 or like is not None and u.size != like.size:
+    if u.ndim != 1 or u.size < 2 or size is not None and u.size != size:
         raise ValueError("profiles must be 1-D, of one length, with at "
                          "least 2 nodes")
     return u
 
 
+# The profile lengths whose workspaces a `Kernel` holds at once; a new
+# length beyond them drops them all.
+WORKSPACES = 8
+
+
+class _Workspace:
+    """The arrays the compiled step writes at one profile length n, each
+    made once with its cdata: the factor's two bands (one allocation), the
+    plant's right-hand side, the observer's two (one allocation, returned
+    as a tuple of its rows), the observer solves' u* and z (one
+    allocation) and the two cells of the update's sums; and `kept`, the
+    last plant and observer profiles the pieces returned, by slot."""
+
+    def __init__(self, ffi, n):
+        buf = ffi.from_buffer
+        self.n = n
+        both = np.empty(2 * n - 3)
+        self.ratios, self.pivots = both[:n - 2], both[n - 2:]
+        both_c = buf("double[]", both)
+        self.bands = both_c, both_c + (n - 2)
+        self.rhs = np.empty(n - 1)
+        self.rhs_c = buf("double[]", self.rhs)
+        rows = np.empty((2, n - 1))
+        self.observer_rhs = rows[0], rows[1]
+        self.observer_rhs_c = buf("double[]", rows)
+        solutions = np.empty((2, n))
+        self.u_star, self.z = solutions
+        solutions_c = buf("double[]", solutions)
+        self.solutions = solutions_c, solutions_c + n
+        self.sums = ffi.new("double[2]")
+        self.kept = {}
+
+
 class Kernel:
     """The compiled set of the eight pieces.  Each method has the signature
     of its namesake in `numerics.REFERENCE`, makes its size checks, and
-    returns its bits or raises its exception with its message."""
+    returns its bits or raises its exception with its message.
+
+    The step's pieces write into the `_Workspace` of their profile length:
+    `factor` its bands, `advance_rhs` and `observer_rhs` their right-hand
+    sides, and `solve` of an observer right-hand side u* or z; each holds
+    until the next call that writes it.  Only the profiles a caller keeps
+    are fresh arrays: `solve`'s of the plant's right-hand side and
+    `observer_update`'s.  The kernel holds their cdata too, so a piece
+    passes C the pointer of an array it holds with no check or
+    conversion; any other array gets both.
+    """
 
     def __init__(self, module, i1_address: int):
         self.ffi, self.lib = module.ffi, module.lib
@@ -258,62 +302,105 @@ class Kernel:
             self.lib.POW10_K_MIN, self.lib.POW10_K_MAX))
         self.top_order = self.ffi.new("double[]", top_order_coefficients(
             self.lib.SERIES_ORDERS, self.lib.TOP_ORDER_TERMS))
-        # The last factor's bands with their cdata, which `solve` reuses
-        # when it is passed those same arrays, and the cells `observer_update`
-        # writes its two trapezoid sums into.
-        self._bands = (None, None, None, None)
-        self._sums = self.ffi.new("double[2]")
+        # The workspaces by length, and by id the arrays they hold with
+        # their cdata and workspace: the right-hand sides, each with the
+        # output its solve writes (u* or z, or None for a fresh profile),
+        # and the profiles, u*, z and the kept ones.
+        self._spaces = {}
+        self._rhs = {}
+        self._profiles = {}
+
+    def _space(self, n):
+        """The workspace of length n, made where there is none."""
+        space = self._spaces.get(n)
+        if space is None:
+            if len(self._spaces) == WORKSPACES:
+                for held in (self._spaces, self._rhs, self._profiles):
+                    held.clear()
+            space = self._spaces[n] = _Workspace(self.ffi, n)
+            self._rhs[id(space.rhs)] = space.rhs, space.rhs_c, space, None
+            row_c = space.observer_rhs_c
+            for row, out, out_c in zip(space.observer_rhs,
+                                       (space.u_star, space.z),
+                                       space.solutions):
+                self._rhs[id(row)] = row, row_c, space, (out, out_c)
+                self._profiles[id(out)] = out, out_c, space
+                row_c += n - 1
+        return space
+
+    def _profile(self, u, size=None):
+        """The cdata of the profile u and the workspace of its length: as
+        held for a profile the kernel holds (of `size` nodes where that is
+        given), else after `profile`'s checks and conversion."""
+        held = self._profiles.get(id(u))
+        if held is not None and held[0] is u \
+                and (size is None or size == held[2].n):
+            return held[1], held[2]
+        u = profile(u, size)
+        return self.ffi.from_buffer("double[]", u), self._space(u.size)
+
+    def _keep(self, slot, out, out_c, space):
+        """Hold `out`, a fresh profile a caller keeps, with its cdata as
+        `space`'s `slot`, in place of the one held there before."""
+        old = space.kept.get(slot)
+        if old is not None:
+            self._profiles.pop(id(old), None)
+        space.kept[slot] = out
+        self._profiles[id(out)] = out, out_c, space
 
     def factor(self, n, r):
         r = factor_args(n, r)
-        ratios, pivots = np.empty(n - 2), np.empty(n - 1)
-        buf = self.ffi.from_buffer
-        self._bands = (ratios, pivots, buf("double[]", ratios),
-                       buf("double[]", pivots))
-        self.lib.diffusion_factor(n - 1, r, *self._bands[2:])
-        return -r, ratios, pivots
+        space = self._space(n)
+        self.lib.diffusion_factor(n - 1, r, *space.bands)
+        return -r, space.ratios, space.pivots
 
     def solve(self, lower, ratios, pivots, rhs):
-        rhs = bands(ratios, pivots, rhs)
-        out = np.empty(rhs.size + 1)
-        buf = self.ffi.from_buffer
-        held_ratios, held_pivots, *cdata = self._bands
-        if ratios is not held_ratios or pivots is not held_pivots:
-            cdata = buf("double[]", ratios), buf("double[]", pivots)
-        self.lib.solve_tridiagonal(rhs.size, lower, *cdata,
-                                   buf("double[]", rhs), buf("double[]", out))
+        # The pointers as held where the bands and the right-hand side are
+        # one workspace's, else after `bands`' checks and conversions.
+        held = self._rhs.get(id(rhs))
+        if held is not None and held[0] is rhs \
+                and ratios is held[2].ratios and pivots is held[2].pivots:
+            _, rhs_c, space, out = held
+            bands_c = space.bands
+        else:
+            ratios, pivots, rhs = bands(ratios, pivots, rhs)
+            buf = self.ffi.from_buffer
+            bands_c = buf("double[]", ratios), buf("double[]", pivots)
+            rhs_c, space, out = buf("double[]", rhs), None, None
+        if out is None:
+            out = np.empty(rhs.size + 1)
+            out_c = self.ffi.from_buffer("double[]", out)
+            if space is not None:
+                self._keep("u", out, out_c, space)
+        else:
+            out, out_c = out
+        self.lib.solve_tridiagonal(rhs.size, lower, *bands_c, rhs_c, out_c)
         return out
 
     def advance_rhs(self, u, s, sdot, q, dt, k, r):
-        u = profile(u)
-        rhs = np.empty(u.size - 1)
-        buf = self.ffi.from_buffer
-        self.lib.advance_rhs(u.size, buf("double[]", u), s, sdot, q, dt, k, r,
-                             self.ffi.NULL, 0.0, buf("double[]", rhs))
-        return rhs
+        u_c, space = self._profile(u)
+        self.lib.advance_rhs(space.n, u_c, s, sdot, q, dt, k, r,
+                             self.ffi.NULL, 0.0, space.rhs_c)
+        return space.rhs
 
     def observer_rhs(self, u_hat, s, sdot, q, dt, k, r, lam, alpha, slope):
-        u_hat = profile(u_hat)
-        rhs = np.empty((2, u_hat.size - 1))
-        buf = self.ffi.from_buffer
-        if self.lib.observer_rhs(u_hat.size, buf("double[]", u_hat), s, sdot,
-                                 q, dt, k, r, lam, alpha, slope, self.i1,
-                                 buf("double[]", rhs)):
+        u_hat_c, space = self._profile(u_hat)
+        if self.lib.observer_rhs(space.n, u_hat_c, s, sdot, q, dt, k, r, lam,
+                                 alpha, slope, self.i1, space.observer_rhs_c):
             raise ValueError(BESSEL_DOMAIN.format(self.lib.BESSEL_Z_MAX))
-        return rhs
+        return space.observer_rhs
 
     def observer_update(self, u_star, z, s, dt):
-        u_star = profile(u_star)
-        z = profile(z, u_star)
-        out = np.empty(u_star.size)
-        buf = self.ffi.from_buffer
-        failed = self.lib.observer_update(u_star.size, s, dt,
-                                          buf("double[]", u_star),
-                                          buf("double[]", z),
-                                          buf("double[]", out), self._sums)
+        u_star_c, space = self._profile(u_star)
+        z_c, _ = self._profile(z, space.n)
+        out = np.empty(space.n)
+        out_c = self.ffi.from_buffer("double[]", out)
+        failed = self.lib.observer_update(space.n, s, dt, u_star_c, z_c,
+                                          out_c, space.sums)
         if failed:
             raise NumericalFailure(SINGULAR if failed == 1 else NON_FINITE)
-        return out, self._sums[0], self._sums[1]
+        self._keep("u_hat", out, out_c, space)
+        return out, space.sums[0], space.sums[1]
 
     def series_integral(self, u_tilde, s, lam, alpha):
         u_tilde, s = series_args(u_tilde, s)
@@ -329,7 +416,7 @@ class Kernel:
         weights = (s_r, epsilon, alpha, beta, c, A, B, xi)
         stacks = lyapunov_args(u, u_hat, w_tilde, s, m, weights)
         k, n = stacks[0].shape
-        work, out = np.empty(2 * n), np.empty((6, k))
+        work, out = np.empty(3 * n), np.empty((7, k))
         buf = self.ffi.from_buffer
         failed = self.lib.lyapunov_rows(
             k, n, *(buf("double[]", a) for a in stacks), *weights,

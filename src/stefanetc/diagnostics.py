@@ -15,8 +15,9 @@ phi is affine, so its Volterra integral is two right-cumulative trapezoid
 sums: O(n) per row.  It lives in `numerics`, beside the reference of the
 `lyapunov_rows` piece that applies it, and is bound here for `f_kernel`;
 `lyapunov_values` is one call of that piece of `numerics._kernel`, the
-last of the seam's eight, which returns the monitor pass's trapezoids and
-Lyapunov values after the inverse error transform.  The inverse error
+last of the seam's eight, which returns the monitor pass's trapezoids
+(the observer error's norm among them) and Lyapunov values after the
+inverse error transform.  The inverse error
 transform takes one of two paths per row, chosen here by where the series
 converges.  A row with z = sqrt(lam/alpha) s below the first zero of J1
 takes the series path, the `series_integral` piece of `numerics._kernel`
@@ -192,12 +193,13 @@ def f_max(L: float, lam: float, alpha: float, beta: float, c: float,
 def lyapunov_values(U: np.ndarray, U_hat: np.ndarray, w_tilde: np.ndarray,
                     s: np.ndarray, m: np.ndarray, s_r: float, epsilon: float,
                     phys, c: float, derived) -> np.ndarray:
-    """(||u||^2, ||w_tilde||^2, int u, V1, V, W) over [0, s] from (K, n)
-    stacks of the plant profile U, the observer profile U_hat and the
-    transformed observer error w_tilde (see `transform_error_inverse`),
-    and length-K s and m, with the weights A, B and xi of `derived` (a
-    `params.TriggerDerived`): V = A V1 + m and W = V e^{-xi s}, a (6, K)
-    array from one call of the `lyapunov_rows` piece of `numerics._kernel`.
+    """(||u||^2, ||u - u_hat||^2, ||w_tilde||^2, int u, V1, V, W) over
+    [0, s] from (K, n) stacks of the plant profile U, the observer profile
+    U_hat and the transformed observer error w_tilde (see
+    `transform_error_inverse`), and length-K s and m, with the weights A,
+    B and xi of `derived` (a `params.TriggerDerived`): V = A V1 + m and
+    W = V e^{-xi s}, a (7, K) array from one call of the `lyapunov_rows`
+    piece of `numerics._kernel`.
     """
     return numerics._kernel.lyapunov_rows(
         U, U_hat, w_tilde, s, m, s_r, epsilon, phys.alpha, phys.beta, c,

@@ -18,8 +18,8 @@ takes the O(n) series path, and every other row the O(n^2) gathered kernel,
 on chunks of at most diagnostics.MONITOR_STACK_ENTRIES // n^2 of those
 rows, so the number of buffered rows and the size of the kernel stack are
 set apart.  After the inverse transform, one call of the `lyapunov_rows`
-piece (`diagnostics.lyapunov_values`) gives each row's norms, energy
-integral and Lyapunov values.  Every row is bitwise the value a pass per
+piece (`diagnostics.lyapunov_values`) gives each row's norms, the
+observer error's among them, energy integral and Lyapunov values.  Every row is bitwise the value a pass per
 step would give.
 
 The integral of u_hat that the feedback law and the trigger read comes
@@ -226,15 +226,14 @@ def _monitor_columns(U, E, U_hat, feedback, cfg, derived):
     u - u_hat and u_hat and the rows' `feedback` columns, in one pass."""
     phys, ctrl = cfg.phys, cfg.ctrl
     s, m, d = feedback["s"], feedback["m"], feedback["d"]
-    err_norm = observer.error_norms(E, s)
     w_tilde = diagnostics.transform_error_inverse(E, s, ctrl.lam, phys.alpha)
-    u_sq, w_tilde_sq, u_int, V1, V, W = diagnostics.lyapunov_values(
+    u_sq, err_sq, w_tilde_sq, u_int, V1, V, W = diagnostics.lyapunov_values(
         U, U_hat, w_tilde, s, m, ctrl.s_r, ctrl.epsilon, phys, ctrl.c,
         derived)
     return {"T0_boundary": phys.Tm + U[:, 0], "d_squared": d * d,
             "gamma_m": cfg.trig.gamma * m,
             "norm_T_Tm": np.sqrt(np.maximum(u_sq, 0.0)),
-            "norm_T_That": err_norm,
+            "norm_T_That": np.sqrt(np.maximum(err_sq, 0.0)),
             "norm_w_tilde": np.sqrt(np.maximum(w_tilde_sq, 0.0)),
             "energy": u_int / phys.alpha + s / phys.beta,
             "V1": V1, "V": V, "W": W}

@@ -19,17 +19,24 @@ B, xi)`.  `REFERENCE` is the set of them in Python and numpy, defined
 below with the observer gain, the interface slope, the series constants
 and the controller transform they use; `_thomas.Kernel` is the compiled
 set.  `_kernel` holds one of the two, chosen once at the end of
-this module's import.  The compiled pieces do the same IEEE operations in
-the same order, built with -O2 -ffp-contract=off -fno-fast-math and no
--march, so each result has the reference's bits (-ffp-contract=off
-matters: a fused multiply-add rounds a - b * c once instead of twice, and
-such last-bit changes per solve move the closed loop's m past the
-benchmark's 1e-9 gate), and the formatter writes repr's bytes.  The
-compiled series path runs two rows at a time in the lanes of a vector,
-each lane doing its own row's operations.  The first import builds the
-kernel in a child process, about 0.8 s, into $XDG_CACHE_HOME/stefanetc (or
-~/.cache/stefanetc); every import loads it and uses it only if it passes
-`check_kernel`.  `THOMAS_KERNEL` says which set runs.
+this module's import.  The reference pieces return fresh arrays.  The
+compiled step reuses its outputs: the factor's bands, the right-hand
+sides of `advance_rhs` and `observer_rhs` and `solve`'s u* and z of the
+observer's two right-hand sides live in one workspace per profile length
+and hold until the next call that writes them; only the profiles a
+caller keeps, `solve`'s of the plant's right-hand side and
+`observer_update`'s, are fresh.  The compiled pieces do the same IEEE
+operations in the same order, built with -O2 -ffp-contract=off
+-fno-fast-math and no -march, so each result has the reference's bits
+(-ffp-contract=off matters: a fused multiply-add rounds a - b * c once
+instead of twice, and such last-bit changes per solve move the closed
+loop's m past the benchmark's 1e-9 gate), and the formatter writes repr's
+bytes.  The compiled series path runs two rows at a time in the lanes of
+a vector, each lane doing its own row's operations.  The first import
+builds the kernel in a child process, about 0.8 s, into
+$XDG_CACHE_HOME/stefanetc (or ~/.cache/stefanetc); every import loads it
+and uses it only if it passes `check_kernel`.  `THOMAS_KERNEL` says which
+set runs.
 """
 from __future__ import annotations
 
@@ -161,8 +168,8 @@ def _factor_loops(n, r):
 
 
 def _solve_loops(lower, ratios, pivots, rhs):
-    x = _thomas.bands(ratios, pivots, rhs).tolist()
-    ratios, pivots = ratios.tolist(), pivots.tolist()
+    ratios, pivots, x = (a.tolist() for a in _thomas.bands(ratios, pivots,
+                                                            rhs))
     n = len(pivots)
     xi = x[0] = x[0] / pivots[0]
     for i in range(1, n):
@@ -267,7 +274,7 @@ def sherman_morrison(u_star, z, s: float, dt: float):
     `trapezoid` over the unit interval, whose product with s has the bits
     of its `trapezoid` over s: the `observer_update` piece."""
     u_star = profile(u_star)
-    z = profile(z, u_star)
+    z = profile(z, u_star.size)
     w_u_star = boundary_slope(u_star, s)
     w_z = boundary_slope(z, s)
     denom = 1.0 + dt * w_z
@@ -394,8 +401,8 @@ def _lyapunov_rows(u, u_hat, w_tilde, s, m, s_r, epsilon, alpha, beta, c,
                    A, B, xi):
     """The monitor columns of K rows after the inverse error transform,
     from (K, n) stacks of u, u_hat and w_tilde and length-K s and m: a
-    (6, K) array of ||u||^2, ||w_tilde||^2 and int u over [0, s], V1,
-    V = A V1 + m and W = V e^{-xi s}, with X = s - s_r, w_hat the
+    (7, K) array of ||u||^2, ||u - u_hat||^2, ||w_tilde||^2 and int u over
+    [0, s], V1, V = A V1 + m and W = V e^{-xi s}, with X = s - s_r, w_hat the
     `transform_controller_direct` of u_hat and the weights A, B and xi of
     a `params.TriggerDerived`.  The `lyapunov_rows` piece; like the
     compiled one, it passes on infinities and NaNs without a warning, and
@@ -407,9 +414,10 @@ def _lyapunov_rows(u, u_hat, w_tilde, s, m, s_r, epsilon, alpha, beta, c,
     if not all(np.isfinite(a).all() for a in (u, u_hat, w_tilde, s, m)):
         raise ValueError(NON_FINITE_ROWS)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # One quadrature for the two squared norms and the energy.
-        u_sq, tilde_sq, u_int = trapezoid(
-            np.stack((u * u, w_tilde * w_tilde, u)), s)
+        # One quadrature for the three squared norms and the energy.
+        err = u - u_hat
+        u_sq, err_sq, tilde_sq, u_int = trapezoid(
+            np.stack((u * u, err * err, w_tilde * w_tilde, u)), s)
         X = s - s_r
         w_hat = transform_controller_direct(u_hat, X, s, epsilon, alpha,
                                             beta, c)
@@ -432,7 +440,7 @@ def _lyapunov_rows(u, u_hat, w_tilde, s, m, s_r, epsilon, alpha, beta, c,
         V = A * V1 + m
         # math.exp per row: np.exp does not give the same bits.
         W = V * np.array([math.exp(-xi * si) for si in s.tolist()])
-    return np.stack((u_sq, tilde_sq, u_int, V1, V, W))
+    return np.stack((u_sq, err_sq, tilde_sq, u_int, V1, V, W))
 
 
 def _format_rows(rows: np.ndarray, buf: bytearray) -> bytes:
@@ -444,11 +452,14 @@ def _format_rows(rows: np.ndarray, buf: bytearray) -> bytes:
 
 
 def _check_cases():
-    """The (piece, arguments) cases of `check_kernel`.  No random generator:
-    a check at every import should not touch code the run never uses."""
+    """The (piece, arguments) cases of `check_kernel`, where a piece is
+    named, or is a function of the set, as `_two_steps`.  No random
+    generator: a check at every import should not touch code the run never
+    uses."""
     # The Thomas loops: n from 3 to 400, diffusion numbers over six
     # decades, and right-hand sides of generic floats, for n > 20 also with
-    # signed zeros and subnormals, and with infinities and a NaN.
+    # signed zeros and subnormals, and with infinities and a NaN; bands
+    # that are strided views.
     specials = ([0.0, -0.0, 5e-324, -2.5e-310], [math.inf, -math.inf, math.nan])
     for n in (3, 4, 5, 21, 41, 161, 400):
         for r in (1.3e-3, 0.37, 7.1, 913.0):
@@ -460,11 +471,15 @@ def _check_cases():
                     row[3::n // 4][:len(special)] = special
             for row in rhs:
                 yield "solve", (*factor, row)
+            # Bands that are strided views.
+            yield "solve", (factor[0], *(np.repeat(band, 2)[::2]
+                                         for band in factor[1:]), rhs[0])
     # The step: the plant's right-hand side at n from 3 to 400 with sdot of
     # both signs and both zeros, the observer's with gains all below,
     # across and above the series cut and beyond the Bessel range, and the
     # Sherman-Morrison update on generic, singular, non-finite and
-    # mismatched profiles; profiles with signed zeros.
+    # mismatched profiles; profiles with signed zeros; and two steps
+    # chained through the pieces.
     s, q, dt, k, r, alpha, slope = 0.35, 2.9, 0.37, 2.2e-3, 0.9, 1.3e-3, -41.0
     for n in (3, 4, 21, 161, 400):
         u = np.sin(0.3 + np.arange(n))
@@ -485,6 +500,9 @@ def _check_cases():
         for a, b in ((u_star, z), (u_star, singular), (infinite, z),
                      (u_star, z[1:])):
             yield "observer_update", (a, b, s, dt)
+        if n > 3:
+            yield _two_steps, (u, u_star, s, 2.7e-4, q, dt, k, r,
+                               40.0 * alpha / (s * s), alpha, slope)
     # The series path: stacks of n from 2 to 400 and an odd number of
     # rows, whose s are 0, tiny, mid-range and one ulp below the edge
     # sqrt(lam/alpha) s = J1_FIRST_ZERO, two of them with signed zeros and
@@ -563,11 +581,35 @@ def _check_cases():
         yield "format_rows", (rows, buf)
 
 
-def _outcome(piece, args):
-    """The bytes of what `piece(*args)` returns, of each part of a tuple in
-    turn, or the type and message of the exception it raises."""
+def _two_steps(pieces, u, u_hat, s, sdot, q, dt, k, r, lam, alpha, slope):
+    """The outputs of two steps of the closed loop's pieces of the set
+    `pieces`, in the loop's order (factor, advance_rhs, solve, observer_rhs,
+    two solves and observer_update), the second from the profiles of the
+    first, all read after the second: on the compiled set, the workspace
+    and the profiles it holds, which must leave what a caller keeps as it
+    was."""
+    outputs = []
+    for _ in range(2):
+        lower, ratios, pivots = pieces.factor(u.size, r)
+        u = pieces.solve(lower, ratios, pivots,
+                         pieces.advance_rhs(u, s, sdot, q, dt, k, r))
+        base, influence = pieces.observer_rhs(u_hat, s, sdot, q, dt, k, r,
+                                              lam, alpha, slope)
+        u_hat, square, total = pieces.observer_update(
+            pieces.solve(lower, ratios, pivots, base),
+            pieces.solve(lower, ratios, pivots, influence), s, dt)
+        outputs += (u, u_hat, square, total)
+    return tuple(outputs)
+
+
+def _outcome(pieces, case, args):
+    """The bytes of what the piece named `case` of the set `pieces` returns
+    on `args`, or of `case(pieces, *args)` where `case` is a function, of
+    each part of a tuple in turn, or the type and message of the exception
+    it raises."""
     try:
-        result = piece(*args)
+        result = getattr(pieces, case)(*args) if isinstance(case, str) \
+            else case(pieces, *args)
     except (ValueError, OverflowError, NumericalFailure) as exc:
         return type(exc), str(exc)
     return b"".join(part if isinstance(part, (bytes, memoryview))
@@ -582,9 +624,8 @@ def check_kernel(kernel) -> bool:
     outcome of its namesake in `REFERENCE`."""
     return kernel.constants == (BESSEL_Z_MAX, _RATIO_SERIES_CUT,
                                 SERIES_ORDERS, TOP_ORDER_TERMS) and all(
-        _outcome(getattr(kernel, name), args)
-        == _outcome(getattr(REFERENCE, name), args)
-        for name, args in _check_cases())
+        _outcome(kernel, case, args) == _outcome(REFERENCE, case, args)
+        for case, args in _check_cases())
 
 
 REFERENCE = types.SimpleNamespace(

@@ -10,7 +10,8 @@ The step forms its two right-hand sides with the `observer_rhs` piece of
 and the influence right-hand side), solves both through
 `plant.solve_tridiagonal`, and updates the profile with its
 `observer_update` piece.  This module holds that step, the error slope
-and the error norm; the gain `observer_gain`, the interface slope
+and the error norm (the monitor pass takes it from `lyapunov_rows`); the
+gain `observer_gain`, the interface slope
 `boundary_slope` and the reference pieces `observer_rhs` and
 `sherman_morrison` live in `numerics`.
 """
@@ -69,5 +70,9 @@ def step_observer(u_hat, s: float, sdot: float, phys, lam: float, q: float,
 
 def error_norms(err: np.ndarray, s):
     """L2 norm on [0, s] of the observer error err = u - u_hat.  A (K, n)
-    stack of errors with a length-K s gives the K norms."""
+    stack of errors with a length-K s gives the K norms.
+
+    The monitor pass does not call it: its `lyapunov_rows` piece returns
+    the squared norms with these bits.  It stays for the tests and for
+    perfbench's tracer, which binds `observer.error_norms`."""
     return np.sqrt(np.maximum(trapezoid(err * err, s), 0.0))

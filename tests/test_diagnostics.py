@@ -374,7 +374,7 @@ class TestStacks:
     @given(monitor_stacks())
     def test_fused_quadratures_match_separate_calls(self, derived, stack):
         # The monitor pass's `lyapunov_rows` piece sums the trapezoids of
-        # its five integrands, whose w_tilde^2 integral V1 shares, with
+        # its six integrands, whose w_tilde^2 integral V1 shares, with
         # np.gradient's expressions written out; it must give the bits of
         # the separate calls and of np.gradient.
         U, E, W, s, m = stack
@@ -385,9 +385,11 @@ class TestStacks:
             + EPS * ALPHA / (2.0 * BETA) * X * X \
             + 0.5 * trapezoid(W * W, s) \
             + 0.5 * derived.B * trapezoid(slope * slope, s)
-        *_, got_V1, got_V, _ = dg.lyapunov_values(E, U, W, s, m, 2.0, EPS,
-                                                  PHYS, C, derived)
+        rows = dg.lyapunov_values(E, U, W, s, m, 2.0, EPS, PHYS, C, derived)
+        *_, got_V1, got_V, _ = rows
         assert same_bits(got_V1, V1) and same_bits(got_V, derived.A * V1 + m)
+        # The squared error norm of its plant and observer stacks, E and U.
+        assert same_bits(rows[1], trapezoid((E - U) * (E - U), s))
 
         # The logged-only columns, from the buffered rows, have the bits of
         # the Python floats the feedback row once held.
@@ -401,6 +403,9 @@ class TestStacks:
                 ("gamma_m", [TRIG.gamma * x for x in m.tolist()])):
             assert same_bits(columns[name], row_values), name
         w_tilde = dg.transform_error_inverse(E, s, LAM, ALPHA)
+        # norm_T_That is the error of the stacks of u and u_hat, here U and
+        # W, which the piece forms itself, with `error_norms`' bits.
+        assert same_bits(columns["norm_T_That"], error_norms(U - W, s))
         for name, values in (("norm_T_Tm", U), ("norm_w_tilde", w_tilde)):
             assert same_bits(columns[name], np.sqrt(
                 np.maximum(trapezoid(values * values, s), 0.0))), name

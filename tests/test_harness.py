@@ -310,6 +310,35 @@ class TestRunScenario:
             assert result.series["integral_u_hat"].tobytes() \
                 == logged.tobytes()
 
+    def test_logged_profiles_keep_their_bytes(self, default_cfg,
+                                              monkeypatch):
+        # The u and u_hat each step hands to the recorder are the loop's to
+        # keep: on each set, every later step leaves their bytes as they
+        # were when logged, though the compiled step reuses its other
+        # outputs.
+        log = harness._Recorder.log
+        for kernel in thomas_paths():
+            logged = []
+
+            def record(recorder, row, u, u_hat):
+                logged.append(((u, u_hat), (u.tobytes(), u_hat.tobytes())))
+                return log(recorder, row, u, u_hat)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(numerics, "_kernel", kernel)
+                patch.setattr(harness._Recorder, "log", record)
+                loop = harness.ClosedLoop(default_cfg, params.derive_trigger(
+                    default_cfg.phys, default_cfg.ctrl, default_cfg.trig))
+                recorder = harness._Recorder(monitors=None, stack=10)
+                loop.start()
+                for _ in range(5):
+                    recorder.log(loop.supervise(), loop.u, loop.u_hat)
+                    loop.step()
+            assert len(logged) == 5 and len({id(u) for (u, _), _ in logged}) \
+                == len({id(u_hat) for (_, u_hat), _ in logged}) == 5
+            for profiles, saved in logged:
+                assert tuple(a.tobytes() for a in profiles) == saved, kernel
+
     def test_summary_recomputable_from_series(self, short_result):
         s = short_result.series["s"]
         assert short_result.summary["final_interface_gap"] == pytest.approx(

@@ -746,6 +746,48 @@ class TestSeam:
             with pytest.raises(ValueError, match="n >= 3"):
                 kernel.factor(2, 0.5)
 
+    def test_strided_bands_solve_alike(self):
+        # Bands that are strided views of float64 arrays solve on both sets
+        # as their contiguous copies do.
+        rhs = np.sin(np.arange(5.0))
+        lower, ratios, pivots = numerics.REFERENCE.factor(6, 0.7)
+        expected = numerics.REFERENCE.solve(lower, ratios, pivots, rhs)
+        strided = [np.repeat(band, 2)[::2] for band in (ratios, pivots)]
+        assert not strided[0].flags.c_contiguous
+        for kernel in thomas_paths():
+            assert kernel.solve(lower, *strided, rhs).tobytes() \
+                == expected.tobytes(), kernel
+
+    @needs_kernel
+    def test_step_converts_at_most_two_buffers(self, default_cfg,
+                                               monkeypatch):
+        # Past its first step, a step of the loop on the compiled set hands
+        # C the buffers of its workspace and of the profiles it holds as
+        # they are, and converts only the two fresh profiles it returns.
+        class CountingFFI:
+            def __init__(self, ffi):
+                self.ffi, self.calls = ffi, 0
+
+            def from_buffer(self, *args):
+                self.calls += 1
+                return self.ffi.from_buffer(*args)
+
+            def __getattr__(self, name):
+                return getattr(self.ffi, name)
+
+        counting = CountingFFI(numerics._kernel.ffi)
+        monkeypatch.setattr(numerics._kernel, "ffi", counting)
+        loop = harness.ClosedLoop(default_cfg, params.derive_trigger(
+            default_cfg.phys, default_cfg.ctrl, default_cfg.trig))
+        loop.start()
+        loop.supervise()
+        loop.step()
+        for _ in range(5):
+            loop.supervise()
+            counting.calls = 0
+            loop.step()
+            assert counting.calls <= 2
+
     def test_series_rejects_bad_stacks_alike(self):
         # Both sets check the stack's shape and s's length before any
         # arithmetic and raise one ValueError.

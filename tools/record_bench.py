@@ -31,6 +31,13 @@ Run from a git checkout of stefanetc.  The record holds:
   stacks of the pass's own MONITOR_ROW_ENTRIES // n rows with the shipped
   config's constants, in this process, best of PIECE_ROUNDS timings of
   PIECE_CALLS calls;
+- the closed-loop step: the µs per ``ClosedLoop.step`` of the shipped
+  config on each set at n = 21 (dt = 0.5, ``event_triggered``, the shape
+  of ``et_paraffin``) and n = 161 (dt = 0.0625, ``continuous``, that of
+  ``fine_grid_continuous``), in this process: best of STEP_ROUNDS rounds,
+  each a fresh loop that supervises and steps STEP_CALLS times with the
+  steps alone timed, so that two records show a change of the step apart
+  from the host's drift between perfbench runs;
 - the refinement ladder: the shipped config at n = 21/41/81/161 with dt
   halved each time (0.5 s down to 0.0625 s) and a 500 s horizon, run in one
   process with BLAS pinned to one thread, after a warm-up run, three rounds
@@ -74,6 +81,9 @@ NOISE_RUNS = 4
 PIECE_SIZES = (21, 161)
 PIECE_ROUNDS = 7
 PIECE_CALLS = 20
+STEP_GRIDS = ((21, 0.5, "event_triggered"), (161, 0.0625, "continuous"))
+STEP_ROUNDS = 5
+STEP_CALLS = 2000
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -238,6 +248,17 @@ def cffi_version() -> str | None:
     return _cffi_backend.__version__
 
 
+def piece_sets() -> dict:
+    """The sets of pieces this process can run, by name: the compiled one
+    where it loaded, and ``numerics.REFERENCE``."""
+    from stefanetc import numerics
+
+    sets = {"python": numerics.REFERENCE}
+    if numerics._kernel is not numerics.REFERENCE:
+        sets["compiled"] = numerics._kernel
+    return sets
+
+
 def piece_rows() -> dict:
     """µs per row of the monitor pass's `series_integral` and
     `lyapunov_rows` pieces, per set and grid size."""
@@ -248,9 +269,7 @@ def piece_rows() -> dict:
     cfg = config.default_config()
     phys, ctrl = cfg.phys, cfg.ctrl
     derived = params.derive_trigger(phys, ctrl, cfg.trig)
-    sets = {"python": numerics.REFERENCE}
-    if numerics._kernel is not numerics.REFERENCE:
-        sets["compiled"] = numerics._kernel
+    sets = piece_sets()
     # Every row below the series path's edge sqrt(lam/alpha) s = j_{1,1}.
     edge = numerics.J1_FIRST_ZERO / math.sqrt(ctrl.lam / phys.alpha)
     record = {}
@@ -278,6 +297,40 @@ def piece_rows() -> dict:
                     best = min(best, time.perf_counter() - t0)
                 entry[f"{name}_us_per_row"] = round(
                     1e6 * best / (PIECE_CALLS * k), 3)
+    return record
+
+
+def step_times() -> dict:
+    """µs per `ClosedLoop.step` of the shipped config, per grid and set."""
+    from stefanetc import config, harness, numerics, params
+
+    sets, loaded = piece_sets(), numerics._kernel
+    record = {}
+    for n, dt, kind in STEP_GRIDS:
+        cfg = config.default_config()
+        for key, value in (("scheme.n", n), ("scheme.dt", dt),
+                           ("scenario.kind", kind)):
+            cfg = config.override(cfg, key, value)
+        derived = params.derive_trigger(cfg.phys, cfg.ctrl, cfg.trig)
+        entry = record[str(n)] = {"dt": dt, "kind": kind,
+                                  "steps": STEP_CALLS}
+        for name, kernel in sets.items():
+            numerics._kernel = kernel
+            best = math.inf
+            try:
+                for _ in range(STEP_ROUNDS):
+                    loop = harness.ClosedLoop(cfg, derived)
+                    loop.start()
+                    elapsed = 0.0
+                    for _ in range(STEP_CALLS):
+                        loop.supervise()
+                        t0 = time.perf_counter()
+                        loop.step()
+                        elapsed += time.perf_counter() - t0
+                    best = min(best, elapsed)
+            finally:
+                numerics._kernel = loaded
+            entry[f"{name}_us_per_step"] = round(1e6 * best / STEP_CALLS, 2)
     return record
 
 
@@ -341,6 +394,7 @@ def main() -> int:
     source = timed["environment"]["source_sha256"]
     record["source_sha256"] = source
     record["pieces"] = piece_rows()
+    record["closed_loop_step"] = step_times()
     record["ladder"] = ladder()
     record["environment"] = {
         "python": platform.python_version(), "numpy": numpy.__version__,
