@@ -6,13 +6,13 @@
  * `observer.step_observer` with the trapezoids of it and of its square,
  * the series path of the inverse error transform, and the monitor rows'
  * trapezoids, observer error norm, controller transform and Lyapunov
- * values.  Built with
- * -ffp-contract=off and -fno-fast-math, each expression is one IEEE double
- * operation per operator, evaluated as written, so every result has the
- * bits of that code: no a - b * c is fused into one rounding, and nothing
- * is reassociated.  The callers check the sizes and the diffusion number
- * before they pass pointers.  At the end, the formatter of series.csv's
- * rows, which writes repr's bytes. */
+ * values.  Built with -ffp-contract=off and -fno-fast-math, each
+ * expression is one IEEE double operation per operator, evaluated as
+ * written, so every result has the bits of that code: no a - b * c is
+ * fused into one rounding, and nothing is reassociated.  The callers
+ * check the sizes and the diffusion number before they pass pointers, or
+ * pass arrays they made at the sizes needed.  At the end, the formatter
+ * of series.csv's rows, which writes repr's bytes. */
 
 #include <math.h>
 #include <stdint.h>

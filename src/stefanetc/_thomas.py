@@ -288,7 +288,8 @@ class Kernel:
     are fresh arrays: `solve`'s of the plant's right-hand side and
     `observer_update`'s.  The kernel holds their cdata too, so a piece
     passes C the pointer of an array it holds with no check or
-    conversion; any other array gets both.
+    conversion; any other array gets both.  Every caller shares the
+    workspaces, so the pieces are for one thread at a time.
     """
 
     def __init__(self, module, i1_address: int):

@@ -19,8 +19,8 @@ on chunks of at most diagnostics.MONITOR_STACK_ENTRIES // n^2 of those
 rows, so the number of buffered rows and the size of the kernel stack are
 set apart.  After the inverse transform, one call of the `lyapunov_rows`
 piece (`diagnostics.lyapunov_values`) gives each row's norms, the
-observer error's among them, energy integral and Lyapunov values.  Every row is bitwise the value a pass per
-step would give.
+observer error's among them, energy integral and Lyapunov values.  Every
+row is bitwise the value a pass per step would give.
 
 The integral of u_hat that the feedback law and the trigger read comes
 out of the observer update: its `observer_update` piece returns the

@@ -402,9 +402,9 @@ def _lyapunov_rows(u, u_hat, w_tilde, s, m, s_r, epsilon, alpha, beta, c,
     """The monitor columns of K rows after the inverse error transform,
     from (K, n) stacks of u, u_hat and w_tilde and length-K s and m: a
     (7, K) array of ||u||^2, ||u - u_hat||^2, ||w_tilde||^2 and int u over
-    [0, s], V1, V = A V1 + m and W = V e^{-xi s}, with X = s - s_r, w_hat the
-    `transform_controller_direct` of u_hat and the weights A, B and xi of
-    a `params.TriggerDerived`.  The `lyapunov_rows` piece; like the
+    [0, s], V1, V = A V1 + m and W = V e^{-xi s}, with X = s - s_r, w_hat
+    the `transform_controller_direct` of u_hat and the weights A, B and xi
+    of a `params.TriggerDerived`.  The `lyapunov_rows` piece; like the
     compiled one, it passes on infinities and NaNs without a warning, and
     both reject non-finite input, whose NaNs the two would order apart.
     """
@@ -471,7 +471,6 @@ def _check_cases():
                     row[3::n // 4][:len(special)] = special
             for row in rhs:
                 yield "solve", (*factor, row)
-            # Bands that are strided views.
             yield "solve", (factor[0], *(np.repeat(band, 2)[::2]
                                          for band in factor[1:]), rhs[0])
     # The step: the plant's right-hand side at n from 3 to 400 with sdot of
@@ -500,9 +499,8 @@ def _check_cases():
         for a, b in ((u_star, z), (u_star, singular), (infinite, z),
                      (u_star, z[1:])):
             yield "observer_update", (a, b, s, dt)
-        if n > 3:
-            yield _two_steps, (u, u_star, s, 2.7e-4, q, dt, k, r,
-                               40.0 * alpha / (s * s), alpha, slope)
+        yield _two_steps, (u, u_star, s, 2.7e-4, q, dt, k, r,
+                           40.0 * alpha / (s * s), alpha, slope)
     # The series path: stacks of n from 2 to 400 and an odd number of
     # rows, whose s are 0, tiny, mid-range and one ulp below the edge
     # sqrt(lam/alpha) s = J1_FIRST_ZERO, two of them with signed zeros and
